@@ -9,12 +9,12 @@ MCMC mixing pathology — all computed exactly by log-domain enumeration.
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     BudgetExceededError,
+    CertificateError,
     FoesModel,
     FoeslabError,
     LogProb,
     OutcomeSpace,
     UniformModelError,
-    enumerate_log_probs,
     log_sum_exp,
     replicate,
 )

@@ -3,8 +3,8 @@
 Every subcommand reads options from flags and/or a flat ``key = value``
 config file (flags win), writes CSV to stdout or ``--out``, and exits 0 on
 success, 2 on a usage/config error, 3 when an enumeration would exceed the
-outcome budget. Floats are emitted with shortest round-trip repr so output
-is byte-reproducible for a fixed config and seed.
+outcome budget or memory runs out. Floats are emitted with shortest
+round-trip repr so output is byte-reproducible for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     FoesModel,
     UniformModelError,
+    _philox,
 )
 from .experiments import GridExperimentConfig, figure1_csv, run_figure1
 from .metrics import (
@@ -83,15 +84,17 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-def merge_config(args: argparse.Namespace, casts: dict) -> dict:
+def merge_config(args: argparse.Namespace, options: dict) -> dict:
     """Resolve option values: flag > config file > declared default."""
     file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
     resolved = {}
-    for key, (cast, default) in casts.items():
+    for key, (cast, default, *_) in options.items():
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             resolved[key] = flag_val
         elif key in file_values:
+            if isinstance(cast, tuple):
+                cast = str  # checked where the value is used
             try:
                 resolved[key] = cast(file_values[key])
             except (ValueError, TypeError) as exc:
@@ -99,7 +102,7 @@ def merge_config(args: argparse.Namespace, casts: dict) -> dict:
                     f"config key {key} = {file_values[key]!r}: {exc}") from exc
         else:
             resolved[key] = default
-    unknown = set(file_values) - set(casts)
+    unknown = set(file_values) - set(options)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return resolved
@@ -134,49 +137,43 @@ def _csv(columns: list[str], rows: list[dict], comments: list[str] = ()) -> str:
 
 
 # ---------------------------------------------------------------------------
-# model construction from resolved option values
+# option tables and model construction from resolved option values
 # ---------------------------------------------------------------------------
 
-MODEL_KEYS = {
-    "model": (str, None),
-    "n": (int, None),
-    "alphabet_size": (int, 2),
-    "theta": (float, None),
-    "thetas": (_float_list, None),
-    "nodes": (int, None),
-    "theta1": (float, 0.0),
-    "theta2": (float, 0.0),
-    "theta3": (float, 0.0),
+MODEL_KINDS = ("uniform", "bernoulli", "multinomial", "graph",
+               "rbm_marginal", "rbm_joint")
+# kinds sized by an option (n, or nodes for graph); a parameter path walks
+# one of these, keyed by that size
+SIZED_KINDS = ("bernoulli", "graph", "multinomial")
+
+# Each option is declared once, as key: (cast, default[, help]). The flag is
+# --key with dashes for underscores and a config file takes the key itself.
+# A tuple cast lists the values the flag accepts; a config-file value is read
+# as a string and checked where it is used.
+GRAPH_OPTIONS = {
+    "nodes": (int, None, "graph node count"),
+    "theta1": (float, 0.0, "graph edge parameter"),
+    "theta2": (float, 0.0, "graph 2-star parameter"),
+    "theta3": (float, 0.0, "graph triangle parameter"),
+}
+RBM_OPTIONS = {
     "n_visible": (int, None),
     "n_hidden": (int, 0),
     "theta_v": (_float_list, None),
     "theta_h": (_float_list, None),
     "theta_vh": (_float_list, None),
-    "budget": (int, DEFAULT_ENUMERATION_BUDGET),
 }
-
-
-def add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", choices=[
-        "uniform", "bernoulli", "multinomial", "graph",
-        "rbm_marginal", "rbm_joint"])
-    parser.add_argument("--n", type=int, help="variable count (iid models)")
-    parser.add_argument("--alphabet-size", type=int, dest="alphabet_size")
-    parser.add_argument("--theta", type=float, help="scalar parameter")
-    parser.add_argument("--thetas", type=_float_list,
-                        help="comma-separated parameter vector")
-    parser.add_argument("--nodes", type=int, help="graph node count")
-    parser.add_argument("--theta1", type=float, help="graph edge parameter")
-    parser.add_argument("--theta2", type=float, help="graph 2-star parameter")
-    parser.add_argument("--theta3", type=float, help="graph triangle parameter")
-    parser.add_argument("--n-visible", type=int, dest="n_visible")
-    parser.add_argument("--n-hidden", type=int, dest="n_hidden")
-    parser.add_argument("--theta-v", type=_float_list, dest="theta_v")
-    parser.add_argument("--theta-h", type=_float_list, dest="theta_h")
-    parser.add_argument("--theta-vh", type=_float_list, dest="theta_vh")
-    parser.add_argument("--budget", type=int)
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--out", help="output path (default stdout)")
+BUDGET_OPTION = {"budget": (int, DEFAULT_ENUMERATION_BUDGET)}
+MODEL_OPTIONS = {
+    "model": (MODEL_KINDS, None),
+    "n": (int, None, "variable count (iid models)"),
+    "alphabet_size": (int, 2),
+    "theta": (float, None, "scalar parameter"),
+    "thetas": (_float_list, None, "comma-separated parameter vector"),
+    **GRAPH_OPTIONS,
+    **RBM_OPTIONS,
+    **BUDGET_OPTION,
+}
 
 
 def _require(values: dict, *keys: str) -> None:
@@ -196,70 +193,62 @@ def rbm_params_from(values: dict) -> RbmParams:
     return RbmParams(theta_v, theta_h, theta_vh.reshape(nh, nv))
 
 
+# options each kind needs before build_model can construct it
+_BUILD_REQUIRES = {"uniform": ("n",), "bernoulli": ("n", "theta"),
+                   "multinomial": ("n", "thetas"), "graph": ("nodes",)}
+
+
 def build_model(values: dict) -> FoesModel:
     """Construct the model a subcommand's options describe."""
-    kind = values.get("model")
-    budget = values["budget"]
-    if kind is None:
-        raise ConfigError("missing required option(s): model")
+    kind = values["model"]
+    _require(values, "model", *_BUILD_REQUIRES.get(kind, ()))
     if kind == "uniform":
-        _require(values, "n")
-        return make_uniform(values["n"], values["alphabet_size"], budget=budget)
+        return make_uniform(values["n"], values["alphabet_size"],
+                            budget=values["budget"])
+    if kind not in MODEL_KINDS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    family, theta = model_family_from(values)
+    return family(theta)
+
+
+def model_family(kind: str, size: int | None, budget: int):
+    """Model constructor over one parameter object for a sign-reversible kind.
+
+    ``size`` is the variable count of the iid kinds and the node count of
+    the graph kind; the RBM kinds read their sizes from the parameters.
+    """
     if kind == "bernoulli":
-        _require(values, "n", "theta")
-        return make_bernoulli(values["n"], values["theta"], budget=budget)
+        return lambda th: make_bernoulli(size, float(np.atleast_1d(th)[0]),
+                                         budget=budget)
     if kind == "multinomial":
-        _require(values, "n", "thetas")
-        return make_multinomial(values["n"], values["thetas"], budget=budget)
+        return lambda th: make_multinomial(size, th, budget=budget)
     if kind == "graph":
-        _require(values, "nodes")
-        spec = GraphModelSpec(values["nodes"], params=(
-            values["theta1"], values["theta2"], values["theta3"]))
-        return make_graph_model(spec, budget=budget)
+        return lambda th: make_graph_model(
+            GraphModelSpec(size, params=tuple(np.atleast_1d(th))), budget=budget)
     if kind == "rbm_marginal":
-        return make_rbm_marginal(rbm_params_from(values), budget=budget)
+        return lambda p: make_rbm_marginal(p, budget=budget)
     if kind == "rbm_joint":
-        return make_rbm_joint(rbm_params_from(values), budget=budget)
-    raise ConfigError(f"unknown model kind {kind!r}")
+        return lambda p: make_rbm_joint(p, budget=budget)
+    raise ConfigError(f"model {kind!r} does not define a sign-reversible family")
 
 
 def model_family_from(values: dict):
     """(family callable over one parameter object, initial theta) pair."""
-    kind = values.get("model")
-    budget = values["budget"]
+    kind = values["model"]
+    size_key = "nodes" if kind == "graph" else "n"
+    if kind in SIZED_KINDS:
+        _require(values, size_key)
+    family = model_family(kind, values[size_key], values["budget"])
     if kind == "bernoulli":
-        _require(values, "n")
-        n = values["n"]
-        return (lambda th: make_bernoulli(n, float(np.atleast_1d(th)[0]),
-                                          budget=budget)), values["theta"]
-    if kind == "multinomial":
-        _require(values, "n")
-        n = values["n"]
+        theta = values["theta"]
+    elif kind == "multinomial":
         thetas = values["thetas"]
-        return (lambda th: make_multinomial(n, th, budget=budget)), \
-            (None if thetas is None else np.asarray(thetas))
-    if kind == "graph":
-        _require(values, "nodes")
-        nodes = values["nodes"]
+        theta = None if thetas is None else np.asarray(thetas)
+    elif kind == "graph":
         theta = (values["theta1"], values["theta2"], values["theta3"])
-        return (lambda th: make_graph_model(
-            GraphModelSpec(nodes, params=tuple(np.atleast_1d(th))),
-            budget=budget)), theta
-    if kind == "rbm_marginal":
-        params = rbm_params_from(values)
-        return (lambda p: make_rbm_marginal(p, budget=budget)), params
-    if kind == "rbm_joint":
-        params = rbm_params_from(values)
-        return (lambda p: make_rbm_joint(p, budget=budget)), params
-    raise ConfigError(f"model {kind!r} does not define a sign-reversible family")
-
-
-PATH_FAMILIES = {
-    "bernoulli": lambda n, p: make_bernoulli(n, float(p[0])),
-    "multinomial": lambda n, p: make_multinomial(n, p),
-    # path entries for the graph family are keyed by node count
-    "graph": lambda n, p: make_graph_model(GraphModelSpec(n, params=tuple(p))),
-}
+    else:
+        theta = rbm_params_from(values)
+    return family, theta
 
 
 def parse_path_entries(text: str) -> list[tuple[int, np.ndarray]]:
@@ -281,65 +270,48 @@ def parse_path_entries(text: str) -> list[tuple[int, np.ndarray]]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: resolved option values in, CSV text out
 # ---------------------------------------------------------------------------
 
-def cmd_lrep(args) -> int:
-    values = merge_config(args, MODEL_KEYS)
+def cmd_lrep(values: dict) -> str:
     model = build_model(values)
     r = instability_report(model)
-    text = _csv(
+    return _csv(
         ["model", "n", "lrep", "scaled_lrep", "delta_n",
          "argmax_index", "argmin_index"],
         [{"model": model.family, "n": r.n_variables, "lrep": r.lrep,
           "scaled_lrep": r.scaled_lrep, "delta_n": r.delta_n,
           "argmax_index": r.argmax_index, "argmin_index": r.argmin_index}],
     )
-    _emit(text, args.out)
-    return 0
 
 
-def cmd_delta(args) -> int:
-    values = merge_config(args, MODEL_KEYS)
+def cmd_delta(values: dict) -> str:
     model = build_model(values)
-    text = _csv(["model", "n", "delta_n"],
+    return _csv(["model", "n", "delta_n"],
                 [{"model": model.family, "n": model.n_variables,
                   "delta_n": delta_n(model)}])
-    _emit(text, args.out)
-    return 0
 
 
-def cmd_modeset(args) -> int:
-    keys = {**MODEL_KEYS, "epsilon": (float, 0.1)}
-    values = merge_config(args, keys)
+def cmd_modeset(values: dict) -> str:
     model = build_model(values)
     mset = modal_set(model, values["epsilon"])
-    text = _csv(
+    return _csv(
         ["model", "n", "epsilon", "threshold", "n_members", "mass"],
         [{"model": model.family, "n": model.n_variables,
           "epsilon": mset.epsilon, "threshold": mset.threshold,
           "n_members": mset.n_members, "mass": mset.mass}],
     )
-    _emit(text, args.out)
-    return 0
 
 
-def cmd_path(args) -> int:
-    keys = {
-        "family": (str, None),
-        "entries": (str, None),
-        "epsilon": (float, None),
-        "flatness": (float, PathThresholds.flatness),
-        "level": (float, PathThresholds.level),
-        "budget": (int, DEFAULT_ENUMERATION_BUDGET),
-    }
-    values = merge_config(args, keys)
+def cmd_path(values: dict) -> str:
     _require(values, "family", "entries")
-    if values["family"] not in PATH_FAMILIES:
+    if values["family"] not in SIZED_KINDS:
         raise ConfigError(f"unknown path family {values['family']!r}; "
-                          f"choose from {sorted(PATH_FAMILIES)}")
+                          f"choose from {sorted(SIZED_KINDS)}")
     entries = parse_path_entries(values["entries"])
-    path = ParameterPath(PATH_FAMILIES[values["family"]], tuple(entries))
+    kind, budget = values["family"], values["budget"]
+    path = ParameterPath(lambda n, p: model_family(kind, n, budget)(p),
+                         tuple(entries))
     verdict = classify_path(path, PathThresholds(values["flatness"], values["level"]))
     comments = [f"family = {values['family']}",
                 f"verdict = {verdict.verdict}",
@@ -354,25 +326,15 @@ def cmd_path(args) -> int:
         for row, mass in zip(rows, masses):
             row["modal_mass"] = mass
         comments.insert(2, f"epsilon = {values['epsilon']!r}")
-    _emit(_csv(columns, rows, comments), args.out)
-    return 0
+    return _csv(columns, rows, comments)
 
 
-def cmd_bounds(args) -> int:
-    keys = {
-        **{k: MODEL_KEYS[k] for k in
-           ("n_visible", "n_hidden", "theta_v", "theta_h", "theta_vh", "budget")},
-        "random_draws": (int, 0),
-        "half_width": (float, 3.0),
-        "seed": (int, 0),
-    }
-    values = merge_config(args, keys)
+def cmd_bounds(values: dict) -> str:
     draws = []
     if values["random_draws"]:
         _require(values, "n_visible")
         nv, nh = values["n_visible"], values["n_hidden"]
-        rng = np.random.Generator(np.random.Philox(key=np.array(
-            [np.uint64(values["seed"]), np.uint64(0)], dtype=np.uint64)))
+        rng = _philox(values["seed"])
         w = values["half_width"]
         for _ in range(values["random_draws"]):
             draws.append(RbmParams(rng.uniform(-w, w, nv),
@@ -389,31 +351,24 @@ def cmd_bounds(args) -> int:
         rows.append({"draw": d, **{c: getattr(r, c) for c in columns[1:]}})
     comments = [f"seed = {values['seed']}", f"half_width = {values['half_width']!r}"] \
         if values["random_draws"] else []
-    _emit(_csv(columns, rows, comments), args.out)
-    return 0
+    return _csv(columns, rows, comments)
 
 
-def cmd_psr(args) -> int:
-    values = merge_config(args, MODEL_KEYS)
+def cmd_psr(values: dict) -> str:
     family, theta = model_family_from(values)
     if theta is None:
         raise ConfigError("the chosen family needs its parameter flags")
     report = check_psr(family, theta)
-    text = _csv(
+    return _csv(
         ["model", "holds", "max_violation", "lrep_theta", "lrep_neg_theta"],
         [{"model": values["model"], "holds": report.holds,
           "max_violation": report.max_violation,
           "lrep_theta": report.lrep_theta,
           "lrep_neg_theta": report.lrep_neg_theta}],
     )
-    _emit(text, args.out)
-    return 0
 
 
-def cmd_lowerbound(args) -> int:
-    keys = {k: MODEL_KEYS[k] for k in
-            ("nodes", "theta1", "theta2", "theta3", "budget")}
-    values = merge_config(args, keys)
+def cmd_lowerbound(values: dict) -> str:
     _require(values, "nodes")
     spec = GraphModelSpec(values["nodes"], params=(
         values["theta1"], values["theta2"], values["theta3"]))
@@ -424,22 +379,11 @@ def cmd_lowerbound(args) -> int:
     if 2**spec.n_edges <= values["budget"]:
         row["scaled_lrep"] = lrep(make_graph_model(
             spec, budget=values["budget"])).scaled_lrep
-    text = _csv(["nodes", "theta1", "theta2", "theta3", "bound", "scaled_lrep"],
+    return _csv(["nodes", "theta1", "theta2", "theta3", "bound", "scaled_lrep"],
                 [row])
-    _emit(text, args.out)
-    return 0
 
 
-def cmd_gibbs(args) -> int:
-    keys = {
-        **MODEL_KEYS,
-        "sweeps": (int, 10000),
-        "burn_in": (int, 0),
-        "seed": (int, 0),
-        "epsilon": (float, 0.1),
-        "init": (str, None),
-    }
-    values = merge_config(args, keys)
+def cmd_gibbs(values: dict) -> str:
     model = build_model(values)
     init = None
     if values["init"] is not None and values["init"] != "random":
@@ -460,23 +404,11 @@ def cmd_gibbs(args) -> int:
     rows = [{"sweep": s + 1, "outcome_index": int(idx),
              "log_prob": float(logp[idx]), "in_modal_set": bool(mask[idx])}
             for s, idx in enumerate(report.trace)]
-    text = _csv(["sweep", "outcome_index", "log_prob", "in_modal_set"],
+    return _csv(["sweep", "outcome_index", "log_prob", "in_modal_set"],
                 rows, comments)
-    _emit(text, args.out)
-    return 0
 
 
-def cmd_mh(args) -> int:
-    keys = {
-        **MODEL_KEYS,
-        "data": (str, None),
-        "steps": (int, 1000),
-        "step_size": (float, 0.5),
-        "seed": (int, 0),
-        "theta0": (_float_list, None),
-        "prior": (str, "flat"),
-    }
-    values = merge_config(args, keys)
+def cmd_mh(values: dict) -> str:
     family, default_theta = model_family_from(values)
     _require(values, "data")
     data = tuple(int(v) for v in values["data"].split(","))
@@ -502,8 +434,7 @@ def cmd_mh(args) -> int:
                 f"seed = {values['seed']}",
                 f"step_size = {values['step_size']!r}",
                 f"prior = {values['prior']}"]
-    _emit(_csv(columns, rows, comments), args.out)
-    return 0
+    return _csv(columns, rows, comments)
 
 
 def _parse_prior(text: str):
@@ -520,8 +451,7 @@ def _parse_prior(text: str):
     raise ConfigError(f"unknown prior {text!r} (use 'flat' or 'normal:SCALE')")
 
 
-def cmd_score(args) -> int:
-    values = merge_config(args, MODEL_KEYS)
+def cmd_score(values: dict) -> str:
     model = build_model(values)
     if not isinstance(model, LinearExpFamily):
         raise ConfigError("score needs a linear exponential family model")
@@ -535,25 +465,11 @@ def cmd_score(args) -> int:
         row["expected_position"] = expected_standardized_log_prob(model)
     except UniformModelError:
         pass
-    text = _csv(["model", "n", "mu", "normalized_score", "expected_position"],
+    return _csv(["model", "n", "mu", "normalized_score", "expected_position"],
                 [row])
-    _emit(text, args.out)
-    return 0
 
 
-def cmd_figure1(args) -> int:
-    keys = {
-        "n_visible": (int, 9),
-        "n_hidden": (int, 5),
-        "magnitude_min": (float, 0.001),
-        "magnitude_max": (float, 3.0),
-        "n_breaks": (int, 20),
-        "samples_per_point": (int, 100),
-        "seed": (int, 0),
-        "metrics": (str, ",".join(GridExperimentConfig.metrics)),
-        "budget": (int, DEFAULT_ENUMERATION_BUDGET),
-    }
-    values = merge_config(args, keys)
+def cmd_figure1(values: dict) -> str:
     metrics = tuple(m for m in values["metrics"].split(",") if m)
     config = GridExperimentConfig(
         n_visible=values["n_visible"], n_hidden=values["n_hidden"],
@@ -564,13 +480,74 @@ def cmd_figure1(args) -> int:
         seed=values["seed"], metrics=metrics,
     )
     cells = run_figure1(config, budget=values["budget"])
-    _emit(figure1_csv(cells, config), args.out)
-    return 0
+    return figure1_csv(cells, config)
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
+
+# subcommand: (implementation, help, options)
+COMMANDS = {
+    "lrep": (cmd_lrep, "extremal log-ratio report for one model", MODEL_OPTIONS),
+    "delta": (cmd_delta, "largest one-flip log-ratio for one model", MODEL_OPTIONS),
+    "modeset": (cmd_modeset, "modal set size and mass", {
+        **MODEL_OPTIONS,
+        "epsilon": (float, 0.1),
+    }),
+    "path": (cmd_path, "scaled-LREP trend along a parameter path", {
+        "family": (SIZED_KINDS, None),
+        "entries": (str, None, "'N:params;N:params;...' "
+                               "(node count for the graph family)"),
+        "epsilon": (float, None, "also report modal masses"),
+        "flatness": (float, PathThresholds.flatness),
+        "level": (float, PathThresholds.level),
+        **BUDGET_OPTION,
+    }),
+    "bounds": (cmd_bounds, "RBM extremal-bound report", {
+        **RBM_OPTIONS,
+        **BUDGET_OPTION,
+        "random_draws": (int, 0),
+        "half_width": (float, 3.0),
+        "seed": (int, 0),
+    }),
+    "psr": (cmd_psr, "parameter sign-reversal check", MODEL_OPTIONS),
+    "lowerbound": (cmd_lowerbound, "closed-form graph-model bound", {
+        **GRAPH_OPTIONS,
+        **BUDGET_OPTION,
+    }),
+    "gibbs": (cmd_gibbs, "Gibbs chain trace with mixing diagnostics", {
+        **MODEL_OPTIONS,
+        "sweeps": (int, 10000),
+        "burn_in": (int, 0),
+        "seed": (int, 0),
+        "epsilon": (float, 0.1),
+        "init": (str, None, "comma-separated outcome or 'random'"),
+    }),
+    "mh": (cmd_mh, "random-walk MH over model parameters", {
+        **MODEL_OPTIONS,
+        "data": (str, None, "comma-separated data outcome"),
+        "steps": (int, 1000),
+        "step_size": (float, 0.5),
+        "seed": (int, 0),
+        "theta0": (_float_list, None),
+        "prior": (str, "flat", "'flat' or 'normal:SCALE'"),
+    }),
+    "score": (cmd_score, "expected statistic and normalized score", MODEL_OPTIONS),
+    "figure1": (cmd_figure1, "sphere-sampled magnitude grid experiment", {
+        "n_visible": (int, GridExperimentConfig.n_visible),
+        "n_hidden": (int, GridExperimentConfig.n_hidden),
+        "magnitude_min": (float, GridExperimentConfig.magnitude_min),
+        "magnitude_max": (float, GridExperimentConfig.magnitude_max),
+        "n_breaks": (int, GridExperimentConfig.n_breaks),
+        "samples_per_point": (int, GridExperimentConfig.samples_per_point),
+        "seed": (int, GridExperimentConfig.seed),
+        "metrics": (str, ",".join(GridExperimentConfig.metrics),
+                    "comma subset of scaled_lrep,delta_n"),
+        **BUDGET_OPTION,
+    }),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -579,90 +556,36 @@ def build_parser() -> argparse.ArgumentParser:
                     "finite discrete probability models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text, model_flags=True, extra=()):
-        p = sub.add_parser(name, help=help_text)
-        if model_flags:
-            add_model_flags(p)
-        else:
-            p.add_argument("--config", help="flat key = value config file")
-            p.add_argument("--out", help="output path (default stdout)")
-        for flag, kwargs in extra:
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(func=func)
-        return p
-
-    add("lrep", cmd_lrep, "extremal log-ratio report for one model")
-    add("delta", cmd_delta, "largest one-flip log-ratio for one model")
-    add("modeset", cmd_modeset, "modal set size and mass", extra=[
-        ("--epsilon", dict(type=float))])
-    add("path", cmd_path, "scaled-LREP trend along a parameter path",
-        model_flags=False, extra=[
-            ("--family", dict(choices=sorted(PATH_FAMILIES))),
-            ("--entries", dict(help="'N:params;N:params;...' "
-                                    "(node count for the graph family)")),
-            ("--epsilon", dict(type=float, help="also report modal masses")),
-            ("--flatness", dict(type=float)),
-            ("--level", dict(type=float)),
-            ("--budget", dict(type=int)),
-        ])
-    add("bounds", cmd_bounds, "RBM extremal-bound report", extra=[
-        ("--random-draws", dict(type=int, dest="random_draws")),
-        ("--half-width", dict(type=float, dest="half_width")),
-        ("--seed", dict(type=int))])
-    add("psr", cmd_psr, "parameter sign-reversal check")
-    add("lowerbound", cmd_lowerbound, "closed-form graph-model bound",
-        model_flags=False, extra=[
-            ("--nodes", dict(type=int)),
-            ("--theta1", dict(type=float)),
-            ("--theta2", dict(type=float)),
-            ("--theta3", dict(type=float)),
-            ("--budget", dict(type=int)),
-        ])
-    add("gibbs", cmd_gibbs, "Gibbs chain trace with mixing diagnostics", extra=[
-        ("--sweeps", dict(type=int)),
-        ("--burn-in", dict(type=int, dest="burn_in")),
-        ("--seed", dict(type=int)),
-        ("--epsilon", dict(type=float)),
-        ("--init", dict(help="comma-separated outcome or 'random'"))])
-    add("mh", cmd_mh, "random-walk MH over model parameters", extra=[
-        ("--data", dict(help="comma-separated data outcome")),
-        ("--steps", dict(type=int)),
-        ("--step-size", dict(type=float, dest="step_size")),
-        ("--seed", dict(type=int)),
-        ("--theta0", dict(type=_float_list)),
-        ("--prior", dict(help="'flat' or 'normal:SCALE'"))])
-    add("score", cmd_score, "expected statistic and normalized score")
-    add("figure1", cmd_figure1, "sphere-sampled magnitude grid experiment",
-        model_flags=False, extra=[
-            ("--n-visible", dict(type=int, dest="n_visible")),
-            ("--n-hidden", dict(type=int, dest="n_hidden")),
-            ("--magnitude-min", dict(type=float, dest="magnitude_min")),
-            ("--magnitude-max", dict(type=float, dest="magnitude_max")),
-            ("--n-breaks", dict(type=int, dest="n_breaks")),
-            ("--samples-per-point", dict(type=int, dest="samples_per_point")),
-            ("--seed", dict(type=int)),
-            ("--metrics", dict(help="comma subset of scaled_lrep,delta_n")),
-            ("--budget", dict(type=int)),
-        ])
+    for name, (func, summary, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for key, (cast, _default, *doc) in options.items():
+            accepts = {"choices": cast} if isinstance(cast, tuple) else {"type": cast}
+            p.add_argument("--" + key.replace("_", "-"),
+                           help=doc[0] if doc else None, **accepts)
+        p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--out", help="output path (default stdout)")
+        p.set_defaults(func=func, options=options)
     return parser
 
 
 def cli_dispatch(argv=None) -> int:
     """Run one subcommand; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        _emit(args.func(merge_config(args, args.options)), args.out)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except BudgetExceededError as exc:
         print(f"foeslab: budget exceeded: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"foeslab: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 3
     except (ConfigError, ValueError) as exc:
         print(f"foeslab: error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main(argv=None) -> int:

@@ -35,6 +35,21 @@ class UniformModelError(FoeslabError):
     """An operation needing a non-uniform model got a uniform one."""
 
 
+class CertificateError(FoeslabError):
+    """A computed quantity violates an inequality proven to hold for it."""
+
+
+def _philox(seed: int, stream: int = 0) -> np.random.Generator:
+    """Philox generator keyed by (seed mod 2^64, stream).
+
+    Every random draw in the package comes from here, so a negative or
+    oversized seed wraps the same way everywhere.
+    """
+    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)],
+                   dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def log_sum_exp(values) -> float:
     """Return log(sum(exp(values))) with the max-subtraction trick.
 
@@ -130,6 +145,15 @@ class OutcomeSpace:
         return out
 
 
+def _one_flip_shape(n_variables: int, k: int, i: int) -> tuple[int, int, int]:
+    """Reshape of an index-ordered table that isolates variable i.
+
+    Variable i is digit i of the little-endian index (stride k^i), so under
+    this shape axis 1 runs over the k outcomes that differ only at i.
+    """
+    return (k ** (n_variables - 1 - i), k, k**i)
+
+
 class FoesModel:
     """A FOES model: an outcome space plus an unnormalized log score.
 
@@ -197,15 +221,6 @@ class FoesModel:
     def log_prob(self, outcome) -> float:
         """Normalized log-probability of a single outcome vector."""
         return float(self.score(np.asarray(outcome))) - self.log_normalizer
-
-
-def enumerate_log_probs(model: FoesModel) -> np.ndarray:
-    """Normalized log-probabilities of every outcome of ``model``.
-
-    The exponentials of the result sum to 1 within 1e-10; this is the exact
-    oracle every diagnostic in the package is built on.
-    """
-    return model.log_probs()
 
 
 def replicate(model: FoesModel, m: int) -> FoesModel:

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BudgetExceededError, DEFAULT_ENUMERATION_BUDGET, OutcomeSpace
+from .core import (
+    BudgetExceededError,
+    DEFAULT_ENUMERATION_BUDGET,
+    OutcomeSpace,
+    _one_flip_shape,
+    _philox,
+)
+from .zoo import _log2cosh
 
 GRID_METRICS = ("scaled_lrep", "delta_n")
 
@@ -87,17 +94,6 @@ def sample_on_sphere(dimension: int, radius: float,
             return v * (radius / norm)
 
 
-def _stream(seed: int, stream: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def _log2cosh(z: np.ndarray) -> np.ndarray:
-    az = np.abs(z)
-    return az + np.log1p(np.exp(-2.0 * az))
-
-
 def run_figure1(config: GridExperimentConfig = GridExperimentConfig(),
                 budget: int = DEFAULT_ENUMERATION_BUDGET) -> list[GridCell]:
     """Run the magnitude grid sweep; one GridCell per grid point.
@@ -126,7 +122,7 @@ def run_figure1(config: GridExperimentConfig = GridExperimentConfig(),
             theta_h = np.empty((config.samples_per_point, nh))
             theta_vh = np.empty((config.samples_per_point, nh, nv))
             for s in range(config.samples_per_point):
-                rng = _stream(config.seed,
+                rng = _philox(config.seed,
                               cell_index * config.samples_per_point + s)
                 main = sample_on_sphere(main_dim, mag_main * main_dim, rng)
                 inter = sample_on_sphere(int_dim, mag_int * int_dim, rng)
@@ -149,7 +145,7 @@ def run_figure1(config: GridExperimentConfig = GridExperimentConfig(),
             if want_delta:
                 per_draw = np.zeros(config.samples_per_point)
                 for i in range(nv):
-                    block = scores.reshape(2 ** (nv - 1 - i), 2, 2**i,
+                    block = scores.reshape(*_one_flip_shape(nv, 2, i),
                                            config.samples_per_point)
                     spread = (block.max(axis=1) - block.min(axis=1)).max(axis=(0, 1))
                     np.maximum(per_draw, spread, out=per_draw)

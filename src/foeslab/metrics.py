@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FoesModel, UniformModelError
+from .core import CertificateError, FoesModel, UniformModelError, _one_flip_shape
 from .zoo import GraphModelSpec, LinearExpFamily, graph_statistics
 
 # Outcomes whose log-probability falls within this distance below a modal
@@ -81,9 +81,7 @@ def delta_n(model: FoesModel) -> float:
         return 0.0
     best = 0.0
     for i in range(n):
-        # digit i has stride k^i in the little-endian index; grouping by
-        # (high, low) isolates the k outcomes differing only at variable i
-        block = scores.reshape(k ** (n - 1 - i), k, k**i)
+        block = scores.reshape(_one_flip_shape(n, k, i))
         spread = block.max(axis=1) - block.min(axis=1)
         best = max(best, float(spread.max()))
     return best
@@ -212,9 +210,10 @@ def graph_lower_bound(spec: GraphModelSpec) -> float:
                      n/(4(n-1)) * |t2 + 2*t1/(n-2)| }.
 
     Both branches are cross-checked against direct statistic evaluation at
-    those three configurations (they agree to 1e-10 by construction). The
-    bound is positive whenever |t2| + |t3| > 0 except on a thin set, so it
-    certifies instability for essentially all 2-star/triangle parameters.
+    those three configurations (they agree to 1e-10 by construction; a
+    disagreement raises CertificateError). The bound is positive whenever
+    |t2| + |t3| > 0 except on a thin set, so it certifies instability for
+    essentially all 2-star/triangle parameters.
     """
     n = spec.n_nodes
     if n % 2 != 0:
@@ -224,8 +223,12 @@ def graph_lower_bound(spec: GraphModelSpec) -> float:
     branch1 = abs(t2 + t3 / 3.0 + t1 / (n - 2.0))
     branch2 = n / (4.0 * (n - 1.0)) * abs(t2 + 2.0 * t1 / (n - 2.0))
     direct1, direct2 = _graph_bound_branches(spec)
-    assert abs((n - 2.0) * branch1 - direct1) <= 1e-10 * max(1.0, direct1)
-    assert abs((n - 2.0) * branch2 - direct2) <= 1e-10 * max(1.0, direct2)
+    for closed, direct in (((n - 2.0) * branch1, direct1),
+                           ((n - 2.0) * branch2, direct2)):
+        if not abs(closed - direct) <= 1e-10 * max(1.0, direct):
+            raise CertificateError(
+                f"graph bound branch {closed!r} disagrees with direct "
+                f"evaluation {direct!r}")
     return (n - 2.0) * max(branch1, branch2)
 
 
@@ -285,16 +288,24 @@ class PathVerdict:
 def classify_path(path: ParameterPath,
                   thresholds: PathThresholds = PathThresholds()) -> PathVerdict:
     """Scaled LREP at each path entry plus the heuristic trend verdict."""
-    ns = np.array([n for n, _ in path.entries], dtype=np.float64)
-    ys = np.array([lrep(m).scaled_lrep for m in path.models()])
-    slope = float(((ns - ns.mean()) * (ys - ys.mean())).sum()
-                  / ((ns - ns.mean()) ** 2).sum())
-    if np.all(np.diff(ys) > 0) and ys[-1] > thresholds.level:
+    return classify_trend([n for n, _ in path.entries],
+                          [lrep(m).scaled_lrep for m in path.models()],
+                          thresholds)
+
+
+def classify_trend(ns, ys, thresholds: PathThresholds = PathThresholds()
+                   ) -> PathVerdict:
+    """Least-squares slope of ``ys`` against ``ns`` plus the path verdict."""
+    narr = np.asarray(ns, dtype=np.float64)
+    arr = np.asarray(ys, dtype=np.float64)
+    slope = float(((narr - narr.mean()) * (arr - arr.mean())).sum()
+                  / ((narr - narr.mean()) ** 2).sum())
+    if np.all(np.diff(arr) > 0) and arr[-1] > thresholds.level:
         verdict = "empirically-unstable"
-    elif ys.max() - ys.min() < thresholds.flatness:
+    elif arr.max() - arr.min() < thresholds.flatness:
         verdict = "empirically-stable"
     else:
         verdict = "inconclusive"
     return PathVerdict(ns=tuple(int(n) for n in ns),
-                       scaled_lreps=tuple(float(y) for y in ys),
+                       scaled_lreps=tuple(float(y) for y in arr),
                        trend_slope=slope, verdict=verdict)

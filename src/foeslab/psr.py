@@ -45,8 +45,10 @@ def check_psr(model_family, theta) -> PsrReport:
     the negated parameter (arrays and the parameter dataclasses here all
     support unary minus).
     """
-    model_pos = model_family(theta)
-    model_neg = model_family(_negate(theta))
+    return _psr_report(model_family(theta), model_family(_negate(theta)))
+
+
+def _psr_report(model_pos, model_neg) -> PsrReport:
     logp_pos = model_pos.log_probs()
     logp_neg = model_neg.log_probs()
     product = logp_pos + logp_neg
@@ -61,13 +63,10 @@ def check_psr(model_family, theta) -> PsrReport:
 
 
 def _negate(theta):
-    if isinstance(theta, (int, float)):
-        return -theta
-    if isinstance(theta, np.ndarray):
-        return -theta
+    # sequences (the CLI passes a graph theta as a tuple) lack unary minus
     if isinstance(theta, (list, tuple)):
         return type(theta)(-t for t in theta)
-    return -theta  # parameter dataclasses define __neg__
+    return -theta
 
 
 def sign_reversal_masses(model_family, theta, epsilon: float
@@ -78,14 +77,14 @@ def sign_reversal_masses(model_family, theta, epsilon: float
     (P_theta(M), P_-theta(complement of M)), both exact. Raises when the
     family fails the sign-reversal check at this parameter.
     """
-    report = check_psr(model_family, theta)
+    model_pos = model_family(theta)
+    model_neg = model_family(_negate(theta))
+    report = _psr_report(model_pos, model_neg)
     if not report.holds:
         raise ValueError(
             f"sign-reversal condition violated (max violation "
             f"{report.max_violation:.3e}); masses are only paired under it"
         )
-    model_pos = model_family(theta)
-    model_neg = model_family(_negate(theta))
     mset = modal_set(model_pos, epsilon)
     mask = mset.member_mask(model_pos.space.n_outcomes)
     p_neg = np.exp(model_neg.log_probs())

@@ -13,8 +13,8 @@ the joint LREP (exactly 2 max_h [h.theta_h + a(h)] sandwich), and the
 visible-range quantity a_n = max_x [x.theta_v + b(x)] - min_x [...], which
 tracks the marginal model's LREP to within n_hidden * ln 2.
 
-One caution, enforced by the assertions and the tests: a_n is NOT bounded
-below by max{C, B - 2|theta_h|_1}. That lower bound holds for the variant
+One caution, enforced by the certificate checks and the tests: a_n is NOT
+bounded below by max{C, B - 2|theta_h|_1}. That lower bound holds for the variant
 that takes both extremes along the hidden axis first
 (a_n_hidden_first = max_h[h.theta_h + a(h)] - max_h[h.theta_h - a(h)]),
 which upper-bounds a_n but can exceed the marginal LREP by far more than
@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_ENUMERATION_BUDGET, OutcomeSpace
+from .core import CertificateError, DEFAULT_ENUMERATION_BUDGET, OutcomeSpace
+from .metrics import PathThresholds, classify_trend
 from .metrics import lrep as lrep_report
 from .zoo import RbmParams, make_rbm_marginal, rbm_joint_score
 
@@ -103,13 +104,14 @@ class RbmBoundsReport:
 
 def bounds_report(params: RbmParams,
                   budget: int = DEFAULT_ENUMERATION_BUDGET) -> RbmBoundsReport:
-    """Compute the bound quantities, asserting every proven inequality.
+    """Compute the bound quantities, checking every proven inequality.
 
-    Asserted (tolerance 1e-9 for float noise): B >= |theta_v|_1; the joint
+    Checked (tolerance 1e-9 for float noise): B >= |theta_v|_1; the joint
     sandwich 2B + 2|theta_h|_1 >= joint LREP >= 2 max{B, |theta_h|_1};
     2B >= a_n_hidden_first >= a_n; a_n_hidden_first >= max{C, B - 2|theta_h|_1};
-    |marginal LREP - a_n| <= n_hidden ln 2. The lower chain links are NOT
-    asserted for a_n itself (they can fail; see the module docstring).
+    |marginal LREP - a_n| <= n_hidden ln 2. A violation raises
+    CertificateError. The lower chain links are NOT checked for a_n itself
+    (they can fail; see the module docstring).
     """
     n, nh = params.n_visible, params.n_hidden
     hidden_ok = 2**nh <= budget
@@ -152,21 +154,31 @@ def bounds_report(params: RbmParams,
 
 
 def _assert_proven(r: RbmBoundsReport) -> None:
+    checks = []
     if r.b_n is not None:
-        assert r.b_n >= r.visible_l1 - _TOL, "B >= |theta_v|_1 violated"
-        assert 2 * r.b_n + 2 * r.hidden_l1 >= r.lrep_joint - _TOL
-        assert r.lrep_joint >= 2 * max(r.b_n, r.hidden_l1) - _TOL
-        assert r.a_n_hidden_first <= 2 * r.b_n + _TOL
-        assert (r.a_n_hidden_first
-                >= max(r.c_n, r.b_n - 2 * r.hidden_l1) - _TOL)
-        assert r.a_n_hidden_first >= r.lower_witness - _TOL
-        assert r.lower_witness >= r.c_n - _TOL
+        checks += [
+            (r.b_n >= r.visible_l1 - _TOL, "B >= |theta_v|_1"),
+            (2 * r.b_n + 2 * r.hidden_l1 >= r.lrep_joint - _TOL,
+             "2B + 2|theta_h|_1 >= joint LREP"),
+            (r.lrep_joint >= 2 * max(r.b_n, r.hidden_l1) - _TOL,
+             "joint LREP >= 2 max{B, |theta_h|_1}"),
+            (r.a_n_hidden_first <= 2 * r.b_n + _TOL, "2B >= a_n_hidden_first"),
+            (r.a_n_hidden_first >= max(r.c_n, r.b_n - 2 * r.hidden_l1) - _TOL,
+             "a_n_hidden_first >= max{C, B - 2|theta_h|_1}"),
+            (r.a_n_hidden_first >= r.lower_witness - _TOL,
+             "a_n_hidden_first >= lower_witness"),
+            (r.lower_witness >= r.c_n - _TOL, "lower_witness >= C"),
+        ]
     if r.a_n is not None:
         if r.b_n is not None:
-            assert 2 * r.b_n >= r.a_n - _TOL
-            assert r.a_n_hidden_first >= r.a_n - _TOL
-        assert abs(r.lrep_marginal - r.a_n) <= r.n_h_log2 + _TOL, \
-            "marginal LREP must track a_n within n_hidden ln 2"
+            checks += [(2 * r.b_n >= r.a_n - _TOL, "2B >= a_n"),
+                       (r.a_n_hidden_first >= r.a_n - _TOL,
+                        "a_n_hidden_first >= a_n")]
+        checks.append((abs(r.lrep_marginal - r.a_n) <= r.n_h_log2 + _TOL,
+                       "marginal LREP must track a_n within n_hidden ln 2"))
+    violated = [label for holds, label in checks if not holds]
+    if violated:
+        raise CertificateError(f"proven bound violated: {'; '.join(violated)}")
 
 
 STABILITY_CONDITION_KEYS = (
@@ -206,8 +218,6 @@ def stability_conditions(params_path,
     strictly increasing and ending above the level threshold reads as a
     growth flag, a range below the flatness threshold as bounded.
     """
-    from .metrics import PathThresholds, PathVerdict
-
     if thresholds is None:
         thresholds = PathThresholds()
     params_path = list(params_path)
@@ -234,21 +244,8 @@ def stability_conditions(params_path,
         rates["total_l1_rate"].append(
             (r.visible_l1 + r.hidden_l1 + r.interaction_l1) / n)
 
-    def classify(ys: list[float]) -> PathVerdict:
-        arr = np.asarray(ys, dtype=np.float64)
-        narr = np.asarray(ns, dtype=np.float64)
-        slope = float(((narr - narr.mean()) * (arr - arr.mean())).sum()
-                      / ((narr - narr.mean()) ** 2).sum())
-        if np.all(np.diff(arr) > 0) and arr[-1] > thresholds.level:
-            verdict = "empirically-unstable"
-        elif arr.max() - arr.min() < thresholds.flatness:
-            verdict = "empirically-stable"
-        else:
-            verdict = "inconclusive"
-        return PathVerdict(ns=tuple(ns), scaled_lreps=tuple(float(y) for y in arr),
-                           trend_slope=slope, verdict=verdict)
-
-    verdicts = {key: classify(vals) for key, vals in rates.items()}
+    verdicts = {key: classify_trend(ns, vals, thresholds)
+                for key, vals in rates.items()}
     ratios = np.asarray(hidden_ratios)
     growing = bool(ratios.size >= 2 and np.all(np.diff(ratios) > 0))
     return StabilityConditions(

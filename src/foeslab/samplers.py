@@ -18,15 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FoesModel, UniformModelError
+from .core import FoesModel, UniformModelError, _one_flip_shape, _philox
 from .metrics import modal_set
 from .zoo import LinearExpFamily
-
-
-def _rng(seed: int, stream: int = 0) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -106,7 +100,7 @@ def run_gibbs(model: FoesModel, config: ChainConfig, epsilon: float = 0.1,
     k = model.space.alphabet_size
     n = model.n_variables
     strides = [k**i for i in range(n)]
-    rng = _rng(config.seed)
+    rng = _philox(config.seed)
 
     if config.init_outcome is None:
         idx = int(rng.integers(model.space.n_outcomes))
@@ -168,7 +162,7 @@ def apply_gibbs_sweep(model: FoesModel, dist: np.ndarray) -> np.ndarray:
     n = model.n_variables
     dist = np.asarray(dist, dtype=np.float64).copy()
     for i in range(n):
-        shape = (k ** (n - 1 - i), k, k**i)
+        shape = _one_flip_shape(n, k, i)
         block = scores.reshape(shape)
         m = block.max(axis=1, keepdims=True)
         cond = np.exp(block - m)
@@ -213,7 +207,7 @@ def run_param_mh(model_family, data_outcome, config: ChainConfig,
         raise ValueError("need at least one step")
     if log_prior is None:
         log_prior = lambda theta: 0.0
-    rng = _rng(config.seed)
+    rng = _philox(config.seed)
     theta = np.atleast_1d(np.asarray(theta0, dtype=np.float64)).copy()
 
     def log_post(th: np.ndarray) -> float:

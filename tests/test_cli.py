@@ -1,11 +1,15 @@
 """CLI surface: flags, config files, CSV schemas, exit codes."""
 
+import argparse
+import hashlib
 import math
+import shlex
 
 import numpy as np
 import pytest
 
-from foeslab.cli import main, read_config_file
+import foeslab.cli as cli
+from foeslab.cli import build_parser, main, merge_config, read_config_file
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +82,13 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("modell = bernoulli\n")
         assert run_cli(capsys, "lrep", "--config", str(cfg))[0] == 2
+
+    def test_malformed_float_list(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("model = multinomial\nn = 3\nthetas = 1,x\n")
+        code, out, err = run_cli(capsys, "lrep", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "comma-separated floats" in err
 
     def test_missing_file(self, capsys):
         assert run_cli(capsys, "lrep", "--config", "/nonexistent.cfg")[0] == 2
@@ -264,3 +275,94 @@ class TestFigure1Command:
         assert "# seed = 9" in out
         _, rows = parse_csv(out)
         assert len(rows) == 4
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        "lrep --model bernoulli --n 3 --thetas 1,x",
+        "mh --model bernoulli --n 3 --data 1,1,1 --theta0 a",
+    ])
+    def test_malformed_float_list_flag(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "comma-separated floats" in err
+
+    def test_memory_error_is_budget_exit(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 128. GiB for an array")
+
+        monkeypatch.setattr(cli, "make_bernoulli", exhausted)
+        code, out, err = run_cli(capsys, "lrep", "--model", "bernoulli",
+                                 "--n", "3", "--theta", "1")
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and "out of memory" in err
+
+    def test_bounds_negative_seed_wraps_to_64_bits(self, capsys):
+        base = ("bounds", "--n-visible", "3", "--n-hidden", "2",
+                "--random-draws", "2")
+        code, out_neg, _ = run_cli(capsys, *base, "--seed", "-1")
+        assert code == 0
+        _, out_max, _ = run_cli(capsys, *base, "--seed", str(2**64 - 1))
+        assert parse_csv(out_neg) == parse_csv(out_max)
+        assert len(parse_csv(out_neg)[1]) == 2
+
+
+def subcommand_parsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("name", sorted(subcommand_parsers()))
+def test_flags_and_config_keys_agree(name, tmp_path):
+    dests = {a.dest for a in subcommand_parsers()[name]._actions} \
+        - {"help", "config", "out"}
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key} = 1\n" for key in sorted(dests)))
+    args = build_parser().parse_args([name, "--config", str(cfg)])
+    assert set(merge_config(args, args.options)) == dests
+
+
+@pytest.mark.parametrize("flags", ["--model graph", "--nodes 9", "--theta 1"])
+def test_bounds_rejects_model_flags(capsys, flags):
+    code, out, _ = run_cli(capsys, "bounds", "--n-visible", "2",
+                           "--theta-v", "1,2", *flags.split())
+    assert (code, out) == (2, "")
+
+
+# sha256 of the stdout of each README CLI example (figure1 is covered by
+# acceptance criterion 11); a changed digest means changed output bytes
+README_EXAMPLES = {
+    "lrep --model bernoulli --n 5 --theta 2":
+        "fd8e60db4c059db7784bdd239e293094f388a0ecbce83eb63438d50ba2a3646d",
+    "delta --model graph --nodes 4 --theta2 1":
+        "de67b320a58a8f78a0e7ce856695c4fef71280952f2dad5713e7ec33fa138001",
+    "modeset --model bernoulli --n 10 --theta 6 --epsilon 0.1":
+        "eeb61bd769c64466e781ff15f38a60ebd2048de53f667f0acfdbb794fed12601",
+    "path --family graph --entries '4:0,1,0;5:0,1,0;6:0,1,0' --epsilon 0.1":
+        "a7be1c84e791f945c310802a73521df23a7162cba9659652a618502d83f51b78",
+    "bounds --n-visible 4 --n-hidden 2 --random-draws 10 --seed 5":
+        "114ad14f5fd849289af749c71674f19c014d5ac00b370858b591c93030840941",
+    "psr --model rbm_joint --n-visible 2 --n-hidden 1 --theta-v 1,-0.5 "
+    "--theta-h 0.3 --theta-vh 0.7,-1.1":
+        "7d40a736da63def01953264be0dbb8fd7c092d487a74dad57a87991591065b70",
+    "lowerbound --nodes 6 --theta2 1 --theta3 -0.2":
+        "5ab903fb14897d831ddb41045a8c5517c0c1b7eff1669e0d3f79321da974bd97",
+    "gibbs --model graph --nodes 5 --theta2 2 --sweeps 10000 --burn-in 500 "
+    "--seed 11 --init 0,0,0,0,0,0,0,0,0,0":
+        "2f7411bb2f0ce643425124572f2e36becd2f22c0154f06caff5f0ba03db61090",
+    "mh --model bernoulli --n 8 --data 1,1,1,1,1,1,1,1 --theta0 0 "
+    "--steps 2000 --seed 5":
+        "030d78bb1af00c13453a3428585977c16ce3ebd3b98c0f3d0cb65d8ea3137e52",
+    "score --model bernoulli --n 6 --theta 3":
+        "e1d90a85b1a83849438ba0fc800eb8f61f3e4982072c9113c8dd34aee758f1e7",
+}
+
+
+@pytest.mark.parametrize("command", README_EXAMPLES,
+                         ids=lambda c: c.split()[0])
+def test_readme_example_bytes(capsys, command):
+    code, out, _ = run_cli(capsys, *shlex.split(command))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == README_EXAMPLES[command]

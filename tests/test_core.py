@@ -9,7 +9,6 @@ from foeslab import (
     BudgetExceededError,
     FoesModel,
     OutcomeSpace,
-    enumerate_log_probs,
     log_sum_exp,
     make_bernoulli,
     make_graph_model,
@@ -93,21 +92,21 @@ class TestOutcomeSpace:
 
 class TestEnumeration:
     def test_uniform_log_probs(self):
-        logp = enumerate_log_probs(make_uniform(3, 2))
+        logp = make_uniform(3, 2).log_probs()
         np.testing.assert_allclose(logp, -3 * math.log(2), atol=1e-12)
 
     def test_bernoulli_zero_parameter_is_uniform(self):
-        logp = enumerate_log_probs(make_bernoulli(2, 0.0))
+        logp = make_bernoulli(2, 0.0).log_probs()
         np.testing.assert_allclose(logp, -2 * math.log(2), atol=1e-12)
 
     def test_bernoulli_single_variable_closed_form(self):
-        logp = enumerate_log_probs(make_bernoulli(1, 1.0))
+        logp = make_bernoulli(1, 1.0).log_probs()
         expected = np.array([-math.log(1 + math.e), 1 - math.log(1 + math.e)])
         np.testing.assert_allclose(logp, expected, atol=1e-12)
 
     @pytest.mark.parametrize("model", ZOO_SMALL, ids=lambda m: m.family)
     def test_normalization(self, model):
-        total = np.exp(enumerate_log_probs(model)).sum()
+        total = np.exp(model.log_probs()).sum()
         assert abs(total - 1.0) <= 1e-10
 
     def test_budget_exceeded_is_hard_error(self):

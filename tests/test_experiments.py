@@ -13,7 +13,7 @@ from foeslab import (
     run_figure1,
     sample_on_sphere,
 )
-from foeslab.experiments import _stream
+from foeslab.core import _philox
 
 
 class TestSampleOnSphere:
@@ -75,7 +75,7 @@ class TestRunFigure1:
         for i_main in range(3):
             for i_int in range(3):
                 cell = cells[i_main * 3 + i_int]
-                rng = _stream(config.seed, (i_main * 3 + i_int) * 1 + 0)
+                rng = _philox(config.seed, (i_main * 3 + i_int) * 1 + 0)
                 main = sample_on_sphere(nv + nh, breaks[i_main] * (nv + nh), rng)
                 inter = sample_on_sphere(nv * nh, breaks[i_int] * (nv * nh), rng)
                 params = RbmParams(main[:nv], main[nv:], inter.reshape(nh, nv))

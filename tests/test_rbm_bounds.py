@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -240,3 +244,33 @@ class TestMarginalLipschitzBound:
                                    int(rng.integers(0, 4)))
             bound = 2.0 * (params.visible_l1 + params.interaction_l1)
             assert lrep(make_rbm_marginal(params)).lrep <= bound + 1e-9
+
+
+CERTIFICATES_UNDER_O = """
+import dataclasses, sys
+import foeslab.metrics as metrics
+from foeslab import (CertificateError, FoeslabError, GraphModelSpec,
+                     RbmParams, bounds_report)
+from foeslab.rbm_bounds import _assert_proven
+
+print(sys.flags.optimize, issubclass(CertificateError, FoeslabError))
+report = bounds_report(RbmParams([1.0, -0.5], [0.3], [[0.7, -1.1]]))
+try:
+    _assert_proven(dataclasses.replace(report, b_n=report.visible_l1 - 1.0))
+except CertificateError:
+    print("rbm")
+metrics._graph_bound_branches = lambda spec: (0.0, 0.0)
+try:
+    metrics.graph_lower_bound(GraphModelSpec(4, params=(0.0, 1.0, 0.0)))
+except CertificateError:
+    print("graph")
+"""
+
+
+def test_certificates_survive_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-O", "-c", CERTIFICATES_UNDER_O],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout.split() == ["1", "True", "rbm", "graph"], proc.stderr
