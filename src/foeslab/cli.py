@@ -19,6 +19,7 @@ from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     FoesModel,
     UniformModelError,
+    _csv,
     _philox,
 )
 from .experiments import GridExperimentConfig, figure1_csv, run_figure1
@@ -114,26 +115,6 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        # plain-float repr is shortest round-trip; numpy scalars repr as
-        # np.float64(...) and must be unwrapped first
-        return repr(float(value))
-    return str(value)
-
-
-def _csv(columns: list[str], rows: list[dict], comments: list[str] = ()) -> str:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(c)) for c in columns))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +311,8 @@ def cmd_path(values: dict) -> str:
 
 
 def cmd_bounds(values: dict) -> str:
+    if values["random_draws"] < 0:
+        raise ConfigError("random_draws must be >= 0")
     draws = []
     if values["random_draws"]:
         _require(values, "n_visible")
@@ -392,7 +375,7 @@ def cmd_gibbs(values: dict) -> str:
                          seed=values["seed"], init_outcome=init)
     report = run_gibbs(model, config, epsilon=values["epsilon"], keep_trace=True)
     logp = model.log_probs()
-    mask = modal_set(model, values["epsilon"]).member_mask(model.space.n_outcomes)
+    mask = report.modal.member_mask(model.space.n_outcomes)
     comments = [
         f"model = {model.family}", f"seed = {values['seed']}",
         f"epsilon = {values['epsilon']!r}",
@@ -409,8 +392,10 @@ def cmd_gibbs(values: dict) -> str:
 
 
 def cmd_mh(values: dict) -> str:
+    _require(values, "model", "data")
+    if values["model"] not in SIZED_KINDS:
+        raise ConfigError("mh needs a bernoulli, multinomial or graph family")
     family, default_theta = model_family_from(values)
-    _require(values, "data")
     data = tuple(int(v) for v in values["data"].split(","))
     theta0 = values["theta0"]
     if theta0 is None:

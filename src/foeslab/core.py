@@ -4,8 +4,9 @@ A FOES model (Finite Outcome, Everywhere Supported) assigns strictly
 positive probability to every point of a finite product space X^N. This
 module provides the space abstraction with its index encoding, the model
 wrapper holding an unnormalized log-probability score, stable log-sum-exp
-normalization, and the independent-replication product construction. All
-probability arithmetic is done on the natural-log scale.
+normalization, the independent-replication product construction, and the
+CSV rule every command's output follows. All probability arithmetic is
+done on the natural-log scale.
 """
 
 from __future__ import annotations
@@ -195,8 +196,7 @@ class FoesModel:
     def scores(self) -> np.ndarray:
         """Unnormalized log-probabilities of all outcomes, in index order."""
         if self._scores is None:
-            outcomes = self.space.all_outcomes(self.budget)
-            scores = np.asarray(self.score_fn(outcomes), dtype=np.float64)
+            scores = np.asarray(self._score_table(), dtype=np.float64)
             if scores.shape != (self.space.n_outcomes,):
                 raise ValueError(
                     f"score_fn returned shape {scores.shape}, "
@@ -207,6 +207,10 @@ class FoesModel:
                                  "FOES models must support every outcome")
             self._scores = scores
         return self._scores
+
+    def _score_table(self) -> np.ndarray:
+        # unchecked scores of every outcome; scores() validates and caches
+        return self.score_fn(self.space.all_outcomes(self.budget))
 
     @property
     def log_normalizer(self) -> float:
@@ -245,3 +249,24 @@ def replicate(model: FoesModel, m: int) -> FoesModel:
 
     family = model.family if m == 1 else f"{model.family}x{m}"
     return FoesModel(space, score_fn, family=family, budget=model.budget)
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        # plain-float repr is shortest round-trip; numpy scalars repr as
+        # np.float64(...) and must be unwrapped first
+        return repr(float(value))
+    return str(value)
+
+
+def _csv(columns: list[str], rows: list[dict], comments: list[str] = ()) -> str:
+    """CSV text: '# ' comment lines, a header, then one line per row."""
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(_fmt(row.get(c)) for c in columns))
+    return "\n".join(lines) + "\n"

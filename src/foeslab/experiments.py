@@ -18,13 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    BudgetExceededError,
-    DEFAULT_ENUMERATION_BUDGET,
-    OutcomeSpace,
-    _one_flip_shape,
-    _philox,
-)
+from .core import DEFAULT_ENUMERATION_BUDGET, OutcomeSpace, _csv, _philox
+from .metrics import _extremal_range, _one_flip_range
 from .zoo import _log2cosh
 
 GRID_METRICS = ("scaled_lrep", "delta_n")
@@ -44,6 +39,9 @@ class GridExperimentConfig:
     metrics: tuple = GRID_METRICS
 
     def __post_init__(self):
+        for key in ("n_visible", "n_hidden"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
         if self.n_breaks < 2:
             raise ValueError("need at least 2 breaks per axis")
         if not self.magnitude_min < self.magnitude_max:
@@ -104,14 +102,8 @@ def run_figure1(config: GridExperimentConfig = GridExperimentConfig(),
     analytically), matching make_rbm_marginal.
     """
     nv, nh = config.n_visible, config.n_hidden
-    if 2**nv > budget:
-        raise BudgetExceededError(
-            f"2^{nv} visible outcomes exceed the enumeration budget {budget}")
-    space = OutcomeSpace(nv, (-1, 1))
-    outcomes = space.all_outcomes(budget).astype(np.float64)
+    outcomes = OutcomeSpace(nv, (-1, 1)).all_outcomes(budget).astype(np.float64)
     breaks = config.breaks
-    want_lrep = "scaled_lrep" in config.metrics
-    want_delta = "delta_n" in config.metrics
     main_dim, int_dim = nv + nh, nv * nh
 
     cells = []
@@ -131,25 +123,15 @@ def run_figure1(config: GridExperimentConfig = GridExperimentConfig(),
                 theta_vh[s] = inter.reshape(nh, nv)
 
             # scores for the whole batch: (n_outcomes, samples)
-            scores = outcomes @ theta_v.T
-            if nh:
-                z = (np.einsum("xi,sji->xsj", outcomes, theta_vh)
-                     + theta_h[None, :, :])
-                scores = scores + _log2cosh(z).sum(axis=2)
+            z = (np.einsum("xi,sji->xsj", outcomes, theta_vh)
+                 + theta_h[None, :, :])
+            scores = outcomes @ theta_v.T + _log2cosh(z).sum(axis=2)
 
-            mean_lrep = float("nan")
-            mean_delta = float("nan")
-            if want_lrep:
-                mean_lrep = float(
-                    (scores.max(axis=0) - scores.min(axis=0)).mean() / nv)
-            if want_delta:
-                per_draw = np.zeros(config.samples_per_point)
-                for i in range(nv):
-                    block = scores.reshape(*_one_flip_shape(nv, 2, i),
-                                           config.samples_per_point)
-                    spread = (block.max(axis=1) - block.min(axis=1)).max(axis=(0, 1))
-                    np.maximum(per_draw, spread, out=per_draw)
-                mean_delta = float(per_draw.mean())
+            mean_lrep = mean_delta = float("nan")
+            if "scaled_lrep" in config.metrics:
+                mean_lrep = float(_extremal_range(scores).mean() / nv)
+            if "delta_n" in config.metrics:
+                mean_delta = float(_one_flip_range(scores, nv, 2).mean())
 
             cells.append(GridCell(
                 main_magnitude=float(mag_main),
@@ -168,18 +150,16 @@ def figure1_csv(cells: list[GridCell], config: GridExperimentConfig) -> str:
     recovers every value bit for bit and reruns with the same config and
     seed produce byte-identical output.
     """
-    lines = ["# foeslab figure1 grid experiment"]
+    comments = ["foeslab figure1 grid experiment"]
     for key in ("n_visible", "n_hidden", "magnitude_min", "magnitude_max",
                 "n_breaks", "samples_per_point", "seed"):
-        lines.append(f"# {key} = {getattr(config, key)!r}")
-    lines.append(f"# metrics = {','.join(config.metrics)}")
-    lines.append("# grid_spacing = linear, endpoints included")
-    lines.append("# radius_convention = average magnitude x coordinate count, L2 norm")
-    lines.append("main_mag,int_mag,mean_scaled_lrep,mean_delta_n,n_samples")
-    for c in cells:
-        lines.append(",".join([
-            repr(float(c.main_magnitude)), repr(float(c.interaction_magnitude)),
-            repr(float(c.mean_scaled_lrep)), repr(float(c.mean_delta_n)),
-            str(int(c.n_samples)),
-        ]))
-    return "\n".join(lines) + "\n"
+        comments.append(f"{key} = {getattr(config, key)!r}")
+    comments += [f"metrics = {','.join(config.metrics)}",
+                 "grid_spacing = linear, endpoints included",
+                 "radius_convention = average magnitude x coordinate count, L2 norm"]
+    rows = [{"main_mag": c.main_magnitude, "int_mag": c.interaction_magnitude,
+             "mean_scaled_lrep": c.mean_scaled_lrep,
+             "mean_delta_n": c.mean_delta_n, "n_samples": c.n_samples}
+            for c in cells]
+    return _csv(["main_mag", "int_mag", "mean_scaled_lrep", "mean_delta_n",
+                 "n_samples"], rows, comments)

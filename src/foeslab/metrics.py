@@ -46,6 +46,32 @@ class InstabilityReport:
     delta_n: float | None = None
 
 
+def _extremal_range(table: np.ndarray) -> np.ndarray:
+    """max - min over the outcome axis 0; a trailing axis holds draws."""
+    return table.max(axis=0) - table.min(axis=0)
+
+
+def _one_flip_range(table: np.ndarray, n_variables: int, k: int) -> np.ndarray:
+    """Largest spread among outcomes one flip apart; a trailing axis holds draws."""
+    draws = table.shape[1:]
+    best = np.zeros(draws)
+    for i in range(n_variables):
+        block = table.reshape(*_one_flip_shape(n_variables, k, i), *draws)
+        spread = block.max(axis=1) - block.min(axis=1)
+        np.maximum(best, spread.max(axis=(0, 1)), out=best)
+    return best
+
+
+def _score_range(model: FoesModel) -> tuple[np.ndarray, float, float]:
+    """Score table with its min and max, which a uniform model leaves equal."""
+    scores = model.scores()
+    lo, hi = float(scores.min()), float(scores.max())
+    if hi == lo:
+        raise UniformModelError("standardized log-probability needs a "
+                                "non-uniform model (zero denominator)")
+    return scores, lo, hi
+
+
 def lrep(model: FoesModel) -> InstabilityReport:
     """Log-ratio of extremal probabilities, from full enumeration.
 
@@ -54,7 +80,7 @@ def lrep(model: FoesModel) -> InstabilityReport:
     scores = model.scores()
     imax = int(np.argmax(scores))
     imin = int(np.argmin(scores))
-    value = float(scores[imax] - scores[imin])
+    value = float(_extremal_range(scores))
     n = model.n_variables
     return InstabilityReport(
         lrep=value,
@@ -74,17 +100,8 @@ def delta_n(model: FoesModel) -> float:
     symmetry the maximum signed log-ratio equals the maximum absolute one.
     Zero exactly for uniform models.
     """
-    scores = model.scores()
-    k = model.space.alphabet_size
-    n = model.n_variables
-    if k == 1:
-        return 0.0
-    best = 0.0
-    for i in range(n):
-        block = scores.reshape(_one_flip_shape(n, k, i))
-        spread = block.max(axis=1) - block.min(axis=1)
-        best = max(best, float(spread.max()))
-    return best
+    return float(_one_flip_range(model.scores(), model.n_variables,
+                                 model.space.alphabet_size))
 
 
 def instability_report(model: FoesModel) -> InstabilityReport:
@@ -137,11 +154,7 @@ def standardized_log_prob(model: FoesModel, outcome) -> float:
     1 at an argmax outcome, 0 at an argmin outcome. Raises
     UniformModelError when the range is zero.
     """
-    scores = model.scores()
-    lo, hi = float(scores.min()), float(scores.max())
-    if hi == lo:
-        raise UniformModelError("standardized log-probability needs a "
-                                "non-uniform model (zero denominator)")
+    _, lo, hi = _score_range(model)
     val = (float(model.score(np.asarray(outcome))) - lo) / (hi - lo)
     return min(1.0, max(0.0, val))
 
@@ -158,10 +171,7 @@ def g_distance(model_a: FoesModel, model_b: FoesModel) -> float:
         raise ValueError("models live on different outcome spaces")
     profiles = []
     for model in (model_a, model_b):
-        scores = model.scores()
-        lo, hi = float(scores.min()), float(scores.max())
-        if hi == lo:
-            raise UniformModelError("g_distance needs non-uniform models")
+        scores, lo, hi = _score_range(model)
         profiles.append((scores - lo) / (hi - lo))
     return float(np.abs(profiles[0] - profiles[1]).max())
 
@@ -252,7 +262,11 @@ class ParameterPath:
             raise ValueError("entry sizes must be strictly increasing")
 
     def models(self) -> list[FoesModel]:
-        return [self.model_family(n, params) for n, params in self.entries]
+        """One model per entry, built on the first call and shared after."""
+        if "_models" not in self.__dict__:
+            object.__setattr__(self, "_models", tuple(
+                self.model_family(n, params) for n, params in self.entries))
+        return list(self._models)
 
 
 @dataclass(frozen=True)

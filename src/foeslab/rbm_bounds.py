@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CertificateError, DEFAULT_ENUMERATION_BUDGET, OutcomeSpace
-from .metrics import PathThresholds, classify_trend
-from .metrics import lrep as lrep_report
+from .metrics import PathThresholds, _extremal_range, classify_trend
 from .zoo import RbmParams, make_rbm_marginal, rbm_joint_score
 
 _TOL = 1e-9
@@ -57,8 +56,6 @@ def visible_absum(params: RbmParams, h: np.ndarray) -> np.ndarray:
 def hidden_absum(params: RbmParams, x: np.ndarray) -> np.ndarray:
     """b(x) = sum_j |theta_h_j + sum_i x_i w_ji|, rowwise over x."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if params.n_hidden == 0:
-        return np.zeros(x.shape[0])
     return np.abs(params.hidden[None, :] + x @ params.interaction.T).sum(axis=1)
 
 
@@ -119,26 +116,23 @@ def bounds_report(params: RbmParams,
 
     b_n = c_n = lrep_joint = a_hidden_first = lower_witness = None
     if hidden_ok:
-        hspace = OutcomeSpace(max(nh, 1), (-1, 1))
-        hall = hspace.all_outcomes(budget) if nh else np.zeros((1, 0))
+        hall = (OutcomeSpace(nh, (-1, 1)).all_outcomes(budget) if nh
+                else np.zeros((1, 0)))
         a_vals = visible_absum(params, hall)
-        centers = hall @ params.hidden if nh else np.zeros(1)
+        lo, hi = visible_extremes_by_hidden(params, hall)
         b_n = float(a_vals.max())
         c_n = float(a_vals.min())
-        lower_profile = centers - a_vals
-        hi_all = float((centers + a_vals).max())
-        lrep_joint = hi_all - float(lower_profile.min())
-        a_hidden_first = hi_all - float(lower_profile.max())
-        h_star = int(np.argmin(a_vals - centers))
-        lower_witness = float(2.0 * a_vals[h_star])
+        lrep_joint = float(hi.max() - lo.min())
+        a_hidden_first = float(hi.max() - lo.max())
+        # h* minimizes a(h) - h.theta_h, i.e. maximizes the lower profile
+        lower_witness = float(2.0 * a_vals[int(np.argmax(lo))])
 
     a_n = lrep_marginal = None
     if visible_ok:
-        xspace = OutcomeSpace(n, (-1, 1))
-        xall = xspace.all_outcomes(budget)
-        phi = xall @ params.visible.astype(np.float64) + hidden_absum(params, xall)
-        a_n = float(phi.max() - phi.min())
-        lrep_marginal = lrep_report(make_rbm_marginal(params, budget=budget)).lrep
+        xall = OutcomeSpace(n, (-1, 1)).all_outcomes(budget)
+        a_n = float(_extremal_range(hidden_extremes_by_visible(params, xall)[1]))
+        marginal = make_rbm_marginal(params, budget=budget).score(xall)
+        lrep_marginal = float(_extremal_range(marginal))
 
     report = RbmBoundsReport(
         n_visible=n, n_hidden=nh,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FoesModel, UniformModelError, _one_flip_shape, _philox
-from .metrics import modal_set
+from .metrics import ModalSet, _score_range, modal_set
 from .zoo import LinearExpFamily
 
 
@@ -51,8 +51,8 @@ class MixingReport:
     ``mode_escape_time`` counts sweeps from first entering the epsilon
     modal set until first leaving it (None when the chain never enters or
     never leaves); ``modal_occupancy`` is the post-burn-in fraction of
-    sweeps spent inside the modal set. ``trace`` holds the outcome index
-    after each sweep when requested, else None.
+    sweeps spent inside the modal set, which ``modal`` holds. ``trace``
+    holds the outcome index after each sweep when requested, else None.
     """
 
     tv_distance: float
@@ -62,6 +62,7 @@ class MixingReport:
     epsilon: float
     n_sweeps: int
     burn_in: int
+    modal: ModalSet
     trace: np.ndarray | None = None
 
 
@@ -146,6 +147,7 @@ def run_gibbs(model: FoesModel, config: ChainConfig, epsilon: float = 0.1,
         epsilon=epsilon,
         n_sweeps=config.n_sweeps,
         burn_in=config.burn_in,
+        modal=mset,
         trace=trace if keep_trace else None,
     )
 
@@ -241,18 +243,15 @@ def expected_standardized_log_prob(model: FoesModel) -> float:
     The statistic (log P(X) - min log P) / LREP lies in [0, 1]; under a
     strongly concentrated model its expectation approaches 1.
     """
-    scores = model.scores()
-    lo, hi = float(scores.min()), float(scores.max())
-    if hi == lo:
-        raise UniformModelError("statistic undefined for a uniform model")
+    scores, lo, hi = _score_range(model)
     g = (scores - lo) / (hi - lo)
     return float(np.exp(model.log_probs()) @ g)
 
 
 def expected_statistic(model: LinearExpFamily) -> np.ndarray:
     """Exact mean of the sufficient-statistic vector under the model."""
-    p = np.exp(model.log_probs())
-    return p @ model.statistic_values()
+    g = model.statistic_values()  # first, so the score table reuses it
+    return np.exp(model.log_probs()) @ g
 
 
 def normalized_score(model: LinearExpFamily) -> float:

@@ -24,13 +24,24 @@ from .core import (
 GRAPH_TERMS = ("edges", "two_stars", "triangles")
 
 
+def _statistic_matrix(stat_fn, outcomes: np.ndarray, k: int) -> np.ndarray:
+    """stat_fn's values as an (m, k) float64 matrix; other widths raise."""
+    g = np.asarray(stat_fn(outcomes), dtype=np.float64)
+    if g.ndim == 1:
+        g = g[:, None]
+    if g.shape[1] != k:
+        raise ValueError(f"statistic dimension {g.shape[1]} != params length {k}")
+    return g
+
+
 class LinearExpFamily(FoesModel):
     """FOES model with score theta . g(x) for a statistic vector g.
 
     ``stat_fn`` maps an (m, n_variables) outcome array to an (m, k) matrix
     of sufficient-statistic values; ``params`` is the length-k coefficient
     vector (the natural parameter map is the identity; curved maps are not
-    supported).
+    supported). Once the statistic table is enumerated, the full score
+    table is that table times ``params``, with no second enumeration.
     """
 
     def __init__(
@@ -51,14 +62,7 @@ class LinearExpFamily(FoesModel):
         self._stat_values = None
 
         def score_fn(outcomes: np.ndarray) -> np.ndarray:
-            g = np.asarray(stat_fn(outcomes), dtype=np.float64)
-            if g.ndim == 1:
-                g = g[:, None]
-            if g.shape[1] != params.size:
-                raise ValueError(
-                    f"statistic dimension {g.shape[1]} != params length {params.size}"
-                )
-            return g @ params
+            return _statistic_matrix(stat_fn, outcomes, params.size) @ params
 
         super().__init__(space, score_fn, family=family, budget=budget)
 
@@ -66,25 +70,23 @@ class LinearExpFamily(FoesModel):
     def n_params(self) -> int:
         return self.params.size
 
+    def _score_table(self) -> np.ndarray:
+        if self._stat_values is None:
+            return super()._score_table()
+        return self._stat_values @ self.params
+
     def statistic_values(self) -> np.ndarray:
         """(n_outcomes, k) matrix of statistic values, enumerated and cached."""
         if self._stat_values is None:
-            g = np.asarray(self.stat_fn(self.space.all_outcomes(self.budget)),
-                           dtype=np.float64)
-            if g.ndim == 1:
-                g = g[:, None]
-            self._stat_values = g
+            self._stat_values = _statistic_matrix(
+                self.stat_fn, self.space.all_outcomes(self.budget),
+                self.params.size)
         return self._stat_values
 
     def statistic_extremes(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-statistic (max, min) over the whole space, by enumeration."""
         g = self.statistic_values()
         return g.max(axis=0), g.min(axis=0)
-
-    def with_params(self, params) -> "LinearExpFamily":
-        """Same family and statistics, different coefficient vector."""
-        return LinearExpFamily(self.space, self.stat_fn, params,
-                               family=self.family, budget=self.budget)
 
 
 def make_uniform(n: int, alphabet_size: int = 2,

@@ -4,12 +4,15 @@ import argparse
 import hashlib
 import math
 import shlex
+import sys
 
 import numpy as np
 import pytest
 
 import foeslab.cli as cli
+import foeslab.metrics
 from foeslab.cli import build_parser, main, merge_config, read_config_file
+from foeslab.core import OutcomeSpace
 
 
 def run_cli(capsys, *argv):
@@ -287,6 +290,17 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "comma-separated floats" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        ("bounds --n-visible 3 --random-draws -2", "random_draws must be >= 0"),
+        ("mh --model rbm_marginal --n-visible 2 --theta-v 1,2 --data 1,1 "
+         "--steps 3", "mh needs a bernoulli, multinomial or graph family"),
+        ("figure1 --n-hidden 0 --n-breaks 2", "n_hidden must be >= 1"),
+    ])
+    def test_out_of_range_value(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and message in err
+
     def test_memory_error_is_budget_exit(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 128. GiB for an array")
@@ -331,8 +345,9 @@ def test_bounds_rejects_model_flags(capsys, flags):
     assert (code, out) == (2, "")
 
 
-# sha256 of the stdout of each README CLI example (figure1 is covered by
-# acceptance criterion 11); a changed digest means changed output bytes
+# sha256 of the stdout of each README CLI example, with a small figure1 grid
+# standing in for the README's default one (acceptance criterion 11 runs
+# that); a changed digest means changed output bytes
 README_EXAMPLES = {
     "lrep --model bernoulli --n 5 --theta 2":
         "fd8e60db4c059db7784bdd239e293094f388a0ecbce83eb63438d50ba2a3646d",
@@ -357,6 +372,18 @@ README_EXAMPLES = {
         "030d78bb1af00c13453a3428585977c16ce3ebd3b98c0f3d0cb65d8ea3137e52",
     "score --model bernoulli --n 6 --theta 3":
         "e1d90a85b1a83849438ba0fc800eb8f61f3e4982072c9113c8dd34aee758f1e7",
+    "figure1 --n-visible 6 --n-hidden 3 --n-breaks 3 --samples-per-point 4 "
+    "--seed 42":
+        "59906464995e85b1ff3cb71a871a70d66114ce0161de36f51ca84a4ba5ed2567",
+}
+
+# (OutcomeSpace.all_outcomes calls, modal_set calls) per example: each
+# model is enumerated once however many diagnostics read it, and mh builds
+# one model per proposal plus one for the start point
+README_EXAMPLE_PASSES = {
+    "lrep": (1, 0), "delta": (1, 0), "modeset": (1, 1), "path": (3, 3),
+    "bounds": (20, 0), "psr": (2, 0), "lowerbound": (1, 0), "gibbs": (1, 1),
+    "mh": (2001, 0), "score": (1, 0), "figure1": (1, 0),
 }
 
 
@@ -366,3 +393,27 @@ def test_readme_example_bytes(capsys, command):
     code, out, _ = run_cli(capsys, *shlex.split(command))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == README_EXAMPLES[command]
+
+
+@pytest.mark.parametrize("command", README_EXAMPLES,
+                         ids=lambda c: c.split()[0])
+def test_readme_example_passes(capsys, monkeypatch, command):
+    calls = {"all_outcomes": 0, "modal_set": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(OutcomeSpace, "all_outcomes",
+                        counted("all_outcomes", OutcomeSpace.all_outcomes))
+    original = foeslab.metrics.modal_set
+    wrapped = counted("modal_set", original)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("foeslab") and \
+                getattr(module, "modal_set", None) is original:
+            monkeypatch.setattr(module, "modal_set", wrapped)
+    assert run_cli(capsys, *shlex.split(command))[0] == 0
+    expected = README_EXAMPLE_PASSES[command.split()[0]]
+    assert (calls["all_outcomes"], calls["modal_set"]) == expected

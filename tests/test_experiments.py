@@ -110,6 +110,10 @@ class TestRunFigure1:
             GridExperimentConfig(magnitude_min=3.0, magnitude_max=1.0)
         with pytest.raises(ValueError):
             GridExperimentConfig(metrics=("nope",))
+        for key in ("n_visible", "n_hidden"):
+            for bad in (0, -1):
+                with pytest.raises(ValueError, match=f"{key} must be >= 1"):
+                    GridExperimentConfig(**{key: bad})
 
 
 class TestFigure1Csv:

@@ -151,6 +151,19 @@ class TestGraphModel:
             GraphModelSpec(4, params=(1.0, 0.5, 0.0), active_terms=("edges",))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: make_bernoulli(7, -1.3),
+    lambda: make_multinomial(4, [0.7, -1.1, 0.25]),
+    lambda: make_graph_model(GraphModelSpec(5, params=(-0.4, 0.3, 0.9))),
+])
+def test_score_table_from_statistics_is_bitwise_equal(build):
+    # a linear family scores through score_fn until its statistic table is
+    # enumerated, then reuses that table; both routes give the same bytes
+    fresh, stats_first = build(), build()
+    stats_first.statistic_values()
+    assert stats_first.scores().tobytes() == fresh.scores().tobytes()
+
+
 class TestRbm:
     def test_zero_params_uniform(self):
         params = RbmParams(np.zeros(2), np.zeros(1), np.zeros((1, 2)))
