@@ -199,8 +199,12 @@ def model_family(kind: str, size: int | None, budget: int):
     the graph kind; the RBM kinds read their sizes from the parameters.
     """
     if kind == "bernoulli":
-        return lambda th: make_bernoulli(size, float(np.atleast_1d(th)[0]),
-                                         budget=budget)
+        def bernoulli(th):
+            th = np.atleast_1d(th)
+            if th.size != 1:
+                raise ConfigError("params must be (theta,)")
+            return make_bernoulli(size, float(th[0]), budget=budget)
+        return bernoulli
     if kind == "multinomial":
         return lambda th: make_multinomial(size, th, budget=budget)
     if kind == "graph":
@@ -384,9 +388,10 @@ def cmd_gibbs(values: dict) -> str:
         f"mode_escape_time = {report.mode_escape_time}",
         f"modal_occupancy = {report.modal_occupancy!r}",
     ]
-    rows = [{"sweep": s + 1, "outcome_index": int(idx),
-             "log_prob": float(logp[idx]), "in_modal_set": bool(mask[idx])}
-            for s, idx in enumerate(report.trace)]
+    trace = report.trace
+    rows = [{"sweep": s, "outcome_index": idx, "log_prob": lp, "in_modal_set": m}
+            for s, (idx, lp, m) in enumerate(zip(trace.tolist(), logp[trace].tolist(),
+                                                 mask[trace].tolist()), 1)]
     return _csv(["sweep", "outcome_index", "log_prob", "in_modal_set"],
                 rows, comments)
 

@@ -59,11 +59,15 @@ def hidden_absum(params: RbmParams, x: np.ndarray) -> np.ndarray:
     return np.abs(params.hidden[None, :] + x @ params.interaction.T).sum(axis=1)
 
 
+def _visible_profile(params: RbmParams, h) -> tuple[np.ndarray, np.ndarray]:
+    """(h.theta_h, a(h)) rowwise over h: f(., h) spans center -/+ a."""
+    h = np.atleast_2d(np.asarray(h, dtype=np.float64))
+    return h @ params.hidden, visible_absum(params, h)
+
+
 def visible_extremes_by_hidden(params: RbmParams, h) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form (min over x, max over x) of f(., h), rowwise over h."""
-    h = np.atleast_2d(np.asarray(h, dtype=np.float64))
-    center = h @ params.hidden
-    a = visible_absum(params, h)
+    center, a = _visible_profile(params, h)
     return center - a, center + a
 
 
@@ -118,8 +122,8 @@ def bounds_report(params: RbmParams,
     if hidden_ok:
         hall = (OutcomeSpace(nh, (-1, 1)).all_outcomes(budget) if nh
                 else np.zeros((1, 0)))
-        a_vals = visible_absum(params, hall)
-        lo, hi = visible_extremes_by_hidden(params, hall)
+        center, a_vals = _visible_profile(params, hall)
+        lo, hi = center - a_vals, center + a_vals
         b_n = float(a_vals.max())
         c_n = float(a_vals.min())
         lrep_joint = float(hi.max() - lo.min())

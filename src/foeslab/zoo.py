@@ -328,7 +328,9 @@ def make_rbm_marginal(params: RbmParams,
         base = x @ params.visible
         if params.n_hidden == 0:
             return base
-        z = params.hidden[None, :] + x @ params.interaction.T
+        z = x @ params.interaction.T
+        del x  # free the float64 outcomes before _log2cosh's temporaries
+        z += params.hidden
         return base + _log2cosh(z).sum(axis=1)
 
     space = OutcomeSpace(params.n_visible, (-1, 1))

@@ -11,6 +11,7 @@ import pytest
 
 import foeslab.cli as cli
 import foeslab.metrics
+import foeslab.rbm_bounds
 from foeslab.cli import build_parser, main, merge_config, read_config_file
 from foeslab.core import OutcomeSpace
 
@@ -295,6 +296,14 @@ class TestExitCodes:
         ("mh --model rbm_marginal --n-visible 2 --theta-v 1,2 --data 1,1 "
          "--steps 3", "mh needs a bernoulli, multinomial or graph family"),
         ("figure1 --n-hidden 0 --n-breaks 2", "n_hidden must be >= 1"),
+        ("mh --model bernoulli --n 3 --data 1,1,1 --theta0 1,2 --steps 4",
+         "params must be (theta,)"),
+        ("mh --model bernoulli --n 3 --data 1,1,1 --theta0= --steps 4",
+         "params must be (theta,)"),
+        ("path --family bernoulli --entries 4:1,2;5:1;6:1",
+         "params must be (theta,)"),
+        ("mh --model graph --nodes 3 --data 1,1,1 --theta0 1,2 --steps 4",
+         "params must be (theta1, theta2, theta3)"),
     ])
     def test_out_of_range_value(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv.split())
@@ -417,3 +426,14 @@ def test_readme_example_passes(capsys, monkeypatch, command):
     assert run_cli(capsys, *shlex.split(command))[0] == 0
     expected = README_EXAMPLE_PASSES[command.split()[0]]
     assert (calls["all_outcomes"], calls["modal_set"]) == expected
+
+
+def test_readme_bounds_evaluates_visible_absum_once_per_draw(capsys, monkeypatch):
+    calls = []
+    original = foeslab.rbm_bounds.visible_absum
+    monkeypatch.setattr(foeslab.rbm_bounds, "visible_absum",
+                        lambda *args: calls.append(1) or original(*args))
+    command = next(c for c in README_EXAMPLES if c.startswith("bounds"))
+    code, out, _ = run_cli(capsys, *shlex.split(command))
+    assert code == 0 and len(calls) == 10
+    assert hashlib.sha256(out.encode()).hexdigest() == README_EXAMPLES[command]

@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import foeslab.samplers as samplers
+from foeslab.core import _one_flip_shape, _philox
+from foeslab.samplers import MixingReport
 from foeslab import (
     ChainConfig,
     GraphModelSpec,
@@ -259,3 +263,229 @@ class TestExpectedStatistics:
     def test_multi_parameter_rejected(self):
         with pytest.raises(ValueError):
             normalized_score(make_multinomial(3, [1.0, 0.0, -1.0]))
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the memoised kernel against the reference below, which
+# normalises every site update afresh and draws one scalar uniform per update
+# ---------------------------------------------------------------------------
+
+def reference_run_gibbs(model, config, epsilon=0.1, random_scan=False,
+                        keep_trace=False):
+    scores = model.scores()
+    logp = model.log_probs()
+    mset = modal_set(model, epsilon)
+    in_modal = mset.member_mask(model.space.n_outcomes)
+    k = model.space.alphabet_size
+    n = model.n_variables
+    strides = [k**i for i in range(n)]
+    rng = _philox(config.seed)
+
+    if config.init_outcome is None:
+        idx = int(rng.integers(model.space.n_outcomes))
+    else:
+        idx = model.space.encode(np.asarray(config.init_outcome))
+
+    trace = np.empty(config.n_sweeps, dtype=np.int64)
+    max_ratio = 0.0
+    entry_sweep = 0 if in_modal[idx] else None
+    escape_time = None
+
+    for sweep in range(1, config.n_sweeps + 1):
+        order = rng.permutation(n) if random_scan else range(n)
+        for i in order:
+            stride = strides[i]
+            digit = (idx // stride) % k
+            base = idx - digit * stride
+            cand = base + stride * np.arange(k)
+            s = scores[cand]
+            max_ratio = max(max_ratio, float(s.max() - s.min()))
+            w = np.exp(s - s.max())
+            w /= w.sum()
+            digit = int(np.searchsorted(np.cumsum(w), rng.random(), side="right"))
+            digit = min(digit, k - 1)
+            idx = base + digit * stride
+        trace[sweep - 1] = idx
+        if entry_sweep is None and in_modal[idx]:
+            entry_sweep = sweep
+        elif entry_sweep is not None and escape_time is None and not in_modal[idx]:
+            escape_time = sweep - entry_sweep
+
+    kept = trace[config.burn_in:]
+    occupancy = float(in_modal[kept].mean())
+    counts = np.bincount(kept, minlength=model.space.n_outcomes)
+    emp = counts / kept.size
+    tv = 0.5 * float(np.abs(emp - np.exp(logp)).sum())
+
+    return MixingReport(
+        tv_distance=tv,
+        max_transition_log_ratio=max_ratio,
+        mode_escape_time=escape_time,
+        modal_occupancy=occupancy,
+        epsilon=epsilon,
+        n_sweeps=config.n_sweeps,
+        burn_in=config.burn_in,
+        modal=mset,
+        trace=trace if keep_trace else None,
+    )
+
+
+def reference_apply_gibbs_sweep(model, dist):
+    scores = model.scores()
+    k = model.space.alphabet_size
+    n = model.n_variables
+    dist = np.asarray(dist, dtype=np.float64).copy()
+    for i in range(n):
+        shape = _one_flip_shape(n, k, i)
+        block = scores.reshape(shape)
+        m = block.max(axis=1, keepdims=True)
+        cond = np.exp(block - m)
+        cond /= cond.sum(axis=1, keepdims=True)
+        marg = dist.reshape(shape).sum(axis=1, keepdims=True)
+        dist = (marg * cond).reshape(-1)
+    return dist
+
+
+def reference_full_conditional(model, outcome, index):
+    outcome = np.asarray(outcome)
+    k = model.space.alphabet_size
+    completions = np.repeat(outcome[None, :], k, axis=0)
+    completions[:, index] = model.space.alphabet
+    scores = model.score(completions)
+    m = scores.max()
+    w = np.exp(scores - m)
+    return w / w.sum()
+
+
+def assert_same_chain(model, config, **kwargs):
+    got = run_gibbs(model, config, keep_trace=True, **kwargs)
+    want = reference_run_gibbs(model, config, keep_trace=True, **kwargs)
+    assert got.trace.dtype == want.trace.dtype
+    assert np.array_equal(got.trace, want.trace)
+    for field in ("tv_distance", "max_transition_log_ratio", "mode_escape_time",
+                  "modal_occupancy", "epsilon", "n_sweeps", "burn_in"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert (got.modal.epsilon, got.modal.threshold, got.modal.mass) == \
+        (want.modal.epsilon, want.modal.threshold, want.modal.mass)
+    assert np.array_equal(got.modal.members, want.modal.members)
+
+
+def two_star_model(theta2=2.0, active_terms=("two_stars",)):
+    return make_graph_model(GraphModelSpec(5, params=(0.0, theta2, 0.0),
+                                           active_terms=active_terms))
+
+
+class TestMemoisedKernelMatchesReference:
+    def test_readme_gibbs_example(self):
+        model = make_graph_model(GraphModelSpec(5, params=(0.0, 2.0, 0.0)))
+        assert_same_chain(model, ChainConfig(n_sweeps=10000, burn_in=500, seed=11,
+                                             init_outcome=tuple([0] * 10)))
+
+    def test_criterion_9_iid_chain(self):
+        assert_same_chain(make_bernoulli(6, 0.5),
+                          ChainConfig(n_sweeps=50000, burn_in=1000, seed=7))
+
+    def test_criterion_9_trapped_chain(self):
+        assert_same_chain(two_star_model(),
+                          ChainConfig(n_sweeps=10000, burn_in=500, seed=11,
+                                      init_outcome=tuple([0] * 10)), epsilon=0.1)
+
+    def test_random_scan_three_letters(self):
+        assert_same_chain(make_multinomial(3, [0.5, 0.0, -0.5]),
+                          ChainConfig(n_sweeps=5000, seed=6), random_scan=True)
+
+    @pytest.mark.parametrize("init", [None, (1, 3, 2, 1)])
+    def test_random_and_given_start(self, init):
+        assert_same_chain(make_multinomial(4, [1.0, 0.0, -0.5]),
+                          ChainConfig(n_sweeps=2000, burn_in=300, seed=21,
+                                      init_outcome=init))
+
+    @pytest.mark.parametrize("limit", [0, 1])
+    @pytest.mark.parametrize("random_scan", [False, True])
+    def test_memo_limit_keeps_outputs(self, monkeypatch, limit, random_scan):
+        monkeypatch.setattr(samplers, "_MEMO_LIMIT", limit)
+        assert_same_chain(make_multinomial(3, [0.4, -0.2, 0.1]),
+                          ChainConfig(n_sweeps=1500, burn_in=100, seed=8),
+                          random_scan=random_scan)
+        assert_same_chain(two_star_model(1.0, ("edges", "two_stars")),
+                          ChainConfig(n_sweeps=500, seed=9,
+                                      init_outcome=tuple([1] * 10)))
+
+    def test_exact_sweep_and_full_conditional(self):
+        rng = np.random.default_rng(5)
+        models = [
+            make_bernoulli(6, 0.8),
+            make_multinomial(4, [1.0, 0.0, -0.5]),
+            make_graph_model(GraphModelSpec(4, params=(0.2, 0.7, -0.3))),
+            make_rbm_marginal(RbmParams([0.5, -1.0, 0.3, 0.9, -0.2], [0.7],
+                                        [[0.4, -0.6, 0.2, 0.1, -0.8]])),
+        ]
+        for model in models:
+            space = model.space
+            for dist in (np.exp(model.log_probs()),
+                         rng.dirichlet(np.ones(space.n_outcomes))):
+                assert np.array_equal(apply_gibbs_sweep(model, dist),
+                                      reference_apply_gibbs_sweep(model, dist))
+            for _ in range(10):
+                x = space.decode(int(rng.integers(space.n_outcomes)))
+                i = int(rng.integers(space.n_variables))
+                assert np.array_equal(gibbs_full_conditional(model, x, i),
+                                      reference_full_conditional(model, x, i))
+
+
+@st.composite
+def small_models(draw):
+    kind = draw(st.sampled_from(["bernoulli", "multinomial", "graph"]))
+    param = st.floats(-4.0, 4.0, allow_nan=False)
+    if kind == "bernoulli":
+        return make_bernoulli(draw(st.integers(1, 6)), draw(param))
+    if kind == "multinomial":
+        k = draw(st.sampled_from([2, 3]))
+        return make_multinomial(draw(st.integers(1, 4)),
+                                draw(st.lists(param, min_size=k, max_size=k)))
+    return make_graph_model(GraphModelSpec(
+        draw(st.sampled_from([3, 4])),
+        params=tuple(draw(st.lists(param, min_size=3, max_size=3)))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=small_models(), seed=st.integers(0, 2**64 - 1),
+       n_sweeps=st.integers(1, 60), burn_frac=st.floats(0.0, 0.9),
+       random_scan=st.booleans(), start=st.none() | st.integers(0, 2**63),
+       epsilon=st.sampled_from([0.05, 0.1, 0.5]))
+def test_memoised_kernel_matches_reference(model, seed, n_sweeps, burn_frac,
+                                           random_scan, start, epsilon):
+    space = model.space
+    init = None if start is None else \
+        tuple(int(v) for v in space.decode(start % space.n_outcomes))
+    config = ChainConfig(n_sweeps=n_sweeps, burn_in=int(burn_frac * n_sweeps),
+                         seed=seed, init_outcome=init)
+    assert_same_chain(model, config, epsilon=epsilon, random_scan=random_scan)
+
+
+def count_conditionals(monkeypatch):
+    calls = []
+    original = samplers._site_conditional
+    monkeypatch.setattr(samplers, "_site_conditional",
+                        lambda *args, **kwargs: calls.append(1)
+                        or original(*args, **kwargs))
+    return calls
+
+
+def test_each_site_block_is_normalised_once(monkeypatch):
+    # 4 sites x 8 blocks per site; a chain of 4,000 site updates visits all
+    # 32 and must normalise each exactly once
+    calls = count_conditionals(monkeypatch)
+    run_gibbs(make_bernoulli(4, 0.0), ChainConfig(n_sweeps=1000, seed=3))
+    assert len(calls) == 4 * 2**3
+    # a chain shorter than the number of blocks normalises at most once per update
+    calls.clear()
+    run_gibbs(make_bernoulli(10, 0.3), ChainConfig(n_sweeps=3, seed=3))
+    assert 0 < len(calls) <= 3 * 10
+
+
+def test_past_the_memo_limit_every_update_is_computed(monkeypatch):
+    monkeypatch.setattr(samplers, "_MEMO_LIMIT", 0)
+    calls = count_conditionals(monkeypatch)
+    run_gibbs(make_bernoulli(4, 0.0), ChainConfig(n_sweeps=100, seed=3))
+    assert len(calls) == 4 * 100

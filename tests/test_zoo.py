@@ -21,7 +21,7 @@ from foeslab import (
     make_rbm_marginal,
 )
 from foeslab.metrics import lrep
-from foeslab.zoo import rbm_joint_score
+from foeslab.zoo import _log2cosh, rbm_joint_score
 
 
 def logistic(z):
@@ -204,6 +204,21 @@ class TestRbm:
             analytic = marginal.scores()
             diff = (analytic - analytic[0]) - (brute - brute[0])
             assert np.abs(diff).max() <= 1e-10
+
+    def test_marginal_scores_bitwise_stable(self):
+        # the scorer frees its float64 outcomes early; the table must keep
+        # the bytes of the direct formula
+        rng = np.random.default_rng(4)
+        for n, nh in [(1, 1), (6, 3), (12, 4), (9, 0)]:
+            params = RbmParams(rng.uniform(-2, 2, n), rng.uniform(-2, 2, nh),
+                               rng.uniform(-2, 2, (nh, n)))
+            model = make_rbm_marginal(params)
+            x = model.space.all_outcomes().astype(np.float64)
+            want = x @ params.visible
+            if nh:
+                want = want + _log2cosh(
+                    params.hidden[None, :] + x @ params.interaction.T).sum(axis=1)
+            assert np.array_equal(model.scores(), want)
 
     def test_no_hiddens_scaled_lrep(self):
         theta_v = np.array([0.5, -1.5, 2.0])
