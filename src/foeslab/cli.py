@@ -10,7 +10,9 @@ round-trip repr so output is byte-reproducible for a fixed config and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -95,7 +97,7 @@ def merge_config(args: argparse.Namespace, options: dict) -> dict:
             resolved[key] = flag_val
         elif key in file_values:
             if isinstance(cast, tuple):
-                cast = str  # checked where the value is used
+                cast = str  # checked by check_choices
             try:
                 resolved[key] = cast(file_values[key])
             except (ValueError, TypeError) as exc:
@@ -107,6 +109,15 @@ def merge_config(args: argparse.Namespace, options: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return resolved
+
+
+def check_choices(values: dict, options: dict) -> dict:
+    """Reject a config-file value outside its option's choices, as argparse does."""
+    for key, (cast, *_) in options.items():
+        if isinstance(cast, tuple) and values[key] not in (None, *cast):
+            raise ConfigError(f"config key {key} = {values[key]!r}: "
+                              f"choose from {', '.join(cast)}")
+    return values
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -121,16 +132,84 @@ def _emit(text: str, out_path: str | None) -> None:
 # option tables and model construction from resolved option values
 # ---------------------------------------------------------------------------
 
-MODEL_KINDS = ("uniform", "bernoulli", "multinomial", "graph",
-               "rbm_marginal", "rbm_joint")
-# kinds sized by an option (n, or nodes for graph); a parameter path walks
-# one of these, keyed by that size
-SIZED_KINDS = ("bernoulli", "graph", "multinomial")
+def _require(values: dict, *keys: str) -> None:
+    missing = [k for k in keys if values.get(k) is None]
+    if missing:
+        raise ConfigError(f"missing required option(s): {', '.join(missing)}")
+
+
+def rbm_params_from(values: dict) -> RbmParams:
+    nv, nh = values["n_visible"], values["n_hidden"]
+    theta_v = np.asarray(values["theta_v"], dtype=np.float64)
+    theta_h = np.asarray(values["theta_h"] or [], dtype=np.float64)
+    theta_vh = np.asarray(values["theta_vh"] or [], dtype=np.float64)
+    if theta_v.size != nv or theta_h.size != nh or theta_vh.size != nv * nh:
+        raise ConfigError("RBM parameter lengths must match n_visible/n_hidden")
+    return RbmParams(theta_v, theta_h, theta_vh.reshape(nh, nv))
+
+
+def _vector(theta, length: int | None, form: str) -> np.ndarray:
+    theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+    if length is not None and theta.size != length:
+        raise ConfigError(f"params must be {form}")
+    return theta
+
+
+def _multinomial(n: int, values: dict):
+    k = None if values.get("thetas") is None else len(values["thetas"])
+    return lambda th: make_multinomial(
+        n, _vector(th, k, f"{k} category weights, one per --thetas entry"),
+        budget=values["budget"])
+
+
+class ModelKind(NamedTuple):
+    """How the CLI sizes, reads and builds one kind of model."""
+
+    size: str | None  # option holding N; None when the parameters carry it
+    needs: tuple  # options the parameter object is read from
+    params: Callable  # resolved values -> parameter object
+    # (N, resolved values) -> constructor over one parameter object; it looks
+    # up the zoo's make_* when it builds a model, not before
+    family: Callable
+
+    def read(self, values: dict):
+        _require(values, *self.needs)
+        return self.params(values)
+
+
+KINDS = {
+    "uniform": ModelKind(
+        "n", (), lambda v: None,
+        lambda n, v: lambda _: make_uniform(n, v["alphabet_size"],
+                                            budget=v["budget"])),
+    "bernoulli": ModelKind(
+        "n", ("theta",), lambda v: v["theta"],
+        lambda n, v: lambda th: make_bernoulli(
+            n, float(_vector(th, 1, "(theta,)")[0]), budget=v["budget"])),
+    "multinomial": ModelKind(
+        "n", ("thetas",), lambda v: np.asarray(v["thetas"]), _multinomial),
+    "graph": ModelKind(
+        "nodes", ("theta1", "theta2", "theta3"),
+        lambda v: (v["theta1"], v["theta2"], v["theta3"]),
+        lambda nodes, v: lambda th: make_graph_model(
+            GraphModelSpec(nodes, params=tuple(np.atleast_1d(th))),
+            budget=v["budget"])),
+    "rbm_marginal": ModelKind(
+        None, ("n_visible", "theta_v"), rbm_params_from,
+        lambda _, v: lambda p: make_rbm_marginal(p, budget=v["budget"])),
+    "rbm_joint": ModelKind(
+        None, ("n_visible", "theta_v"), rbm_params_from,
+        lambda _, v: lambda p: make_rbm_joint(p, budget=v["budget"])),
+}
+MODEL_KINDS = tuple(KINDS)
+# kinds sized by an option with a parameter vector: a parameter path and
+# mh walk one of these
+SIZED_KINDS = tuple(k for k, kind in KINDS.items() if kind.size and kind.needs)
 
 # Each option is declared once, as key: (cast, default[, help]). The flag is
 # --key with dashes for underscores and a config file takes the key itself.
-# A tuple cast lists the values the flag accepts; a config-file value is read
-# as a string and checked where it is used.
+# A tuple cast lists the values the flag and the config key accept; a
+# config-file value is read as a string and checked by check_choices.
 GRAPH_OPTIONS = {
     "nodes": (int, None, "graph node count"),
     "theta1": (float, 0.0, "graph edge parameter"),
@@ -157,83 +236,19 @@ MODEL_OPTIONS = {
 }
 
 
-def _require(values: dict, *keys: str) -> None:
-    missing = [k for k in keys if values.get(k) is None]
-    if missing:
-        raise ConfigError(f"missing required option(s): {', '.join(missing)}")
-
-
-def rbm_params_from(values: dict) -> RbmParams:
-    _require(values, "n_visible", "theta_v")
-    nv, nh = values["n_visible"], values["n_hidden"]
-    theta_v = np.asarray(values["theta_v"], dtype=np.float64)
-    theta_h = np.asarray(values["theta_h"] or [], dtype=np.float64)
-    theta_vh = np.asarray(values["theta_vh"] or [], dtype=np.float64)
-    if theta_v.size != nv or theta_h.size != nh or theta_vh.size != nv * nh:
-        raise ConfigError("RBM parameter lengths must match n_visible/n_hidden")
-    return RbmParams(theta_v, theta_h, theta_vh.reshape(nh, nv))
-
-
-# options each kind needs before build_model can construct it
-_BUILD_REQUIRES = {"uniform": ("n",), "bernoulli": ("n", "theta"),
-                   "multinomial": ("n", "thetas"), "graph": ("nodes",)}
+def model_family(values: dict) -> tuple[ModelKind, Callable]:
+    """The --model kind and its constructor over one parameter object."""
+    _require(values, "model")
+    kind = KINDS[values["model"]]
+    if kind.size:
+        _require(values, kind.size)
+    return kind, kind.family(values[kind.size] if kind.size else None, values)
 
 
 def build_model(values: dict) -> FoesModel:
     """Construct the model a subcommand's options describe."""
-    kind = values["model"]
-    _require(values, "model", *_BUILD_REQUIRES.get(kind, ()))
-    if kind == "uniform":
-        return make_uniform(values["n"], values["alphabet_size"],
-                            budget=values["budget"])
-    if kind not in MODEL_KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    family, theta = model_family_from(values)
-    return family(theta)
-
-
-def model_family(kind: str, size: int | None, budget: int):
-    """Model constructor over one parameter object for a sign-reversible kind.
-
-    ``size`` is the variable count of the iid kinds and the node count of
-    the graph kind; the RBM kinds read their sizes from the parameters.
-    """
-    if kind == "bernoulli":
-        def bernoulli(th):
-            th = np.atleast_1d(th)
-            if th.size != 1:
-                raise ConfigError("params must be (theta,)")
-            return make_bernoulli(size, float(th[0]), budget=budget)
-        return bernoulli
-    if kind == "multinomial":
-        return lambda th: make_multinomial(size, th, budget=budget)
-    if kind == "graph":
-        return lambda th: make_graph_model(
-            GraphModelSpec(size, params=tuple(np.atleast_1d(th))), budget=budget)
-    if kind == "rbm_marginal":
-        return lambda p: make_rbm_marginal(p, budget=budget)
-    if kind == "rbm_joint":
-        return lambda p: make_rbm_joint(p, budget=budget)
-    raise ConfigError(f"model {kind!r} does not define a sign-reversible family")
-
-
-def model_family_from(values: dict):
-    """(family callable over one parameter object, initial theta) pair."""
-    kind = values["model"]
-    size_key = "nodes" if kind == "graph" else "n"
-    if kind in SIZED_KINDS:
-        _require(values, size_key)
-    family = model_family(kind, values[size_key], values["budget"])
-    if kind == "bernoulli":
-        theta = values["theta"]
-    elif kind == "multinomial":
-        thetas = values["thetas"]
-        theta = None if thetas is None else np.asarray(thetas)
-    elif kind == "graph":
-        theta = (values["theta1"], values["theta2"], values["theta3"])
-    else:
-        theta = rbm_params_from(values)
-    return family, theta
+    kind, family = model_family(values)
+    return family(kind.read(values))
 
 
 def parse_path_entries(text: str) -> list[tuple[int, np.ndarray]]:
@@ -261,57 +276,43 @@ def parse_path_entries(text: str) -> list[tuple[int, np.ndarray]]:
 def cmd_lrep(values: dict) -> str:
     model = build_model(values)
     r = instability_report(model)
-    return _csv(
-        ["model", "n", "lrep", "scaled_lrep", "delta_n",
-         "argmax_index", "argmin_index"],
-        [{"model": model.family, "n": r.n_variables, "lrep": r.lrep,
-          "scaled_lrep": r.scaled_lrep, "delta_n": r.delta_n,
-          "argmax_index": r.argmax_index, "argmin_index": r.argmin_index}],
-    )
+    return _csv([{"model": model.family, "n": r.n_variables, "lrep": r.lrep,
+                  "scaled_lrep": r.scaled_lrep, "delta_n": r.delta_n,
+                  "argmax_index": r.argmax_index, "argmin_index": r.argmin_index}])
 
 
 def cmd_delta(values: dict) -> str:
     model = build_model(values)
-    return _csv(["model", "n", "delta_n"],
-                [{"model": model.family, "n": model.n_variables,
+    return _csv([{"model": model.family, "n": model.n_variables,
                   "delta_n": delta_n(model)}])
 
 
 def cmd_modeset(values: dict) -> str:
     model = build_model(values)
     mset = modal_set(model, values["epsilon"])
-    return _csv(
-        ["model", "n", "epsilon", "threshold", "n_members", "mass"],
-        [{"model": model.family, "n": model.n_variables,
-          "epsilon": mset.epsilon, "threshold": mset.threshold,
-          "n_members": mset.n_members, "mass": mset.mass}],
-    )
+    return _csv([{"model": model.family, "n": model.n_variables,
+                  "epsilon": mset.epsilon, "threshold": mset.threshold,
+                  "n_members": mset.n_members, "mass": mset.mass}])
 
 
 def cmd_path(values: dict) -> str:
     _require(values, "family", "entries")
-    if values["family"] not in SIZED_KINDS:
-        raise ConfigError(f"unknown path family {values['family']!r}; "
-                          f"choose from {sorted(SIZED_KINDS)}")
     entries = parse_path_entries(values["entries"])
-    kind, budget = values["family"], values["budget"]
-    path = ParameterPath(lambda n, p: model_family(kind, n, budget)(p),
-                         tuple(entries))
+    kind = KINDS[values["family"]]
+    path = ParameterPath(lambda n, p: kind.family(n, values)(p), tuple(entries))
     verdict = classify_path(path, PathThresholds(values["flatness"], values["level"]))
     comments = [f"family = {values['family']}",
                 f"verdict = {verdict.verdict}",
                 f"trend_slope = {verdict.trend_slope!r}",
                 "verdict is a finite-size heuristic, not an asymptotic claim"]
-    columns = ["n", "scaled_lrep"]
     rows = [{"n": n, "scaled_lrep": y}
             for n, y in zip(verdict.ns, verdict.scaled_lreps)]
     if values["epsilon"] is not None:
         masses = degeneracy_trend(path, values["epsilon"])
-        columns.append("modal_mass")
         for row, mass in zip(rows, masses):
             row["modal_mass"] = mass
         comments.insert(2, f"epsilon = {values['epsilon']!r}")
-    return _csv(columns, rows, comments)
+    return _csv(rows, comments)
 
 
 def cmd_bounds(values: dict) -> str:
@@ -321,53 +322,51 @@ def cmd_bounds(values: dict) -> str:
     if values["random_draws"]:
         _require(values, "n_visible")
         nv, nh = values["n_visible"], values["n_hidden"]
-        rng = _philox(values["seed"])
         w = values["half_width"]
+        if not (w >= 0 and math.isfinite(2 * w)):
+            raise ConfigError("half_width must be >= 0, with 2 * half_width finite")
+        rng = _philox(values["seed"])
         for _ in range(values["random_draws"]):
             draws.append(RbmParams(rng.uniform(-w, w, nv),
                                    rng.uniform(-w, w, nh),
                                    rng.uniform(-w, w, (nh, nv))))
     else:
-        draws.append(rbm_params_from(values))
-    columns = ["draw", "n_visible", "n_hidden", "visible_l1", "hidden_l1",
-               "interaction_l1", "a_n", "b_n", "c_n", "lrep_joint",
-               "lrep_marginal", "a_n_hidden_first", "lower_witness", "n_h_log2"]
+        draws.append(KINDS["rbm_joint"].read(values))
+    fields = ("n_visible", "n_hidden", "visible_l1", "hidden_l1",
+              "interaction_l1", "a_n", "b_n", "c_n", "lrep_joint",
+              "lrep_marginal", "a_n_hidden_first", "lower_witness", "n_h_log2")
     rows = []
     for d, params in enumerate(draws):
         r = bounds_report(params, budget=values["budget"])
-        rows.append({"draw": d, **{c: getattr(r, c) for c in columns[1:]}})
+        rows.append({"draw": d, **{f: getattr(r, f) for f in fields}})
     comments = [f"seed = {values['seed']}", f"half_width = {values['half_width']!r}"] \
         if values["random_draws"] else []
-    return _csv(columns, rows, comments)
+    return _csv(rows, comments)
 
 
 def cmd_psr(values: dict) -> str:
-    family, theta = model_family_from(values)
+    kind, family = model_family(values)
+    theta = kind.read(values)
     if theta is None:
-        raise ConfigError("the chosen family needs its parameter flags")
+        raise ConfigError(f"model {values['model']!r} does not define a "
+                          "sign-reversible family")
     report = check_psr(family, theta)
-    return _csv(
-        ["model", "holds", "max_violation", "lrep_theta", "lrep_neg_theta"],
-        [{"model": values["model"], "holds": report.holds,
-          "max_violation": report.max_violation,
-          "lrep_theta": report.lrep_theta,
-          "lrep_neg_theta": report.lrep_neg_theta}],
-    )
+    return _csv([{"model": values["model"], "holds": report.holds,
+                  "max_violation": report.max_violation,
+                  "lrep_theta": report.lrep_theta,
+                  "lrep_neg_theta": report.lrep_neg_theta}])
 
 
 def cmd_lowerbound(values: dict) -> str:
     _require(values, "nodes")
-    spec = GraphModelSpec(values["nodes"], params=(
-        values["theta1"], values["theta2"], values["theta3"]))
-    bound = graph_lower_bound(spec)
-    row = {"nodes": values["nodes"], "theta1": values["theta1"],
-           "theta2": values["theta2"], "theta3": values["theta3"],
-           "bound": bound, "scaled_lrep": None}
+    graph, nodes = KINDS["graph"], values["nodes"]
+    theta = graph.read(values)
+    spec = GraphModelSpec(nodes, params=theta)
+    row = {"nodes": nodes, **dict(zip(graph.needs, theta)),
+           "bound": graph_lower_bound(spec), "scaled_lrep": None}
     if 2**spec.n_edges <= values["budget"]:
-        row["scaled_lrep"] = lrep(make_graph_model(
-            spec, budget=values["budget"])).scaled_lrep
-    return _csv(["nodes", "theta1", "theta2", "theta3", "bound", "scaled_lrep"],
-                [row])
+        row["scaled_lrep"] = lrep(graph.family(nodes, values)(theta)).scaled_lrep
+    return _csv([row])
 
 
 def cmd_gibbs(values: dict) -> str:
@@ -392,39 +391,32 @@ def cmd_gibbs(values: dict) -> str:
     rows = [{"sweep": s, "outcome_index": idx, "log_prob": lp, "in_modal_set": m}
             for s, (idx, lp, m) in enumerate(zip(trace.tolist(), logp[trace].tolist(),
                                                  mask[trace].tolist()), 1)]
-    return _csv(["sweep", "outcome_index", "log_prob", "in_modal_set"],
-                rows, comments)
+    return _csv(rows, comments)
 
 
 def cmd_mh(values: dict) -> str:
     _require(values, "model", "data")
     if values["model"] not in SIZED_KINDS:
         raise ConfigError("mh needs a bernoulli, multinomial or graph family")
-    family, default_theta = model_family_from(values)
+    kind, family = model_family(values)
     data = tuple(int(v) for v in values["data"].split(","))
     theta0 = values["theta0"]
     if theta0 is None:
-        if default_theta is None:
-            raise ConfigError("give --theta0 or the family's parameter flags")
-        theta0 = np.atleast_1d(np.asarray(default_theta, dtype=np.float64))
+        theta0 = kind.read(values)
     log_prior = _parse_prior(values["prior"])
     config = ChainConfig(n_sweeps=values["steps"], seed=values["seed"])
     result = run_param_mh(family, data, config, theta0=theta0,
                           step_size=values["step_size"], log_prior=log_prior)
-    k = result.thetas.shape[1]
-    columns = ["step"] + [f"theta_{i}" for i in range(k)] + ["accepted", "log_alpha"]
-    rows = []
-    for step in range(result.accepted.size):
-        row = {"step": step + 1, "accepted": bool(result.accepted[step]),
-               "log_alpha": float(result.log_alphas[step])}
-        for i in range(k):
-            row[f"theta_{i}"] = float(result.thetas[step + 1, i])
-        rows.append(row)
+    rows = [{"step": step + 1,
+             **{f"theta_{i}": float(t) for i, t in enumerate(result.thetas[step + 1])},
+             "accepted": bool(result.accepted[step]),
+             "log_alpha": float(result.log_alphas[step])}
+            for step in range(result.accepted.size)]
     comments = [f"acceptance_rate = {result.acceptance_rate!r}",
                 f"seed = {values['seed']}",
                 f"step_size = {values['step_size']!r}",
                 f"prior = {values['prior']}"]
-    return _csv(columns, rows, comments)
+    return _csv(rows, comments)
 
 
 def _parse_prior(text: str):
@@ -455,22 +447,15 @@ def cmd_score(values: dict) -> str:
         row["expected_position"] = expected_standardized_log_prob(model)
     except UniformModelError:
         pass
-    return _csv(["model", "n", "mu", "normalized_score", "expected_position"],
-                [row])
+    return _csv([row])
 
 
 def cmd_figure1(values: dict) -> str:
+    # every other figure1 option is a GridExperimentConfig field of that name
+    grid = {k: v for k, v in values.items() if k not in ("budget", "metrics")}
     metrics = tuple(m for m in values["metrics"].split(",") if m)
-    config = GridExperimentConfig(
-        n_visible=values["n_visible"], n_hidden=values["n_hidden"],
-        magnitude_min=values["magnitude_min"],
-        magnitude_max=values["magnitude_max"],
-        n_breaks=values["n_breaks"],
-        samples_per_point=values["samples_per_point"],
-        seed=values["seed"], metrics=metrics,
-    )
-    cells = run_figure1(config, budget=values["budget"])
-    return figure1_csv(cells, config)
+    config = GridExperimentConfig(**grid, metrics=metrics)
+    return figure1_csv(run_figure1(config, budget=values["budget"]), config)
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +543,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cli_dispatch(argv=None) -> int:
+def main(argv=None) -> int:
     """Run one subcommand; returns the process exit code."""
     try:
         args = build_parser().parse_args(argv)
-        _emit(args.func(merge_config(args, args.options)), args.out)
+        values = check_choices(merge_config(args, args.options), args.options)
+        # score tables are checked for finiteness; numpy's warnings add nothing
+        with np.errstate(all="ignore"):
+            _emit(args.func(values), args.out)
     except SystemExit as exc:
         return int(exc.code or 0)
     except BudgetExceededError as exc:
@@ -576,10 +564,6 @@ def cli_dispatch(argv=None) -> int:
         print(f"foeslab: error: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-def main(argv=None) -> int:
-    return cli_dispatch(argv)
 
 
 if __name__ == "__main__":

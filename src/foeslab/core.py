@@ -202,10 +202,7 @@ class FoesModel:
                     f"score_fn returned shape {scores.shape}, "
                     f"expected ({self.space.n_outcomes},)"
                 )
-            if not np.all(np.isfinite(scores)):
-                raise ValueError("model has a non-finite log-probability; "
-                                 "FOES models must support every outcome")
-            self._scores = scores
+            self._scores = _check_finite(scores)
         return self._scores
 
     def _score_table(self) -> np.ndarray:
@@ -225,6 +222,14 @@ class FoesModel:
     def log_prob(self, outcome) -> float:
         """Normalized log-probability of a single outcome vector."""
         return float(self.score(np.asarray(outcome))) - self.log_normalizer
+
+
+def _check_finite(scores: np.ndarray) -> np.ndarray:
+    """Return ``scores`` unchanged; raise ValueError if any is not finite."""
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("model has a non-finite log-probability; "
+                         "FOES models must support every outcome")
+    return scores
 
 
 def replicate(model: FoesModel, m: int) -> FoesModel:
@@ -263,10 +268,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _csv(columns: list[str], rows: list[dict], comments: list[str] = ()) -> str:
-    """CSV text: '# ' comment lines, a header, then one line per row."""
+def _csv(rows: list[dict], comments: list[str] = ()) -> str:
+    """CSV text: '# ' comment lines, the first row's keys, one line per row."""
+    columns = list(rows[0])
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_fmt(row.get(c)) for c in columns))
+        lines.append(",".join(_fmt(row[c]) for c in columns))
     return "\n".join(lines) + "\n"

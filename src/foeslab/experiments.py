@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_ENUMERATION_BUDGET, OutcomeSpace, _csv, _philox
+from .core import (DEFAULT_ENUMERATION_BUDGET, OutcomeSpace, _check_finite,
+                   _csv, _philox)
 from .metrics import _extremal_range, _one_flip_range
 from .zoo import _log2cosh
 
@@ -99,7 +100,8 @@ def run_figure1(config: GridExperimentConfig = GridExperimentConfig(),
     Cells are ordered with the main-effect axis outer and the interaction
     axis inner. Per draw, the visible model's unnormalized scores are
     evaluated directly on the enumerated visible space (hiddens summed
-    analytically), matching make_rbm_marginal.
+    analytically), matching make_rbm_marginal; a non-finite score raises
+    ValueError.
     """
     nv, nh = config.n_visible, config.n_hidden
     outcomes = OutcomeSpace(nv, (-1, 1)).all_outcomes(budget).astype(np.float64)
@@ -125,7 +127,7 @@ def run_figure1(config: GridExperimentConfig = GridExperimentConfig(),
             # scores for the whole batch: (n_outcomes, samples)
             z = (np.einsum("xi,sji->xsj", outcomes, theta_vh)
                  + theta_h[None, :, :])
-            scores = outcomes @ theta_v.T + _log2cosh(z).sum(axis=2)
+            scores = _check_finite(outcomes @ theta_v.T + _log2cosh(z).sum(axis=2))
 
             mean_lrep = mean_delta = float("nan")
             if "scaled_lrep" in config.metrics:
@@ -161,5 +163,4 @@ def figure1_csv(cells: list[GridCell], config: GridExperimentConfig) -> str:
              "mean_scaled_lrep": c.mean_scaled_lrep,
              "mean_delta_n": c.mean_delta_n, "n_samples": c.n_samples}
             for c in cells]
-    return _csv(["main_mag", "int_mag", "mean_scaled_lrep", "mean_delta_n",
-                 "n_samples"], rows, comments)
+    return _csv(rows, comments)

@@ -200,11 +200,8 @@ def graph_statistics(spec: GraphModelSpec, outcomes: np.ndarray) -> np.ndarray:
     g1 = x.sum(axis=1)
     deg = x @ spec.incidence()
     g2 = (deg * (deg - 1.0) / 2.0).sum(axis=1)
-    tri = spec.triangle_edges()
-    if tri.size:
-        g3 = (x[:, tri[:, 0]] * x[:, tri[:, 1]] * x[:, tri[:, 2]]).sum(axis=1)
-    else:
-        g3 = np.zeros(x.shape[0])
+    tri = spec.triangle_edges()  # nonempty: a spec has at least 3 nodes
+    g3 = (x[:, tri[:, 0]] * x[:, tri[:, 1]] * x[:, tri[:, 2]]).sum(axis=1)
     return np.stack([g1, g2, g3], axis=1)
 
 

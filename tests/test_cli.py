@@ -3,7 +3,9 @@
 import argparse
 import hashlib
 import math
+import os
 import shlex
+import subprocess
 import sys
 
 import numpy as np
@@ -94,6 +96,19 @@ class TestConfigFile:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and "comma-separated floats" in err
 
+    @pytest.mark.parametrize("argv, text", [
+        ("lrep --n 3", "model = foo"),
+        ("psr --n 3", "model = foo"),
+        ("gibbs --n 3", "model = foo"),
+        ("path --entries 4:1;5:1;6:1", "family = rbm_joint"),
+    ])
+    def test_value_outside_choices(self, tmp_path, capsys, argv, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text + "\n")
+        code, out, err = run_cli(capsys, *argv.split(), "--config", str(cfg))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         assert run_cli(capsys, "lrep", "--config", "/nonexistent.cfg")[0] == 2
 
@@ -104,6 +119,15 @@ class TestConfigFile:
 
 
 class TestOtherCommands:
+    def test_lrep_uniform(self, capsys):
+        code, out, _ = run_cli(capsys, "lrep", "--model", "uniform", "--n", "3",
+                               "--alphabet-size", "3")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows == [{"model": "uniform", "n": "3", "lrep": "0.0",
+                         "scaled_lrep": "0.0", "delta_n": "0.0",
+                         "argmax_index": "0", "argmin_index": "0"}]
+
     def test_delta(self, capsys):
         code, out, _ = run_cli(capsys, "delta", "--model", "bernoulli",
                                "--n", "4", "--theta", "1.5")
@@ -213,6 +237,14 @@ class TestOtherCommands:
         assert sum(mu) == pytest.approx(4.0, abs=1e-9)  # counts sum to n
         assert rows[0]["normalized_score"] == ""  # one-parameter only
 
+    def test_score_uniform_model_has_no_position(self, capsys):
+        code, out, _ = run_cli(capsys, "score", "--model", "bernoulli",
+                               "--n", "3", "--theta", "0")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows[0]["expected_position"] == ""
+        assert float(rows[0]["normalized_score"]) == pytest.approx(0.5)
+
     def test_gibbs_trace_schema(self, capsys):
         code, out, _ = run_cli(capsys, "gibbs", "--model", "bernoulli",
                                "--n", "4", "--theta", "0.5", "--sweeps", "50",
@@ -239,6 +271,30 @@ class TestOtherCommands:
         assert header == ["step", "theta_0", "accepted", "log_alpha"]
         assert len(rows) == 50
         assert "# acceptance_rate" in out
+
+    def test_mh_starts_from_family_flags(self, capsys):
+        args = ("mh", "--model", "bernoulli", "--n", "3", "--data", "1,1,0",
+                "--steps", "2")
+        code, out, _ = run_cli(capsys, *args, "--theta", "1")
+        assert code == 0
+        assert out == run_cli(capsys, *args, "--theta0", "1")[1]
+
+    def test_mh_normal_prior(self, capsys):
+        code, out, _ = run_cli(capsys, "mh", "--model", "bernoulli", "--n", "3",
+                               "--theta", "1", "--data", "1,1,0", "--steps", "2",
+                               "--prior", "normal:2")
+        assert code == 0
+        assert "# prior = normal:2" in out
+        assert len(parse_csv(out)[1]) == 2
+
+    def test_mh_multinomial_theta0_sets_categories(self, capsys):
+        code, out, _ = run_cli(capsys, "mh", "--model", "multinomial", "--n", "3",
+                               "--data", "1,2,3", "--theta0", "1,2,3",
+                               "--steps", "2")
+        assert code == 0
+        header, _ = parse_csv(out)
+        assert header == ["step", "theta_0", "theta_1", "theta_2", "accepted",
+                          "log_alpha"]
 
     def test_mh_bad_prior(self, capsys):
         assert run_cli(capsys, "mh", "--model", "bernoulli", "--n", "4",
@@ -304,11 +360,52 @@ class TestExitCodes:
          "params must be (theta,)"),
         ("mh --model graph --nodes 3 --data 1,1,1 --theta0 1,2 --steps 4",
          "params must be (theta1, theta2, theta3)"),
+        ("mh --model multinomial --n 3 --thetas 1,2 --data 1,2,1 "
+         "--theta0 1,2,3 --steps 2", "params must be"),
+        ("bounds --random-draws 1 --n-visible 2 --half-width inf", "half_width"),
+        ("bounds --random-draws 1 --n-visible 2 --half-width nan", "half_width"),
+        ("bounds --random-draws 1 --n-visible 2 --half-width 1e308", "half_width"),
+        ("bounds --random-draws 1 --n-visible 2 --half-width -1", "half_width"),
+        ("figure1 --n-breaks 2 --samples-per-point 1 --magnitude-max 1e306",
+         "non-finite log-probability"),
+        ("figure1 --n-breaks 2 --samples-per-point 1 --magnitude-max 1e307",
+         "non-finite log-probability"),
+        ("figure1 --n-breaks 2 --samples-per-point 1 --magnitude-max inf",
+         "non-finite log-probability"),
+        ("lrep --model bernoulli --n 3 --theta 1e308",
+         "non-finite log-probability"),
     ])
     def test_out_of_range_value(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv.split())
         assert (code, out) == (2, "")
         assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize("argv", [
+        "mh --model bernoulli --n 3 --data 1,1,0 --steps 2",
+        "mh --model bernoulli --n 3 --theta 1 --data 1,1,0 --steps 2 "
+        "--prior normal:0",
+        "psr --model multinomial --n 3",
+        "psr --model uniform --n 3",
+        "score --model rbm_joint --n-visible 2 --theta-v 1,2",
+    ])
+    def test_rejected_input_is_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        "lrep --model bernoulli --n 3 --theta 1e308",
+        "figure1 --n-breaks 2 --samples-per-point 1 --magnitude-max 1e307",
+    ])
+    def test_overflow_is_one_line_in_a_process(self, argv):
+        # pytest records numpy's warnings itself, so only a separate process
+        # shows what reaches stderr
+        src = os.path.dirname(os.path.dirname(foeslab.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "foeslab", *argv.split()],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.count("\n") == 1
 
     def test_memory_error_is_budget_exit(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
