@@ -20,6 +20,9 @@ import numpy as np
 # Exceeding it raises BudgetExceededError; there is no silent truncation.
 DEFAULT_ENUMERATION_BUDGET = 2**24
 
+# Largest chunk OutcomeSpace.tabulate hands to its function at once.
+_CHUNK_OUTCOMES = 2**16
+
 # Normalized log-probabilities are plain floats on the natural-log scale.
 LogProb = float
 
@@ -129,9 +132,11 @@ class OutcomeSpace:
     def all_outcomes(self, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
         """Dense (n_outcomes, n_variables) matrix of all outcome vectors.
 
-        Built one variable column at a time with progressive division, so
-        peak memory stays near the output size even at the budget cap; the
-        symbol dtype is int8 whenever the alphabet fits.
+        Built one variable column at a time with progressive division; the
+        symbol dtype is int8 whenever the alphabet fits. The matrix is
+        n_outcomes * n_variables bytes (384 MB for 24 variables at the
+        budget cap), and a scorer's float64 copy is 8 times that, so callers
+        that need only a value per outcome use ``tabulate`` instead.
         """
         self.check_budget(budget)
         k = self.alphabet_size
@@ -144,6 +149,39 @@ class OutcomeSpace:
             out[:, i] = alpha[scratch % k]
             np.floor_divide(scratch, k, out=scratch)
         return out
+
+    def tabulate(self, fn: Callable[[np.ndarray], np.ndarray],
+                 budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
+        """``fn``'s values for every outcome, in index order, built chunk by chunk.
+
+        ``fn`` maps an (m, n_variables) outcome array to an array with m
+        rows. The low m digits, with k^m the largest power of the alphabet
+        size that fits in a chunk, are enumerated once; each chunk is a copy
+        of that block with the remaining digits held constant, so it covers
+        one aligned run of k^m indices. Peak memory is the table plus one
+        chunk. The table keeps the shape and memory layout of ``fn``'s
+        output, so later matrix products round as on a dense table.
+        """
+        self.check_budget(budget)
+        k, n = self.alphabet_size, self.n_variables
+        m = 1
+        while m < n and k ** (m + 1) <= _CHUNK_OUTCOMES:
+            m += 1
+        low = OutcomeSpace(m, self.alphabet).all_outcomes(budget)
+        rows = low.shape[0]
+        table = None
+        for c in range(k ** (n - m)):
+            chunk = np.empty((rows, n), dtype=low.dtype)
+            chunk[:, :m] = low
+            chunk[:, m:] = self.decode(c * rows)[m:]
+            out = np.asarray(fn(chunk))
+            if out.shape[:1] != (rows,):
+                raise ValueError(f"score_fn returned shape {out.shape} "
+                                 f"for a chunk of {rows} outcomes")
+            if table is None:
+                table = np.empty_like(out, shape=(self.n_outcomes, *out.shape[1:]))
+            table[c * rows:(c + 1) * rows] = out
+        return table
 
 
 def _one_flip_shape(n_variables: int, k: int, i: int) -> tuple[int, int, int]:
@@ -207,7 +245,7 @@ class FoesModel:
 
     def _score_table(self) -> np.ndarray:
         # unchecked scores of every outcome; scores() validates and caches
-        return self.score_fn(self.space.all_outcomes(self.budget))
+        return self.space.tabulate(self.score_fn, self.budget)
 
     @property
     def log_normalizer(self) -> float:

@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CertificateError, FoesModel, UniformModelError, _one_flip_shape
+from .core import (CertificateError, FoesModel, UniformModelError, _check_finite,
+                   _one_flip_shape)
 from .zoo import GraphModelSpec, LinearExpFamily, graph_statistics
 
 # Outcomes whose log-probability falls within this distance below a modal
@@ -57,8 +58,13 @@ def _one_flip_range(table: np.ndarray, n_variables: int, k: int) -> np.ndarray:
     best = np.zeros(draws)
     for i in range(n_variables):
         block = table.reshape(*_one_flip_shape(n_variables, k, i), *draws)
-        spread = block.max(axis=1) - block.min(axis=1)
-        np.maximum(best, spread.max(axis=(0, 1)), out=best)
+        # the largest pairwise |difference| is max - min exactly: rounding
+        # is monotone and fl(a - b) = -fl(b - a)
+        for j in range(1, k):
+            for jp in range(j):
+                spread = block[:, j] - block[:, jp]
+                np.abs(spread, out=spread)
+                np.maximum(best, spread.max(axis=(0, 1)), out=best)
     return best
 
 
@@ -232,9 +238,10 @@ def graph_lower_bound(spec: GraphModelSpec) -> float:
     t1, t2, t3 = spec.params
     branch1 = abs(t2 + t3 / 3.0 + t1 / (n - 2.0))
     branch2 = n / (4.0 * (n - 1.0)) * abs(t2 + 2.0 * t1 / (n - 2.0))
+    closed1, closed2 = (n - 2.0) * branch1, (n - 2.0) * branch2
     direct1, direct2 = _graph_bound_branches(spec)
-    for closed, direct in (((n - 2.0) * branch1, direct1),
-                           ((n - 2.0) * branch2, direct2)):
+    _check_finite(np.array([closed1, closed2, direct1, direct2]))
+    for closed, direct in ((closed1, direct1), (closed2, direct2)):
         if not abs(closed - direct) <= 1e-10 * max(1.0, direct):
             raise CertificateError(
                 f"graph bound branch {closed!r} disagrees with direct "

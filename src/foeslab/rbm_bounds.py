@@ -25,11 +25,12 @@ false inequalities (see tests/test_rbm_bounds.py for a counterexample).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .core import CertificateError, DEFAULT_ENUMERATION_BUDGET, OutcomeSpace
+from .core import (CertificateError, DEFAULT_ENUMERATION_BUDGET, OutcomeSpace,
+                   _check_finite)
 from .metrics import PathThresholds, _extremal_range, classify_trend
 from .zoo import RbmParams, make_rbm_marginal, rbm_joint_score
 
@@ -152,6 +153,8 @@ def bounds_report(params: RbmParams,
 
 
 def _assert_proven(r: RbmBoundsReport) -> None:
+    # overflowing parameters are bad input, not a violated certificate
+    _check_finite(np.array([v for v in astuple(r) if v is not None], dtype=np.float64))
     checks = []
     if r.b_n is not None:
         checks += [

@@ -78,9 +78,9 @@ class LinearExpFamily(FoesModel):
     def statistic_values(self) -> np.ndarray:
         """(n_outcomes, k) matrix of statistic values, enumerated and cached."""
         if self._stat_values is None:
-            self._stat_values = _statistic_matrix(
-                self.stat_fn, self.space.all_outcomes(self.budget),
-                self.params.size)
+            self._stat_values = self.space.tabulate(
+                lambda x: _statistic_matrix(self.stat_fn, x, self.params.size),
+                self.budget)
         return self._stat_values
 
     def statistic_extremes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -325,9 +325,7 @@ def make_rbm_marginal(params: RbmParams,
         base = x @ params.visible
         if params.n_hidden == 0:
             return base
-        z = x @ params.interaction.T
-        del x  # free the float64 outcomes before _log2cosh's temporaries
-        z += params.hidden
+        z = x @ params.interaction.T + params.hidden
         return base + _log2cosh(z).sum(axis=1)
 
     space = OutcomeSpace(params.n_visible, (-1, 1))

@@ -374,6 +374,10 @@ class TestExitCodes:
          "non-finite log-probability"),
         ("lrep --model bernoulli --n 3 --theta 1e308",
          "non-finite log-probability"),
+        ("lowerbound --nodes 4 --theta2 1e308 --budget 1",
+         "non-finite log-probability"),
+        ("bounds --n-visible 2 --theta-v 1e308,1e308",
+         "non-finite log-probability"),
     ])
     def test_out_of_range_value(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv.split())
@@ -534,3 +538,21 @@ def test_readme_bounds_evaluates_visible_absum_once_per_draw(capsys, monkeypatch
     code, out, _ = run_cli(capsys, *shlex.split(command))
     assert code == 0 and len(calls) == 10
     assert hashlib.sha256(out.encode()).hexdigest() == README_EXAMPLES[command]
+
+
+def test_lrep_at_two_to_the_21_peaks_near_its_score_table(tmp_path):
+    # a 7-node graph has 2^21 outcomes and a 16 MB score table; building
+    # the table chunk by chunk keeps the process far below the 2 GB that a
+    # dense float64 copy of the outcome matrix would take
+    src = os.path.dirname(os.path.dirname(foeslab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    child = ("import resource, sys\n"
+             "from foeslab.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    argv = ["lrep", "--model", "graph", "--nodes", "7", "--theta1", "0.3",
+            "--theta2", "-0.2", "--theta3", "0.5", "--out", str(tmp_path / "lrep.csv")]
+    proc = subprocess.run([sys.executable, "-c", child, *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.stdout.split()[:1] == ["0"], proc.stderr
+    assert int(proc.stdout.split()[1]) < 512 * 1024

@@ -1,16 +1,19 @@
 """Outcome-space encoding, normalization and replication invariants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from foeslab import (
     BudgetExceededError,
+    DbmParams,
     FoesModel,
     OutcomeSpace,
     log_sum_exp,
     make_bernoulli,
+    make_dbm_marginal,
     make_graph_model,
     make_multinomial,
     make_rbm_joint,
@@ -20,7 +23,9 @@ from foeslab import (
     GraphModelSpec,
     RbmParams,
 )
+from foeslab.core import _CHUNK_OUTCOMES
 from foeslab.metrics import lrep
+from foeslab.zoo import _statistic_matrix
 
 ZOO_SMALL = [
     make_uniform(3, 2),
@@ -184,3 +189,115 @@ class TestReplicate:
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             replicate(make_uniform(2, 2), 0)
+
+
+def _rbm(seed, n_visible, n_hidden):
+    rng = np.random.default_rng(seed)
+    return RbmParams(rng.uniform(-2, 2, n_visible), rng.uniform(-2, 2, n_hidden),
+                     rng.uniform(-2, 2, (n_hidden, n_visible)))
+
+
+def _dbm(seed, n_visible):
+    rng = np.random.default_rng(seed)
+    return DbmParams(rng.uniform(-1, 1, n_visible), (rng.uniform(-1, 1, 1),),
+                     (rng.uniform(-1, 1, (1, n_visible)),))
+
+
+# every zoo family on a space that takes several chunks
+CHUNKED_ZOO = {
+    "uniform-17": lambda: make_uniform(17, 2),
+    "bernoulli-18": lambda: make_bernoulli(18, -0.6),
+    "multinomial-3x11": lambda: make_multinomial(11, [0.3, -1.1, 2.0]),
+    "multinomial-4x9": lambda: make_multinomial(9, [0.3, -1.1, 2.0, 0.7]),
+    "graph-7": lambda: make_graph_model(GraphModelSpec(7, params=(0.3, -0.7, 1.1))),
+    "rbm_joint-10+8": lambda: make_rbm_joint(_rbm(1, 10, 8)),
+    "rbm_marginal-18": lambda: make_rbm_marginal(_rbm(2, 18, 4)),
+    "dbm_marginal-17+1": lambda: make_dbm_marginal(_dbm(3, 17)),
+    "replicate-multinomial": lambda: replicate(
+        make_multinomial(6, [0.1, 0.2, -0.5]), 2),
+}
+LINEAR = ("bernoulli-18", "multinomial-3x11", "multinomial-4x9", "graph-7")
+
+
+class TestTabulate:
+    """Chunked tables against the dense route fn(space.all_outcomes())."""
+
+    @pytest.mark.parametrize("name", [n for n in CHUNKED_ZOO if n not in LINEAR])
+    def test_scores_match_dense_route(self, name):
+        model = CHUNKED_ZOO[name]()
+        assert model.space.n_outcomes > _CHUNK_OUTCOMES
+        dense = np.asarray(model.score_fn(model.space.all_outcomes()),
+                           dtype=np.float64)
+        assert model.scores().tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("name", LINEAR)
+    def test_linear_tables_match_dense_route(self, name):
+        # one dense statistic pass serves both tables: a linear score_fn is
+        # the statistic matrix times params
+        model = CHUNKED_ZOO[name]()
+        assert model.space.n_outcomes > _CHUNK_OUTCOMES
+        dense = _statistic_matrix(model.stat_fn, model.space.all_outcomes(),
+                                  model.n_params)
+        assert model.scores().tobytes() == (dense @ model.params).tobytes()
+        stats = model.statistic_values()
+        assert stats.tobytes() == dense.tobytes()
+        assert stats.flags.f_contiguous == dense.flags.f_contiguous
+        assert stats.flags.c_contiguous == dense.flags.c_contiguous
+
+    @pytest.mark.parametrize("model", ZOO_SMALL, ids=lambda m: m.family)
+    def test_single_chunk_matches_dense_route(self, model):
+        dense = np.asarray(model.score_fn(model.space.all_outcomes()),
+                           dtype=np.float64)
+        assert model.scores().tobytes() == dense.tobytes()
+
+    def test_chunks_are_aligned_index_runs(self):
+        # 3^11 outcomes: chunks of 3^10 with variable 10 held constant
+        space = OutcomeSpace(11, (1, 2, 3))
+        seen = []
+
+        def fn(chunk):
+            seen.append(chunk.copy())
+            return chunk
+
+        table = space.tabulate(fn)
+        assert [c.shape for c in seen] == [(3**10, 11)] * 3
+        assert [set(c[:, 10]) for c in seen] == [{1}, {2}, {3}]
+        assert np.array_equal(table, space.all_outcomes())
+
+    def test_over_budget_raises_before_any_work(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(OutcomeSpace, "all_outcomes",
+                            lambda *args, **kwargs: calls.append(args))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                OutcomeSpace(30, (0, 1)).tabulate(calls.append, budget=2**29)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == []
+        assert peak < 2**16
+
+    @pytest.mark.parametrize("n", [3, 18])
+    def test_wrong_row_count_keeps_the_shape_error(self, n):
+        model = FoesModel(OutcomeSpace(n, (0, 1)),
+                          lambda x: np.zeros(x.shape[0] - 1))
+        with pytest.raises(ValueError, match=r"^score_fn returned shape \("):
+            model.scores()
+
+    def test_wrong_width_keeps_the_shape_error(self):
+        model = FoesModel(OutcomeSpace(18, (0, 1)),
+                          lambda x: np.zeros((x.shape[0], 2)))
+        with pytest.raises(ValueError, match=r"^score_fn returned shape \(262144, 2\)"):
+            model.scores()
+
+    def test_peak_memory_is_the_table_plus_one_chunk(self):
+        model = make_bernoulli(22, 0.4)
+        table_bytes = model.space.n_outcomes * 8
+        tracemalloc.start()
+        try:
+            model.scores()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * table_bytes

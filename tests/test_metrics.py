@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foeslab import (
     GraphModelSpec,
@@ -27,7 +28,8 @@ from foeslab import (
     modal_set,
     standardized_log_prob,
 )
-from foeslab.metrics import ParameterPath, PathThresholds
+from foeslab.core import CertificateError, _one_flip_shape
+from foeslab.metrics import ParameterPath, PathThresholds, _one_flip_range
 
 
 def logistic(z):
@@ -333,3 +335,71 @@ class TestClassifyPath:
             ParameterPath(self.bernoulli_family(),
                           ((4, np.array([1.0])), (4, np.array([1.0])),
                            (6, np.array([1.0]))))
+
+
+def _max_minus_min_one_flip_range(table, n_variables, k):
+    """The per-block max - min form that _one_flip_range replaced."""
+    draws = table.shape[1:]
+    best = np.zeros(draws)
+    for i in range(n_variables):
+        block = table.reshape(*_one_flip_shape(n_variables, k, i), *draws)
+        spread = block.max(axis=1) - block.min(axis=1)
+        np.maximum(best, spread.max(axis=(0, 1)), out=best)
+    return best
+
+
+def _brute_one_flip_range(table, n_variables, k):
+    """Largest |difference| over every decoded pair of outcomes one flip apart."""
+    space = OutcomeSpace(n_variables, tuple(range(k)))
+    best = np.zeros(table.shape[1:])
+    for a in range(space.n_outcomes):
+        x = space.decode(a)
+        for i in range(n_variables):
+            for symbol in range(k):
+                if symbol != x[i]:
+                    y = x.copy()
+                    y[i] = symbol
+                    b = space.encode(y)
+                    np.maximum(best, np.abs(table[a] - table[b]), out=best)
+    return best
+
+
+@st.composite
+def one_flip_tables(draw):
+    k = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, {2: 6, 3: 4, 4: 3}[k]))
+    draws = draw(st.sampled_from([(), (1,), (3,)]))
+    size = k**n * int(np.prod(draws, dtype=np.int64))
+    # a small value pool makes exact ties and repeated differences common
+    pool = st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1, 0.2, 0.3, 1e308, -1e308])
+    values = draw(st.lists(st.one_of(pool, st.floats(allow_nan=False,
+                                                     allow_infinity=False)),
+                           min_size=size, max_size=size))
+    return np.array(values, dtype=np.float64).reshape(k**n, *draws), n, k
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=one_flip_tables())
+def test_one_flip_range_equals_max_minus_min_and_brute_force(case):
+    table, n, k = case
+    with np.errstate(over="ignore"):  # +-1e308 differences overflow to inf
+        got = _one_flip_range(table, n, k)
+        old = _max_minus_min_one_flip_range(table, n, k)
+        brute = _brute_one_flip_range(table, n, k)
+    assert got.shape == table.shape[1:]
+    assert np.array_equal(got, old)
+    assert np.array_equal(got, brute)
+
+
+def test_graph_bound_with_finite_disagreement_is_a_certificate_error(monkeypatch):
+    import foeslab.metrics
+
+    monkeypatch.setattr(foeslab.metrics, "_graph_bound_branches",
+                        lambda spec: (1.0, 2.0))
+    with pytest.raises(CertificateError, match="disagrees"):
+        graph_lower_bound(GraphModelSpec(4, params=(0.0, 1.0, 0.0)))
+
+
+def test_graph_bound_overflow_is_bad_input():
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        graph_lower_bound(GraphModelSpec(4, params=(0.0, 1e308, 0.0)))

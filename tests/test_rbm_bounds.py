@@ -21,6 +21,7 @@ from foeslab import (
     stability_conditions,
     visible_extremes_by_hidden,
 )
+from foeslab.core import CertificateError
 from foeslab.metrics import PathThresholds
 from foeslab.rbm_bounds import hidden_absum, visible_absum
 
@@ -274,3 +275,18 @@ def test_certificates_survive_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", CERTIFICATES_UNDER_O],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.stdout.split() == ["1", "True", "rbm", "graph"], proc.stderr
+
+
+def test_finite_violation_is_a_certificate_error(monkeypatch):
+    import foeslab.rbm_bounds
+
+    original = foeslab.rbm_bounds.hidden_extremes_by_visible
+    monkeypatch.setattr(foeslab.rbm_bounds, "hidden_extremes_by_visible",
+                        lambda params, x: tuple(10.0 * v for v in original(params, x)))
+    with pytest.raises(CertificateError, match="proven bound violated"):
+        bounds_report(RbmParams([0.5, -1.0], [0.3], [[0.7, 0.2]]))
+
+
+def test_overflow_is_bad_input_not_a_certificate_error():
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+        bounds_report(RbmParams([1e308, 1e308], [0.3], [[0.7, 0.2]]))

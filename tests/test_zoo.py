@@ -155,6 +155,11 @@ class TestGraphModel:
     lambda: make_bernoulli(7, -1.3),
     lambda: make_multinomial(4, [0.7, -1.1, 0.25]),
     lambda: make_graph_model(GraphModelSpec(5, params=(-0.4, 0.3, 0.9))),
+    # spaces that take several chunks; the graph statistic table is
+    # F-ordered, and a C-ordered copy would round some scores differently
+    lambda: make_bernoulli(18, -1.3),
+    lambda: make_multinomial(11, [0.7, -1.1, 0.25]),
+    lambda: make_graph_model(GraphModelSpec(7, params=(-0.4, 0.3, 0.9))),
 ])
 def test_score_table_from_statistics_is_bitwise_equal(build):
     # a linear family scores through score_fn until its statistic table is
