@@ -427,8 +427,10 @@ def _parse_prior(text: str):
             scale = float(text.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad prior spec {text!r}") from exc
-        if scale <= 0:
-            raise ConfigError("normal prior scale must be positive")
+        # scale * scale overflows to inf where scale**2 would raise
+        if not (scale > 0 and 0 < scale * scale < math.inf):
+            raise ConfigError("normal prior scale must be positive, "
+                              f"with a positive finite square: got {scale!r}")
         return lambda th: float(-0.5 * np.sum(np.asarray(th)**2) / scale**2)
     raise ConfigError(f"unknown prior {text!r} (use 'flat' or 'normal:SCALE')")
 

@@ -136,7 +136,10 @@ class OutcomeSpace:
         symbol dtype is int8 whenever the alphabet fits. The matrix is
         n_outcomes * n_variables bytes (384 MB for 24 variables at the
         budget cap), and a scorer's float64 copy is 8 times that, so callers
-        that need only a value per outcome use ``tabulate`` instead.
+        that need only a value per outcome use ``tabulate`` instead. The
+        callers that keep rows are ``tabulate`` for its low block,
+        ``run_figure1`` (each grid cell rescores the visible rows) and
+        ``make_dbm_marginal`` (the hidden configurations).
         """
         self.check_budget(budget)
         k = self.alphabet_size

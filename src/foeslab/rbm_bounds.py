@@ -121,9 +121,11 @@ def bounds_report(params: RbmParams,
 
     b_n = c_n = lrep_joint = a_hidden_first = lower_witness = None
     if hidden_ok:
-        hall = (OutcomeSpace(nh, (-1, 1)).all_outcomes(budget) if nh
-                else np.zeros((1, 0)))
-        center, a_vals = _visible_profile(params, hall)
+        # both tables are (2, m) arrays transposed: tabulate keeps that
+        # layout, so each column stays contiguous for the reductions
+        profile = lambda h: np.array(_visible_profile(params, h)).T
+        center, a_vals = (OutcomeSpace(nh, (-1, 1)).tabulate(profile, budget) if nh
+                          else profile(np.zeros((1, 0)))).T
         lo, hi = center - a_vals, center + a_vals
         b_n = float(a_vals.max())
         c_n = float(a_vals.min())
@@ -134,10 +136,11 @@ def bounds_report(params: RbmParams,
 
     a_n = lrep_marginal = None
     if visible_ok:
-        xall = OutcomeSpace(n, (-1, 1)).all_outcomes(budget)
-        a_n = float(_extremal_range(hidden_extremes_by_visible(params, xall)[1]))
-        marginal = make_rbm_marginal(params, budget=budget).score(xall)
-        lrep_marginal = float(_extremal_range(marginal))
+        marginal = make_rbm_marginal(params, budget=budget)
+        table = OutcomeSpace(n, (-1, 1)).tabulate(
+            lambda x: np.array((hidden_extremes_by_visible(params, x)[1],
+                                marginal.score(x))).T, budget)
+        a_n, lrep_marginal = (float(v) for v in _extremal_range(table))
 
     report = RbmBoundsReport(
         n_visible=n, n_hidden=nh,

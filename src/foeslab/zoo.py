@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_ENUMERATION_BUDGET,
-    BudgetExceededError,
     FoesModel,
     OutcomeSpace,
 )
@@ -322,11 +321,8 @@ def make_rbm_marginal(params: RbmParams,
 
     def score_fn(outcomes: np.ndarray) -> np.ndarray:
         x = outcomes.astype(np.float64)
-        base = x @ params.visible
-        if params.n_hidden == 0:
-            return base
         z = x @ params.interaction.T + params.hidden
-        return base + _log2cosh(z).sum(axis=1)
+        return x @ params.visible + _log2cosh(z).sum(axis=1)
 
     space = OutcomeSpace(params.n_visible, (-1, 1))
     return FoesModel(space, score_fn, family="rbm_marginal", budget=budget)
@@ -360,6 +356,8 @@ class DbmParams:
         if len(self.couplings) != m:
             raise ValueError("need one coupling matrix per hidden layer")
         sizes = self.layer_sizes
+        if min(sizes[1:]) < 1:
+            raise ValueError("every hidden layer needs at least one unit")
         if self.couplings[0].shape != (sizes[1], sizes[0]):
             raise ValueError("couplings[0] must have shape (n_h1, n_visible)")
         for i in range(1, m):
@@ -383,20 +381,12 @@ def make_dbm_marginal(params: DbmParams,
     """Visible DBM model, hidden layers summed out by full enumeration."""
     sizes = params.layer_sizes
     n = sizes[0]
-    total = sum(sizes)
-    if 2**total > budget:
-        raise BudgetExceededError(
-            f"2^{total} joint outcomes exceed the enumeration budget {budget}"
-        )
-    hidden_total = total - n
-    hspace = OutcomeSpace(max(hidden_total, 1), (-1, 1))
-    if hidden_total == 0:
-        hall = np.zeros((1, 0))
-    else:
-        hall = hspace.all_outcomes(budget).astype(np.float64)
+    OutcomeSpace(sum(sizes), (-1, 1)).check_budget(budget)
+    hspace = OutcomeSpace(sum(sizes[1:]), (-1, 1))
+    hall = hspace.all_outcomes(budget).astype(np.float64)
     # split the flat hidden enumeration into per-layer blocks
     splits = np.cumsum(sizes[1:])[:-1]
-    layers = np.split(hall, splits, axis=1) if hidden_total else []
+    layers = np.split(hall, splits, axis=1)
 
     # per-hidden-configuration constant: biases plus layer-to-layer terms
     const = np.zeros(hall.shape[0])
@@ -408,8 +398,6 @@ def make_dbm_marginal(params: DbmParams,
     def score_fn(outcomes: np.ndarray) -> np.ndarray:
         x = outcomes.astype(np.float64)
         base = x @ params.visible_bias
-        if not layers:
-            return base
         cross = layers[0] @ params.couplings[0] @ x.T  # (n_hidden_conf, m)
         joint = const[:, None] + cross
         m = joint.max(axis=0)

@@ -378,6 +378,12 @@ class TestExitCodes:
          "non-finite log-probability"),
         ("bounds --n-visible 2 --theta-v 1e308,1e308",
          "non-finite log-probability"),
+        ("mh --model bernoulli --n 3 --theta 1 --data 1,1,0 --steps 2 "
+         "--prior normal:nan", "normal prior scale"),
+        ("mh --model bernoulli --n 3 --theta 1 --data 1,1,0 --steps 2 "
+         "--prior normal:1e-200", "normal prior scale"),
+        ("mh --model bernoulli --n 3 --theta 1 --data 1,1,0 --steps 2 "
+         "--prior normal:1e200", "normal prior scale"),
     ])
     def test_out_of_range_value(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv.split())
@@ -540,19 +546,46 @@ def test_readme_bounds_evaluates_visible_absum_once_per_draw(capsys, monkeypatch
     assert hashlib.sha256(out.encode()).hexdigest() == README_EXAMPLES[command]
 
 
+# The child reports VmHWM, its own peak RSS: its ru_maxrss would also
+# count the peak of the test process it was forked from.
+PEAK_RSS_CHILD = """
+import resource, sys
+from foeslab.cli import main
+code = main(sys.argv[1:])
+try:
+    peak = next(line.split()[1] for line in open("/proc/self/status")
+                if line.startswith("VmHWM:"))
+except OSError:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(code, peak)
+"""
+
+
+def child_peak_kb(tmp_path, argv: str) -> int:
+    """Peak RSS in KB of one CLI run in a fresh process; it must exit 0."""
+    src = os.path.dirname(os.path.dirname(foeslab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_CHILD, *argv.split(),
+                           "--out", str(tmp_path / "out.csv")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.stdout.split()[:1] == ["0"], proc.stderr
+    return int(proc.stdout.split()[1])
+
+
 def test_lrep_at_two_to_the_21_peaks_near_its_score_table(tmp_path):
     # a 7-node graph has 2^21 outcomes and a 16 MB score table; building
     # the table chunk by chunk keeps the process far below the 2 GB that a
     # dense float64 copy of the outcome matrix would take
-    src = os.path.dirname(os.path.dirname(foeslab.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    child = ("import resource, sys\n"
-             "from foeslab.cli import main\n"
-             "code = main(sys.argv[1:])\n"
-             "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-    argv = ["lrep", "--model", "graph", "--nodes", "7", "--theta1", "0.3",
-            "--theta2", "-0.2", "--theta3", "0.5", "--out", str(tmp_path / "lrep.csv")]
-    proc = subprocess.run([sys.executable, "-c", child, *argv],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.stdout.split()[:1] == ["0"], proc.stderr
-    assert int(proc.stdout.split()[1]) < 512 * 1024
+    argv = ("lrep --model graph --nodes 7 --theta1 0.3 --theta2 -0.2 "
+            "--theta3 0.5")
+    assert child_peak_kb(tmp_path, argv) < 512 * 1024
+
+
+@pytest.mark.parametrize("argv", [
+    "bounds --n-visible 22 --random-draws 1",
+    "bounds --n-visible 2 --n-hidden 22 --random-draws 1",
+])
+def test_bounds_at_two_to_the_22_peaks_near_its_tables(tmp_path, argv):
+    # each side is one two-column table of 2^22 rows (64 MB); the dense
+    # outcome matrix and its float64 copies took near 1 GB on either side
+    assert child_peak_kb(tmp_path, argv) < 512 * 1024

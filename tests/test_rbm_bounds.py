@@ -21,9 +21,10 @@ from foeslab import (
     stability_conditions,
     visible_extremes_by_hidden,
 )
-from foeslab.core import CertificateError
-from foeslab.metrics import PathThresholds
-from foeslab.rbm_bounds import hidden_absum, visible_absum
+from foeslab.core import CertificateError, OutcomeSpace, _philox
+from foeslab.metrics import PathThresholds, _extremal_range
+from foeslab.rbm_bounds import (RbmBoundsReport, _assert_proven, _visible_profile,
+                                hidden_absum, visible_absum)
 
 
 def fl_params(n, nh):
@@ -290,3 +291,69 @@ def test_finite_violation_is_a_certificate_error(monkeypatch):
 def test_overflow_is_bad_input_not_a_certificate_error():
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
         bounds_report(RbmParams([1e308, 1e308], [0.3], [[0.7, 0.2]]))
+
+
+def dense_bounds_report(params, budget=2**24):
+    """The dense-matrix bounds_report that the tabulated one replaced, kept
+    verbatim as the reference for its values."""
+    n, nh = params.n_visible, params.n_hidden
+    hidden_ok = 2**nh <= budget
+    visible_ok = 2**n <= budget
+
+    b_n = c_n = lrep_joint = a_hidden_first = lower_witness = None
+    if hidden_ok:
+        hall = (OutcomeSpace(nh, (-1, 1)).all_outcomes(budget) if nh
+                else np.zeros((1, 0)))
+        center, a_vals = _visible_profile(params, hall)
+        lo, hi = center - a_vals, center + a_vals
+        b_n = float(a_vals.max())
+        c_n = float(a_vals.min())
+        lrep_joint = float(hi.max() - lo.min())
+        a_hidden_first = float(hi.max() - lo.max())
+        # h* minimizes a(h) - h.theta_h, i.e. maximizes the lower profile
+        lower_witness = float(2.0 * a_vals[int(np.argmax(lo))])
+
+    a_n = lrep_marginal = None
+    if visible_ok:
+        xall = OutcomeSpace(n, (-1, 1)).all_outcomes(budget)
+        a_n = float(_extremal_range(hidden_extremes_by_visible(params, xall)[1]))
+        marginal = make_rbm_marginal(params, budget=budget).score(xall)
+        lrep_marginal = float(_extremal_range(marginal))
+
+    report = RbmBoundsReport(
+        n_visible=n, n_hidden=nh,
+        visible_l1=params.visible_l1, hidden_l1=params.hidden_l1,
+        interaction_l1=params.interaction_l1,
+        n_h_log2=nh * math.log(2.0),
+        a_n=a_n, b_n=b_n, c_n=c_n,
+        lrep_joint=lrep_joint, lrep_marginal=lrep_marginal,
+        a_n_hidden_first=a_hidden_first, lower_witness=lower_witness,
+    )
+    _assert_proven(report)
+    return report
+
+
+def readme_draws():
+    # the draws of `bounds --n-visible 4 --n-hidden 2 --random-draws 10
+    # --seed 5`, made as the CLI makes them (default half-width 3)
+    rng = _philox(5)
+    return [RbmParams(rng.uniform(-3.0, 3.0, 4), rng.uniform(-3.0, 3.0, 2),
+                      rng.uniform(-3.0, 3.0, (2, 4))) for _ in range(10)]
+
+
+class TestTabulatedReportEqualsDense:
+    # 18 visibles and 17 hiddens span several 2^16-outcome chunks
+    @pytest.mark.parametrize("n, nh, seed", [(18, 3, 11), (3, 17, 12), (5, 0, 13),
+                                             (1, 0, 14), (17, 17, 15)])
+    def test_random_params(self, n, nh, seed):
+        params = random_params(np.random.default_rng(seed), n, nh)
+        assert bounds_report(params) == dense_bounds_report(params)
+
+    def test_budget_limited_sides(self):
+        params = random_params(np.random.default_rng(16), 18, 3)
+        for budget in (2**2, 2**8, 2**17):
+            assert bounds_report(params, budget) == dense_bounds_report(params, budget)
+
+    def test_readme_draws(self):
+        for params in readme_draws():
+            assert bounds_report(params) == dense_bounds_report(params)

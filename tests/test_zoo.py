@@ -1,5 +1,6 @@
 """Model-zoo constructors against closed forms and naive counters."""
 
+import hashlib
 import itertools
 import math
 
@@ -20,6 +21,7 @@ from foeslab import (
     make_rbm_joint,
     make_rbm_marginal,
 )
+from foeslab.core import BudgetExceededError
 from foeslab.metrics import lrep
 from foeslab.zoo import _log2cosh, rbm_joint_score
 
@@ -299,3 +301,38 @@ class TestDbm:
             DbmParams(np.zeros(2), (np.zeros(2),), (np.zeros((3, 2)),))
         with pytest.raises(ValueError):
             DbmParams(np.zeros(2), (), ())
+
+    @pytest.mark.parametrize("sizes", [(2, 0), (2, 2, 0), (2, 0, 1)])
+    def test_zero_unit_hidden_layer_is_rejected(self, sizes):
+        with pytest.raises(ValueError, match="at least one unit"):
+            dbm_params(np.random.default_rng(0), sizes)
+
+    # sha256 of each score table's float64 bytes, as first computed with
+    # the hidden-sum code before zero-unit layers were rejected
+    @pytest.mark.parametrize("sizes, digest", [
+        ((3, 1), "77a61a6e6b2c46066f9d6c90b17e94625a3b676acc4f447c673e1faaee23e412"),
+        ((3, 2), "0f37aafa2fca793006160ea945537b3ee84c0f21afe43c607ed64057cbf595fd"),
+        ((5, 2, 3), "b90686ee6cdd26b2bd3fdf7e3a4ce351630d2917efe893c0d76758edfb7675ef"),
+        ((1, 1, 1, 1), "fbca1573b49f524dedb4c64fd3bdd8f3a03ddc83d871bf7043cce6d5969ad21b"),
+        ((17, 2), "90a21d45aab84e452fd1a2a9178286313c02a2e059f9e96f5a390c2bbbd4cf1b"),
+    ])
+    def test_score_table_bytes_are_pinned(self, sizes, digest):
+        params = dbm_params(np.random.default_rng(sum(sizes)), sizes)
+        scores = make_dbm_marginal(params).scores()
+        assert hashlib.sha256(scores.tobytes()).hexdigest() == digest
+
+    def test_joint_space_over_budget_raises(self):
+        params = dbm_params(np.random.default_rng(1), (3, 2, 2))
+        with pytest.raises(BudgetExceededError, match="2\\^7"):
+            make_dbm_marginal(params, budget=2**6)
+        make_dbm_marginal(params, budget=2**7)
+
+
+def dbm_params(rng, sizes):
+    """Normal draws for a DBM with the given (visible, hidden...) layer sizes."""
+    return DbmParams(
+        rng.normal(size=sizes[0]),
+        tuple(rng.normal(size=s) for s in sizes[1:]),
+        tuple(rng.normal(size=(sizes[1], sizes[0])) if i == 0
+              else rng.normal(size=(sizes[i], sizes[i + 1]))
+              for i in range(len(sizes) - 1)))
