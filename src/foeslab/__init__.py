@@ -12,7 +12,6 @@ from .core import (
     CertificateError,
     FoesModel,
     FoeslabError,
-    LogProb,
     OutcomeSpace,
     UniformModelError,
     log_sum_exp,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -122,8 +123,12 @@ def check_choices(values: dict, options: dict) -> dict:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out_path}: "
+                              f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -332,13 +337,8 @@ def cmd_bounds(values: dict) -> str:
                                    rng.uniform(-w, w, (nh, nv))))
     else:
         draws.append(KINDS["rbm_joint"].read(values))
-    fields = ("n_visible", "n_hidden", "visible_l1", "hidden_l1",
-              "interaction_l1", "a_n", "b_n", "c_n", "lrep_joint",
-              "lrep_marginal", "a_n_hidden_first", "lower_witness", "n_h_log2")
-    rows = []
-    for d, params in enumerate(draws):
-        r = bounds_report(params, budget=values["budget"])
-        rows.append({"draw": d, **{f: getattr(r, f) for f in fields}})
+    rows = [{"draw": d, **asdict(bounds_report(params, budget=values["budget"]))}
+            for d, params in enumerate(draws)]
     comments = [f"seed = {values['seed']}", f"half_width = {values['half_width']!r}"] \
         if values["random_draws"] else []
     return _csv(rows, comments)
@@ -350,11 +350,7 @@ def cmd_psr(values: dict) -> str:
     if theta is None:
         raise ConfigError(f"model {values['model']!r} does not define a "
                           "sign-reversible family")
-    report = check_psr(family, theta)
-    return _csv([{"model": values["model"], "holds": report.holds,
-                  "max_violation": report.max_violation,
-                  "lrep_theta": report.lrep_theta,
-                  "lrep_neg_theta": report.lrep_neg_theta}])
+    return _csv([{"model": values["model"], **asdict(check_psr(family, theta))}])
 
 
 def cmd_lowerbound(values: dict) -> str:

@@ -23,9 +23,6 @@ DEFAULT_ENUMERATION_BUDGET = 2**24
 # Largest chunk OutcomeSpace.tabulate hands to its function at once.
 _CHUNK_OUTCOMES = 2**16
 
-# Normalized log-probabilities are plain floats on the natural-log scale.
-LogProb = float
-
 
 class FoeslabError(Exception):
     """Base class for errors raised by this package."""

@@ -49,6 +49,9 @@ class GridExperimentConfig:
             raise ValueError("magnitude_min must be below magnitude_max")
         if self.samples_per_point < 1:
             raise ValueError("need at least one sample per grid point")
+        if not self.metrics:
+            raise ValueError("metrics must name at least one of "
+                             f"{', '.join(GRID_METRICS)}")
         unknown = set(self.metrics) - set(GRID_METRICS)
         if unknown:
             raise ValueError(f"unknown metrics: {sorted(unknown)}")

@@ -249,6 +249,14 @@ def graph_lower_bound(spec: GraphModelSpec) -> float:
     return (n - 2.0) * max(branch1, branch2)
 
 
+def _check_path_sizes(ns) -> None:
+    """A path has at least 3 entries with strictly increasing sizes."""
+    if len(ns) < 3:
+        raise ValueError("a parameter path needs at least 3 entries")
+    if any(b <= a for a, b in zip(ns, ns[1:])):
+        raise ValueError("entry sizes must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class ParameterPath:
     """A family of parameter vectors indexed by strictly increasing N.
@@ -262,11 +270,7 @@ class ParameterPath:
     entries: tuple
 
     def __post_init__(self):
-        if len(self.entries) < 3:
-            raise ValueError("a parameter path needs at least 3 entries")
-        ns = [n for n, _ in self.entries]
-        if any(b <= a for a, b in zip(ns, ns[1:])):
-            raise ValueError("entry sizes must be strictly increasing")
+        _check_path_sizes([n for n, _ in self.entries])
 
     def models(self) -> list[FoesModel]:
         """One model per entry, built on the first call and shared after."""
@@ -287,6 +291,11 @@ class PathThresholds:
 
     flatness: float = 0.1
     level: float = 5.0
+
+    def __post_init__(self):
+        # a NaN cutoff fails every comparison and silently reads "inconclusive"
+        if np.isnan((self.flatness, self.level)).any():
+            raise ValueError("path thresholds flatness and level must not be NaN")
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,15 @@ def check_psr(model_family, theta) -> PsrReport:
     the negated parameter (arrays and the parameter dataclasses here all
     support unary minus).
     """
-    return _psr_report(model_family(theta), model_family(_negate(theta)))
+    return _psr_report(*_pair(model_family, theta))
+
+
+def _pair(model_family, theta):
+    """The family's models at theta and at -theta."""
+    # sequences (the CLI passes a graph theta as a tuple) lack unary minus
+    if isinstance(theta, (list, tuple)):
+        return model_family(theta), model_family(type(theta)(-t for t in theta))
+    return model_family(theta), model_family(-theta)
 
 
 def _psr_report(model_pos, model_neg) -> PsrReport:
@@ -62,13 +70,6 @@ def _psr_report(model_pos, model_neg) -> PsrReport:
     )
 
 
-def _negate(theta):
-    # sequences (the CLI passes a graph theta as a tuple) lack unary minus
-    if isinstance(theta, (list, tuple)):
-        return type(theta)(-t for t in theta)
-    return -theta
-
-
 def sign_reversal_masses(model_family, theta, epsilon: float
                          ) -> tuple[float, float]:
     """Modal mass under theta and complement mass under -theta.
@@ -77,8 +78,7 @@ def sign_reversal_masses(model_family, theta, epsilon: float
     (P_theta(M), P_-theta(complement of M)), both exact. Raises when the
     family fails the sign-reversal check at this parameter.
     """
-    model_pos = model_family(theta)
-    model_neg = model_family(_negate(theta))
+    model_pos, model_neg = _pair(model_family, theta)
     report = _psr_report(model_pos, model_neg)
     if not report.holds:
         raise ValueError(
@@ -108,8 +108,7 @@ def complement_inclusion_holds(model_family, theta, epsilon: float) -> bool:
     This inclusion is what transfers modal mass under theta to complement
     mass under -theta for sign-reversal families.
     """
-    model_pos = model_family(theta)
-    model_neg = model_family(_negate(theta))
+    model_pos, model_neg = _pair(model_family, theta)
     m_pos = modal_set(model_pos, epsilon)
     m_neg = modal_set(model_neg, 1.0 - epsilon)
     pos_mask = m_pos.member_mask(model_pos.space.n_outcomes)

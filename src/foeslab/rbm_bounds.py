@@ -31,7 +31,8 @@ import numpy as np
 
 from .core import (CertificateError, DEFAULT_ENUMERATION_BUDGET, OutcomeSpace,
                    _check_finite)
-from .metrics import PathThresholds, _extremal_range, classify_trend
+from .metrics import (PathThresholds, _check_path_sizes, _extremal_range,
+                      classify_trend)
 from .zoo import RbmParams, make_rbm_marginal, rbm_joint_score
 
 _TOL = 1e-9
@@ -87,6 +88,7 @@ class RbmBoundsReport:
     Fields needing an enumeration beyond the budget are None rather than
     failing the whole report: b_n, c_n, lrep_joint and the hidden-first
     quantities need 2^n_hidden; a_n and lrep_marginal need 2^n_visible.
+    The field order is the column order of the ``bounds`` CSV.
     """
 
     n_visible: int
@@ -94,7 +96,6 @@ class RbmBoundsReport:
     visible_l1: float
     hidden_l1: float
     interaction_l1: float
-    n_h_log2: float
     a_n: float | None
     b_n: float | None
     c_n: float | None
@@ -102,6 +103,7 @@ class RbmBoundsReport:
     lrep_marginal: float | None
     a_n_hidden_first: float | None
     lower_witness: float | None  # 2 a(h*) at the h minimizing a(h) - h.theta_h
+    n_h_log2: float
 
 
 def bounds_report(params: RbmParams,
@@ -121,12 +123,14 @@ def bounds_report(params: RbmParams,
 
     b_n = c_n = lrep_joint = a_hidden_first = lower_witness = None
     if hidden_ok:
-        # both tables are (2, m) arrays transposed: tabulate keeps that
-        # layout, so each column stays contiguous for the reductions
-        profile = lambda h: np.array(_visible_profile(params, h)).T
-        center, a_vals = (OutcomeSpace(nh, (-1, 1)).tabulate(profile, budget) if nh
+        def profile(h):
+            center, a = _visible_profile(params, h)
+            return np.array((center - a, center + a, a)).T
+
+        # each side's table is a (columns, m) array transposed: tabulate
+        # keeps that layout, so each column stays contiguous for the reductions
+        lo, hi, a_vals = (OutcomeSpace(nh, (-1, 1)).tabulate(profile, budget) if nh
                           else profile(np.zeros((1, 0)))).T
-        lo, hi = center - a_vals, center + a_vals
         b_n = float(a_vals.max())
         c_n = float(a_vals.min())
         lrep_joint = float(hi.max() - lo.min())
@@ -146,10 +150,10 @@ def bounds_report(params: RbmParams,
         n_visible=n, n_hidden=nh,
         visible_l1=params.visible_l1, hidden_l1=params.hidden_l1,
         interaction_l1=params.interaction_l1,
-        n_h_log2=nh * math.log(2.0),
         a_n=a_n, b_n=b_n, c_n=c_n,
         lrep_joint=lrep_joint, lrep_marginal=lrep_marginal,
         a_n_hidden_first=a_hidden_first, lower_witness=lower_witness,
+        n_h_log2=nh * math.log(2.0),
     )
     _assert_proven(report)
     return report
@@ -185,14 +189,19 @@ def _assert_proven(r: RbmBoundsReport) -> None:
         raise CertificateError(f"proven bound violated: {'; '.join(violated)}")
 
 
-STABILITY_CONDITION_KEYS = (
-    "visible_range_rate",        # a_n / N: drives the visible model
-    "joint_drive_rate",          # max{|theta_h|_1, B} / N: drives the joint model
-    "visible_excess_rate",       # (|theta_v|_1 - 2|theta_h|_1) / N
-    "hidden_l1_rate",            # |theta_h|_1 / N
-    "visible_related_l1_rate",   # (|theta_v|_1 + |theta_vh|_1) / N
-    "total_l1_rate",             # |theta|_1 / N
-)
+# Each bound rate along a path is its numerator over N, and NaN where the
+# numerator needs an enumeration the budget left out (None in the report).
+_STABILITY_NUMERATORS = {
+    # a_n: drives the visible model
+    "visible_range_rate": lambda r: r.a_n,
+    # max{|theta_h|_1, B}: drives the joint model
+    "joint_drive_rate": lambda r: None if r.b_n is None else max(r.hidden_l1, r.b_n),
+    "visible_excess_rate": lambda r: r.visible_l1 - 2 * r.hidden_l1,
+    "hidden_l1_rate": lambda r: r.hidden_l1,
+    "visible_related_l1_rate": lambda r: r.visible_l1 + r.interaction_l1,
+    "total_l1_rate": lambda r: r.visible_l1 + r.hidden_l1 + r.interaction_l1,
+}
+STABILITY_CONDITION_KEYS = tuple(_STABILITY_NUMERATORS)
 
 
 @dataclass(frozen=True)
@@ -213,7 +222,7 @@ class StabilityConditions:
 
 
 def stability_conditions(params_path,
-                         thresholds=None,
+                         thresholds: PathThresholds = PathThresholds(),
                          budget: int = DEFAULT_ENUMERATION_BUDGET
                          ) -> StabilityConditions:
     """Evaluate the bound rates along a path of RbmParams and report trends.
@@ -222,40 +231,19 @@ def stability_conditions(params_path,
     strictly increasing and ending above the level threshold reads as a
     growth flag, a range below the flatness threshold as bounded.
     """
-    if thresholds is None:
-        thresholds = PathThresholds()
     params_path = list(params_path)
-    if len(params_path) < 3:
-        raise ValueError("a stability path needs at least 3 entries")
-    ns = [p.n_visible for p in params_path]
-    if any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ValueError("visible counts must be strictly increasing")
-
-    rates = {key: [] for key in STABILITY_CONDITION_KEYS}
-    hidden_ratios = []
-    for p in params_path:
-        r = bounds_report(p, budget=budget)
-        n = p.n_visible
-        hidden_ratios.append(p.n_hidden / n)
-        rates["visible_range_rate"].append(
-            r.a_n / n if r.a_n is not None else math.nan)
-        rates["joint_drive_rate"].append(
-            max(r.hidden_l1, r.b_n) / n if r.b_n is not None else math.nan)
-        rates["visible_excess_rate"].append((r.visible_l1 - 2 * r.hidden_l1) / n)
-        rates["hidden_l1_rate"].append(r.hidden_l1 / n)
-        rates["visible_related_l1_rate"].append(
-            (r.visible_l1 + r.interaction_l1) / n)
-        rates["total_l1_rate"].append(
-            (r.visible_l1 + r.hidden_l1 + r.interaction_l1) / n)
-
-    verdicts = {key: classify_trend(ns, vals, thresholds)
-                for key, vals in rates.items()}
-    ratios = np.asarray(hidden_ratios)
-    growing = bool(ratios.size >= 2 and np.all(np.diff(ratios) > 0))
+    ns = tuple(p.n_visible for p in params_path)
+    _check_path_sizes(ns)
+    reports = [bounds_report(p, budget=budget) for p in params_path]
+    rates = {key: tuple(math.nan if v is None else v / n
+                        for v, n in zip(map(numerator, reports), ns))
+             for key, numerator in _STABILITY_NUMERATORS.items()}
+    hidden_ratios = tuple(p.n_hidden / p.n_visible for p in params_path)
     return StabilityConditions(
-        ns=tuple(ns),
-        rates={k: tuple(v) for k, v in rates.items()},
-        verdicts=verdicts,
-        hidden_ratios=tuple(hidden_ratios),
-        hidden_ratio_growing=growing,
+        ns=ns,
+        rates=rates,
+        verdicts={key: classify_trend(ns, vals, thresholds)
+                  for key, vals in rates.items()},
+        hidden_ratios=hidden_ratios,
+        hidden_ratio_growing=bool(np.all(np.diff(hidden_ratios) > 0)),
     )

@@ -394,11 +394,12 @@ def make_dbm_marginal(params: DbmParams,
         const += h @ a
     for i in range(1, len(layers)):
         const += ((layers[i - 1] @ params.couplings[i]) * layers[i]).sum(axis=1)
+    first = layers[0] @ params.couplings[0]  # (n_hidden_conf, n_visible)
 
     def score_fn(outcomes: np.ndarray) -> np.ndarray:
         x = outcomes.astype(np.float64)
         base = x @ params.visible_bias
-        cross = layers[0] @ params.couplings[0] @ x.T  # (n_hidden_conf, m)
+        cross = first @ x.T  # (n_hidden_conf, m)
         joint = const[:, None] + cross
         m = joint.max(axis=0)
         return base + m + np.log(np.exp(joint - m[None, :]).sum(axis=0))

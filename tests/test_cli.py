@@ -1,6 +1,7 @@
 """CLI surface: flags, config files, CSV schemas, exit codes."""
 
 import argparse
+import dataclasses
 import hashlib
 import math
 import os
@@ -16,6 +17,7 @@ import foeslab.metrics
 import foeslab.rbm_bounds
 from foeslab.cli import build_parser, main, merge_config, read_config_file
 from foeslab.core import OutcomeSpace
+from foeslab.rbm_bounds import RbmBoundsReport
 
 
 def run_cli(capsys, *argv):
@@ -180,6 +182,18 @@ class TestOtherCommands:
         assert code == 0
         _, rows = parse_csv(out)
         assert len(rows) == 4
+
+    def test_bounds_header_is_draw_then_report_fields(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "--n-visible", "2",
+                               "--random-draws", "1")
+        assert code == 0
+        header, _ = parse_csv(out)
+        assert header == ["draw", *(f.name for f in
+                                    dataclasses.fields(RbmBoundsReport))]
+        assert header == ["draw", "n_visible", "n_hidden", "visible_l1",
+                          "hidden_l1", "interaction_l1", "a_n", "b_n", "c_n",
+                          "lrep_joint", "lrep_marginal", "a_n_hidden_first",
+                          "lower_witness", "n_h_log2"]
 
     def test_lrep_rbm_marginal(self, capsys):
         code, out, _ = run_cli(capsys, "lrep", "--model", "rbm_marginal",
@@ -397,6 +411,12 @@ class TestExitCodes:
         "psr --model multinomial --n 3",
         "psr --model uniform --n 3",
         "score --model rbm_joint --n-visible 2 --theta-v 1,2",
+        "lrep --model bernoulli --n 3 --theta 1 --out /nonexistent/dir/x.csv",
+        "lrep --model bernoulli --n 3 --theta 1 --out .",
+        "figure1 --n-breaks 2 --samples-per-point 1 --metrics=",
+        "figure1 --n-breaks 2 --samples-per-point 1 --metrics ,",
+        "path --family graph --entries 4:0,3,0;5:0,3,0;6:0,3,0 --level nan",
+        "path --family graph --entries 4:0,3,0;5:0,3,0;6:0,3,0 --flatness nan",
     ])
     def test_rejected_input_is_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv.split())
@@ -589,3 +609,11 @@ def test_bounds_at_two_to_the_22_peaks_near_its_tables(tmp_path, argv):
     # each side is one two-column table of 2^22 rows (64 MB); the dense
     # outcome matrix and its float64 copies took near 1 GB on either side
     assert child_peak_kb(tmp_path, argv) < 512 * 1024
+
+
+def test_bounds_at_24_hiddens_keeps_one_hidden_table(tmp_path):
+    # the hidden side is one three-column table of 2^24 rows (384 MB);
+    # separate full-size copies of its lower and upper profiles took the
+    # peak to about 565 MB
+    argv = "bounds --n-visible 1 --n-hidden 24 --random-draws 1"
+    assert child_peak_kb(tmp_path, argv) < 500 * 1024

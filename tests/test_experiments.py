@@ -110,6 +110,8 @@ class TestRunFigure1:
             GridExperimentConfig(magnitude_min=3.0, magnitude_max=1.0)
         with pytest.raises(ValueError):
             GridExperimentConfig(metrics=("nope",))
+        with pytest.raises(ValueError, match="at least one"):
+            GridExperimentConfig(metrics=())
         for key in ("n_visible", "n_hidden"):
             for bad in (0, -1):
                 with pytest.raises(ValueError, match=f"{key} must be >= 1"):

@@ -336,6 +336,11 @@ class TestClassifyPath:
                           ((4, np.array([1.0])), (4, np.array([1.0])),
                            (6, np.array([1.0]))))
 
+    @pytest.mark.parametrize("kwargs", [{"flatness": math.nan}, {"level": math.nan}])
+    def test_nan_threshold_is_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            PathThresholds(**kwargs)
+
 
 def _max_minus_min_one_flip_range(table, n_variables, k):
     """The per-block max - min form that _one_flip_range replaced."""

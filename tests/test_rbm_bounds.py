@@ -22,9 +22,10 @@ from foeslab import (
     visible_extremes_by_hidden,
 )
 from foeslab.core import CertificateError, OutcomeSpace, _philox
-from foeslab.metrics import PathThresholds, _extremal_range
-from foeslab.rbm_bounds import (RbmBoundsReport, _assert_proven, _visible_profile,
-                                hidden_absum, visible_absum)
+from foeslab.metrics import PathThresholds, _extremal_range, classify_trend
+from foeslab.rbm_bounds import (STABILITY_CONDITION_KEYS, RbmBoundsReport,
+                                _assert_proven, _visible_profile, hidden_absum,
+                                visible_absum)
 
 
 def fl_params(n, nh):
@@ -233,6 +234,55 @@ class TestStabilityConditions:
         entries = self.path()[:2]
         with pytest.raises(ValueError):
             stability_conditions(entries)
+
+    @pytest.mark.parametrize("sizes", [(4, 6, 6), (4, 8, 6)])
+    def test_non_increasing_visible_counts_are_rejected(self, sizes):
+        entries = [fl_params(n, 1) for n in sizes]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            stability_conditions(entries)
+
+    @pytest.mark.parametrize("budget", [2**24, 2**6])
+    def test_rates_equal_the_per_rate_formulas(self, budget):
+        # at 2^6 the first entry's 7 hiddens leave b_n None and the last
+        # entry's 8 visibles leave a_n None
+        rng = np.random.default_rng(21)
+        entries = [random_params(rng, n, nh) for n, nh in ((4, 7), (6, 2), (8, 3))]
+        report = stability_conditions(entries, budget=budget)
+        expected = reference_rates(entries, budget)
+        assert STABILITY_CONDITION_KEYS == tuple(expected)
+        assert tuple(report.rates) == STABILITY_CONDITION_KEYS
+        for key, values in expected.items():
+            got = np.array(report.rates[key])
+            assert np.array_equal(got, values, equal_nan=True), key
+            verdict = classify_trend(report.ns, values)
+            assert report.verdicts[key].verdict == verdict.verdict
+            assert np.array_equal(report.verdicts[key].scaled_lreps,
+                                  verdict.scaled_lreps, equal_nan=True)
+        if budget == 2**6:
+            assert math.isnan(report.rates["joint_drive_rate"][0])
+            assert math.isnan(report.rates["visible_range_rate"][2])
+
+
+def reference_rates(params_path, budget):
+    """The per-rate formulas the rate table replaced, kept verbatim as the
+    reference for its values."""
+    rates = {key: [] for key in (
+        "visible_range_rate", "joint_drive_rate", "visible_excess_rate",
+        "hidden_l1_rate", "visible_related_l1_rate", "total_l1_rate")}
+    for p in params_path:
+        r = bounds_report(p, budget=budget)
+        n = p.n_visible
+        rates["visible_range_rate"].append(
+            r.a_n / n if r.a_n is not None else math.nan)
+        rates["joint_drive_rate"].append(
+            max(r.hidden_l1, r.b_n) / n if r.b_n is not None else math.nan)
+        rates["visible_excess_rate"].append((r.visible_l1 - 2 * r.hidden_l1) / n)
+        rates["hidden_l1_rate"].append(r.hidden_l1 / n)
+        rates["visible_related_l1_rate"].append(
+            (r.visible_l1 + r.interaction_l1) / n)
+        rates["total_l1_rate"].append(
+            (r.visible_l1 + r.hidden_l1 + r.interaction_l1) / n)
+    return rates
 
 
 class TestMarginalLipschitzBound:
