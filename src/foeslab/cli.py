@@ -401,7 +401,9 @@ def cmd_mh(values: dict) -> str:
         theta0 = kind.read(values)
     log_prior = _parse_prior(values["prior"])
     config = ChainConfig(n_sweeps=values["steps"], seed=values["seed"])
-    result = run_param_mh(family, data, config, theta0=theta0,
+    # the kind's constructor checks theta0; each SIZED_KINDS family is linear
+    # with params = theta, so proposals share the start's statistic table
+    result = run_param_mh(family(theta0).at, data, config, theta0=theta0,
                           step_size=values["step_size"], log_prior=log_prior)
     rows = [{"step": step + 1,
              **{f"theta_{i}": float(t) for i, t in enumerate(result.thetas[step + 1])},

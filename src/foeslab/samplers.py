@@ -14,6 +14,7 @@ by the 64-bit config seed, so traces are reproducible across platforms.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -221,25 +222,33 @@ def run_param_mh(model_family, data_outcome, config: ChainConfig,
                  log_prior=None) -> MhResult:
     """Random-walk MH over a model family's parameter vector.
 
-    ``model_family`` maps a parameter vector to a FoesModel; the likelihood
-    of ``data_outcome`` is evaluated exactly by enumeration at every
-    proposal. The proposal is an isotropic Gaussian step (symmetric, so the
-    proposal ratio cancels in the acceptance probability); ``log_prior``
-    defaults to flat.
+    ``model_family`` maps a parameter vector to a FoesModel, all on one
+    outcome space, in which ``data_outcome`` is encoded once before any
+    model is scored. The likelihood is exact: each proposal's model is
+    normalised over the whole space. A family that builds each model afresh
+    enumerates the space at every proposal; for a linear family whose params
+    are the parameter vector itself, pass ``LinearExpFamily.at`` of a start
+    model instead, which enumerates the statistic table once for the whole
+    run. The proposal is an isotropic Gaussian step of ``step_size``, which
+    must be positive and finite (symmetric, so the proposal ratio cancels in
+    the acceptance probability); ``log_prior`` defaults to flat.
     """
     if config.n_sweeps < 1:
         raise ValueError("need at least one step")
+    if not (step_size > 0 and math.isfinite(step_size)):
+        raise ValueError(f"step_size must be positive and finite: got {step_size!r}")
     if log_prior is None:
         log_prior = lambda theta: 0.0
     rng = _philox(config.seed)
     theta = np.atleast_1d(np.asarray(theta0, dtype=np.float64)).copy()
+    model = model_family(theta)
+    idx = model.space.encode(np.asarray(data_outcome))
 
-    def log_post(th: np.ndarray) -> float:
-        model = model_family(th)
-        idx = model.space.encode(np.asarray(data_outcome))
-        return float(model.log_probs()[idx]) + float(log_prior(th))
+    def log_post(model: FoesModel, th: np.ndarray) -> float:
+        # log_probs()[idx] without the full table's copy
+        return float(model.scores()[idx] - model.log_normalizer) + float(log_prior(th))
 
-    current = log_post(theta)
+    current = log_post(model, theta)
     thetas = [theta.copy()]
     proposals = np.empty((config.n_sweeps, theta.size))
     accepted = np.zeros(config.n_sweeps, dtype=bool)
@@ -247,7 +256,7 @@ def run_param_mh(model_family, data_outcome, config: ChainConfig,
     for step in range(config.n_sweeps):
         proposal = theta + step_size * rng.standard_normal(theta.size)
         proposals[step] = proposal
-        cand = log_post(proposal)
+        cand = log_post(model_family(proposal), proposal)
         log_alpha = cand - current
         log_alphas[step] = log_alpha
         if np.log(rng.random()) < min(0.0, log_alpha):

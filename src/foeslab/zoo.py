@@ -41,6 +41,7 @@ class LinearExpFamily(FoesModel):
     vector (the natural parameter map is the identity; curved maps are not
     supported). Once the statistic table is enumerated, the full score
     table is that table times ``params``, with no second enumeration.
+    ``at`` gives the family at other params with that table shared.
     """
 
     def __init__(
@@ -58,7 +59,11 @@ class LinearExpFamily(FoesModel):
             raise ValueError("params must be finite")
         self.stat_fn = stat_fn
         self.params = params
-        self._stat_values = None
+        # one slot for the statistic table, which models made by ``at`` share
+        self._stat_slot = [None]
+        # a lone model scores chunk by chunk until its table exists, so its
+        # peak holds one score table, not k statistic columns
+        self._scores_from_stats = False
 
         def score_fn(outcomes: np.ndarray) -> np.ndarray:
             return _statistic_matrix(stat_fn, outcomes, params.size) @ params
@@ -69,18 +74,35 @@ class LinearExpFamily(FoesModel):
     def n_params(self) -> int:
         return self.params.size
 
+    def at(self, params) -> "LinearExpFamily":
+        """This family at other ``params``, sharing this model's statistic table.
+
+        Same space, statistic, family name and budget. The table is
+        enumerated once, by whichever sharing model needs it first; scores
+        are that table times ``params``, the bytes of a freshly built model.
+        ``params`` must be finite and of this model's length (ValueError).
+        """
+        model = LinearExpFamily(self.space, self.stat_fn, params,
+                                family=self.family, budget=self.budget)
+        if model.n_params != self.n_params:
+            raise ValueError(f"params must have length {self.n_params}, "
+                             f"got {model.n_params}")
+        model._stat_slot = self._stat_slot
+        model._scores_from_stats = True
+        return model
+
     def _score_table(self) -> np.ndarray:
-        if self._stat_values is None:
+        if self._stat_slot[0] is None and not self._scores_from_stats:
             return super()._score_table()
-        return self._stat_values @ self.params
+        return self.statistic_values() @ self.params
 
     def statistic_values(self) -> np.ndarray:
         """(n_outcomes, k) matrix of statistic values, enumerated and cached."""
-        if self._stat_values is None:
-            self._stat_values = self.space.tabulate(
+        if self._stat_slot[0] is None:
+            self._stat_slot[0] = self.space.tabulate(
                 lambda x: _statistic_matrix(self.stat_fn, x, self.params.size),
                 self.budget)
-        return self._stat_values
+        return self._stat_slot[0]
 
     def statistic_extremes(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-statistic (max, min) over the whole space, by enumeration."""

@@ -398,6 +398,14 @@ class TestExitCodes:
          "--prior normal:1e-200", "normal prior scale"),
         ("mh --model bernoulli --n 3 --theta 1 --data 1,1,0 --steps 2 "
          "--prior normal:1e200", "normal prior scale"),
+        ("mh --model bernoulli --n 3 --theta 1 --data 1,1,0 --step-size=-1",
+         "step_size must be positive and finite"),
+        ("mh --model bernoulli --n 3 --theta 1 --data 1,1,0 --step-size 0",
+         "step_size must be positive and finite"),
+        ("mh --model bernoulli --n 3 --theta 1 --data 1,1,0 --step-size nan",
+         "step_size must be positive and finite"),
+        ("mh --model bernoulli --n 3 --theta 1 --data 1,1,0 --step-size inf",
+         "step_size must be positive and finite"),
     ])
     def test_out_of_range_value(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv.split())
@@ -514,12 +522,12 @@ README_EXAMPLES = {
 }
 
 # (OutcomeSpace.all_outcomes calls, modal_set calls) per example: each
-# model is enumerated once however many diagnostics read it, and mh builds
-# one model per proposal plus one for the start point
+# model is enumerated once however many diagnostics read it, and mh's
+# proposals all share the start point's one statistic table
 README_EXAMPLE_PASSES = {
     "lrep": (1, 0), "delta": (1, 0), "modeset": (1, 1), "path": (3, 3),
     "bounds": (20, 0), "psr": (2, 0), "lowerbound": (1, 0), "gibbs": (1, 1),
-    "mh": (2001, 0), "score": (1, 0), "figure1": (1, 0),
+    "mh": (1, 0), "score": (1, 0), "figure1": (1, 0),
 }
 
 
@@ -553,6 +561,40 @@ def test_readme_example_passes(capsys, monkeypatch, command):
     assert run_cli(capsys, *shlex.split(command))[0] == 0
     expected = README_EXAMPLE_PASSES[command.split()[0]]
     assert (calls["all_outcomes"], calls["modal_set"]) == expected
+
+
+def count_tabulate(monkeypatch) -> list:
+    """Patch OutcomeSpace.tabulate to log each call; returns the log."""
+    calls = []
+    original = OutcomeSpace.tabulate
+    monkeypatch.setattr(OutcomeSpace, "tabulate",
+                        lambda *args, **kwargs: calls.append(1) or
+                        original(*args, **kwargs))
+    return calls
+
+
+def test_mh_enumerates_its_space_once(capsys, monkeypatch):
+    # the benchmark's mh run: a 6-node graph walked for 200 proposals
+    calls = count_tabulate(monkeypatch)
+    code, out, _ = run_cli(capsys, "mh", "--model", "graph", "--nodes", "6",
+                           "--data", "1,0,1,1,0,0,1,0,1,1,0,0,1,0,1",
+                           "--theta0=0.1,-0.2,0.3", "--steps", "200",
+                           "--step-size", "0.2", "--seed", "7")
+    assert code == 0 and len(parse_csv(out)[1]) == 200
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("data, message", [
+    ("1,1", "outcome must have shape (21,)"),
+    ("2" + ",0" * 20, "symbol 2 not in alphabet (0, 1)"),
+])
+def test_mh_rejects_bad_data_before_enumerating(capsys, monkeypatch, data,
+                                                message):
+    calls = count_tabulate(monkeypatch)
+    code, out, err = run_cli(capsys, "mh", "--model", "graph", "--nodes", "7",
+                             "--data", data, "--theta0=0,0,0")
+    assert (code, out, len(calls)) == (2, "", 0)
+    assert err.count("\n") == 1 and message in err
 
 
 def test_readme_bounds_evaluates_visible_absum_once_per_draw(capsys, monkeypatch):
@@ -598,6 +640,14 @@ def test_lrep_at_two_to_the_21_peaks_near_its_score_table(tmp_path):
     # dense float64 copy of the outcome matrix would take
     argv = ("lrep --model graph --nodes 7 --theta1 0.3 --theta2 -0.2 "
             "--theta3 0.5")
+    assert child_peak_kb(tmp_path, argv) < 512 * 1024
+
+
+def test_mh_at_two_to_the_21_keeps_one_statistic_table(tmp_path):
+    # proposals share one 48 MB statistic table (three columns of 2^21
+    # rows) and each holds one 16 MB score table while it is scored
+    argv = ("mh --model graph --nodes 7 --data " + ",".join("10" * 10 + "1")
+            + " --theta0=-0.3,0.1,0.2 --steps 20 --seed 2")
     assert child_peak_kb(tmp_path, argv) < 512 * 1024
 
 

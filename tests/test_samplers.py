@@ -201,6 +201,15 @@ class TestParamMh:
                            theta0=[0.0], step_size=0.3, log_prior=tight_prior)
         assert np.abs(res.thetas[:, 0]).max() < 2.0
 
+    @pytest.mark.parametrize("step_size", [0.0, -0.5, math.nan, math.inf])
+    def test_step_size_must_be_positive_and_finite(self, step_size):
+        def family(th):
+            raise AssertionError("no model may be built")
+
+        with pytest.raises(ValueError, match="step_size"):
+            run_param_mh(family, [1], ChainConfig(n_sweeps=3), theta0=[0.0],
+                         step_size=step_size)
+
     def test_step_size_collapse_on_degenerate_family(self):
         spec_family = lambda th: make_graph_model(GraphModelSpec(
             4, params=(0.0, float(np.atleast_1d(th)[0]), 0.0),
@@ -214,6 +223,34 @@ class TestParamMh:
             rates.append(res.acceptance_rate)
         assert rates[0] > rates[1] > rates[2]
         assert rates[2] < 0.1
+
+
+# name: (family over a parameter vector, vector length, data outcome); each
+# family's params are the vector itself, so its ``at`` walks the same models
+MH_FAMILIES = {
+    "bernoulli": (lambda th: make_bernoulli(8, float(th[0])), 1,
+                  [1, 1, 0, 1, 1, 1, 0, 1]),
+    "multinomial": (lambda th: make_multinomial(4, th), 3, [1, 2, 3, 3]),
+    "graph": (lambda th: make_graph_model(GraphModelSpec(5, params=tuple(th))), 3,
+              [1, 0, 1, 1, 0, 0, 1, 0, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("prior", [None, lambda th: float(-0.5 * np.sum(th**2) / 4.0)],
+                         ids=["flat", "normal"])
+@pytest.mark.parametrize("name", MH_FAMILIES)
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data(), seed=st.integers(0, 2**64 - 1),
+       step_size=st.floats(0.05, 3.0))
+def test_param_mh_through_at_matches_fresh_models(name, prior, data, seed, step_size):
+    family, k, outcome = MH_FAMILIES[name]
+    theta0 = np.asarray(data.draw(st.lists(st.floats(-2, 2), min_size=k, max_size=k)))
+    config = ChainConfig(n_sweeps=25, seed=seed)
+    fresh, shared = (run_param_mh(f, outcome, config, theta0=theta0,
+                                  step_size=step_size, log_prior=prior)
+                     for f in (family, family(theta0).at))
+    for field in ("thetas", "proposals", "accepted", "log_alphas"):
+        assert getattr(fresh, field).tobytes() == getattr(shared, field).tobytes()
 
 
 class TestExpectedStatistics:

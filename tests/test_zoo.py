@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foeslab import (
     DbmParams,
@@ -169,6 +170,56 @@ def test_score_table_from_statistics_is_bitwise_equal(build):
     fresh, stats_first = build(), build()
     stats_first.statistic_values()
     assert stats_first.scores().tobytes() == fresh.scores().tobytes()
+
+
+def _graph(nodes):
+    return lambda th: make_graph_model(GraphModelSpec(nodes, params=tuple(th)))
+
+
+# name: (family over a parameter vector, vector length, hypothesis examples);
+# the last three spaces take several chunks, and a fresh 7-node graph takes
+# about 2 s to score, so it gets the fewest examples
+LINEAR_FAMILIES = {
+    "bernoulli-7": (lambda th: make_bernoulli(7, th[0]), 1, 25),
+    "multinomial-4x3": (lambda th: make_multinomial(4, th), 3, 25),
+    "graph-5": (_graph(5), 3, 25),
+    "bernoulli-18": (lambda th: make_bernoulli(18, th[0]), 1, 10),
+    "multinomial-11x3": (lambda th: make_multinomial(11, th), 3, 10),
+    "graph-7": (_graph(7), 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", LINEAR_FAMILIES)
+def test_at_matches_a_fresh_model_bitwise(name):
+    build, k, examples = LINEAR_FAMILIES[name]
+    base = build(np.full(k, 0.25))
+
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(theta=st.lists(st.floats(-4, 4), min_size=k, max_size=k))
+    def check(theta):
+        shared, fresh = base.at(theta), build(np.asarray(theta))
+        assert shared.statistic_values() is base.statistic_values()
+        assert shared.scores().tobytes() == fresh.scores().tobytes()
+        assert shared.log_probs().tobytes() == fresh.log_probs().tobytes()
+        assert (np.float64(shared.log_normalizer).tobytes()
+                == np.float64(fresh.log_normalizer).tobytes())
+
+    check()
+
+
+def test_at_keeps_the_family_and_leaves_the_model_unchanged():
+    model = make_graph_model(GraphModelSpec(4, params=(0.3, -0.2, 0.1)), budget=4096)
+    before = (model.params.tobytes(), model.scores().tobytes(), model.log_normalizer)
+    other = model.at([1.0, 0.5, -0.5])
+    assert (other.space, other.stat_fn, other.family, other.budget) == (
+        model.space, model.stat_fn, "graph", 4096)
+    other.scores()
+    for bad in ([1.0, 0.5], [1.0, 0.5, -0.5, 0.0], [math.nan, 0.0, 0.0],
+                [0.0, math.inf, 0.0], []):
+        with pytest.raises(ValueError):
+            model.at(bad)
+    assert (model.params.tobytes(), model.scores().tobytes(),
+            model.log_normalizer) == before
 
 
 class TestRbm:
