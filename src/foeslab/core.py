@@ -40,15 +40,39 @@ class CertificateError(FoeslabError):
     """A computed quantity violates an inequality proven to hold for it."""
 
 
-def _philox(seed: int, stream: int = 0) -> np.random.Generator:
-    """Philox generator keyed by (seed mod 2^64, stream).
+def _philox_streams(seed: int) -> Callable[[int], np.random.Generator]:
+    """Philox streams keyed by (seed mod 2^64, index), from one generator.
+
+    ``stream(index)`` resets a single Philox bit generator to that key,
+    with counter 0 and an empty buffer, and returns the same Generator
+    object every time. The stream it yields is bit for bit that of a
+    freshly built Philox with the same key, at a fraction of the cost.
+    Each call therefore invalidates the generator the previous call
+    returned.
 
     Every random draw in the package comes from here, so a negative or
     oversized seed wraps the same way everywhere.
     """
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    bit_generator = np.random.Philox(key=key)
+    generator = np.random.Generator(bit_generator)
+    zeros = np.zeros(4, dtype=np.uint64)
+    # the state of a fresh Philox: counter 0 and an empty output buffer
+    state = {"bit_generator": "Philox",
+             "state": {"counter": zeros, "key": key},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def stream(index: int) -> np.random.Generator:
+        key[1] = index
+        bit_generator.state = state
+        return generator
+
+    return stream
+
+
+def _philox(seed: int, stream: int = 0) -> np.random.Generator:
+    """Philox generator keyed by (seed mod 2^64, stream); see _philox_streams."""
+    return _philox_streams(seed)(stream)
 
 
 def log_sum_exp(values) -> float:

@@ -14,12 +14,13 @@ grid reproduces the same numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (DEFAULT_ENUMERATION_BUDGET, OutcomeSpace, _check_finite,
-                   _csv, _philox)
+                   _csv, _philox_streams)
 from .metrics import _extremal_range, _one_flip_range
 from .zoo import _log2cosh
 
@@ -47,6 +48,12 @@ class GridExperimentConfig:
             raise ValueError("need at least 2 breaks per axis")
         if not self.magnitude_min < self.magnitude_max:
             raise ValueError("magnitude_min must be below magnitude_max")
+        if self.magnitude_min < 0:
+            raise ValueError("magnitude_min must be >= 0")
+        if math.isinf(self.magnitude_max):
+            # every draw at an infinite radius has infinite parameters
+            raise ValueError("magnitude_max = inf gives a non-finite "
+                             "log-probability")
         if self.samples_per_point < 1:
             raise ValueError("need at least one sample per grid point")
         if not self.metrics:
@@ -87,11 +94,11 @@ def sample_on_sphere(dimension: int, radius: float,
     """
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
-    if radius < 0:
+    if not radius >= 0:
         raise ValueError("radius must be >= 0")
     while True:
         v = rng.standard_normal(dimension)
-        norm = float(np.linalg.norm(v))
+        norm = math.sqrt(v.dot(v))
         if norm > 0.0:
             return v * (radius / norm)
 
@@ -105,22 +112,32 @@ def run_figure1(config: GridExperimentConfig = GridExperimentConfig(),
     evaluated directly on the enumerated visible space (hiddens summed
     analytically), matching make_rbm_marginal; a non-finite score raises
     ValueError.
+
+    The visible space is antipodal: row 2^n_visible - 1 - r is -(row r).
+    Negation is exact, so the interaction fields are computed for the
+    first half of the rows only and negated for the second half, bitwise
+    equal to the full product. The draws take their streams from one
+    reset Philox (``_philox_streams``), and the field buffer, which
+    log2cosh overwrites in place, is allocated once per run.
     """
     nv, nh = config.n_visible, config.n_hidden
+    samples = config.samples_per_point
     outcomes = OutcomeSpace(nv, (-1, 1)).all_outcomes(budget).astype(np.float64)
+    half = len(outcomes) // 2
     breaks = config.breaks
     main_dim, int_dim = nv + nh, nv * nh
+    stream = _philox_streams(config.seed)
+    theta_v = np.empty((samples, nv))
+    theta_h = np.empty((samples, nh))
+    theta_vh = np.empty((samples, nh, nv))
+    z = np.empty((len(outcomes), samples, nh))
 
     cells = []
     for i_main, mag_main in enumerate(breaks):
         for i_int, mag_int in enumerate(breaks):
             cell_index = i_main * config.n_breaks + i_int
-            theta_v = np.empty((config.samples_per_point, nv))
-            theta_h = np.empty((config.samples_per_point, nh))
-            theta_vh = np.empty((config.samples_per_point, nh, nv))
-            for s in range(config.samples_per_point):
-                rng = _philox(config.seed,
-                              cell_index * config.samples_per_point + s)
+            for s in range(samples):
+                rng = stream(cell_index * samples + s)
                 main = sample_on_sphere(main_dim, mag_main * main_dim, rng)
                 inter = sample_on_sphere(int_dim, mag_int * int_dim, rng)
                 theta_v[s] = main[:nv]
@@ -128,9 +145,11 @@ def run_figure1(config: GridExperimentConfig = GridExperimentConfig(),
                 theta_vh[s] = inter.reshape(nh, nv)
 
             # scores for the whole batch: (n_outcomes, samples)
-            z = (np.einsum("xi,sji->xsj", outcomes, theta_vh)
-                 + theta_h[None, :, :])
-            scores = _check_finite(outcomes @ theta_v.T + _log2cosh(z).sum(axis=2))
+            np.einsum("xi,sji->xsj", outcomes[:half], theta_vh, out=z[:half])
+            np.negative(z[half - 1::-1], out=z[half:])
+            z += theta_h
+            hidden = _log2cosh(z, out=z).sum(axis=2)
+            scores = _check_finite(outcomes @ theta_v.T + hidden)
 
             mean_lrep = mean_delta = float("nan")
             if "scaled_lrep" in config.metrics:
@@ -143,7 +162,7 @@ def run_figure1(config: GridExperimentConfig = GridExperimentConfig(),
                 interaction_magnitude=float(mag_int),
                 mean_scaled_lrep=mean_lrep,
                 mean_delta_n=mean_delta,
-                n_samples=config.samples_per_point,
+                n_samples=samples,
             ))
     return cells
 

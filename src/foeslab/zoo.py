@@ -327,10 +327,14 @@ def make_rbm_joint(params: RbmParams,
     return FoesModel(space, score_fn, family="rbm_joint", budget=budget)
 
 
-def _log2cosh(z: np.ndarray) -> np.ndarray:
-    # log(2 cosh z) = |z| + log1p(exp(-2|z|)), overflow-free
-    az = np.abs(z)
-    return az + np.log1p(np.exp(-2.0 * az))
+def _log2cosh(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # log(2 cosh z) = |z| + log1p(exp(-2|z|)), overflow-free; ``out`` may be z
+    az = np.abs(z, out=out)
+    tail = np.multiply(az, -2.0)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    az += tail
+    return az
 
 
 def make_rbm_marginal(params: RbmParams,
@@ -344,7 +348,7 @@ def make_rbm_marginal(params: RbmParams,
     def score_fn(outcomes: np.ndarray) -> np.ndarray:
         x = outcomes.astype(np.float64)
         z = x @ params.interaction.T + params.hidden
-        return x @ params.visible + _log2cosh(z).sum(axis=1)
+        return x @ params.visible + _log2cosh(z, out=z).sum(axis=1)
 
     space = OutcomeSpace(params.n_visible, (-1, 1))
     return FoesModel(space, score_fn, family="rbm_marginal", budget=budget)

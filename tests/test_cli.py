@@ -366,6 +366,7 @@ class TestExitCodes:
         ("mh --model rbm_marginal --n-visible 2 --theta-v 1,2 --data 1,1 "
          "--steps 3", "mh needs a bernoulli, multinomial or graph family"),
         ("figure1 --n-hidden 0 --n-breaks 2", "n_hidden must be >= 1"),
+        ("figure1 --n-breaks 2 --magnitude-min -1", "magnitude_min must be >= 0"),
         ("mh --model bernoulli --n 3 --data 1,1,1 --theta0 1,2 --steps 4",
          "params must be (theta,)"),
         ("mh --model bernoulli --n 3 --data 1,1,1 --theta0= --steps 4",
@@ -423,6 +424,8 @@ class TestExitCodes:
         "lrep --model bernoulli --n 3 --theta 1 --out .",
         "figure1 --n-breaks 2 --samples-per-point 1 --metrics=",
         "figure1 --n-breaks 2 --samples-per-point 1 --metrics ,",
+        "figure1 --n-breaks 2 --samples-per-point 1 --magnitude-min -1",
+        "figure1 --n-breaks 2 --samples-per-point 1 --magnitude-min=-inf",
         "path --family graph --entries 4:0,3,0;5:0,3,0;6:0,3,0 --level nan",
         "path --family graph --entries 4:0,3,0;5:0,3,0;6:0,3,0 --flatness nan",
     ])

@@ -1,5 +1,6 @@
 """Outcome-space encoding, normalization and replication invariants."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -23,7 +24,7 @@ from foeslab import (
     GraphModelSpec,
     RbmParams,
 )
-from foeslab.core import _CHUNK_OUTCOMES
+from foeslab.core import _CHUNK_OUTCOMES, _philox, _philox_streams
 from foeslab.metrics import lrep
 from foeslab.zoo import _statistic_matrix
 
@@ -56,6 +57,49 @@ class TestLogSumExp:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             log_sum_exp([])
+
+
+def _fresh_philox(seed, index):
+    key = np.array([seed % 2**64, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _draws(rng):
+    # 32-bit draws first: a stale buffered half word shows in the first one
+    return [rng.random(3, dtype=np.float32).tobytes(),
+            rng.integers(0, 1000, size=4).tobytes(),
+            rng.standard_normal(5).tobytes(), rng.uniform(size=3).tobytes()]
+
+
+class TestPhiloxStreams:
+    SEEDS = (0, -5, 2**64 + 3)
+    INDICES = (0, 1, 2**40)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_each_stream_is_a_fresh_philox(self, seed):
+        stream = _philox_streams(seed)
+        for index in self.INDICES:
+            want = _draws(_fresh_philox(seed, index))
+            assert _draws(stream(index)) == want
+            assert _draws(_philox(seed, index)) == want
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("leftover", [
+        lambda rng: rng.random(3, dtype=np.float32),
+        lambda rng: rng.integers(0, 7, size=1, dtype=np.uint32),
+        lambda rng: rng.standard_normal(1),
+    ], ids=["float32", "uint32", "one-double"])
+    def test_reset_forgets_the_previous_stream(self, seed, leftover):
+        # an odd count of 32-bit draws leaves a buffered half word
+        # (has_uint32) and a partly used block of four (buffer_pos)
+        stream = _philox_streams(seed)
+        for previous, index in itertools.product(self.INDICES, repeat=2):
+            leftover(stream(previous))
+            assert _draws(stream(index)) == _draws(_fresh_philox(seed, index))
+
+    def test_one_generator_serves_every_stream(self):
+        stream = _philox_streams(7)
+        assert stream(0) is stream(1)
 
 
 class TestOutcomeSpace:

@@ -1,7 +1,11 @@
 """Sphere sampling and the magnitude grid experiment."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foeslab import (
     GridExperimentConfig,
@@ -13,7 +17,9 @@ from foeslab import (
     run_figure1,
     sample_on_sphere,
 )
-from foeslab.core import _philox
+from foeslab.core import OutcomeSpace, _check_finite, _philox
+from foeslab.experiments import GRID_METRICS, GridCell
+from foeslab.metrics import _extremal_range, _one_flip_range
 
 
 class TestSampleOnSphere:
@@ -42,6 +48,9 @@ class TestSampleOnSphere:
             sample_on_sphere(0, 1.0, rng)
         with pytest.raises(ValueError):
             sample_on_sphere(3, -1.0, rng)
+        for bad in (float("nan"), -float("inf")):
+            with pytest.raises(ValueError, match="radius must be >= 0"):
+                sample_on_sphere(3, bad, rng)
 
 
 SMALL = GridExperimentConfig(n_visible=5, n_hidden=2, n_breaks=4,
@@ -112,6 +121,11 @@ class TestRunFigure1:
             GridExperimentConfig(metrics=("nope",))
         with pytest.raises(ValueError, match="at least one"):
             GridExperimentConfig(metrics=())
+        for bad in (-1.0, -1e-300, -float("inf")):
+            with pytest.raises(ValueError, match="magnitude_min must be >= 0"):
+                GridExperimentConfig(magnitude_min=bad)
+        with pytest.raises(ValueError, match="non-finite log-probability"):
+            GridExperimentConfig(magnitude_max=float("inf"))
         for key in ("n_visible", "n_hidden"):
             for bad in (0, -1):
                 with pytest.raises(ValueError, match=f"{key} must be >= 1"):
@@ -141,3 +155,109 @@ class TestFigure1Csv:
         joined = "\n".join(comments)
         assert "seed = 7" in joined
         assert "n_breaks = 4" in joined
+
+
+def _parent_sample_on_sphere(dimension, radius, rng):
+    # sample_on_sphere before math.sqrt(v.dot(v)) replaced np.linalg.norm
+    if dimension < 1:
+        raise ValueError("dimension must be >= 1")
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    while True:
+        v = rng.standard_normal(dimension)
+        norm = float(np.linalg.norm(v))
+        if norm > 0.0:
+            return v * (radius / norm)
+
+
+def _parent_log2cosh(z):
+    az = np.abs(z)
+    return az + np.log1p(np.exp(-2.0 * az))
+
+
+def _parent_run_figure1(config, budget=2**24):
+    """run_figure1 as it was before the antipodal half and the reset stream.
+
+    One freshly built Philox per draw, the einsum over the full visible
+    space and the allocating log2cosh: the oracle for the fast route.
+    """
+    nv, nh = config.n_visible, config.n_hidden
+    outcomes = OutcomeSpace(nv, (-1, 1)).all_outcomes(budget).astype(np.float64)
+    breaks = config.breaks
+    main_dim, int_dim = nv + nh, nv * nh
+
+    cells = []
+    for i_main, mag_main in enumerate(breaks):
+        for i_int, mag_int in enumerate(breaks):
+            cell_index = i_main * config.n_breaks + i_int
+            theta_v = np.empty((config.samples_per_point, nv))
+            theta_h = np.empty((config.samples_per_point, nh))
+            theta_vh = np.empty((config.samples_per_point, nh, nv))
+            for s in range(config.samples_per_point):
+                rng = _philox(config.seed,
+                              cell_index * config.samples_per_point + s)
+                main = _parent_sample_on_sphere(main_dim, mag_main * main_dim, rng)
+                inter = _parent_sample_on_sphere(int_dim, mag_int * int_dim, rng)
+                theta_v[s] = main[:nv]
+                theta_h[s] = main[nv:]
+                theta_vh[s] = inter.reshape(nh, nv)
+
+            # scores for the whole batch: (n_outcomes, samples)
+            z = (np.einsum("xi,sji->xsj", outcomes, theta_vh)
+                 + theta_h[None, :, :])
+            scores = _check_finite(outcomes @ theta_v.T
+                                   + _parent_log2cosh(z).sum(axis=2))
+
+            mean_lrep = mean_delta = float("nan")
+            if "scaled_lrep" in config.metrics:
+                mean_lrep = float(_extremal_range(scores).mean() / nv)
+            if "delta_n" in config.metrics:
+                mean_delta = float(_one_flip_range(scores, nv, 2).mean())
+
+            cells.append(GridCell(
+                main_magnitude=float(mag_main),
+                interaction_magnitude=float(mag_int),
+                mean_scaled_lrep=mean_lrep,
+                mean_delta_n=mean_delta,
+                n_samples=config.samples_per_point,
+            ))
+    return cells
+
+
+METRIC_SUBSETS = [subset for r in (1, 2)
+                  for subset in itertools.permutations(GRID_METRICS, r)]
+
+
+class TestAgainstParentRoute:
+    """The antipodal half, the reset stream and in-place log2cosh keep every byte.
+
+    Compared as CSV text: cells hold NaN for unrequested metrics.
+    """
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(n_visible=st.integers(1, 9), n_hidden=st.integers(1, 9),
+           n_breaks=st.integers(2, 3), samples=st.integers(1, 5),
+           seed=st.one_of(st.integers(-2**70, -1), st.integers(2**64, 2**70),
+                          st.integers(0, 2**64 - 1)),
+           magnitude_max=st.sampled_from([3.0, 0.05, 40.0]),
+           metrics=st.sampled_from(METRIC_SUBSETS))
+    def test_csv_matches_parent(self, n_visible, n_hidden, n_breaks, samples,
+                                seed, magnitude_max, metrics):
+        config = GridExperimentConfig(
+            n_visible=n_visible, n_hidden=n_hidden, n_breaks=n_breaks,
+            samples_per_point=samples, seed=seed, magnitude_max=magnitude_max,
+            metrics=metrics)
+        assert (figure1_csv(run_figure1(config), config)
+                == figure1_csv(_parent_run_figure1(config), config))
+
+    @pytest.mark.parametrize("config, digest", [
+        (GridExperimentConfig(),
+         "0c14a9c01fa0575a412d74dec0b29ae769f556ed41bad40b2ea8e567335bf29d"),
+        # n_hidden >= 8: numpy sums the hidden axis pairwise
+        (GridExperimentConfig(n_visible=7, n_hidden=9, n_breaks=3,
+                              samples_per_point=7, seed=-3),
+         "f8075973c1b4afe982d5a45f48d2f8bb6501bc309b190bdbd8379ba350ebde05"),
+    ], ids=["default-grid", "7+9-seed-minus-3"])
+    def test_csv_bytes_are_pinned(self, config, digest):
+        text = figure1_csv(run_figure1(config), config)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -222,6 +222,31 @@ def test_at_keeps_the_family_and_leaves_the_model_unchanged():
             model.log_normalizer) == before
 
 
+def _log2cosh_formula(z):
+    az = np.abs(z)
+    return az + np.log1p(np.exp(-2.0 * az))
+
+
+LOG2COSH_SPECIAL = np.array([0.0, -0.0, 1e-300, -1e-300, 20.0, -20.0,
+                             1e300, -1e300, np.inf, -np.inf])
+
+
+@pytest.mark.parametrize("where", ["none", "separate", "in-place"])
+@pytest.mark.parametrize("z", [
+    LOG2COSH_SPECIAL,
+    np.random.default_rng(60).normal(scale=3.0, size=(257, 5)),
+    np.random.default_rng(61).uniform(-800, 800, size=(3, 4, 9)),
+], ids=["special", "normal", "wide"])
+def test_log2cosh_out_is_bitwise_the_formula(z, where):
+    want = _log2cosh_formula(z)
+    z = z.copy()
+    out = {"none": None, "separate": np.empty_like(z), "in-place": z}[where]
+    got = _log2cosh(z, out=out)
+    if out is not None:
+        assert got is out
+    assert got.tobytes() == want.tobytes()
+
+
 class TestRbm:
     def test_zero_params_uniform(self):
         params = RbmParams(np.zeros(2), np.zeros(1), np.zeros((1, 2)))
