@@ -158,9 +158,11 @@ class OutcomeSpace:
         n_outcomes * n_variables bytes (384 MB for 24 variables at the
         budget cap), and a scorer's float64 copy is 8 times that, so callers
         that need only a value per outcome use ``tabulate`` instead. The
-        callers that keep rows are ``tabulate`` for its low block,
-        ``run_figure1`` (each grid cell rescores the visible rows) and
-        ``make_dbm_marginal`` (the hidden configurations).
+        callers that keep rows are ``tabulate`` for its low block, the
+        joint RBM's table (one block whose first rows serve as both the
+        visible and the hidden rows), ``run_figure1`` (each grid cell
+        rescores the visible rows) and ``make_dbm_marginal`` (the hidden
+        configurations).
         """
         self.check_budget(budget)
         k = self.alphabet_size
@@ -180,32 +182,56 @@ class OutcomeSpace:
 
         ``fn`` maps an (m, n_variables) outcome array to an array with m
         rows. The low m digits, with k^m the largest power of the alphabet
-        size that fits in a chunk, are enumerated once; each chunk is a copy
-        of that block with the remaining digits held constant, so it covers
-        one aligned run of k^m indices. Peak memory is the table plus one
-        chunk. The table keeps the shape and memory layout of ``fn``'s
-        output, so later matrix products round as on a dense table.
+        size that fits in a chunk, are enumerated once; each chunk is that
+        block with the remaining digits held constant, so it covers one
+        aligned run of k^m indices. ``fn`` gets the same array for every
+        chunk, refilled. Peak memory is the table plus one chunk. The table
+        keeps the shape and memory layout of ``fn``'s output, so later
+        matrix products round as on a dense table.
         """
         self.check_budget(budget)
-        k, n = self.alphabet_size, self.n_variables
-        m = 1
-        while m < n and k ** (m + 1) <= _CHUNK_OUTCOMES:
-            m += 1
+        m = _chunk_digits(self.n_variables, self.alphabet_size)
         low = OutcomeSpace(m, self.alphabet).all_outcomes(budget)
-        rows = low.shape[0]
         table = None
-        for c in range(k ** (n - m)):
-            chunk = np.empty((rows, n), dtype=low.dtype)
-            chunk[:, :m] = low
-            chunk[:, m:] = self.decode(c * rows)[m:]
+        for start, chunk in _aligned_blocks(low, self.n_variables, self.alphabet):
+            rows = len(chunk)
             out = np.asarray(fn(chunk))
             if out.shape[:1] != (rows,):
                 raise ValueError(f"score_fn returned shape {out.shape} "
                                  f"for a chunk of {rows} outcomes")
             if table is None:
                 table = np.empty_like(out, shape=(self.n_outcomes, *out.shape[1:]))
-            table[c * rows:(c + 1) * rows] = out
+            table[start:start + rows] = out
         return table
+
+
+def _chunk_digits(n_variables: int, k: int) -> int:
+    """Low digits a chunk varies: the most, from 1 to n_variables, whose
+    k^digits outcomes fit in ``_CHUNK_OUTCOMES``."""
+    m = 1
+    while m < n_variables and k ** (m + 1) <= _CHUNK_OUTCOMES:
+        m += 1
+    return m
+
+
+def _aligned_blocks(low: np.ndarray, n_variables: int, alphabet):
+    """(first index, outcome rows) of the n-variable space, block by block.
+
+    ``low`` enumerates the low digits. A block varies as many of them as
+    ``low`` has columns, or all n_variables when fewer, and holds the
+    digits above those fixed, so it covers one aligned run of indices. One
+    array is reused from block to block.
+    """
+    k = len(alphabet)
+    m = min(n_variables, low.shape[1])
+    rows = k**m
+    block = np.empty((rows, n_variables), dtype=low.dtype)
+    block[:, :m] = low[:rows, :m]
+    symbols = np.asarray(alphabet)
+    powers = k ** np.arange(n_variables - m)
+    for c in range(k ** (n_variables - m)):
+        block[:, m:] = symbols[c // powers % k]
+        yield c * rows, block
 
 
 def _one_flip_shape(n_variables: int, k: int, i: int) -> tuple[int, int, int]:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (CertificateError, FoesModel, UniformModelError, _check_finite,
-                   _one_flip_shape)
+                   _chunk_digits, _one_flip_shape)
 from .zoo import GraphModelSpec, LinearExpFamily, graph_statistics
 
 # Outcomes whose log-probability falls within this distance below a modal
@@ -53,19 +53,42 @@ def _extremal_range(table: np.ndarray) -> np.ndarray:
 
 
 def _one_flip_range(table: np.ndarray, n_variables: int, k: int) -> np.ndarray:
-    """Largest spread among outcomes one flip apart; a trailing axis holds draws."""
+    """Largest spread among outcomes one flip apart; a trailing axis holds draws.
+
+    The table is read in aligned pieces of at most ``_CHUNK_OUTCOMES``
+    outcome rows, through one reused buffer. A piece holds the whole
+    one-flip blocks of every variable whose blocks fit in it, and those are
+    all scanned while it is in cache; a higher variable pairs runs of rows
+    a stride apart, one piece's worth at a time.
+    """
     draws = table.shape[1:]
-    best = np.zeros(draws)
-    for i in range(n_variables):
-        block = table.reshape(*_one_flip_shape(n_variables, k, i), *draws)
-        # the largest pairwise |difference| is max - min exactly: rounding
+    rows = table.reshape(table.shape[0], -1)
+    low = _chunk_digits(n_variables, k)
+    piece = k**low
+    buffer = np.empty(piece // k * rows.shape[1])
+    best = np.zeros(rows.shape[1])
+
+    def scan(block: np.ndarray) -> None:
+        # block is (runs, k, run length, draws); axis 1 holds one flip.
+        # The largest pairwise |difference| is max - min exactly: rounding
         # is monotone and fl(a - b) = -fl(b - a)
+        spread = buffer[:block[:, 0].size].reshape(block[:, 0].shape)
         for j in range(1, k):
             for jp in range(j):
-                spread = block[:, j] - block[:, jp]
+                np.subtract(block[:, j], block[:, jp], out=spread)
                 np.abs(spread, out=spread)
                 np.maximum(best, spread.max(axis=(0, 1)), out=best)
-    return best
+
+    for start in range(0, len(rows), piece):
+        part = rows[start:start + piece]
+        for i in range(low):
+            scan(part.reshape(*_one_flip_shape(low, k, i), -1))
+    for i in range(low, n_variables):
+        block = rows.reshape(*_one_flip_shape(n_variables, k, i), -1)
+        for run in range(len(block)):
+            for start in range(0, block.shape[2], piece // k):
+                scan(block[run:run + 1, :, start:start + piece // k])
+    return best.reshape(draws)
 
 
 def _score_range(model: FoesModel) -> tuple[np.ndarray, float, float]:

@@ -15,9 +15,12 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    _CHUNK_OUTCOMES,
     DEFAULT_ENUMERATION_BUDGET,
     FoesModel,
     OutcomeSpace,
+    _aligned_blocks,
+    _chunk_digits,
 )
 
 GRAPH_TERMS = ("edges", "two_stars", "triangles")
@@ -215,15 +218,16 @@ def graph_statistics(spec: GraphModelSpec, outcomes: np.ndarray) -> np.ndarray:
 
     2-stars are unordered pairs of distinct edges sharing a node, counted
     as sum_v C(deg(v), 2); triangles are node triples whose three edges are
-    all present.
+    all present. The counts run along boolean edge columns; every partial
+    sum is an exact integer, so their order does not change a bit.
     """
-    x = outcomes.astype(np.float64)
-    g1 = x.sum(axis=1)
-    deg = x @ spec.incidence()
-    g2 = (deg * (deg - 1.0) / 2.0).sum(axis=1)
+    edges = np.ascontiguousarray(np.asarray(outcomes).T, dtype=bool)
+    deg = spec.incidence().T @ edges
     tri = spec.triangle_edges()  # nonempty: a spec has at least 3 nodes
-    g3 = (x[:, tri[:, 0]] * x[:, tri[:, 1]] * x[:, tri[:, 2]]).sum(axis=1)
-    return np.stack([g1, g2, g3], axis=1)
+    triangles = np.logical_and(edges[tri[:, 0]], edges[tri[:, 1]])
+    triangles &= edges[tri[:, 2]]
+    return np.stack([deg.sum(axis=0) / 2.0, (deg * (deg - 1.0) / 2.0).sum(axis=0),
+                     np.count_nonzero(triangles, axis=0)], axis=1)
 
 
 def make_graph_model(spec: GraphModelSpec,
@@ -304,27 +308,70 @@ class RbmParams:
         return float(np.abs(self.interaction).sum())
 
 
-def rbm_joint_score(params: RbmParams, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Joint score x.theta_v + h.theta_h + sum_ij x_i h_j w_ji, rowwise."""
+def rbm_joint_score(params: RbmParams, x: np.ndarray, h: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Joint score x.theta_v + h.theta_h + sum_ij x_i h_j w_ji.
+
+    Row r of ``x`` (m, n_visible) pairs with row r of ``h`` (m, n_hidden),
+    giving m scores. Hidden rows shaped (b, 1, n_hidden) are instead each
+    scored against every visible row, giving the (b, m) grid with the bits
+    of the paired call. The cross term is summed a block of leading rows at
+    a time, so its temporary stays near one table chunk. ``out`` may hold
+    the result, as for a ufunc.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     h = np.atleast_2d(np.asarray(h, dtype=np.float64))
-    return (x @ params.visible + h @ params.hidden
-            + ((x @ params.interaction.T) * h).sum(axis=1))
+    # h.theta_h as one matrix-vector product over the hidden rows, which
+    # rounds as on paired rows; a batched (b, 1, n_hidden) product does not
+    hh = (h.reshape(len(h), params.n_hidden) @ params.hidden).reshape(h.shape[:-1])
+    score = np.add(x @ params.visible, hh, out=out)
+    xw, h = np.broadcast_arrays(x @ params.interaction.T, h)
+    step = max(1, _CHUNK_OUTCOMES // max(1, xw[0].size))
+    for r in range(0, len(score), step):
+        score[r:r + step] += (xw[r:r + step] * h[r:r + step]).sum(axis=-1)
+    return score
+
+
+class _RbmJoint(FoesModel):
+    """Joint RBM whose score table is a grid of hidden against visible rows."""
+
+    def __init__(self, params: RbmParams, budget: int):
+        n = params.n_visible
+        space = OutcomeSpace(n + params.n_hidden, (-1, 1))
+
+        def score_fn(outcomes: np.ndarray) -> np.ndarray:
+            return rbm_joint_score(params, outcomes[:, :n], outcomes[:, n:])
+
+        super().__init__(space, score_fn, family="rbm_joint", budget=budget)
+        self._params = params
+
+    def _score_table(self) -> np.ndarray:
+        # the visibles are the low digits of the index, so the table is the
+        # (2^nh, 2^nv) grid with hidden rows major; each side comes in
+        # blocks of at most one chunk, from one enumeration of low digits
+        self.space.check_budget(self.budget)
+        nv, nh = self._params.n_visible, self._params.n_hidden
+        signs = self.space.alphabet
+        low = OutcomeSpace(_chunk_digits(max(nv, nh), 2), signs).all_outcomes(self.budget)
+        table = np.empty((2**nh, 2**nv))
+        for h0, h in _aligned_blocks(low, nh, signs):
+            for x0, x in _aligned_blocks(low, nv, signs):
+                block = table[h0:h0 + len(h), x0:x0 + len(x)]
+                # the table holds what rbm_joint_score returns; assigning
+                # its result copies nothing when that is block itself
+                block[...] = rbm_joint_score(self._params, x, h[:, None], out=block)
+        return table.reshape(-1)
 
 
 def make_rbm_joint(params: RbmParams,
                    budget: int = DEFAULT_ENUMERATION_BUDGET) -> FoesModel:
     """Joint RBM model over {-1,+1}^(n_visible + n_hidden).
 
-    Outcome vectors concatenate the visibles first, then the hiddens.
+    Outcome vectors concatenate the visibles first, then the hiddens. The
+    score table scores the visible and the hidden rows once each and
+    combines them as rbm_joint_score's grid.
     """
-    n, nh = params.n_visible, params.n_hidden
-    space = OutcomeSpace(n + nh, (-1, 1))
-
-    def score_fn(outcomes: np.ndarray) -> np.ndarray:
-        return rbm_joint_score(params, outcomes[:, :n], outcomes[:, n:])
-
-    return FoesModel(space, score_fn, family="rbm_joint", budget=budget)
+    return _RbmJoint(params, budget)
 
 
 def _log2cosh(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

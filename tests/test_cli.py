@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,36 @@ class TestLrepCommand:
         code, _, err = run_cli(capsys, "lrep", "--n", "5")
         assert code == 2
         assert "model" in err
+
+
+def joint_rbm_argv(n_visible: int, n_hidden: int, seed: int = 0) -> list:
+    """lrep argv for a joint RBM with uniform(-1, 1) parameters."""
+    rng = np.random.default_rng(seed)
+
+    def values(size):
+        return ",".join(repr(float(v)) for v in rng.uniform(-1, 1, size))
+
+    return ["lrep", "--model", "rbm_joint", "--n-visible", str(n_visible),
+            "--n-hidden", str(n_hidden), "--theta-v=" + values(n_visible),
+            "--theta-h=" + values(n_hidden),
+            "--theta-vh=" + values(n_hidden * n_visible)]
+
+
+def test_joint_rbm_over_budget_exits_before_any_table(capsys, monkeypatch):
+    # 14 + 11 units are 2^25 outcomes: the budget check comes before the
+    # enumeration and before the 256 MB table is allocated
+    calls = []
+    monkeypatch.setattr(OutcomeSpace, "all_outcomes",
+                        lambda *args, **kwargs: calls.append(args))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *joint_rbm_argv(14, 11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, calls) == (3, "", [])
+    assert err.count("\n") == 1 and "2^25 = 33554432 outcomes exceed" in err
+    assert peak < 2**20
 
 
 class TestDispatch:
@@ -644,6 +675,14 @@ def test_lrep_at_two_to_the_21_peaks_near_its_score_table(tmp_path):
     argv = ("lrep --model graph --nodes 7 --theta1 0.3 --theta2 -0.2 "
             "--theta3 0.5")
     assert child_peak_kb(tmp_path, argv) < 512 * 1024
+
+
+def test_lrep_on_the_joint_rbm_at_the_cap_peaks_near_its_table(tmp_path):
+    # 14 + 10 units: the score table is 128 MB, and the visible and hidden
+    # rows are scored once each; a full-size one-flip temporary per
+    # variable took the peak to about 295 MB
+    argv = " ".join(joint_rbm_argv(14, 10))
+    assert child_peak_kb(tmp_path, argv) < 256 * 1024
 
 
 def test_mh_at_two_to_the_21_keeps_one_statistic_table(tmp_path):

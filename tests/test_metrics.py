@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import foeslab.core
 from foeslab import (
     GraphModelSpec,
     LinearExpFamily,
@@ -367,6 +368,52 @@ def _brute_one_flip_range(table, n_variables, k):
                     b = space.encode(y)
                     np.maximum(best, np.abs(table[a] - table[b]), out=best)
     return best
+
+
+def _per_variable_one_flip_range(table, n_variables, k):
+    """_one_flip_range before the piecewise scan, verbatim: a full-size
+    temporary per variable and symbol pair."""
+    draws = table.shape[1:]
+    best = np.zeros(draws)
+    for i in range(n_variables):
+        block = table.reshape(*_one_flip_shape(n_variables, k, i), *draws)
+        # the largest pairwise |difference| is max - min exactly: rounding
+        # is monotone and fl(a - b) = -fl(b - a)
+        for j in range(1, k):
+            for jp in range(j):
+                spread = block[:, j] - block[:, jp]
+                np.abs(spread, out=spread)
+                np.maximum(best, spread.max(axis=(0, 1)), out=best)
+    return best
+
+
+@st.composite
+def piecewise_tables(draw):
+    """A table, its shape, and a chunk size (None: the default)."""
+    k = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, {2: 10, 3: 6, 5: 4}[k]))
+    draws = draw(st.sampled_from([(), (1,), (4,)]))
+    # chunks of a few rows split the runs of every higher variable
+    chunk = draw(st.sampled_from([None, k, k * k + 1, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (k**n, *draws)
+    # half the entries from a small pool, so ties and repeated gaps are common
+    pool = rng.choice([0.0, -0.0, 1.0, -2.5, 0.1, 0.2, 0.3], size=shape)
+    table = np.where(rng.random(shape) < 0.5, pool, 10 * rng.standard_normal(shape))
+    return table, n, k, chunk
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=piecewise_tables())
+def test_piecewise_one_flip_range_is_the_per_variable_scan(case):
+    table, n, k, chunk = case
+    want = _per_variable_one_flip_range(table, n, k)
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
+        got = _one_flip_range(table, n, k)
+    assert got.shape == want.shape == table.shape[1:]
+    assert got.tobytes() == want.tobytes()
 
 
 @st.composite

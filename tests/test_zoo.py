@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import foeslab.core
 from foeslab import (
     DbmParams,
     GraphModelSpec,
@@ -22,7 +23,7 @@ from foeslab import (
     make_rbm_joint,
     make_rbm_marginal,
 )
-from foeslab.core import BudgetExceededError
+from foeslab.core import BudgetExceededError, OutcomeSpace
 from foeslab.metrics import lrep
 from foeslab.zoo import _log2cosh, rbm_joint_score
 
@@ -96,7 +97,34 @@ def naive_graph_counts(spec, x):
     return two_stars, triangles
 
 
+def node_triple_counts(spec, x):
+    """(edges, 2-stars, triangles) of one graph, node by node and triple by triple."""
+    n = spec.n_nodes
+    adjacent = {pair: bool(v) for pair, v in zip(spec.edge_index, x)}
+
+    def edge(a, b):
+        return adjacent[(min(a, b), max(a, b))]
+
+    degrees = [sum(edge(v, u) for u in range(n) if u != v) for v in range(n)]
+    triangles = sum(edge(a, b) and edge(a, c) and edge(b, c)
+                    for a, b, c in itertools.combinations(range(n), 3))
+    return sum(adjacent.values()), sum(d * (d - 1) // 2 for d in degrees), triangles
+
+
 class TestGraphModel:
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_counts_are_exact_against_a_node_triple_loop(self, n):
+        spec = GraphModelSpec(n)
+        half = set(range(n // 2))
+        rows = np.vstack([
+            np.zeros(spec.n_edges), np.ones(spec.n_edges),
+            [float((a in half) != (b in half)) for a, b in spec.edge_index],
+            np.random.default_rng(n).integers(0, 2, (64, spec.n_edges))])
+        want = np.array([node_triple_counts(spec, x) for x in rows], dtype=np.float64)
+        # model tables pass int8 outcomes; the graph bound passes floats
+        for outcomes in (rows.astype(np.int8), rows):
+            assert graph_statistics(spec, outcomes).tobytes() == want.tobytes()
+
     def test_complete_graph_counts(self):
         spec = GraphModelSpec(4)
         g = graph_statistics(spec, np.ones((1, 6)))[0]
@@ -326,6 +354,81 @@ class TestRbm:
         t = params.transpose()
         assert t.n_visible == 1 and t.n_hidden == 2
         assert t.interaction.shape == (2, 1)
+
+
+def _paired_rbm_joint_score(params, x, h):
+    """rbm_joint_score before its grid form, verbatim: paired rows only."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    h = np.atleast_2d(np.asarray(h, dtype=np.float64))
+    return (x @ params.visible + h @ params.hidden
+            + ((x @ params.interaction.T) * h).sum(axis=1))
+
+
+def _chunked_joint_table(params):
+    """The joint table before the grid: paired rows, one chunk at a time."""
+    n = params.n_visible
+    space = OutcomeSpace(n + params.n_hidden, (-1, 1))
+    return space.tabulate(
+        lambda outcomes: _paired_rbm_joint_score(params, outcomes[:, :n], outcomes[:, n:]))
+
+
+# a small pool makes exact ties and rounding near-ties (0.1 + 0.2) common
+_RBM_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 0.1, 0.2, 0.3, -0.3]),
+                        st.floats(-2, 2))
+
+
+@st.composite
+def joint_rbms(draw):
+    """RbmParams with nv + nh <= 13, and a table chunk size (None: the default)."""
+    nv = draw(st.integers(1, 9))
+    nh = draw(st.integers(0, 13 - nv))
+    values = st.lists(_RBM_VALUES, min_size=nv + nh + nh * nv, max_size=nv + nh + nh * nv)
+    v = np.array(draw(values))
+    params = RbmParams(v[:nv], v[nv:nv + nh], v[nv + nh:].reshape(nh, nv))
+    return params, draw(st.sampled_from([None, 4, 32]))
+
+
+def _rbm_case(nv, nh, chunk=None, seed=0):
+    rng = np.random.default_rng(seed)
+    return RbmParams(rng.uniform(-1, 1, nv), rng.uniform(-1, 1, nh),
+                     rng.uniform(-1, 1, (nh, nv))), chunk
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=joint_rbms())
+@example(case=_rbm_case(1, 0))
+@example(case=_rbm_case(1, 9))
+@example(case=_rbm_case(3, 8, chunk=4))
+@example(case=_rbm_case(2, 11, chunk=32))
+@example(case=_rbm_case(6, 0, chunk=4))
+@example(case=(RbmParams([0.1, 0.2, 0.3], [0.3, -0.3], [[0.1, 0.2, -0.3], [0.0, 0.5, 0.5]]),
+               None))
+def test_joint_table_is_the_chunked_paired_table(case):
+    params, chunk = case
+    want = _chunked_joint_table(params)
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            # small chunks split both sides into several blocks
+            patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
+        model = make_rbm_joint(params)
+        got = model.scores()
+        report = lrep(model)
+    assert got.tobytes() == want.tobytes()
+    assert (report.argmax_index, report.argmin_index) == (np.argmax(want), np.argmin(want))
+    outcomes = model.space.all_outcomes()
+    x, h = outcomes[:, :params.n_visible], outcomes[:, params.n_visible:]
+    assert rbm_joint_score(params, x, h).tobytes() == \
+        _paired_rbm_joint_score(params, x, h).tobytes()
+
+
+def test_joint_table_at_the_budget_cap_is_pinned():
+    # 14 + 10 units: the 2^24-outcome table of the cap benchmark; the digest
+    # and extremes are those of the chunked paired table
+    params, _ = _rbm_case(14, 10, seed=1410)
+    scores = make_rbm_joint(params).scores()
+    assert hashlib.sha256(scores.tobytes()).hexdigest() == \
+        "9b3471fe2921f26394815090eb92a20efd4ffb00b181075679be8ff1729fce4a"
+    assert (scores.argmax(), scores.argmin()) == (15546342, 13436953)
 
 
 class TestDbm:
