@@ -144,7 +144,7 @@ class OutcomeSpace:
         index = 0
         k = self.alphabet_size
         for i in range(self.n_variables - 1, -1, -1):
-            sym = int(outcome[i])
+            sym = outcome[i]  # by value: 1.0 is the symbol 1, 1.5 is no symbol
             if sym not in lookup:
                 raise ValueError(f"symbol {sym} not in alphabet {self.alphabet}")
             index = index * k + lookup[sym]
@@ -161,8 +161,8 @@ class OutcomeSpace:
         callers that keep rows are ``tabulate`` for its low block, the
         joint RBM's table (one block whose first rows serve as both the
         visible and the hidden rows), ``run_figure1`` (each grid cell
-        rescores the visible rows) and ``make_dbm_marginal`` (the hidden
-        configurations).
+        rescores the visible rows) and the DBM marginal (the low digits of
+        its even-layer configurations, per scored block of visible rows).
         """
         self.check_budget(budget)
         k = self.alphabet_size
@@ -308,8 +308,9 @@ class FoesModel:
         return self.scores() - self.log_normalizer
 
     def log_prob(self, outcome) -> float:
-        """Normalized log-probability of a single outcome vector."""
-        return float(self.score(np.asarray(outcome))) - self.log_normalizer
+        """Normalized log-probability of a single outcome vector: its entry
+        of ``log_probs()``, bit for bit."""
+        return float(self.scores()[self.space.encode(outcome)] - self.log_normalizer)
 
 
 def _check_finite(scores: np.ndarray) -> np.ndarray:

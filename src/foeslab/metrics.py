@@ -180,12 +180,12 @@ def standardized_log_prob(model: FoesModel, outcome) -> float:
     """Position of an outcome's log-probability within the model's range.
 
     Returns (log P(x) - min log P) / (max log P - min log P) in [0, 1]:
-    1 at an argmax outcome, 0 at an argmin outcome. Raises
-    UniformModelError when the range is zero.
+    1 at an argmax outcome, 0 at an argmin outcome. The score is the
+    table entry at the outcome's index. Raises UniformModelError when the
+    range is zero.
     """
-    _, lo, hi = _score_range(model)
-    val = (float(model.score(np.asarray(outcome))) - lo) / (hi - lo)
-    return min(1.0, max(0.0, val))
+    scores, lo, hi = _score_range(model)
+    return float((scores[model.space.encode(outcome)] - lo) / (hi - lo))
 
 
 def g_distance(model_a: FoesModel, model_b: FoesModel) -> float:

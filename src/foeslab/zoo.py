@@ -3,7 +3,7 @@
 Covers linear exponential families (iid Bernoulli, iid multinomial, the
 edge/2-star/triangle random-graph model), restricted Boltzmann machines
 (joint and analytically-marginalized visible models on {-1,+1} variables),
-and small deep Boltzmann machines marginalized by full enumeration.
+and deep Boltzmann machines with their odd hidden layers summed analytically.
 """
 
 from __future__ import annotations
@@ -384,6 +384,43 @@ def _log2cosh(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return az
 
 
+def _boltzmann_marginal(biases: tuple, weights: tuple, family: str,
+                        budget: int) -> FoesModel:
+    """Visible model of a Boltzmann machine on {-1,+1} units, layer 0 visible.
+
+    ``weights[l]`` (n_(l+1), n_l) couples layers l and l+1. Given the even
+    layers, each odd unit adds log(2 cosh(field)) exactly; the even hidden
+    layers are enumerated, 2^(visibles + even units) <= budget points in
+    all, under a log-sum-exp streamed in blocks of at most one chunk of pairs.
+    """
+    n_even = sum(b.size for b in biases[2::2])
+    OutcomeSpace(biases[0].size + n_even, (-1, 1)).check_budget(budget)
+    splits = np.cumsum([b.size for b in biases[2::2]])[:-1]
+
+    def score_fn(outcomes: np.ndarray) -> np.ndarray:
+        x = outcomes.astype(np.float64)
+        z = x @ weights[0].T + biases[1]
+        if not n_even:
+            return x @ biases[0] + _log2cosh(z, out=z).sum(axis=1)
+        # blocks of 2^digits even configurations, the most that pair with x in a chunk
+        digits = min(n_even, (_CHUNK_OUTCOMES // max(len(x), 1) or 1).bit_length() - 1)
+        low = OutcomeSpace(max(digits, 1), (-1, 1)).all_outcomes().astype(np.float64)
+        top, total = np.full(len(x), -np.inf), np.zeros(len(x))
+        for _, block in _aligned_blocks(low[:, :digits], n_even, (-1, 1)):
+            h = dict(zip(range(2, len(biases), 2), np.split(block, splits, axis=1)))
+            joint = sum(h[l] @ biases[l] for l in h)
+            for l in range(1, len(biases), 2):
+                field = z[:, None] if l == 1 else h[l - 1] @ weights[l - 1].T + biases[l]
+                field = field + h[l + 1] @ weights[l] if l + 1 in h else field
+                joint = joint + _log2cosh(field, out=field).sum(axis=-1)
+            peak = np.maximum(top, joint.max(axis=1))
+            total = total * np.exp(top - peak) + np.exp(joint - peak[:, None]).sum(axis=1)
+            top = peak
+        return x @ biases[0] + top + np.log(total)
+
+    return FoesModel(OutcomeSpace(biases[0].size, (-1, 1)), score_fn, family, budget)
+
+
 def make_rbm_marginal(params: RbmParams,
                       budget: int = DEFAULT_ENUMERATION_BUDGET) -> FoesModel:
     """Visible RBM model on {-1,+1}^n_visible, hiddens summed out analytically.
@@ -391,14 +428,8 @@ def make_rbm_marginal(params: RbmParams,
     Score is x.theta_v + sum_j log(2 cosh(theta_h_j + sum_i x_i w_ji)),
     which equals the log of the brute-force hidden sum of the joint model.
     """
-
-    def score_fn(outcomes: np.ndarray) -> np.ndarray:
-        x = outcomes.astype(np.float64)
-        z = x @ params.interaction.T + params.hidden
-        return x @ params.visible + _log2cosh(z, out=z).sum(axis=1)
-
-    space = OutcomeSpace(params.n_visible, (-1, 1))
-    return FoesModel(space, score_fn, family="rbm_marginal", budget=budget)
+    return _boltzmann_marginal((params.visible, params.hidden),
+                               (params.interaction,), "rbm_marginal", budget)
 
 
 @dataclass(frozen=True)
@@ -429,15 +460,18 @@ class DbmParams:
         if len(self.couplings) != m:
             raise ValueError("need one coupling matrix per hidden layer")
         sizes = self.layer_sizes
+        if sizes[0] < 1:
+            raise ValueError("need at least one visible variable")
+        for name in ("visible_bias", "hidden_biases", "couplings"):
+            if not all(np.isfinite(a).all() for a in getattr(self, name)):
+                raise ValueError(f"{name} parameters must be finite")
         if min(sizes[1:]) < 1:
             raise ValueError("every hidden layer needs at least one unit")
         if self.couplings[0].shape != (sizes[1], sizes[0]):
             raise ValueError("couplings[0] must have shape (n_h1, n_visible)")
         for i in range(1, m):
             if self.couplings[i].shape != (sizes[i], sizes[i + 1]):
-                raise ValueError(
-                    f"couplings[{i}] must have shape (n_h{i}, n_h{i + 1})"
-                )
+                raise ValueError(f"couplings[{i}] must have shape (n_h{i}, n_h{i + 1})")
 
     @property
     def layer_sizes(self) -> tuple:
@@ -451,31 +485,7 @@ class DbmParams:
 
 def make_dbm_marginal(params: DbmParams,
                       budget: int = DEFAULT_ENUMERATION_BUDGET) -> FoesModel:
-    """Visible DBM model, hidden layers summed out by full enumeration."""
-    sizes = params.layer_sizes
-    n = sizes[0]
-    OutcomeSpace(sum(sizes), (-1, 1)).check_budget(budget)
-    hspace = OutcomeSpace(sum(sizes[1:]), (-1, 1))
-    hall = hspace.all_outcomes(budget).astype(np.float64)
-    # split the flat hidden enumeration into per-layer blocks
-    splits = np.cumsum(sizes[1:])[:-1]
-    layers = np.split(hall, splits, axis=1)
-
-    # per-hidden-configuration constant: biases plus layer-to-layer terms
-    const = np.zeros(hall.shape[0])
-    for h, a in zip(layers, params.hidden_biases):
-        const += h @ a
-    for i in range(1, len(layers)):
-        const += ((layers[i - 1] @ params.couplings[i]) * layers[i]).sum(axis=1)
-    first = layers[0] @ params.couplings[0]  # (n_hidden_conf, n_visible)
-
-    def score_fn(outcomes: np.ndarray) -> np.ndarray:
-        x = outcomes.astype(np.float64)
-        base = x @ params.visible_bias
-        cross = first @ x.T  # (n_hidden_conf, m)
-        joint = const[:, None] + cross
-        m = joint.max(axis=0)
-        return base + m + np.log(np.exp(joint - m[None, :]).sum(axis=0))
-
-    space = OutcomeSpace(n, (-1, 1))
-    return FoesModel(space, score_fn, family="dbm_marginal", budget=budget)
+    """Visible DBM model: odd hidden layers in closed form, even ones enumerated."""
+    weights = params.couplings[:1] + tuple(g.T for g in params.couplings[1:])
+    return _boltzmann_marginal((params.visible_bias,) + params.hidden_biases,
+                               weights, "dbm_marginal", budget)

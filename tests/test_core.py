@@ -241,10 +241,13 @@ def _rbm(seed, n_visible, n_hidden):
                      rng.uniform(-2, 2, (n_hidden, n_visible)))
 
 
-def _dbm(seed, n_visible):
+def _dbm(seed, *sizes):
+    # couplings[0] is (n_h1, n_visible), couplings[i] is (n_hi, n_h(i+1))
     rng = np.random.default_rng(seed)
-    return DbmParams(rng.uniform(-1, 1, n_visible), (rng.uniform(-1, 1, 1),),
-                     (rng.uniform(-1, 1, (1, n_visible)),))
+    shapes = [sizes[1::-1]] + [sizes[i:i + 2] for i in range(1, len(sizes) - 1)]
+    return DbmParams(rng.uniform(-1, 1, sizes[0]),
+                     tuple(rng.uniform(-1, 1, s) for s in sizes[1:]),
+                     tuple(rng.uniform(-1, 1, s) for s in shapes))
 
 
 # every zoo family on a space that takes several chunks
@@ -256,11 +259,32 @@ CHUNKED_ZOO = {
     "graph-7": lambda: make_graph_model(GraphModelSpec(7, params=(0.3, -0.7, 1.1))),
     "rbm_joint-10+8": lambda: make_rbm_joint(_rbm(1, 10, 8)),
     "rbm_marginal-18": lambda: make_rbm_marginal(_rbm(2, 18, 4)),
-    "dbm_marginal-17+1": lambda: make_dbm_marginal(_dbm(3, 17)),
+    "dbm_marginal-17+1": lambda: make_dbm_marginal(_dbm(3, 17, 1)),
+    # several chunks of visibles, each against blocks of even-layer configurations
+    "dbm_marginal-17+2+2": lambda: make_dbm_marginal(_dbm(4, 17, 2, 2)),
     "replicate-multinomial": lambda: replicate(
         make_multinomial(6, [0.1, 0.2, -0.5]), 2),
 }
 LINEAR = ("bernoulli-18", "multinomial-3x11", "multinomial-4x9", "graph-7")
+
+
+class TestLogProb:
+    @pytest.mark.parametrize("model", [
+        make_rbm_joint(_rbm(6, 6, 10)),
+        make_rbm_marginal(_rbm(12, 12, 3)),
+    ], ids=["rbm_joint-6+10", "rbm_marginal-12+3"])
+    def test_log_prob_is_the_table_entry(self, model):
+        # a one-row score can round differently from the table; log_prob
+        # reads the table, so it agrees with log_probs() bit for bit
+        got = [model.log_prob(x) for x in model.space.all_outcomes()]
+        assert np.array(got).tobytes() == model.log_probs().tobytes()
+        off = np.ones(model.n_variables)
+        for bad in (0.0, 1.5, 2.0):
+            off[-1] = bad
+            with pytest.raises(ValueError, match="not in alphabet"):
+                model.log_prob(off)
+        off[-1] = -1.0  # a float that equals a symbol is that symbol
+        assert model.log_prob(off) == model.log_prob(off.astype(int))
 
 
 class TestTabulate:

@@ -24,6 +24,7 @@ from foeslab import (
     make_bernoulli,
     make_graph_model,
     make_multinomial,
+    make_rbm_joint,
     make_rbm_marginal,
     make_uniform,
     modal_set,
@@ -206,6 +207,25 @@ class TestStandardizedLogProb:
     def test_uniform_rejected(self):
         with pytest.raises(UniformModelError):
             standardized_log_prob(make_uniform(3, 2), [0, 0, 0])
+
+    @pytest.mark.parametrize("nv, nh, model_of", [
+        (6, 10, make_rbm_joint), (12, 3, make_rbm_marginal),
+    ], ids=["rbm_joint-6+10", "rbm_marginal-12+3"])
+    def test_reads_the_table_entry(self, nv, nh, model_of):
+        # g_distance's profile of the table, bit for bit: exactly 1 at the
+        # argmax and 0 at the argmin with no clip
+        rng = np.random.default_rng(nv + nh)
+        model = model_of(RbmParams(rng.uniform(-2, 2, nv), rng.uniform(-2, 2, nh),
+                                   rng.uniform(-2, 2, (nh, nv))))
+        scores = model.scores()
+        profile = (scores - scores.min()) / (scores.max() - scores.min())
+        got = [standardized_log_prob(model, x) for x in model.space.all_outcomes()]
+        assert np.array(got).tobytes() == profile.tobytes()
+        r = lrep(model)
+        assert standardized_log_prob(model, r.argmax_outcome) == 1.0
+        assert standardized_log_prob(model, r.argmin_outcome) == 0.0
+        with pytest.raises(ValueError, match="not in alphabet"):
+            standardized_log_prob(model, [2] * model.n_variables)
 
 
 class TestGDistance:

@@ -3,12 +3,15 @@
 import hashlib
 import itertools
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import foeslab.core
+import foeslab.zoo
 from foeslab import (
     DbmParams,
     GraphModelSpec,
@@ -23,7 +26,12 @@ from foeslab import (
     make_rbm_joint,
     make_rbm_marginal,
 )
-from foeslab.core import BudgetExceededError, OutcomeSpace
+from foeslab.core import (
+    DEFAULT_ENUMERATION_BUDGET,
+    BudgetExceededError,
+    FoesModel,
+    OutcomeSpace,
+)
 from foeslab.metrics import lrep
 from foeslab.zoo import _log2cosh, rbm_joint_score
 
@@ -331,6 +339,18 @@ class TestRbm:
                     params.hidden[None, :] + x @ params.interaction.T).sum(axis=1)
             assert np.array_equal(model.scores(), want)
 
+    @pytest.mark.parametrize("nh", range(11))
+    @pytest.mark.parametrize("nv", [5, 17])
+    def test_marginal_is_the_rbm_scorer_bitwise(self, nv, nh):
+        # the shared scorer's no-even-layer case runs the RBM formula as it
+        # was; from 8 hiddens on numpy sums the log2cosh terms pairwise
+        rng = np.random.default_rng(100 * nv + nh)
+        params = RbmParams(rng.uniform(-2, 2, nv), rng.uniform(-2, 2, nh),
+                           rng.uniform(-2, 2, (nh, nv)))
+        want = OutcomeSpace(nv, (-1, 1)).tabulate(
+            lambda x: rbm_marginal_score(params, x))
+        assert make_rbm_marginal(params).scores().tobytes() == want.tobytes()
+
     def test_no_hiddens_scaled_lrep(self):
         theta_v = np.array([0.5, -1.5, 2.0])
         params = RbmParams(theta_v, [], np.zeros((0, 3)))
@@ -354,6 +374,13 @@ class TestRbm:
         t = params.transpose()
         assert t.n_visible == 1 and t.n_hidden == 2
         assert t.interaction.shape == (2, 1)
+
+
+def rbm_marginal_score(params, outcomes):
+    """make_rbm_marginal's scorer before the shared scorer, verbatim."""
+    x = outcomes.astype(np.float64)
+    z = x @ params.interaction.T + params.hidden
+    return x @ params.visible + _log2cosh(z, out=z).sum(axis=1)
 
 
 def _paired_rbm_joint_score(params, x, h):
@@ -439,7 +466,8 @@ class TestDbm:
         gamma = rng.normal(size=(2, 3))
         dbm = make_dbm_marginal(DbmParams(beta, (alpha,), (gamma,)))
         rbm = make_rbm_marginal(RbmParams(beta, alpha, gamma))
-        np.testing.assert_allclose(dbm.log_probs(), rbm.log_probs(), atol=1e-12)
+        # one scorer: a one-layer DBM takes the RBM route, bit for bit
+        assert dbm.scores().tobytes() == rbm.scores().tobytes()
 
     def test_all_zero_two_layers_uniform(self):
         params = DbmParams(np.zeros(2), (np.zeros(2), np.zeros(1)),
@@ -481,13 +509,30 @@ class TestDbm:
         with pytest.raises(ValueError):
             DbmParams(np.zeros(2), (), ())
 
+    def test_empty_visible_layer_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one visible variable"):
+            DbmParams([], (np.zeros(2),), (np.zeros((2, 0)),))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["visible_bias", "hidden_biases", "couplings"])
+    def test_non_finite_parameters_are_rejected(self, name, bad):
+        fields = {"visible_bias": np.zeros(2),
+                  "hidden_biases": (np.zeros(2), np.zeros(1)),
+                  "couplings": (np.zeros((2, 2)), np.zeros((2, 1)))}
+        # the first entry of the field, or of its last array
+        (fields[name] if name == "visible_bias" else fields[name][-1]).flat[0] = bad
+        with pytest.raises(ValueError, match=f"^{name} parameters must be finite$"):
+            DbmParams(**fields)
+
     @pytest.mark.parametrize("sizes", [(2, 0), (2, 2, 0), (2, 0, 1)])
     def test_zero_unit_hidden_layer_is_rejected(self, sizes):
         with pytest.raises(ValueError, match="at least one unit"):
             dbm_params(np.random.default_rng(0), sizes)
 
     # sha256 of each score table's float64 bytes, as first computed with
-    # the hidden-sum code before zero-unit layers were rejected
+    # the hidden-sum code before zero-unit layers were rejected; that code is
+    # the full-enumeration oracle below, which the closed-form route follows
+    # to within rounding
     @pytest.mark.parametrize("sizes, digest", [
         ((3, 1), "77a61a6e6b2c46066f9d6c90b17e94625a3b676acc4f447c673e1faaee23e412"),
         ((3, 2), "0f37aafa2fca793006160ea945537b3ee84c0f21afe43c607ed64057cbf595fd"),
@@ -497,14 +542,100 @@ class TestDbm:
     ])
     def test_score_table_bytes_are_pinned(self, sizes, digest):
         params = dbm_params(np.random.default_rng(sum(sizes)), sizes)
-        scores = make_dbm_marginal(params).scores()
-        assert hashlib.sha256(scores.tobytes()).hexdigest() == digest
+        oracle = enumerated_dbm_marginal(params).scores()
+        assert hashlib.sha256(oracle.tobytes()).hexdigest() == digest
+        assert_close_to_oracle(make_dbm_marginal(params).scores(), oracle)
 
-    def test_joint_space_over_budget_raises(self):
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(sizes=st.lists(st.integers(1, 4), min_size=2, max_size=6).filter(
+               lambda s: sum(s) <= 13),
+           seed=st.integers(0, 2**32 - 1), chunk=st.sampled_from([None, 1, 16]))
+    def test_closed_form_route_follows_full_enumeration(self, sizes, seed, chunk):
+        # 1 to 5 hidden layers, every table small enough for the oracle
+        params = dbm_params(np.random.default_rng(seed), sizes)
+        oracle = enumerated_dbm_marginal(params)
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk is not None:
+                # small chunks stream the log-sum-exp over many blocks
+                patch.setattr(foeslab.zoo, "_CHUNK_OUTCOMES", chunk)
+            model = make_dbm_marginal(params)
+            assert_close_to_oracle(model.scores(), oracle.scores())
+            x = model.space.all_outcomes()
+            assert_close_to_oracle(model.score_fn(x[:1]), oracle.score_fn(x[:1]))
+
+    def test_even_space_over_budget_raises(self):
+        # the odd layer of 2 units is summed in closed form: the rule counts
+        # the 3 visibles and the 2 even-layer units only
         params = dbm_params(np.random.default_rng(1), (3, 2, 2))
-        with pytest.raises(BudgetExceededError, match="2\\^7"):
-            make_dbm_marginal(params, budget=2**6)
-        make_dbm_marginal(params, budget=2**7)
+        with pytest.raises(BudgetExceededError, match="2\\^5"):
+            make_dbm_marginal(params, budget=2**4)
+        make_dbm_marginal(params, budget=2**5).scores()
+
+    def test_joint_space_past_the_budget_scores(self):
+        # 16 + 12 + 4 units: a 2^32 joint space, scored under the default
+        # budget as 2^16 visibles against 2^4 even-layer configurations; the
+        # oracle, let past the budget, sums 2^16 hidden states per row
+        params = dbm_params(np.random.default_rng(7), (16, 12, 4))
+        scores = make_dbm_marginal(params).scores()
+        rows = [0, 1, 4097, int(scores.argmax()), int(scores.argmin()), 2**16 - 1]
+        x = OutcomeSpace(16, (-1, 1)).all_outcomes()[rows]
+        assert_close_to_oracle(scores[rows],
+                               enumerated_dbm_marginal(params, budget=2**32).score_fn(x))
+
+    def test_scoring_peak_memory_stays_near_one_chunk(self):
+        # 2 + 2 + 22 units: 2^24 (visible, even-layer) pairs at the cap; the
+        # full-enumeration route held 2^24-row float64 arrays (GBs)
+        code = (
+            "import numpy as np\n"
+            "from foeslab import DbmParams, make_dbm_marginal\n"
+            "rng = np.random.default_rng(22)\n"
+            "p = DbmParams(rng.normal(size=2), (rng.normal(size=2), rng.normal(size=22)),"
+            " (rng.normal(size=(2, 2)), rng.normal(size=(2, 22))))\n"
+            "assert np.isfinite(make_dbm_marginal(p).scores()).all()\n"
+            "print([l for l in open('/proc/self/status') if l.startswith('VmHWM')][0])\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True).stdout
+        assert int(out.split()[1]) < 512 * 1024  # kB
+
+
+def enumerated_dbm_marginal(params: DbmParams,
+                            budget: int = DEFAULT_ENUMERATION_BUDGET) -> FoesModel:
+    """make_dbm_marginal before the closed-form route, verbatim: every hidden
+    layer enumerated. The oracle for the DBM tables."""
+    sizes = params.layer_sizes
+    n = sizes[0]
+    OutcomeSpace(sum(sizes), (-1, 1)).check_budget(budget)
+    hspace = OutcomeSpace(sum(sizes[1:]), (-1, 1))
+    hall = hspace.all_outcomes(budget).astype(np.float64)
+    # split the flat hidden enumeration into per-layer blocks
+    splits = np.cumsum(sizes[1:])[:-1]
+    layers = np.split(hall, splits, axis=1)
+
+    # per-hidden-configuration constant: biases plus layer-to-layer terms
+    const = np.zeros(hall.shape[0])
+    for h, a in zip(layers, params.hidden_biases):
+        const += h @ a
+    for i in range(1, len(layers)):
+        const += ((layers[i - 1] @ params.couplings[i]) * layers[i]).sum(axis=1)
+    first = layers[0] @ params.couplings[0]  # (n_hidden_conf, n_visible)
+
+    def score_fn(outcomes: np.ndarray) -> np.ndarray:
+        x = outcomes.astype(np.float64)
+        base = x @ params.visible_bias
+        cross = first @ x.T  # (n_hidden_conf, m)
+        joint = const[:, None] + cross
+        m = joint.max(axis=0)
+        return base + m + np.log(np.exp(joint - m[None, :]).sum(axis=0))
+
+    space = OutcomeSpace(n, (-1, 1))
+    return FoesModel(space, score_fn, family="dbm_marginal", budget=budget)
+
+
+def assert_close_to_oracle(got, oracle):
+    """Within 1e-12 of the oracle relative to its largest magnitude, with the
+    same argmax and argmin (an entry near 0 has no relative precision)."""
+    assert np.abs(got - oracle).max() <= 1e-12 * np.abs(oracle).max()
+    assert (np.argmax(got), np.argmin(got)) == (np.argmax(oracle), np.argmin(oracle))
 
 
 def dbm_params(rng, sizes):
