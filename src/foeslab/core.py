@@ -160,8 +160,7 @@ class OutcomeSpace:
         that need only a value per outcome use ``tabulate`` instead. The
         callers that keep rows are ``tabulate`` for its low block, the
         joint RBM's table (one block whose first rows serve as both the
-        visible and the hidden rows), ``run_figure1`` (each grid cell
-        rescores the visible rows) and the DBM marginal (the low digits of
+        visible and the hidden rows) and the DBM marginal (the low digits of
         its even-layer configurations, per scored block of visible rows).
         """
         self.check_budget(budget)
@@ -232,6 +231,26 @@ def _aligned_blocks(low: np.ndarray, n_variables: int, alphabet):
     for c in range(k ** (n_variables - m)):
         block[:, m:] = symbols[c // powers % k]
         yield c * rows, block
+
+
+def _signed_sums(base, weights, out: np.ndarray) -> np.ndarray:
+    """Fill ``out[r] = base + sum_i s_i(r) * weights[i]`` and return it.
+
+    r runs over the little-endian {-1,+1}^n index, n = len(weights), so
+    s_i(r) is -1 where bit i of r is 0 and +1 where it is 1. Built by
+    doubling: level i writes rows [2^i, 2^(i+1)) as rows [0, 2^i) plus
+    weights[i], then subtracts weights[i] from rows [0, 2^i) in place.
+    Every row is thus summed in variable order 0, 1, ..., starting from
+    ``base``, bit for bit; a trailing shape (draws, columns) is elementwise.
+    """
+    if len(out) != 2 ** len(weights):
+        raise ValueError(f"{len(out)} rows for {len(weights)} signed weights")
+    out[0] = base
+    for i, w in enumerate(weights):
+        run = 2**i
+        np.add(out[:run], w, out=out[run:2 * run])
+        out[:run] -= w
+    return out
 
 
 def _one_flip_shape(n_variables: int, k: int, i: int) -> tuple[int, int, int]:

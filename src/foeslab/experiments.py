@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_ENUMERATION_BUDGET, OutcomeSpace, _check_finite,
-                   _csv, _philox_streams)
+from .core import (_CHUNK_OUTCOMES, DEFAULT_ENUMERATION_BUDGET, OutcomeSpace,
+                   _check_finite, _csv, _philox_streams, _signed_sums)
 from .metrics import _extremal_range, _one_flip_range
 from .zoo import _log2cosh
 
@@ -109,28 +109,31 @@ def run_figure1(config: GridExperimentConfig = GridExperimentConfig(),
 
     Cells are ordered with the main-effect axis outer and the interaction
     axis inner. Per draw, the visible model's unnormalized scores are
-    evaluated directly on the enumerated visible space (hiddens summed
-    analytically), matching make_rbm_marginal; a non-finite score raises
-    ValueError.
+    evaluated on the whole visible space (hiddens summed analytically, as
+    in make_rbm_marginal); a non-finite score raises ValueError.
 
-    The visible space is antipodal: row 2^n_visible - 1 - r is -(row r).
-    Negation is exact, so the interaction fields are computed for the
-    first half of the rows only and negated for the second half, bitwise
-    equal to the full product. The draws take their streams from one
-    reset Philox (``_philox_streams``), and the field buffer, which
-    log2cosh overwrites in place, is allocated once per run.
+    The hidden fields theta_h + W x and the visible term x . theta_v are
+    built over the {-1,+1}^n_visible index by ``_signed_sums``, and the
+    hidden units' log2cosh terms are added in unit order. Every value is
+    thus a fixed sequence of elementwise operations along the draws, with
+    no BLAS or einsum kernel, so the draws can be taken in blocks of at
+    most one chunk of (outcome, draw) pairs with the same bits: memory
+    stays near one chunk per hidden unit whatever n_visible. The draws
+    take their streams from one reset Philox (``_philox_streams``).
     """
     nv, nh = config.n_visible, config.n_hidden
     samples = config.samples_per_point
-    outcomes = OutcomeSpace(nv, (-1, 1)).all_outcomes(budget).astype(np.float64)
-    half = len(outcomes) // 2
+    space = OutcomeSpace(nv, (-1, 1))
+    space.check_budget(budget)
+    rows = space.n_outcomes
+    block = min(samples, max(1, _CHUNK_OUTCOMES // rows))
     breaks = config.breaks
     main_dim, int_dim = nv + nh, nv * nh
     stream = _philox_streams(config.seed)
-    theta_v = np.empty((samples, nv))
-    theta_h = np.empty((samples, nh))
-    theta_vh = np.empty((samples, nh, nv))
-    z = np.empty((len(outcomes), samples, nh))
+    draws = np.empty((samples, main_dim + int_dim))
+    fields = np.empty(rows * nh * block)
+    visible = np.empty(rows * block)
+    lreps, deltas = np.empty(samples), np.empty(samples)
 
     cells = []
     for i_main, mag_main in enumerate(breaks):
@@ -138,24 +141,34 @@ def run_figure1(config: GridExperimentConfig = GridExperimentConfig(),
             cell_index = i_main * config.n_breaks + i_int
             for s in range(samples):
                 rng = stream(cell_index * samples + s)
-                main = sample_on_sphere(main_dim, mag_main * main_dim, rng)
-                inter = sample_on_sphere(int_dim, mag_int * int_dim, rng)
-                theta_v[s] = main[:nv]
-                theta_h[s] = main[nv:]
-                theta_vh[s] = inter.reshape(nh, nv)
+                draws[s, :main_dim] = sample_on_sphere(main_dim, mag_main * main_dim, rng)
+                draws[s, main_dim:] = sample_on_sphere(int_dim, mag_int * int_dim, rng)
+            # one row per coordinate, draws along the last axis
+            cols = np.ascontiguousarray(draws.T)
+            theta_v, theta_h = cols[:nv], cols[nv:main_dim]
+            theta_vh = cols[main_dim:].reshape(nh, nv, samples).transpose(1, 0, 2)
 
-            # scores for the whole batch: (n_outcomes, samples)
-            np.einsum("xi,sji->xsj", outcomes[:half], theta_vh, out=z[:half])
-            np.negative(z[half - 1::-1], out=z[half:])
-            z += theta_h
-            hidden = _log2cosh(z, out=z).sum(axis=2)
-            scores = _check_finite(outcomes @ theta_v.T + hidden)
+            for s0 in range(0, samples, block):
+                part = slice(s0, min(s0 + block, samples))
+                width = part.stop - s0
+                z = _signed_sums(theta_h[:, part], theta_vh[:, :, part],
+                                 fields[:rows * nh * width].reshape(rows, nh, width))
+                z = _log2cosh(z, out=z)
+                for j in range(1, nh):
+                    z[:, 0] += z[:, j]
+                scores = _signed_sums(-0.0, theta_v[:, part],
+                                      visible[:rows * width].reshape(rows, width))
+                _check_finite(np.add(scores, z[:, 0], out=scores))
+                if "scaled_lrep" in config.metrics:
+                    lreps[part] = _extremal_range(scores)
+                if "delta_n" in config.metrics:
+                    deltas[part] = _one_flip_range(scores, nv, 2)
 
             mean_lrep = mean_delta = float("nan")
             if "scaled_lrep" in config.metrics:
-                mean_lrep = float(_extremal_range(scores).mean() / nv)
+                mean_lrep = float(lreps.mean() / nv)
             if "delta_n" in config.metrics:
-                mean_delta = float(_one_flip_range(scores, nv, 2).mean())
+                mean_delta = float(deltas.mean())
 
             cells.append(GridCell(
                 main_magnitude=float(mag_main),

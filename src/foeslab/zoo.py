@@ -21,6 +21,7 @@ from .core import (
     OutcomeSpace,
     _aligned_blocks,
     _chunk_digits,
+    _signed_sums,
 )
 
 GRAPH_TERMS = ("edges", "two_stars", "triangles")
@@ -310,14 +311,17 @@ class RbmParams:
 
 def rbm_joint_score(params: RbmParams, x: np.ndarray, h: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
-    """Joint score x.theta_v + h.theta_h + sum_ij x_i h_j w_ji.
+    """Joint score (x.theta_v + h.theta_h) + sum_j h_j (W x)_j.
 
     Row r of ``x`` (m, n_visible) pairs with row r of ``h`` (m, n_hidden),
-    giving m scores. Hidden rows shaped (b, 1, n_hidden) are instead each
-    scored against every visible row, giving the (b, m) grid with the bits
-    of the paired call. The cross term is summed a block of leading rows at
-    a time, so its temporary stays near one table chunk. ``out`` may hold
-    the result, as for a ufunc.
+    giving m scores. Hidden rows shaped (b, 1, n_hidden) must instead be
+    one aligned run of the hidden index, 2^d rows from a multiple of 2^d
+    (ValueError otherwise); each is scored against every visible row,
+    giving the (b, m) grid with the bits of the paired call. Either way the
+    cross term is summed in hidden order j = 0, 1, ... from -0.0: the grid
+    builds it by ``_signed_sums`` over the run's d low digits, a piece of
+    at most one chunk at a time, then adds the fixed high digits in order.
+    ``out`` may hold the result, as for a ufunc.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     h = np.atleast_2d(np.asarray(h, dtype=np.float64))
@@ -325,11 +329,36 @@ def rbm_joint_score(params: RbmParams, x: np.ndarray, h: np.ndarray,
     # rounds as on paired rows; a batched (b, 1, n_hidden) product does not
     hh = (h.reshape(len(h), params.n_hidden) @ params.hidden).reshape(h.shape[:-1])
     score = np.add(x @ params.visible, hh, out=out)
-    xw, h = np.broadcast_arrays(x @ params.interaction.T, h)
-    step = max(1, _CHUNK_OUTCOMES // max(1, xw[0].size))
-    for r in range(0, len(score), step):
-        score[r:r + step] += (xw[r:r + step] * h[r:r + step]).sum(axis=-1)
+    wx = np.ascontiguousarray((x @ params.interaction.T).T)
+    if h.ndim == 2:
+        cross = np.full(len(x), -0.0)
+        for j in range(params.n_hidden):
+            cross += h[:, j] * wx[j]
+        score += cross
+        return score
+    d = _aligned_run_digits(h[:, 0])
+    signs = h[0, 0, d:]
+    step = max(1, _CHUNK_OUTCOMES >> d)
+    buffer = np.empty((2**d, min(step, len(x))))
+    for c in range(0, len(x), step):
+        piece = wx[:, c:c + step]
+        cross = _signed_sums(-0.0, piece[:d], buffer[:, :piece.shape[1]])
+        for j, s in enumerate(signs, start=d):
+            cross += s * piece[j]
+        score[:, c:c + step] += cross
     return score
+
+
+def _aligned_run_digits(h: np.ndarray) -> int:
+    """d for rows h of {-1,+1}^n that are hidden indices a, a+1, ..., a+2^d-1
+    with a a multiple of 2^d, the form the grid builds by doubling."""
+    b, n = h.shape
+    d = b.bit_length() - 1
+    index = (h > 0) @ (2 ** np.arange(n))
+    if b != 2**d or not (np.all(np.abs(h) == 1) and index[0] % b == 0
+                         and np.array_equal(index, index[0] + np.arange(b))):
+        raise ValueError("grid hidden rows must be one aligned run of the hidden index")
+    return d
 
 
 class _RbmJoint(FoesModel):

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foeslab import (
     BudgetExceededError,
@@ -24,7 +25,7 @@ from foeslab import (
     GraphModelSpec,
     RbmParams,
 )
-from foeslab.core import _CHUNK_OUTCOMES, _philox, _philox_streams
+from foeslab.core import _CHUNK_OUTCOMES, _philox, _philox_streams, _signed_sums
 from foeslab.metrics import lrep
 from foeslab.zoo import _statistic_matrix
 
@@ -369,3 +370,45 @@ class TestTabulate:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * table_bytes
+
+
+@st.composite
+def signed_weights(draw):
+    """(n, base, weights): n from 1 to 12, trailing shape (), (3,) or (2, 5),
+    base +0.0, -0.0 or an array of the trailing shape."""
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from([(), (3,), (2, 5)]))
+    size = int(np.prod(shape, dtype=int))
+    # signed zeros and exact ties alongside wide floats
+    values = st.one_of(st.sampled_from([0.0, -0.0, 0.1, -0.1, 0.2, 0.3, 1.0]),
+                       st.floats(-1e3, 1e3, allow_nan=False))
+    weights = np.array(draw(st.lists(values, min_size=n * size, max_size=n * size)))
+    kind = draw(st.sampled_from(["+0", "-0", "array"]))
+    base = {"+0": 0.0, "-0": -0.0}.get(kind)
+    if base is None:
+        base = np.array(draw(st.lists(values, min_size=size, max_size=size))).reshape(shape)
+    return n, base, weights.reshape(n, *shape)
+
+
+class TestSignedSums:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(case=signed_weights())
+    def test_each_row_is_summed_in_variable_order(self, case):
+        n, base, weights = case
+        space = OutcomeSpace(n, (-1, 1))
+        out = _signed_sums(base, weights, np.empty((2**n, *weights.shape[1:])))
+        want = np.empty_like(out)
+        for r in range(2**n):
+            acc = np.full(weights.shape[1:], base)
+            for s, w in zip(space.decode(r), weights):
+                acc = acc + s * w
+            want[r] = acc
+        assert out.tobytes() == want.tobytes()
+        x = space.all_outcomes().astype(np.float64)
+        dense = base + (x @ weights.reshape(n, -1)).reshape(out.shape)
+        scale = np.abs(base).max(initial=0.0) + np.abs(weights).sum(axis=0).max(initial=0.0)
+        assert np.abs(out - dense).max() <= 1e-12 * scale
+
+    def test_row_count_must_match(self):
+        with pytest.raises(ValueError, match="8 rows for 2 signed weights"):
+            _signed_sums(0.0, np.ones((2, 3)), np.empty((8, 3)))

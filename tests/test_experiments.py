@@ -2,11 +2,15 @@
 
 import hashlib
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import foeslab.experiments
 from foeslab import (
     GridExperimentConfig,
     RbmParams,
@@ -73,28 +77,38 @@ class TestRunFigure1:
             assert c.mean_delta_n >= 0.0
             assert c.n_samples == 3
 
-    def test_matches_model_path_per_draw(self):
-        # rebuild one draw from its stream and push it through the model
-        # diagnostics; the grid's fast path must agree exactly
-        config = GridExperimentConfig(n_visible=5, n_hidden=2, n_breaks=3,
-                                      samples_per_point=1, seed=99)
-        cells = run_figure1(config)
-        nv, nh = config.n_visible, config.n_hidden
-        breaks = config.breaks
-        for i_main in range(3):
-            for i_int in range(3):
-                cell = cells[i_main * 3 + i_int]
-                rng = _philox(config.seed, (i_main * 3 + i_int) * 1 + 0)
-                main = sample_on_sphere(nv + nh, breaks[i_main] * (nv + nh), rng)
-                inter = sample_on_sphere(nv * nh, breaks[i_int] * (nv * nh), rng)
-                params = RbmParams(main[:nv], main[nv:], inter.reshape(nh, nv))
-                model = make_rbm_marginal(params)
-                # batched einsum and per-model matmul round differently in
-                # the last ulp; agreement is at float-noise level
-                assert cell.mean_scaled_lrep == pytest.approx(
-                    lrep(model).scaled_lrep, rel=1e-12, abs=1e-12)
-                assert cell.mean_delta_n == pytest.approx(
-                    delta_n(model), rel=1e-12, abs=1e-12)
+    @pytest.mark.parametrize("config, cells", [
+        (GridExperimentConfig(n_visible=5, n_hidden=2, n_breaks=3,
+                              samples_per_point=1, seed=99), range(9)),
+        (GridExperimentConfig(n_visible=9, n_hidden=5, n_breaks=20,
+                              samples_per_point=6, seed=11), (0, 137, 399)),
+        # n_hidden >= 8: the model sums its hidden terms pairwise
+        (GridExperimentConfig(n_visible=7, n_hidden=9, n_breaks=3,
+                              samples_per_point=7, seed=-3), (1, 4, 8)),
+    ], ids=["5+2", "9+5", "7+9"])
+    def test_matches_model_path_per_draw(self, config, cells):
+        # rebuild each draw from its stream and push it through the model
+        # diagnostics, as the benchmark's figure1 oracle does
+        nv, nh, spp = config.n_visible, config.n_hidden, config.samples_per_point
+        got = run_figure1(config)
+        for cell in cells:
+            main_mag = config.breaks[cell // config.n_breaks]
+            int_mag = config.breaks[cell % config.n_breaks]
+            lreps, deltas = [], []
+            for s in range(spp):
+                rng = _philox(config.seed, cell * spp + s)
+                main = sample_on_sphere(nv + nh, main_mag * (nv + nh), rng)
+                inter = sample_on_sphere(nv * nh, int_mag * (nv * nh), rng)
+                model = make_rbm_marginal(RbmParams(main[:nv], main[nv:],
+                                                    inter.reshape(nh, nv)))
+                lreps.append(lrep(model).scaled_lrep)
+                deltas.append(delta_n(model))
+            # the grid's signed sums and the model's matrix products
+            # round differently in the last ulp
+            assert got[cell].mean_scaled_lrep == pytest.approx(
+                np.mean(lreps), rel=1e-12, abs=1e-12)
+            assert got[cell].mean_delta_n == pytest.approx(
+                np.mean(deltas), rel=1e-12, abs=1e-12)
 
     def test_deterministic_and_seed_sensitive(self):
         a = run_figure1(SMALL)
@@ -176,10 +190,12 @@ def _parent_log2cosh(z):
 
 
 def _parent_run_figure1(config, budget=2**24):
-    """run_figure1 as it was before the antipodal half and the reset stream.
+    """run_figure1 before the antipodal half, the reset stream and the
+    signed sums.
 
     One freshly built Philox per draw, the einsum over the full visible
-    space and the allocating log2cosh: the oracle for the fast route.
+    space, the allocating log2cosh and numpy's hidden-axis sum: the oracle
+    for the fast route.
     """
     nv, nh = config.n_visible, config.n_hidden
     outcomes = OutcomeSpace(nv, (-1, 1)).all_outcomes(budget).astype(np.float64)
@@ -229,9 +245,13 @@ METRIC_SUBSETS = [subset for r in (1, 2)
 
 
 class TestAgainstParentRoute:
-    """The antipodal half, the reset stream and in-place log2cosh keep every byte.
+    """The signed sums, the reset stream and in-place log2cosh follow the
+    parent route: every cell within 1e-12 relative, or within 1e-12 of its
+    draws' score scale.
 
-    Compared as CSV text: cells hold NaN for unrequested metrics.
+    The einsum summed each field's products in numpy's own order and the
+    hidden axis pairwise from 8 units on; the signed sums add in variable
+    order, so cells move by ulps. Unrequested metrics stay NaN.
     """
 
     @settings(max_examples=80, deadline=None, derandomize=True)
@@ -247,17 +267,68 @@ class TestAgainstParentRoute:
             n_visible=n_visible, n_hidden=n_hidden, n_breaks=n_breaks,
             samples_per_point=samples, seed=seed, magnitude_max=magnitude_max,
             metrics=metrics)
-        assert (figure1_csv(run_figure1(config), config)
-                == figure1_csv(_parent_run_figure1(config), config))
+        got, want = cell_array(run_figure1(config)), cell_array(_parent_run_figure1(config))
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert got[:, :2].tobytes() == want[:, :2].tobytes()
+        # a metric is a difference of scores, so where it is small against
+        # them only their scale bounds its rounding: |score| <= |theta|_1
+        # + n_hidden log 2, and |v|_1 <= sqrt(dim) |v|_2 on each sphere
+        nv, nh = n_visible, n_hidden
+        scale = (np.sqrt(nv + nh) * (nv + nh) * got[:, 0]
+                 + np.sqrt(nv * nh) * nv * nh * got[:, 1] + nh * np.log(2))
+        for g, w, s in zip(np.nan_to_num(got[:, 2:4]), np.nan_to_num(want[:, 2:4]), scale):
+            assert g == pytest.approx(w, rel=1e-12, abs=1e-12 * s)
 
     @pytest.mark.parametrize("config, digest", [
         (GridExperimentConfig(),
-         "0c14a9c01fa0575a412d74dec0b29ae769f556ed41bad40b2ea8e567335bf29d"),
-        # n_hidden >= 8: numpy sums the hidden axis pairwise
+         "d5fad6efb468ffb0f612bf6ba457ff43d2c718df62e9e1dddca1b27be13d1d43"),
+        # n_hidden >= 8: the hidden terms are still added in unit order
         (GridExperimentConfig(n_visible=7, n_hidden=9, n_breaks=3,
                               samples_per_point=7, seed=-3),
-         "f8075973c1b4afe982d5a45f48d2f8bb6501bc309b190bdbd8379ba350ebde05"),
+         "87401888155472195452a17f10176f8572168491c187d6b642755b36e0c29e77"),
     ], ids=["default-grid", "7+9-seed-minus-3"])
     def test_csv_bytes_are_pinned(self, config, digest):
         text = figure1_csv(run_figure1(config), config)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def cell_array(cells) -> np.ndarray:
+    """One row per cell: magnitudes, the two metrics and the sample count."""
+    return np.array([[c.main_magnitude, c.interaction_magnitude, c.mean_scaled_lrep,
+                      c.mean_delta_n, c.n_samples] for c in cells])
+
+
+class TestDrawBlocks:
+    """Draws are taken in blocks of at most one chunk of (outcome, draw) pairs."""
+
+    @pytest.mark.parametrize("chunk", [1, 3 * 2**5, 7 * 2**5 + 3, 2**30])
+    @pytest.mark.parametrize("config", [
+        GridExperimentConfig(n_visible=5, n_hidden=3, n_breaks=3,
+                             samples_per_point=17, seed=4),
+        GridExperimentConfig(n_visible=5, n_hidden=9, n_breaks=2,
+                             samples_per_point=10, seed=-2, magnitude_max=40.0),
+    ], ids=["5+3", "5+9"])
+    def test_block_size_keeps_every_byte(self, monkeypatch, config, chunk):
+        # one draw per block, blocks of 3 and 7 draws with a short last one,
+        # and one block for all draws
+        want = figure1_csv(run_figure1(config), config)
+        monkeypatch.setattr(foeslab.experiments, "_CHUNK_OUTCOMES", chunk)
+        assert figure1_csv(run_figure1(config), config) == want
+
+    def test_sixteen_visibles_peak_near_one_chunk(self, tmp_path):
+        # 2^16 visible outcomes take one draw per block; holding every draw's
+        # fields at once took this run to about 216 MB
+        code = ("import sys\n"
+                "from foeslab.cli import main\n"
+                "code = main(sys.argv[1:])\n"
+                "peak = next(line.split()[1] for line in open('/proc/self/status')\n"
+                "            if line.startswith('VmHWM:'))\n"
+                "print(code, peak)\n")
+        src = os.path.dirname(os.path.dirname(foeslab.__file__))
+        argv = ["figure1", "--n-visible", "16", "--n-breaks", "2",
+                "--samples-per-point", "25", "--out", str(tmp_path / "grid.csv")]
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
+        code, peak_kb = proc.stdout.split()
+        assert code == "0", proc.stderr
+        assert int(peak_kb) < 128 * 1024

@@ -431,30 +431,54 @@ def _rbm_case(nv, nh, chunk=None, seed=0):
 @example(case=(RbmParams([0.1, 0.2, 0.3], [0.3, -0.3], [[0.1, 0.2, -0.3], [0.0, 0.5, 0.5]]),
                None))
 def test_joint_table_is_the_chunked_paired_table(case):
+    # the parent route sums the cross term with numpy, which adds fewer than
+    # 8 terms in order and 8 or more pairwise; the signed sums add in order
     params, chunk = case
     want = _chunked_joint_table(params)
     with pytest.MonkeyPatch.context() as patch:
         if chunk is not None:
             # small chunks split both sides into several blocks
             patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
+            patch.setattr(foeslab.zoo, "_CHUNK_OUTCOMES", chunk)
         model = make_rbm_joint(params)
         got = model.scores()
         report = lrep(model)
-    assert got.tobytes() == want.tobytes()
-    assert (report.argmax_index, report.argmin_index) == (np.argmax(want), np.argmin(want))
+    if params.n_hidden < 8:
+        assert got.tobytes() == want.tobytes()
+        assert (report.argmax_index, report.argmin_index) == (np.argmax(want), np.argmin(want))
+    else:
+        tol = 1e-15 * np.abs(want).max()
+        assert np.abs(got - want).max() <= tol
+        assert want[report.argmax_index] >= want.max() - tol
+        assert want[report.argmin_index] <= want.min() + tol
     outcomes = model.space.all_outcomes()
     x, h = outcomes[:, :params.n_visible], outcomes[:, params.n_visible:]
-    assert rbm_joint_score(params, x, h).tobytes() == \
-        _paired_rbm_joint_score(params, x, h).tobytes()
+    assert rbm_joint_score(params, x, h).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("h", [
+    [[1, -1], [-1, 1]],
+    [[1, -1], [-1, 1], [1, 1]],
+    [[1, 1], [-1, -1]],
+    [[0.5, -1], [1, -1]],
+], ids=["out-of-order", "three-rows", "wraps-around", "not-a-sign"])
+def test_grid_rows_must_be_an_aligned_run(h):
+    # the grid builds its hidden rows by doubling, so any other rows would
+    # be mis-summed
+    params = RbmParams([0.3, -0.2], [0.5, 0.1], [[0.2, -0.4], [0.7, 0.1]])
+    x = OutcomeSpace(2, (-1, 1)).all_outcomes()
+    with pytest.raises(ValueError, match="one aligned run of the hidden index"):
+        rbm_joint_score(params, x, np.array(h, dtype=float)[:, None])
 
 
 def test_joint_table_at_the_budget_cap_is_pinned():
-    # 14 + 10 units: the 2^24-outcome table of the cap benchmark; the digest
-    # and extremes are those of the chunked paired table
+    # 14 + 10 units: the 2^24-outcome table of the cap benchmark. Its
+    # extremes are those of the chunked paired table, which it follows to
+    # 3.8e-16 of its largest magnitude
     params, _ = _rbm_case(14, 10, seed=1410)
     scores = make_rbm_joint(params).scores()
     assert hashlib.sha256(scores.tobytes()).hexdigest() == \
-        "9b3471fe2921f26394815090eb92a20efd4ffb00b181075679be8ff1729fce4a"
+        "ef2eda25cc820dbccaeb38b768c17774f13eafc8037f6b5310964c927cc0ed45"
     assert (scores.argmax(), scores.argmin()) == (15546342, 13436953)
 
 
