@@ -228,12 +228,10 @@ def _graph_bound_branches(spec: GraphModelSpec) -> tuple[float, float]:
     n_edges = spec.n_edges
     pairs = spec.edge_index
     half = set(range(n // 2))
-    complete = np.ones((1, n_edges))
-    bipartite = np.array([[1.0 if (a in half) != (b in half) else 0.0
-                           for a, b in pairs]])
+    complete = np.ones(n_edges)
+    bipartite = [1.0 if (a in half) != (b in half) else 0.0 for a, b in pairs]
     theta = np.asarray(spec.params, dtype=np.float64)
-    g_complete = graph_statistics(spec, complete)[0]
-    g_bipartite = graph_statistics(spec, bipartite)[0]
+    g_complete, g_bipartite = graph_statistics(spec, np.array([complete, bipartite]))
     branch1 = abs(float(theta @ g_complete)) / n_edges
     branch2 = abs(float(theta @ g_bipartite)) / n_edges
     return branch1, branch2

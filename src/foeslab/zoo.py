@@ -196,14 +196,6 @@ class GraphModelSpec:
     def edge_index(self) -> list[tuple[int, int]]:
         return list(itertools.combinations(range(self.n_nodes), 2))
 
-    def incidence(self) -> np.ndarray:
-        """(n_edges, n_nodes) 0/1 matrix: edge rows, endpoint columns."""
-        inc = np.zeros((self.n_edges, self.n_nodes), dtype=np.float64)
-        for e, (a, b) in enumerate(self.edge_index):
-            inc[e, a] = 1.0
-            inc[e, b] = 1.0
-        return inc
-
     def triangle_edges(self) -> np.ndarray:
         """(n_triples, 3) edge indices of each node triple's three edges."""
         pos = {pair: e for e, pair in enumerate(self.edge_index)}
@@ -219,11 +211,17 @@ def graph_statistics(spec: GraphModelSpec, outcomes: np.ndarray) -> np.ndarray:
 
     2-stars are unordered pairs of distinct edges sharing a node, counted
     as sum_v C(deg(v), 2); triangles are node triples whose three edges are
-    all present. The counts run along boolean edge columns; every partial
-    sum is an exact integer, so their order does not change a bit.
+    all present. The counts run along boolean edge columns: each edge adds
+    its column into its two endpoints' degree rows, in the smallest
+    unsigned integer type that holds n_nodes - 1. Every partial sum is an
+    exact integer, so their order does not change a bit.
     """
     edges = np.ascontiguousarray(np.asarray(outcomes).T, dtype=bool)
-    deg = spec.incidence().T @ edges
+    deg = np.zeros((spec.n_nodes, edges.shape[1]),
+                   dtype=np.min_scalar_type(spec.n_nodes - 1))
+    for e, (a, b) in enumerate(spec.edge_index):
+        deg[a] += edges[e]
+        deg[b] += edges[e]
     tri = spec.triangle_edges()  # nonempty: a spec has at least 3 nodes
     triangles = np.logical_and(edges[tri[:, 0]], edges[tri[:, 1]])
     triangles &= edges[tri[:, 2]]
@@ -309,56 +307,67 @@ class RbmParams:
         return float(np.abs(self.interaction).sum())
 
 
-def rbm_joint_score(params: RbmParams, x: np.ndarray, h: np.ndarray,
+def rbm_joint_score(params: RbmParams, x: np.ndarray | slice, h: np.ndarray | slice,
                     out: np.ndarray | None = None) -> np.ndarray:
-    """Joint score (x.theta_v + h.theta_h) + sum_j h_j (W x)_j.
+    """Joint score x.theta_v + sum_j h_j f_j, with fields f_j = theta_h_j + (W x)_j.
 
     Row r of ``x`` (m, n_visible) pairs with row r of ``h`` (m, n_hidden),
-    giving m scores. Hidden rows shaped (b, 1, n_hidden) must instead be
-    one aligned run of the hidden index, 2^d rows from a multiple of 2^d
-    (ValueError otherwise); each is scored against every visible row,
-    giving the (b, m) grid with the bits of the paired call. Either way the
-    cross term is summed in hidden order j = 0, 1, ... from -0.0: the grid
-    builds it by ``_signed_sums`` over the run's d low digits, a piece of
-    at most one chunk at a time, then adds the fixed high digits in order.
-    ``out`` may hold the result, as for a ufunc.
+    giving m scores. ``x`` and ``h`` may instead be slices of the visible
+    and the hidden index, each one aligned run of 2^d indices from a
+    multiple of 2^d (ValueError otherwise); then the result is the
+    (2^d_h, 2^d_x) grid of every hidden outcome in ``h`` against every
+    visible outcome in ``x``. Either way each score is summed in one
+    order: x.theta_v from -0.0 and each f_j from theta_h_j, both in visible
+    order, then h_j f_j added in unit order. The grid builds x.theta_v and
+    one table per f_j over the visible run by ``_signed_sums``, then
+    doubles the f_j over the hidden run, each time adding a run's fixed
+    high digits after its low ones; so it has the bits of the paired call
+    and runs no BLAS kernel. ``out`` may hold the result, as for a ufunc.
     """
+    if isinstance(x, slice) and isinstance(h, slice):
+        m, x_high = _aligned_run(x, params.n_visible, "visible")
+        d, h_high = _aligned_run(h, params.n_hidden, "hidden")
+        fields = np.empty((params.n_hidden, 2**m))
+        for f, b, w in zip(fields, params.hidden, params.interaction):
+            _add_in_order(_signed_sums(b, w[:m], f), x_high, w[m:])
+        visible = _add_in_order(_signed_sums(-0.0, params.visible[:m], np.empty(2**m)),
+                                x_high, params.visible[m:])
+        grid = np.empty((2**d, 2**m)) if out is None else out
+        return _add_in_order(_signed_sums(visible, fields[:d], grid), h_high, fields[d:])
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     h = np.atleast_2d(np.asarray(h, dtype=np.float64))
-    # h.theta_h as one matrix-vector product over the hidden rows, which
-    # rounds as on paired rows; a batched (b, 1, n_hidden) product does not
-    hh = (h.reshape(len(h), params.n_hidden) @ params.hidden).reshape(h.shape[:-1])
-    score = np.add(x @ params.visible, hh, out=out)
-    wx = np.ascontiguousarray((x @ params.interaction.T).T)
-    if h.ndim == 2:
-        cross = np.full(len(x), -0.0)
-        for j in range(params.n_hidden):
-            cross += h[:, j] * wx[j]
-        score += cross
+    if x.shape[-1] != params.n_visible or h.shape[-1] != params.n_hidden:
+        raise ValueError(f"rows must have {params.n_visible} visible "
+                         f"and {params.n_hidden} hidden units")
+    # one field at a time, each added as soon as it is summed
+    fields = (_add_in_order(np.full(len(x), b), x.T, w)
+              for b, w in zip(params.hidden, params.interaction))
+    score = _add_in_order(np.full(len(x), -0.0), x.T, params.visible)
+    score = _add_in_order(score, h.T, fields)
+    if out is None:
         return score
-    d = _aligned_run_digits(h[:, 0])
-    signs = h[0, 0, d:]
-    step = max(1, _CHUNK_OUTCOMES >> d)
-    buffer = np.empty((2**d, min(step, len(x))))
-    for c in range(0, len(x), step):
-        piece = wx[:, c:c + step]
-        cross = _signed_sums(-0.0, piece[:d], buffer[:, :piece.shape[1]])
-        for j, s in enumerate(signs, start=d):
-            cross += s * piece[j]
-        score[:, c:c + step] += cross
-    return score
+    out[...] = score
+    return out
 
 
-def _aligned_run_digits(h: np.ndarray) -> int:
-    """d for rows h of {-1,+1}^n that are hidden indices a, a+1, ..., a+2^d-1
-    with a a multiple of 2^d, the form the grid builds by doubling."""
-    b, n = h.shape
-    d = b.bit_length() - 1
-    index = (h > 0) @ (2 ** np.arange(n))
-    if b != 2**d or not (np.all(np.abs(h) == 1) and index[0] % b == 0
-                         and np.array_equal(index, index[0] + np.arange(b))):
-        raise ValueError("grid hidden rows must be one aligned run of the hidden index")
-    return d
+def _add_in_order(total: np.ndarray, signs, weights) -> np.ndarray:
+    """Add s_i * w_i to ``total`` in place, i = 0, 1, ...; return it."""
+    for s, w in zip(signs, weights):
+        total += s * w
+    return total
+
+
+def _aligned_run(run: slice, n: int, name: str) -> tuple[int, list[float]]:
+    """(d, signs of digits d..n-1) of ``run``, 2^d indices of {-1,+1}^n
+    from a multiple of 2^d in steps of 1: the form the grid builds by
+    doubling, with every digit from d up fixed."""
+    first = run.start or 0
+    size = -1 if run.stop is None else run.stop - first
+    d = max(size, 1).bit_length() - 1
+    if (run.step not in (None, 1) or first < 0 or size != 2**d or first % size
+            or run.stop > 2**n):
+        raise ValueError(f"grid {name} indices must be one aligned run of the {name} index")
+    return d, [1.0 if first >> i & 1 else -1.0 for i in range(d, n)]
 
 
 class _RbmJoint(FoesModel):
@@ -376,19 +385,20 @@ class _RbmJoint(FoesModel):
 
     def _score_table(self) -> np.ndarray:
         # the visibles are the low digits of the index, so the table is the
-        # (2^nh, 2^nv) grid with hidden rows major; each side comes in
-        # blocks of at most one chunk, from one enumeration of low digits
+        # (2^nh, 2^nv) grid with hidden rows major, built in blocks of at
+        # most one chunk of indices on each side
         self.space.check_budget(self.budget)
         nv, nh = self._params.n_visible, self._params.n_hidden
-        signs = self.space.alphabet
-        low = OutcomeSpace(_chunk_digits(max(nv, nh), 2), signs).all_outcomes(self.budget)
+        digits = _chunk_digits(max(nv, nh), 2)
+        rows, cols = 2 ** min(nh, digits), 2 ** min(nv, digits)
         table = np.empty((2**nh, 2**nv))
-        for h0, h in _aligned_blocks(low, nh, signs):
-            for x0, x in _aligned_blocks(low, nv, signs):
-                block = table[h0:h0 + len(h), x0:x0 + len(x)]
+        for h0 in range(0, 2**nh, rows):
+            for x0 in range(0, 2**nv, cols):
+                block = table[h0:h0 + rows, x0:x0 + cols]
                 # the table holds what rbm_joint_score returns; assigning
                 # its result copies nothing when that is block itself
-                block[...] = rbm_joint_score(self._params, x, h[:, None], out=block)
+                block[...] = rbm_joint_score(self._params, slice(x0, x0 + cols),
+                                             slice(h0, h0 + rows), out=block)
         return table.reshape(-1)
 
 
@@ -397,8 +407,8 @@ def make_rbm_joint(params: RbmParams,
     """Joint RBM model over {-1,+1}^(n_visible + n_hidden).
 
     Outcome vectors concatenate the visibles first, then the hiddens. The
-    score table scores the visible and the hidden rows once each and
-    combines them as rbm_joint_score's grid.
+    score table is rbm_joint_score's grid, one aligned block of hidden
+    against visible indices at a time.
     """
     return _RbmJoint(params, budget)
 

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import os
 import subprocess
 import sys
 
@@ -137,6 +138,12 @@ class TestGraphModel:
         spec = GraphModelSpec(4)
         g = graph_statistics(spec, np.ones((1, 6)))[0]
         assert list(g) == [6.0, 12.0, 4.0]
+
+    def test_complete_graph_counts_past_256_nodes(self):
+        # every degree is n - 1 = 256, one more than a byte holds
+        n = 257
+        g = graph_statistics(GraphModelSpec(n), np.ones((1, n * (n - 1) // 2)))[0]
+        assert list(g) == [math.comb(n, 2), n * math.comb(n - 1, 2), math.comb(n, 3)]
 
     def test_empty_graph_counts(self):
         spec = GraphModelSpec(4)
@@ -399,6 +406,24 @@ def _chunked_joint_table(params):
         lambda outcomes: _paired_rbm_joint_score(params, outcomes[:, :n], outcomes[:, n:]))
 
 
+def _joint_table_in_order(params):
+    """Every row of the joint table summed in the documented order, one
+    elementwise step at a time: x.theta_v from -0.0 and each field from
+    theta_h_j, in visible order, then h_j times field j in unit order."""
+    outcomes = OutcomeSpace(params.n_visible + params.n_hidden, (-1, 1)).all_outcomes()
+    x = outcomes[:, :params.n_visible].astype(np.float64)
+    h = outcomes[:, params.n_visible:].astype(np.float64)
+    total = np.full(len(x), -0.0)
+    for i in range(params.n_visible):
+        total = total + x[:, i] * params.visible[i]
+    for j in range(params.n_hidden):
+        field = np.full(len(x), params.hidden[j])
+        for i in range(params.n_visible):
+            field = field + x[:, i] * params.interaction[j, i]
+        total = total + h[:, j] * field
+    return total
+
+
 # a small pool makes exact ties and rounding near-ties (0.1 + 0.2) common
 _RBM_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 0.1, 0.2, 0.3, -0.3]),
                         st.floats(-2, 2))
@@ -431,54 +456,53 @@ def _rbm_case(nv, nh, chunk=None, seed=0):
 @example(case=(RbmParams([0.1, 0.2, 0.3], [0.3, -0.3], [[0.1, 0.2, -0.3], [0.0, 0.5, 0.5]]),
                None))
 def test_joint_table_is_the_chunked_paired_table(case):
-    # the parent route sums the cross term with numpy, which adds fewer than
-    # 8 terms in order and 8 or more pairwise; the signed sums add in order
+    # the table is summed in the documented order, bit for bit; the parent
+    # route (BLAS products, then numpy's sum over the hidden units) rounds
+    # differently, so it is followed to 1e-15 of its largest magnitude
     params, chunk = case
     want = _chunked_joint_table(params)
     with pytest.MonkeyPatch.context() as patch:
         if chunk is not None:
             # small chunks split both sides into several blocks
             patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
-            patch.setattr(foeslab.zoo, "_CHUNK_OUTCOMES", chunk)
         model = make_rbm_joint(params)
         got = model.scores()
         report = lrep(model)
-    if params.n_hidden < 8:
-        assert got.tobytes() == want.tobytes()
-        assert (report.argmax_index, report.argmin_index) == (np.argmax(want), np.argmin(want))
-    else:
-        tol = 1e-15 * np.abs(want).max()
-        assert np.abs(got - want).max() <= tol
-        assert want[report.argmax_index] >= want.max() - tol
-        assert want[report.argmin_index] <= want.min() + tol
+    assert got.tobytes() == _joint_table_in_order(params).tobytes()
+    tol = 1e-15 * np.abs(want).max()
+    assert np.abs(got - want).max() <= tol
+    assert want[report.argmax_index] >= want.max() - tol
+    assert want[report.argmin_index] <= want.min() + tol
     outcomes = model.space.all_outcomes()
     x, h = outcomes[:, :params.n_visible], outcomes[:, params.n_visible:]
     assert rbm_joint_score(params, x, h).tobytes() == got.tobytes()
 
 
-@pytest.mark.parametrize("h", [
-    [[1, -1], [-1, 1]],
-    [[1, -1], [-1, 1], [1, 1]],
-    [[1, 1], [-1, -1]],
-    [[0.5, -1], [1, -1]],
-], ids=["out-of-order", "three-rows", "wraps-around", "not-a-sign"])
-def test_grid_rows_must_be_an_aligned_run(h):
-    # the grid builds its hidden rows by doubling, so any other rows would
-    # be mis-summed
+@pytest.mark.parametrize("run", [
+    slice(1, None, -1),
+    slice(0, 3),
+    slice(3, 5),
+    slice(1, 3),
+    slice(4, 6),
+], ids=["out-of-order", "three-rows", "wraps-around", "unaligned", "past-the-end"])
+def test_grid_rows_must_be_an_aligned_run(run):
+    # the grid builds both sides' rows by doubling over the low digits of an
+    # aligned run, so any other indices would be mis-summed
     params = RbmParams([0.3, -0.2], [0.5, 0.1], [[0.2, -0.4], [0.7, 0.1]])
-    x = OutcomeSpace(2, (-1, 1)).all_outcomes()
+    with pytest.raises(ValueError, match="one aligned run of the visible index"):
+        rbm_joint_score(params, run, slice(0, 4))
     with pytest.raises(ValueError, match="one aligned run of the hidden index"):
-        rbm_joint_score(params, x, np.array(h, dtype=float)[:, None])
+        rbm_joint_score(params, slice(0, 4), run)
 
 
 def test_joint_table_at_the_budget_cap_is_pinned():
-    # 14 + 10 units: the 2^24-outcome table of the cap benchmark. Its
-    # extremes are those of the chunked paired table, which it follows to
-    # 3.8e-16 of its largest magnitude
+    # 14 + 10 units: the 2^24-outcome table of the cap benchmark, summed in
+    # the documented order. Its extremes are those of the parent route,
+    # which it follows to 3.8e-16 of its largest magnitude
     params, _ = _rbm_case(14, 10, seed=1410)
     scores = make_rbm_joint(params).scores()
     assert hashlib.sha256(scores.tobytes()).hexdigest() == \
-        "ef2eda25cc820dbccaeb38b768c17774f13eafc8037f6b5310964c927cc0ed45"
+        "c423d2211f3aa70b3db5e10d23287316e6f6e98bd92abc61f2e33535ff197064"
     assert (scores.argmax(), scores.argmin()) == (15546342, 13436953)
 
 
@@ -617,8 +641,10 @@ class TestDbm:
             " (rng.normal(size=(2, 2)), rng.normal(size=(2, 22))))\n"
             "assert np.isfinite(make_dbm_marginal(p).scores()).all()\n"
             "print([l for l in open('/proc/self/status') if l.startswith('VmHWM')][0])\n")
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True).stdout
+        # the child imports this checkout's foeslab, whatever PYTHONPATH says
+        src = os.path.dirname(os.path.dirname(foeslab.core.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
         assert int(out.split()[1]) < 512 * 1024  # kB
 
 
