@@ -158,10 +158,8 @@ class OutcomeSpace:
         n_outcomes * n_variables bytes (384 MB for 24 variables at the
         budget cap), and a scorer's float64 copy is 8 times that, so callers
         that need only a value per outcome use ``tabulate`` instead. The
-        callers that keep rows are ``tabulate`` for its low block, the
-        joint RBM's table (one block whose first rows serve as both the
-        visible and the hidden rows) and the DBM marginal (the low digits of
-        its even-layer configurations, per scored block of visible rows).
+        callers that keep rows are ``tabulate`` for its low block and the
+        DBM marginal (the low digits of its even-layer configurations).
         """
         self.check_budget(budget)
         k = self.alphabet_size

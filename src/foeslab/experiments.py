@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_CHUNK_OUTCOMES, DEFAULT_ENUMERATION_BUDGET, OutcomeSpace,
-                   _check_finite, _csv, _philox_streams, _signed_sums)
+                   _check_finite, _csv, _philox_streams)
 from .metrics import _extremal_range, _one_flip_range
-from .zoo import _log2cosh
+from .zoo import _first_layer, _log2cosh
 
 GRID_METRICS = ("scaled_lrep", "delta_n")
 
@@ -112,14 +112,11 @@ def run_figure1(config: GridExperimentConfig = GridExperimentConfig(),
     evaluated on the whole visible space (hiddens summed analytically, as
     in make_rbm_marginal); a non-finite score raises ValueError.
 
-    The hidden fields theta_h + W x and the visible term x . theta_v are
-    built over the {-1,+1}^n_visible index by ``_signed_sums``, and the
-    hidden units' log2cosh terms are added in unit order. Every value is
-    thus a fixed sequence of elementwise operations along the draws, with
-    no BLAS or einsum kernel, so the draws can be taken in blocks of at
-    most one chunk of (outcome, draw) pairs with the same bits: memory
-    stays near one chunk per hidden unit whatever n_visible. The draws
-    take their streams from one reset Philox (``_philox_streams``).
+    Each draw's scores are make_rbm_marginal's table, bit for bit, from
+    ``_first_layer`` with the draws along a trailing axis. So the draws can
+    be taken in blocks of at most one chunk of (outcome, draw) pairs with
+    the same bits: memory stays near one chunk per hidden unit whatever
+    n_visible. The draws take their streams from one reset Philox.
     """
     nv, nh = config.n_visible, config.n_hidden
     samples = config.samples_per_point
@@ -131,8 +128,6 @@ def run_figure1(config: GridExperimentConfig = GridExperimentConfig(),
     main_dim, int_dim = nv + nh, nv * nh
     stream = _philox_streams(config.seed)
     draws = np.empty((samples, main_dim + int_dim))
-    fields = np.empty(rows * nh * block)
-    visible = np.empty(rows * block)
     lreps, deltas = np.empty(samples), np.empty(samples)
 
     cells = []
@@ -146,19 +141,13 @@ def run_figure1(config: GridExperimentConfig = GridExperimentConfig(),
             # one row per coordinate, draws along the last axis
             cols = np.ascontiguousarray(draws.T)
             theta_v, theta_h = cols[:nv], cols[nv:main_dim]
-            theta_vh = cols[main_dim:].reshape(nh, nv, samples).transpose(1, 0, 2)
+            theta_vh = cols[main_dim:].reshape(nh, nv, samples)
 
             for s0 in range(0, samples, block):
                 part = slice(s0, min(s0 + block, samples))
-                width = part.stop - s0
-                z = _signed_sums(theta_h[:, part], theta_vh[:, :, part],
-                                 fields[:rows * nh * width].reshape(rows, nh, width))
-                z = _log2cosh(z, out=z)
-                for j in range(1, nh):
-                    z[:, 0] += z[:, j]
-                scores = _signed_sums(-0.0, theta_v[:, part],
-                                      visible[:rows * width].reshape(rows, width))
-                _check_finite(np.add(scores, z[:, 0], out=scores))
+                first = _first_layer((theta_v[:, part], theta_h[:, part]),
+                                     (theta_vh[..., part],), slice(0, rows))
+                scores = _check_finite(first[0] + sum(_log2cosh(first[1:], out=first[1:])))
                 if "scaled_lrep" in config.metrics:
                     lreps[part] = _extremal_range(scores)
                 if "delta_n" in config.metrics:

@@ -140,11 +140,10 @@ def bounds_report(params: RbmParams,
 
     a_n = lrep_marginal = None
     if visible_ok:
-        marginal = make_rbm_marginal(params, budget=budget)
-        table = OutcomeSpace(n, (-1, 1)).tabulate(
-            lambda x: np.array((hidden_extremes_by_visible(params, x)[1],
-                                marginal.score(x))).T, budget)
-        a_n, lrep_marginal = (float(v) for v in _extremal_range(table))
+        # one 2^n table at a time: each is freed before the next is built
+        a_n = float(_extremal_range(OutcomeSpace(n, (-1, 1)).tabulate(
+            lambda x: hidden_extremes_by_visible(params, x)[1], budget)))
+        lrep_marginal = float(_extremal_range(make_rbm_marginal(params, budget).scores()))
 
     report = RbmBoundsReport(
         n_visible=n, n_hidden=nh,

@@ -197,13 +197,15 @@ class GraphModelSpec:
         return list(itertools.combinations(range(self.n_nodes), 2))
 
     def triangle_edges(self) -> np.ndarray:
-        """(n_triples, 3) edge indices of each node triple's three edges."""
-        pos = {pair: e for e, pair in enumerate(self.edge_index)}
-        triples = [
-            (pos[(a, b)], pos[(a, c)], pos[(b, c)])
-            for a, b, c in itertools.combinations(range(self.n_nodes), 3)
-        ]
-        return np.asarray(triples, dtype=np.int64)
+        """(n_triples, 3) edge indices of each node triple's three edges, for
+        a < b < c in lexicographic order; pair (a, b) is edge a(2n-a-1)/2 + b-a-1."""
+        n = self.n_nodes
+        a, b = np.triu_indices(n, 1)  # node pairs in edge order
+        count = n - 1 - b  # the triples (a, b, c) that extend each pair
+        a, b, first = (np.repeat(v, count) for v in (a, b, np.cumsum(count) - count))
+        c = b + 1 + np.arange(len(b)) - first
+        u, v = np.stack([a, a, b], axis=1), np.stack([b, c, c], axis=1)
+        return (u * (2 * n - u - 1) // 2 + v - u - 1).astype(np.int64, copy=False)
 
 
 def graph_statistics(spec: GraphModelSpec, outcomes: np.ndarray) -> np.ndarray:
@@ -307,47 +309,55 @@ class RbmParams:
         return float(np.abs(self.interaction).sum())
 
 
+def _first_layer(biases: tuple, weights: tuple, x: np.ndarray | slice) -> np.ndarray:
+    """x.theta_v and the first hidden layer's fields, stacked: (1 + n_1, m, *draws).
+
+    Row 0 is x.theta_v from -0.0 and row 1 + j the field biases[1]_j +
+    sum_i x_i weights[0]_ji from its bias, each summed in visible order.
+    ``x`` is (m, n_visible) outcome rows, or an aligned run of the
+    {-1,+1}^n_visible index (2^d indices from a multiple of 2^d; ValueError
+    otherwise), built by ``_signed_sums`` over its low d digits and then its
+    fixed high digits, with the bits of its rows and no BLAS kernel.
+    ``biases[0]``, ``biases[1]`` and ``weights[0]`` may share a trailing axis of draws.
+    """
+    stack = np.concatenate((biases[0][None], weights[0]))  # (1 + n_1, n_visible, *draws)
+    base = np.concatenate((np.full_like(biases[0][:1], -0.0), biases[1]))
+    if isinstance(x, slice):
+        d, signs = _aligned_run(x, stack.shape[1], "visible")
+        out = np.empty((len(base), 2**d, *base.shape[1:]))
+        for row, b, w in zip(out, base, stack):
+            _signed_sums(b, w[:d], row)
+    else:
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if x.shape[-1] != stack.shape[1]:
+            raise ValueError(f"rows must have {stack.shape[1]} visible units")
+        d, signs = 0, x.T.reshape(*x.T.shape, *[1] * (base.ndim - 1))
+        out = np.repeat(base[:, None], len(x), axis=1)
+    for row, w in zip(out, stack):
+        _add_in_order(row, signs, w[d:])
+    return out
+
+
 def rbm_joint_score(params: RbmParams, x: np.ndarray | slice, h: np.ndarray | slice,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Joint score x.theta_v + sum_j h_j f_j, with fields f_j = theta_h_j + (W x)_j.
 
-    Row r of ``x`` (m, n_visible) pairs with row r of ``h`` (m, n_hidden),
-    giving m scores. ``x`` and ``h`` may instead be slices of the visible
-    and the hidden index, each one aligned run of 2^d indices from a
-    multiple of 2^d (ValueError otherwise); then the result is the
-    (2^d_h, 2^d_x) grid of every hidden outcome in ``h`` against every
-    visible outcome in ``x``. Either way each score is summed in one
-    order: x.theta_v from -0.0 and each f_j from theta_h_j, both in visible
-    order, then h_j f_j added in unit order. The grid builds x.theta_v and
-    one table per f_j over the visible run by ``_signed_sums``, then
-    doubles the f_j over the hidden run, each time adding a run's fixed
-    high digits after its low ones; so it has the bits of the paired call
-    and runs no BLAS kernel. ``out`` may hold the result, as for a ufunc.
+    Row r of ``x`` (m, n_visible) pairs with row r of ``h`` (m, n_hidden).
+    Aligned index runs of each, as ``_first_layer`` takes them, give instead
+    the (2^d_h, 2^d_x) grid of every hidden outcome in ``h`` against every
+    visible one in ``x``, which ``out`` may hold. h_j f_j is added to
+    x.theta_v in unit order, in the grid by doubling, so both agree bitwise.
     """
-    if isinstance(x, slice) and isinstance(h, slice):
-        m, x_high = _aligned_run(x, params.n_visible, "visible")
+    first = _first_layer((params.visible, params.hidden), (params.interaction,), x)
+    if isinstance(h, slice):
         d, h_high = _aligned_run(h, params.n_hidden, "hidden")
-        fields = np.empty((params.n_hidden, 2**m))
-        for f, b, w in zip(fields, params.hidden, params.interaction):
-            _add_in_order(_signed_sums(b, w[:m], f), x_high, w[m:])
-        visible = _add_in_order(_signed_sums(-0.0, params.visible[:m], np.empty(2**m)),
-                                x_high, params.visible[m:])
-        grid = np.empty((2**d, 2**m)) if out is None else out
-        return _add_in_order(_signed_sums(visible, fields[:d], grid), h_high, fields[d:])
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        grid = np.empty((2**d, first.shape[1])) if out is None else out
+        return _add_in_order(_signed_sums(first[0], first[1:d + 1], grid),
+                             h_high, first[d + 1:])
     h = np.atleast_2d(np.asarray(h, dtype=np.float64))
-    if x.shape[-1] != params.n_visible or h.shape[-1] != params.n_hidden:
-        raise ValueError(f"rows must have {params.n_visible} visible "
-                         f"and {params.n_hidden} hidden units")
-    # one field at a time, each added as soon as it is summed
-    fields = (_add_in_order(np.full(len(x), b), x.T, w)
-              for b, w in zip(params.hidden, params.interaction))
-    score = _add_in_order(np.full(len(x), -0.0), x.T, params.visible)
-    score = _add_in_order(score, h.T, fields)
-    if out is None:
-        return score
-    out[...] = score
-    return out
+    if h.shape[-1] != params.n_hidden:
+        raise ValueError(f"rows must have {params.n_hidden} hidden units")
+    return _add_in_order(first[0], h.T, first[1:])
 
 
 def _add_in_order(total: np.ndarray, signs, weights) -> np.ndarray:
@@ -370,35 +380,22 @@ def _aligned_run(run: slice, n: int, name: str) -> tuple[int, list[float]]:
     return d, [1.0 if first >> i & 1 else -1.0 for i in range(d, n)]
 
 
-class _RbmJoint(FoesModel):
-    """Joint RBM whose score table is a grid of hidden against visible rows."""
+class _VisibleRuns(FoesModel):
+    """Model on {-1,+1}^n with the low ``n_visible`` digits visible, scoring
+    rows by ``score_fn``. ``fill(x, block)`` fills the table's columns of
+    the visible run ``x``, the table viewed as a (hidden, visible) grid, for
+    each aligned run of at most one chunk in turn."""
 
-    def __init__(self, params: RbmParams, budget: int):
-        n = params.n_visible
-        space = OutcomeSpace(n + params.n_hidden, (-1, 1))
-
-        def score_fn(outcomes: np.ndarray) -> np.ndarray:
-            return rbm_joint_score(params, outcomes[:, :n], outcomes[:, n:])
-
-        super().__init__(space, score_fn, family="rbm_joint", budget=budget)
-        self._params = params
+    def __init__(self, n: int, n_visible: int, score_fn, fill, family: str, budget: int):
+        super().__init__(OutcomeSpace(n, (-1, 1)), score_fn, family=family, budget=budget)
+        self._n_visible, self._fill = n_visible, fill
 
     def _score_table(self) -> np.ndarray:
-        # the visibles are the low digits of the index, so the table is the
-        # (2^nh, 2^nv) grid with hidden rows major, built in blocks of at
-        # most one chunk of indices on each side
         self.space.check_budget(self.budget)
-        nv, nh = self._params.n_visible, self._params.n_hidden
-        digits = _chunk_digits(max(nv, nh), 2)
-        rows, cols = 2 ** min(nh, digits), 2 ** min(nv, digits)
-        table = np.empty((2**nh, 2**nv))
-        for h0 in range(0, 2**nh, rows):
-            for x0 in range(0, 2**nv, cols):
-                block = table[h0:h0 + rows, x0:x0 + cols]
-                # the table holds what rbm_joint_score returns; assigning
-                # its result copies nothing when that is block itself
-                block[...] = rbm_joint_score(self._params, slice(x0, x0 + cols),
-                                             slice(h0, h0 + rows), out=block)
+        nv, cols = self._n_visible, 2 ** _chunk_digits(self._n_visible, 2)
+        table = np.empty((2 ** (self.n_variables - nv), 2**nv))
+        for x0 in range(0, 2**nv, cols):
+            self._fill(slice(x0, x0 + cols), table[:, x0:x0 + cols])
         return table.reshape(-1)
 
 
@@ -406,11 +403,19 @@ def make_rbm_joint(params: RbmParams,
                    budget: int = DEFAULT_ENUMERATION_BUDGET) -> FoesModel:
     """Joint RBM model over {-1,+1}^(n_visible + n_hidden).
 
-    Outcome vectors concatenate the visibles first, then the hiddens. The
-    score table is rbm_joint_score's grid, one aligned block of hidden
-    against visible indices at a time.
+    Outcome vectors concatenate the visibles first, then the hiddens; the
+    table is rbm_joint_score's grid of all hiddens against one visible run.
     """
-    return _RbmJoint(params, budget)
+    nv, nh = params.n_visible, params.n_hidden
+
+    def score_fn(outcomes: np.ndarray) -> np.ndarray:
+        return rbm_joint_score(params, outcomes[:, :nv], outcomes[:, nv:])
+
+    def fill(x: slice, block: np.ndarray) -> None:
+        # the table holds what rbm_joint_score returns: block itself, no copy
+        block[...] = rbm_joint_score(params, x, slice(0, 2**nh), out=block)
+
+    return _VisibleRuns(nv + nh, nv, score_fn, fill, "rbm_joint", budget)
 
 
 def _log2cosh(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -428,36 +433,45 @@ def _boltzmann_marginal(biases: tuple, weights: tuple, family: str,
     """Visible model of a Boltzmann machine on {-1,+1} units, layer 0 visible.
 
     ``weights[l]`` (n_(l+1), n_l) couples layers l and l+1. Given the even
-    layers, each odd unit adds log(2 cosh(field)) exactly; the even hidden
-    layers are enumerated, 2^(visibles + even units) <= budget points in
-    all, under a log-sum-exp streamed in blocks of at most one chunk of pairs.
+    layers, each odd unit adds log(2 cosh(field)) exactly (in unit order for
+    an RBM); the even layers' 2^(visibles + even units) <= budget points are
+    enumerated under a log-sum-exp streamed in blocks of at most one chunk
+    of pairs, the same blocks for rows and runs.
     """
-    n_even = sum(b.size for b in biases[2::2])
-    OutcomeSpace(biases[0].size + n_even, (-1, 1)).check_budget(budget)
+    n, n_even = biases[0].size, sum(b.size for b in biases[2::2])
+    OutcomeSpace(n + n_even, (-1, 1)).check_budget(budget)
     splits = np.cumsum([b.size for b in biases[2::2]])[:-1]
 
-    def score_fn(outcomes: np.ndarray) -> np.ndarray:
-        x = outcomes.astype(np.float64)
-        z = x @ weights[0].T + biases[1]
+    def score(x: np.ndarray | slice) -> np.ndarray:
+        first = _first_layer(biases, weights, x)
         if not n_even:
-            return x @ biases[0] + _log2cosh(z, out=z).sum(axis=1)
-        # blocks of 2^digits even configurations, the most that pair with x in a chunk
-        digits = min(n_even, (_CHUNK_OUTCOMES // max(len(x), 1) or 1).bit_length() - 1)
+            return first[0] + sum(_log2cosh(first[1:], out=first[1:]))
+        z = first[1:].T
+        # blocks of 2^digits even configurations, the most that pair with one
+        # visible run in a chunk; rows pair with a block in slices as long
+        digits = min(n_even, (_CHUNK_OUTCOMES >> _chunk_digits(n, 2) or 1).bit_length() - 1)
         low = OutcomeSpace(max(digits, 1), (-1, 1)).all_outcomes().astype(np.float64)
-        top, total = np.full(len(x), -np.inf), np.zeros(len(x))
+        top, total, step = np.full(len(z), -np.inf), np.zeros(len(z)), _CHUNK_OUTCOMES >> digits
         for _, block in _aligned_blocks(low[:, :digits], n_even, (-1, 1)):
             h = dict(zip(range(2, len(biases), 2), np.split(block, splits, axis=1)))
-            joint = sum(h[l] @ biases[l] for l in h)
-            for l in range(1, len(biases), 2):
-                field = z[:, None] if l == 1 else h[l - 1] @ weights[l - 1].T + biases[l]
+            # every term but the first odd layer's depends on the even units alone
+            even, first_h = [sum(h[l] @ biases[l] for l in h)], h[2] @ weights[1]
+            for l in range(3, len(biases), 2):
+                field = h[l - 1] @ weights[l - 1].T + biases[l]
                 field = field + h[l + 1] @ weights[l] if l + 1 in h else field
-                joint = joint + _log2cosh(field, out=field).sum(axis=-1)
-            peak = np.maximum(top, joint.max(axis=1))
-            total = total * np.exp(top - peak) + np.exp(joint - peak[:, None]).sum(axis=1)
-            top = peak
-        return x @ biases[0] + top + np.log(total)
+                even.append(_log2cosh(field, out=field).sum(axis=-1))
+            for r in range(0, len(z), step):
+                t, s, field = top[r:r + step], total[r:r + step], z[r:r + step, None] + first_h
+                joint = sum(even[1:], even[0] + _log2cosh(field, out=field).sum(axis=-1))
+                peak = np.maximum(t, joint.max(axis=1))
+                s[...] = s * np.exp(t - peak) + np.exp(joint - peak[:, None]).sum(axis=1)
+                t[...] = peak
+        return first[0] + top + np.log(total)
 
-    return FoesModel(OutcomeSpace(biases[0].size, (-1, 1)), score_fn, family, budget)
+    def fill(x: slice, block: np.ndarray) -> None:
+        block[0] = score(x)
+
+    return _VisibleRuns(n, n, score, fill, family, budget)
 
 
 def make_rbm_marginal(params: RbmParams,

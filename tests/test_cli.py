@@ -544,7 +544,7 @@ README_EXAMPLES = {
     "path --family graph --entries '4:0,1,0;5:0,1,0;6:0,1,0' --epsilon 0.1":
         "a7be1c84e791f945c310802a73521df23a7162cba9659652a618502d83f51b78",
     "bounds --n-visible 4 --n-hidden 2 --random-draws 10 --seed 5":
-        "114ad14f5fd849289af749c71674f19c014d5ac00b370858b591c93030840941",
+        "2e80b1faf3554dc881d979a2a092212cd6f7e5a6fd26ae5bfdba09c3f1fda68d",
     "psr --model rbm_joint --n-visible 2 --n-hidden 1 --theta-v 1,-0.5 "
     "--theta-h 0.3 --theta-vh 0.7,-1.1":
         "7d40a736da63def01953264be0dbb8fd7c092d487a74dad57a87991591065b70",
@@ -650,6 +650,22 @@ def test_readme_bounds_evaluates_visible_absum_once_per_draw(capsys, monkeypatch
     code, out, _ = run_cli(capsys, *shlex.split(command))
     assert code == 0 and len(calls) == 10
     assert hashlib.sha256(out.encode()).hexdigest() == README_EXAMPLES[command]
+
+
+def test_readme_bounds_moves_only_the_marginal_lrep(capsys):
+    # the marginal table left BLAS, so lrep_marginal moved by ulps (2 of 10
+    # draws, at most 2.0e-16 relative); with that column dropped the bytes
+    # are those of the BLAS route, whose digest this is
+    command = next(c for c in README_EXAMPLES if c.startswith("bounds"))
+    code, out, _ = run_cli(capsys, *shlex.split(command))
+    lines = out.splitlines()
+    drop = next(l for l in lines if not l.startswith("#")).split(",").index("lrep_marginal")
+    kept = [l if l.startswith("#")
+            else ",".join(v for i, v in enumerate(l.split(",")) if i != drop)
+            for l in lines]
+    assert code == 0
+    assert hashlib.sha256(("\n".join(kept) + "\n").encode()).hexdigest() == \
+        "6971cd067134cb1a46b7ac99ca53cee18ff1afb75627c00aa4dd9334266b717e"
 
 
 # The child reports VmHWM, its own peak RSS: its ru_maxrss would also

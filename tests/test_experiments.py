@@ -82,15 +82,29 @@ class TestRunFigure1:
                               samples_per_point=1, seed=99), range(9)),
         (GridExperimentConfig(n_visible=9, n_hidden=5, n_breaks=20,
                               samples_per_point=6, seed=11), (0, 137, 399)),
-        # n_hidden >= 8: the model sums its hidden terms pairwise
+        # n_hidden >= 8: the parent model summed its hidden terms pairwise
         (GridExperimentConfig(n_visible=7, n_hidden=9, n_breaks=3,
                               samples_per_point=7, seed=-3), (1, 4, 8)),
     ], ids=["5+2", "9+5", "7+9"])
-    def test_matches_model_path_per_draw(self, config, cells):
+    def test_matches_model_path_per_draw(self, monkeypatch, config, cells):
         # rebuild each draw from its stream and push it through the model
-        # diagnostics, as the benchmark's figure1 oracle does
+        # diagnostics, as the benchmark's figure1 oracle does; figure1's
+        # per-draw values, recorded as it reduces them, are the model's bits
+        recorded = {"lrep": [], "delta": []}
+
+        def record(key, fn):
+            def wrapper(*args):
+                recorded[key].append(fn(*args).copy())
+                return recorded[key][-1]
+            return wrapper
+
+        monkeypatch.setattr(foeslab.experiments, "_extremal_range",
+                            record("lrep", _extremal_range))
+        monkeypatch.setattr(foeslab.experiments, "_one_flip_range",
+                            record("delta", _one_flip_range))
         nv, nh, spp = config.n_visible, config.n_hidden, config.samples_per_point
         got = run_figure1(config)
+        per_draw = {key: np.concatenate(v).reshape(-1, spp) for key, v in recorded.items()}
         for cell in cells:
             main_mag = config.breaks[cell // config.n_breaks]
             int_mag = config.breaks[cell % config.n_breaks]
@@ -101,14 +115,12 @@ class TestRunFigure1:
                 inter = sample_on_sphere(nv * nh, int_mag * (nv * nh), rng)
                 model = make_rbm_marginal(RbmParams(main[:nv], main[nv:],
                                                     inter.reshape(nh, nv)))
-                lreps.append(lrep(model).scaled_lrep)
+                lreps.append(lrep(model).lrep)
                 deltas.append(delta_n(model))
-            # the grid's signed sums and the model's matrix products
-            # round differently in the last ulp
-            assert got[cell].mean_scaled_lrep == pytest.approx(
-                np.mean(lreps), rel=1e-12, abs=1e-12)
-            assert got[cell].mean_delta_n == pytest.approx(
-                np.mean(deltas), rel=1e-12, abs=1e-12)
+            assert per_draw["lrep"][cell].tobytes() == np.array(lreps).tobytes()
+            assert per_draw["delta"][cell].tobytes() == np.array(deltas).tobytes()
+            assert got[cell].mean_scaled_lrep == float(per_draw["lrep"][cell].mean() / nv)
+            assert got[cell].mean_delta_n == float(per_draw["delta"][cell].mean())
 
     def test_deterministic_and_seed_sensitive(self):
         a = run_figure1(SMALL)

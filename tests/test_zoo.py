@@ -34,7 +34,7 @@ from foeslab.core import (
     OutcomeSpace,
 )
 from foeslab.metrics import lrep
-from foeslab.zoo import _log2cosh, rbm_joint_score
+from foeslab.zoo import _first_layer, _log2cosh, rbm_joint_score
 
 
 def logistic(z):
@@ -144,6 +144,18 @@ class TestGraphModel:
         n = 257
         g = graph_statistics(GraphModelSpec(n), np.ones((1, n * (n - 1) // 2)))[0]
         assert list(g) == [math.comb(n, 2), n * math.comb(n - 1, 2), math.comb(n, 3)]
+
+    @pytest.mark.parametrize("n", [*range(3, 13), 257])
+    def test_triangle_edges_are_the_node_triple_loop(self, n):
+        # the edge indices as the parent built them, triple by triple
+        spec = GraphModelSpec(n)
+        pos = {pair: e for e, pair in enumerate(spec.edge_index)}
+        want = np.asarray([(pos[(a, b)], pos[(a, c)], pos[(b, c)])
+                           for a, b, c in itertools.combinations(range(n), 3)],
+                          dtype=np.int64)
+        got = spec.triangle_edges()
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
     def test_empty_graph_counts(self):
         spec = GraphModelSpec(4)
@@ -332,31 +344,21 @@ class TestRbm:
             assert np.abs(diff).max() <= 1e-10
 
     def test_marginal_scores_bitwise_stable(self):
-        # the scorer frees its float64 outcomes early; the table must keep
-        # the bytes of the direct formula
+        # 17 visibles take several runs, each with a fixed high digit
         rng = np.random.default_rng(4)
-        for n, nh in [(1, 1), (6, 3), (12, 4), (9, 0)]:
+        for n, nh in [(1, 1), (6, 3), (12, 4), (9, 0), (17, 2)]:
             params = RbmParams(rng.uniform(-2, 2, n), rng.uniform(-2, 2, nh),
                                rng.uniform(-2, 2, (nh, n)))
-            model = make_rbm_marginal(params)
-            x = model.space.all_outcomes().astype(np.float64)
-            want = x @ params.visible
-            if nh:
-                want = want + _log2cosh(
-                    params.hidden[None, :] + x @ params.interaction.T).sum(axis=1)
-            assert np.array_equal(model.scores(), want)
+            assert_marginal_table(params)
 
     @pytest.mark.parametrize("nh", range(11))
     @pytest.mark.parametrize("nv", [5, 17])
     def test_marginal_is_the_rbm_scorer_bitwise(self, nv, nh):
-        # the shared scorer's no-even-layer case runs the RBM formula as it
-        # was; from 8 hiddens on numpy sums the log2cosh terms pairwise
+        # from 8 hiddens on the parent's numpy sum added the log2cosh terms
+        # pairwise; the table adds them in unit order at every size
         rng = np.random.default_rng(100 * nv + nh)
-        params = RbmParams(rng.uniform(-2, 2, nv), rng.uniform(-2, 2, nh),
-                           rng.uniform(-2, 2, (nh, nv)))
-        want = OutcomeSpace(nv, (-1, 1)).tabulate(
-            lambda x: rbm_marginal_score(params, x))
-        assert make_rbm_marginal(params).scores().tobytes() == want.tobytes()
+        assert_marginal_table(RbmParams(rng.uniform(-2, 2, nv), rng.uniform(-2, 2, nh),
+                                        rng.uniform(-2, 2, (nh, nv))))
 
     def test_no_hiddens_scaled_lrep(self):
         theta_v = np.array([0.5, -1.5, 2.0])
@@ -384,10 +386,43 @@ class TestRbm:
 
 
 def rbm_marginal_score(params, outcomes):
-    """make_rbm_marginal's scorer before the shared scorer, verbatim."""
+    """make_rbm_marginal's scorer before the shared scorer, verbatim: BLAS
+    products and numpy's sum over the hidden units. The parent oracle."""
     x = outcomes.astype(np.float64)
     z = x @ params.interaction.T + params.hidden
     return x @ params.visible + _log2cosh(z, out=z).sum(axis=1)
+
+
+def _marginal_table_in_order(params):
+    """Every entry of the RBM marginal table summed in the documented order,
+    one elementwise step at a time: x.theta_v from -0.0 and each field from
+    theta_h_j, in visible order, then the log2cosh terms in unit order,
+    added to x.theta_v last."""
+    x = OutcomeSpace(params.n_visible, (-1, 1)).all_outcomes().astype(np.float64)
+    visible = np.full(len(x), -0.0)
+    for i in range(params.n_visible):
+        visible = visible + x[:, i] * params.visible[i]
+    hidden = 0.0
+    for j in range(params.n_hidden):
+        field = np.full(len(x), params.hidden[j])
+        for i in range(params.n_visible):
+            field = field + x[:, i] * params.interaction[j, i]
+        hidden = hidden + _log2cosh_formula(field)
+    return visible + hidden
+
+
+def assert_marginal_table(params):
+    """The marginal table is summed in the documented order, bit for bit. It
+    follows the parent scorer to 1e-15 of its largest magnitude, and its
+    extremes are the parent's up to that tolerance (near-ties may swap)."""
+    got = make_rbm_marginal(params).scores()
+    assert got.tobytes() == _marginal_table_in_order(params).tobytes()
+    want = OutcomeSpace(params.n_visible, (-1, 1)).tabulate(
+        lambda x: rbm_marginal_score(params, x))
+    tol = 1e-15 * np.abs(want).max()
+    assert np.abs(got - want).max() <= tol
+    assert want[np.argmax(got)] >= want.max() - tol
+    assert want[np.argmin(got)] <= want.min() + tol
 
 
 def _paired_rbm_joint_score(params, x, h):
@@ -493,6 +528,62 @@ def test_grid_rows_must_be_an_aligned_run(run):
         rbm_joint_score(params, run, slice(0, 4))
     with pytest.raises(ValueError, match="one aligned run of the hidden index"):
         rbm_joint_score(params, slice(0, 4), run)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_first_layer_run_is_the_rows_form(data):
+    # any aligned run, with and without a trailing axis of draws
+    nv, n1 = data.draw(st.integers(1, 10)), data.draw(st.integers(0, 5))
+    draws = data.draw(st.sampled_from([(), (1,), (3,)]))
+
+    def values(*shape):
+        size = math.prod(shape)
+        return np.array(data.draw(st.lists(_RBM_VALUES, min_size=size, max_size=size)),
+                        dtype=np.float64).reshape(shape)
+
+    biases, weights = (values(nv, *draws), values(n1, *draws)), (values(n1, nv, *draws),)
+    d = data.draw(st.integers(0, nv))
+    start = data.draw(st.integers(0, 2 ** (nv - d) - 1)) * 2**d
+    got = _first_layer(biases, weights, slice(start, start + 2**d))
+    rows = OutcomeSpace(nv, (-1, 1)).all_outcomes()[start:start + 2**d]
+    assert got.shape == (1 + n1, 2**d, *draws)
+    assert got.tobytes() == _first_layer(biases, weights, rows).tobytes()
+    for k in range(draws[0] if draws else 0):
+        # each draw is summed as if alone
+        alone = _first_layer((biases[0][:, k], biases[1][:, k]), (weights[0][..., k],),
+                             rows)
+        assert got[..., k].tobytes() == alone.tobytes()
+
+
+@st.composite
+def boltzmann_models(draw):
+    """An RBM marginal, a joint RBM or a DBM marginal of at most 2^13 outcomes."""
+    kind = draw(st.sampled_from(["rbm_marginal", "rbm_joint", "dbm_marginal"]))
+    if kind == "dbm_marginal":
+        sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5).filter(
+            lambda s: sum(s) <= 13))
+        return make_dbm_marginal(dbm_params(np.random.default_rng(draw(st.integers(0, 99))),
+                                            sizes))
+    params, _ = draw(joint_rbms())
+    return {"rbm_marginal": make_rbm_marginal, "rbm_joint": make_rbm_joint}[kind](params)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(model=boltzmann_models(), chunk=st.sampled_from([4, 32]))
+def test_rows_score_as_the_table(model, chunk):
+    # small chunks split the table into several aligned visible runs, and a
+    # DBM's even layers into several blocks; one row takes a run's blocks
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (foeslab.core, foeslab.zoo):
+            patch.setattr(module, "_CHUNK_OUTCOMES", chunk)
+        table = model.scores()
+        outcomes = model.space.all_outcomes()
+        rows = model.score(outcomes)
+        picks = list(range(0, len(table), max(1, len(table) // 7)))
+        one_by_one = np.array([model.score(outcomes[i]) for i in picks])
+    assert rows.tobytes() == table.tobytes()
+    assert one_by_one.tobytes() == table[picks].tobytes()
 
 
 def test_joint_table_at_the_budget_cap_is_pinned():
@@ -633,19 +724,34 @@ class TestDbm:
     def test_scoring_peak_memory_stays_near_one_chunk(self):
         # 2 + 2 + 22 units: 2^24 (visible, even-layer) pairs at the cap; the
         # full-enumeration route held 2^24-row float64 arrays (GBs)
-        code = (
-            "import numpy as np\n"
-            "from foeslab import DbmParams, make_dbm_marginal\n"
-            "rng = np.random.default_rng(22)\n"
+        assert child_peak_kb(
             "p = DbmParams(rng.normal(size=2), (rng.normal(size=2), rng.normal(size=22)),"
             " (rng.normal(size=(2, 2)), rng.normal(size=(2, 22))))\n"
-            "assert np.isfinite(make_dbm_marginal(p).scores()).all()\n"
+            "assert np.isfinite(make_dbm_marginal(p).scores()).all()\n") < 512 * 1024
+
+    def test_row_scoring_peak_memory_stays_near_one_chunk(self):
+        # 2 + 2 + 14 units: each row pairs with 2^14 even-layer configurations,
+        # so 1024 rows at once would hold 2^24 pairs, a 256 MB field
+        assert child_peak_kb(
+            "p = DbmParams(rng.normal(size=2), (rng.normal(size=2), rng.normal(size=14)),"
+            " (rng.normal(size=(2, 2)), rng.normal(size=(2, 14))))\n"
+            "x = rng.choice([-1, 1], size=(1024, 4))\n"
+            "assert np.isfinite(replicate(make_dbm_marginal(p), 2).score(x)).all()\n"
+        ) < 256 * 1024
+
+
+def child_peak_kb(code: str) -> int:
+    """Peak resident kB of a fresh interpreter running ``code`` after
+    importing this checkout's foeslab and seeding ``rng``."""
+    code = ("import numpy as np\n"
+            "from foeslab import DbmParams, make_dbm_marginal, replicate\n"
+            "rng = np.random.default_rng(22)\n" + code +
             "print([l for l in open('/proc/self/status') if l.startswith('VmHWM')][0])\n")
-        # the child imports this checkout's foeslab, whatever PYTHONPATH says
-        src = os.path.dirname(os.path.dirname(foeslab.core.__file__))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-        assert int(out.split()[1]) < 512 * 1024  # kB
+    # the child imports this checkout's foeslab, whatever PYTHONPATH says
+    src = os.path.dirname(os.path.dirname(foeslab.core.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    return int(out.split()[1])
 
 
 def enumerated_dbm_marginal(params: DbmParams,
