@@ -55,39 +55,56 @@ def _extremal_range(table: np.ndarray) -> np.ndarray:
 def _one_flip_range(table: np.ndarray, n_variables: int, k: int) -> np.ndarray:
     """Largest spread among outcomes one flip apart; a trailing axis holds draws.
 
-    The table is read in aligned pieces of at most ``_CHUNK_OUTCOMES``
-    outcome rows, through one reused buffer. A piece holds the whole
-    one-flip blocks of every variable whose blocks fit in it, and those are
-    all scanned while it is in cache; a higher variable pairs runs of rows
-    a stride apart, one piece's worth at a time.
+    Every scan reads a block of k^m outcome rows (m = ``_chunk_digits``)
+    that sits in cache, with the flipped digit an outer axis over runs of at
+    least k^(m//2) (outcome, draw) entries. A block is an aligned piece of
+    the table or one reused buffer. A piece scans as stored the digits whose
+    runs are that long, and its lower digits on a transposed copy, where
+    they are the upper ones: m//2 digits for a 1-D table, none for
+    figure1's blocks of draws. The digits above a piece go in groups of at
+    most m minus the transposed count. A slab, copied out of the table once,
+    holds every value of a group's digits (its upper digits) times a run of
+    low rows. So the table is read from memory once for the pieces and once
+    per group: twice at the 2^24 cap.
     """
     draws = table.shape[1:]
     rows = table.reshape(table.shape[0], -1)
-    low = _chunk_digits(n_variables, k)
-    piece = k**low
-    buffer = np.empty(piece // k * rows.shape[1])
-    best = np.zeros(rows.shape[1])
+    m, width = _chunk_digits(n_variables, k), rows.shape[1]
+    half = sum(k**i * width < k ** (m // 2) for i in range(m // 2))
+    # transposed pieces and slabs share one buffer; a table of one piece
+    # whose runs are all long (figure1's blocks of draws) needs neither
+    copy = np.empty(k**m * width if half or m < n_variables else 0)
+    buffer = np.empty(k ** (m - 1) * width)
+    best = np.zeros(width)
 
-    def scan(block: np.ndarray) -> None:
-        # block is (runs, k, run length, draws); axis 1 holds one flip.
-        # The largest pairwise |difference| is max - min exactly: rounding
-        # is monotone and fl(a - b) = -fl(b - a)
-        spread = buffer[:block[:, 0].size].reshape(block[:, 0].shape)
-        for j in range(1, k):
-            for jp in range(j):
-                np.subtract(block[:, j], block[:, jp], out=spread)
-                np.abs(spread, out=spread)
-                np.maximum(best, spread.max(axis=(0, 1)), out=best)
+    def scan(block: np.ndarray, upper: int) -> None:
+        # block is k^m rows; flipping digit i pairs runs of k^i rows a
+        # stride k^i apart. The largest pairwise |difference| is max - min
+        # exactly: rounding is monotone and fl(a - b) = -fl(b - a)
+        for i in range(m - upper, m):
+            flip = block.reshape(*_one_flip_shape(m, k, i), width)
+            spread = buffer.reshape(flip[:, 0].shape)
+            for j in range(1, k):
+                for jp in range(j):
+                    np.subtract(flip[:, j], flip[:, jp], out=spread)
+                    np.abs(spread, out=spread)
+                    np.maximum(best, spread.max(axis=(0, 1)), out=best)
 
-    for start in range(0, len(rows), piece):
-        part = rows[start:start + piece]
-        for i in range(low):
-            scan(part.reshape(*_one_flip_shape(low, k, i), -1))
-    for i in range(low, n_variables):
-        block = rows.reshape(*_one_flip_shape(n_variables, k, i), -1)
-        for run in range(len(block)):
-            for start in range(0, block.shape[2], piece // k):
-                scan(block[run:run + 1, :, start:start + piece // k])
+    for start in range(0, len(rows), k**m):
+        part = rows[start:start + k**m]
+        scan(part, m - half)
+        if half:
+            np.copyto(copy.reshape(k**half, -1, width),
+                      part.reshape(-1, k**half, width).transpose(1, 0, 2))
+            scan(copy, half)
+    for low in range(m, n_variables, m - half):
+        upper = min(m - half, n_variables - low)
+        run = k ** (m - upper)
+        slab = copy.reshape(k**upper, run, width)
+        for group in rows.reshape(-1, k**upper, k**low, width):
+            for start in range(0, k**low, run):
+                np.copyto(slab, group[:, start:start + run])
+                scan(slab, upper)
     return best.reshape(draws)
 
 
@@ -104,12 +121,13 @@ def _score_range(model: FoesModel) -> tuple[np.ndarray, float, float]:
 def lrep(model: FoesModel) -> InstabilityReport:
     """Log-ratio of extremal probabilities, from full enumeration.
 
-    Computed on unnormalized scores; the normalizer cancels in the ratio.
+    Computed on unnormalized scores; the normalizer cancels in the ratio,
+    taken as the difference of the argmax and argmin entries.
     """
     scores = model.scores()
     imax = int(np.argmax(scores))
     imin = int(np.argmin(scores))
-    value = float(_extremal_range(scores))
+    value = float(scores[imax] - scores[imin])
     n = model.n_variables
     return InstabilityReport(
         lrep=value,

@@ -9,6 +9,7 @@ and deep Boltzmann machines with their odd hidden layers summed analytically.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -196,17 +197,6 @@ class GraphModelSpec:
     def edge_index(self) -> list[tuple[int, int]]:
         return list(itertools.combinations(range(self.n_nodes), 2))
 
-    def triangle_edges(self) -> np.ndarray:
-        """(n_triples, 3) edge indices of each node triple's three edges, for
-        a < b < c in lexicographic order; pair (a, b) is edge a(2n-a-1)/2 + b-a-1."""
-        n = self.n_nodes
-        a, b = np.triu_indices(n, 1)  # node pairs in edge order
-        count = n - 1 - b  # the triples (a, b, c) that extend each pair
-        a, b, first = (np.repeat(v, count) for v in (a, b, np.cumsum(count) - count))
-        c = b + 1 + np.arange(len(b)) - first
-        u, v = np.stack([a, a, b], axis=1), np.stack([b, c, c], axis=1)
-        return (u * (2 * n - u - 1) // 2 + v - u - 1).astype(np.int64, copy=False)
-
 
 def graph_statistics(spec: GraphModelSpec, outcomes: np.ndarray) -> np.ndarray:
     """(m, 3) matrix of (edge, 2-star, triangle) counts per outcome row.
@@ -215,20 +205,28 @@ def graph_statistics(spec: GraphModelSpec, outcomes: np.ndarray) -> np.ndarray:
     as sum_v C(deg(v), 2); triangles are node triples whose three edges are
     all present. The counts run along boolean edge columns: each edge adds
     its column into its two endpoints' degree rows, in the smallest
-    unsigned integer type that holds n_nodes - 1. Every partial sum is an
-    exact integer, so their order does not change a bit.
+    unsigned integer type that holds n_nodes - 1. Triangles a < b < c go
+    into one counter of the smallest unsigned type that holds C(n, 3), pair
+    (a, b) at a time: edges (a, c) and (b, c) for every c > b are two
+    contiguous runs of edge columns, and-ed in one reused boolean buffer.
+    Every partial sum is an exact integer, so their order does not change
+    a bit.
     """
+    n = spec.n_nodes
     edges = np.ascontiguousarray(np.asarray(outcomes).T, dtype=bool)
-    deg = np.zeros((spec.n_nodes, edges.shape[1]),
-                   dtype=np.min_scalar_type(spec.n_nodes - 1))
+    deg = np.zeros((n, edges.shape[1]), dtype=np.min_scalar_type(n - 1))
+    triangles = np.zeros(edges.shape[1], dtype=np.min_scalar_type(math.comb(n, 3)))
+    both = np.empty((n - 2, edges.shape[1]), dtype=bool)
     for e, (a, b) in enumerate(spec.edge_index):
         deg[a] += edges[e]
         deg[b] += edges[e]
-    tri = spec.triangle_edges()  # nonempty: a spec has at least 3 nodes
-    triangles = np.logical_and(edges[tri[:, 0]], edges[tri[:, 1]])
-    triangles &= edges[tri[:, 2]]
+        third, row = n - 1 - b, b * (2 * n - b - 1) // 2  # edge (b, b + 1)
+        closed = np.logical_and(edges[e + 1:e + 1 + third], edges[row:row + third],
+                                out=both[:third])
+        closed &= edges[e]
+        triangles += np.add.reduce(closed, axis=0, dtype=triangles.dtype)
     return np.stack([deg.sum(axis=0) / 2.0, (deg * (deg - 1.0) / 2.0).sum(axis=0),
-                     np.count_nonzero(triangles, axis=0)], axis=1)
+                     triangles], axis=1)
 
 
 def make_graph_model(spec: GraphModelSpec,

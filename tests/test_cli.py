@@ -607,6 +607,26 @@ def test_readme_example_passes(capsys, monkeypatch, command):
     assert (calls["all_outcomes"], calls["modal_set"]) == expected
 
 
+# sha256 of the stdout of two commands whose tables span more than one
+# chunk, so delta_n's scan reads digits above a piece: 2^21 graph outcomes
+# (5 such digits, one group) and 3^12 multinomial outcomes (pieces of 3^10
+# rows, 2 such digits)
+MULTI_CHUNK_EXAMPLES = {
+    "lrep --model graph --nodes 7 --theta2 0.3 --theta3 -0.1":
+        "7616f716524b32183dad6394713389d8c910c86e99086def07e4af6e632588b0",
+    "delta --model multinomial --n 12 --thetas 0.3,-0.2,0.5":
+        "95bbe061e7162bf77dbf86ff071f831f3ecdac3ec4581f0034c7e717267cc0c3",
+}
+
+
+@pytest.mark.parametrize("command", MULTI_CHUNK_EXAMPLES,
+                         ids=lambda c: "-".join(c.split()[:3]))
+def test_multi_chunk_example_bytes(capsys, command):
+    code, out, _ = run_cli(capsys, *shlex.split(command))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MULTI_CHUNK_EXAMPLES[command]
+
+
 def count_tabulate(monkeypatch) -> list:
     """Patch OutcomeSpace.tabulate to log each call; returns the log."""
     calls = []

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from foeslab import (
     modal_set,
     standardized_log_prob,
 )
-from foeslab.core import CertificateError, _one_flip_shape
+from foeslab.core import CertificateError, _chunk_digits, _one_flip_shape
 from foeslab.metrics import ParameterPath, PathThresholds, _one_flip_range
 
 
@@ -407,6 +408,40 @@ def _per_variable_one_flip_range(table, n_variables, k):
     return best
 
 
+def _piecewise_one_flip_range(table, n_variables, k):
+    """_one_flip_range before the cache-resident blocks, verbatim: aligned
+    pieces for the low digits, and every higher digit streamed through the
+    whole table once."""
+    draws = table.shape[1:]
+    rows = table.reshape(table.shape[0], -1)
+    low = _chunk_digits(n_variables, k)
+    piece = k**low
+    buffer = np.empty(piece // k * rows.shape[1])
+    best = np.zeros(rows.shape[1])
+
+    def scan(block: np.ndarray) -> None:
+        # block is (runs, k, run length, draws); axis 1 holds one flip.
+        # The largest pairwise |difference| is max - min exactly: rounding
+        # is monotone and fl(a - b) = -fl(b - a)
+        spread = buffer[:block[:, 0].size].reshape(block[:, 0].shape)
+        for j in range(1, k):
+            for jp in range(j):
+                np.subtract(block[:, j], block[:, jp], out=spread)
+                np.abs(spread, out=spread)
+                np.maximum(best, spread.max(axis=(0, 1)), out=best)
+
+    for start in range(0, len(rows), piece):
+        part = rows[start:start + piece]
+        for i in range(low):
+            scan(part.reshape(*_one_flip_shape(low, k, i), -1))
+    for i in range(low, n_variables):
+        block = rows.reshape(*_one_flip_shape(n_variables, k, i), -1)
+        for run in range(len(block)):
+            for start in range(0, block.shape[2], piece // k):
+                scan(block[run:run + 1, :, start:start + piece // k])
+    return best.reshape(draws)
+
+
 @st.composite
 def piecewise_tables(draw):
     """A table, its shape, and a chunk size (None: the default)."""
@@ -432,8 +467,9 @@ def test_piecewise_one_flip_range_is_the_per_variable_scan(case):
         if chunk is not None:
             patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
         got = _one_flip_range(table, n, k)
+        parent = _piecewise_one_flip_range(table, n, k)
     assert got.shape == want.shape == table.shape[1:]
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == want.tobytes() == parent.tobytes()
 
 
 @st.composite
@@ -462,6 +498,79 @@ def test_one_flip_range_equals_max_minus_min_and_brute_force(case):
     assert np.array_equal(got, old)
     assert np.array_equal(got, brute)
 
+
+def _with_digit(index, n_variables, k, i, symbol):
+    """``index`` with little-endian base-k digit i set to ``symbol``."""
+    digits = [index // k**d % k for d in range(n_variables)]
+    digits[i] = symbol
+    return sum(v * k**d for d, v in enumerate(digits))
+
+
+@pytest.mark.parametrize("k, n, chunk", [(2, 9, 2**4), (3, 7, 3**3)])
+@pytest.mark.parametrize("draws", [(), (3,)])
+def test_one_flip_range_finds_a_planted_largest_pair_on_every_digit(k, n, chunk,
+                                                                    draws):
+    # pieces of k^m rows (m = 4 and 3) leave 5 and 4 digits above a piece,
+    # which take 2 or 3 groups; every other one-flip spread is below 11, so
+    # a scan that misses the planted pair of spread 20 reads low
+    m = {2: 4, 3: 3}[k]
+    base = np.random.default_rng(k).random((k**n, *draws))
+    # the rows on either side of one boundary of aligned runs of k^r rows,
+    # for every r: piece ends, transposed-run ends and slab-run ends among them
+    rng = np.random.default_rng(n)
+    starts = [0, k**n - 1] + [s + d for r in range(1, n)
+                              for s in [k**r * int(rng.integers(1, k ** (n - r)))]
+                              for d in (-1, 0)]
+    column = (1,) if draws else ()  # the draw that holds the pair
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
+        assert foeslab.core._chunk_digits(n, k) == m
+        for i in range(n):
+            for start in starts:
+                lo, hi = sorted(rng.choice(k, size=2, replace=False))
+                a = _with_digit(start, n, k, i, lo)
+                b = _with_digit(start, n, k, i, hi)
+                table = base.copy()
+                table[(a, *column)], table[(b, *column)] = 10.0, -10.0
+                got = _one_flip_range(table, n, k)
+                want = _max_minus_min_one_flip_range(table, n, k)
+                assert got.tobytes() == want.tobytes(), (i, a, b)
+                assert got[column] == 20.0, (i, a, b)
+
+
+def test_one_flip_range_allocates_one_and_a_half_chunks():
+    # the transposed copy or slab (one chunk) and the spread buffer (half a
+    # chunk at k = 2), plus the iterator buffers numpy allocates for a
+    # strided subtract (two operands); the 8 MB table is never copied
+    table = np.random.default_rng(0).standard_normal(2**20)
+    chunk_bytes = foeslab.core._CHUNK_OUTCOMES * table.itemsize
+    ufunc_bytes = 2 * np.getbufsize() * table.itemsize
+    tracemalloc.start()
+    try:
+        _one_flip_range(table, 20, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * chunk_bytes + ufunc_bytes + 2**14
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, -0.0], [-0.0, 0.0], [-0.0] * 4, [0.0, -0.0, -0.0, 0.0] * 8,
+    [-0.0] * 17 + [0.0] * 15, [0.0, -1.5, -0.0, 2.0], [-0.0, -1.5, 0.0, -0.0],
+    [0.0, 3.0, -0.0, 0.0], [1e308, -1e308, 0.5, -0.0],
+])
+def test_lrep_is_max_minus_min_and_positive_zero_when_uniform(values):
+    # the argmax entry minus the argmin entry: max - min bit for bit, and
+    # +0.0 for a uniform table of mixed signed zeros (argmax = argmin = 0)
+    n = int(np.log2(len(values)))
+    table = np.array(values)
+    weights = 2 ** np.arange(n)
+    model = foeslab.core.FoesModel(OutcomeSpace(n, (0, 1)),
+                                   lambda x: table[np.asarray(x) @ weights])
+    with np.errstate(over="ignore"):
+        want = table.max() - table.min() if table.max() != table.min() else 0.0
+        got = lrep(model).lrep
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 def test_graph_bound_with_finite_disagreement_is_a_certificate_error(monkeypatch):
     import foeslab.metrics

@@ -120,6 +120,29 @@ def node_triple_counts(spec, x):
     return sum(adjacent.values()), sum(d * (d - 1) // 2 for d in degrees), triangles
 
 
+def parent_graph_statistics(spec, outcomes):
+    """graph_statistics before the one triangle counter, verbatim but for
+    GraphModelSpec.triangle_edges, which is inlined: a (triangles, m)
+    boolean stack counted by np.count_nonzero."""
+    edges = np.ascontiguousarray(np.asarray(outcomes).T, dtype=bool)
+    deg = np.zeros((spec.n_nodes, edges.shape[1]),
+                   dtype=np.min_scalar_type(spec.n_nodes - 1))
+    for e, (a, b) in enumerate(spec.edge_index):
+        deg[a] += edges[e]
+        deg[b] += edges[e]
+    n = spec.n_nodes
+    a, b = np.triu_indices(n, 1)  # node pairs in edge order
+    count = n - 1 - b  # the triples (a, b, c) that extend each pair
+    a, b, first = (np.repeat(v, count) for v in (a, b, np.cumsum(count) - count))
+    c = b + 1 + np.arange(len(b)) - first
+    u, v = np.stack([a, a, b], axis=1), np.stack([b, c, c], axis=1)
+    tri = (u * (2 * n - u - 1) // 2 + v - u - 1).astype(np.int64, copy=False)
+    triangles = np.logical_and(edges[tri[:, 0]], edges[tri[:, 1]])
+    triangles &= edges[tri[:, 2]]
+    return np.stack([deg.sum(axis=0) / 2.0, (deg * (deg - 1.0) / 2.0).sum(axis=0),
+                     np.count_nonzero(triangles, axis=0)], axis=1)
+
+
 class TestGraphModel:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_counts_are_exact_against_a_node_triple_loop(self, n):
@@ -146,16 +169,44 @@ class TestGraphModel:
         assert list(g) == [math.comb(n, 2), n * math.comb(n - 1, 2), math.comb(n, 3)]
 
     @pytest.mark.parametrize("n", [*range(3, 13), 257])
-    def test_triangle_edges_are_the_node_triple_loop(self, n):
-        # the edge indices as the parent built them, triple by triple
+    def test_triangle_counts_are_the_node_triple_loop(self, n):
+        # each triple's three edge indices, triple by triple
         spec = GraphModelSpec(n)
         pos = {pair: e for e, pair in enumerate(spec.edge_index)}
-        want = np.asarray([(pos[(a, b)], pos[(a, c)], pos[(b, c)])
-                           for a, b, c in itertools.combinations(range(n), 3)],
-                          dtype=np.int64)
-        got = spec.triangle_edges()
-        assert (got.dtype, got.shape) == (want.dtype, want.shape)
-        assert got.tobytes() == want.tobytes()
+        triples = np.asarray([(pos[(a, b)], pos[(a, c)], pos[(b, c)])
+                              for a, b, c in itertools.combinations(range(n), 3)])
+        rows = np.random.default_rng(n).random((4, spec.n_edges)) < 0.9
+        want = rows[:, triples].all(axis=2).sum(axis=1)
+        assert np.array_equal(graph_statistics(spec, rows)[:, 2], want)
+
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_statistics_over_every_outcome_are_the_parent_route(self, n):
+        spec = GraphModelSpec(n)
+
+        def same(rows):
+            got, want = graph_statistics(spec, rows), parent_graph_statistics(spec, rows)
+            assert got.tobytes() == want.tobytes()
+            return np.zeros(len(rows), dtype=bool)
+
+        OutcomeSpace(spec.n_edges, (0, 1)).tabulate(same)
+
+    @pytest.mark.parametrize("n", [*range(8, 14), 257])
+    def test_statistics_on_random_rows_are_the_parent_route(self, n):
+        spec = GraphModelSpec(n)
+        rng = np.random.default_rng(n)
+        rows = rng.random((4 if n > 13 else 512, spec.n_edges)) < rng.random()
+        for outcomes in (rows.astype(np.int8), rows.astype(np.float64)):
+            got, want = graph_statistics(spec, outcomes), parent_graph_statistics(spec, outcomes)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_complete_graph_triangles_past_a_byte(self, n):
+        # C(12, 3) = 220 fits a byte and C(13, 3) = 286 does not
+        spec = GraphModelSpec(n)
+        rows = np.vstack([np.ones(spec.n_edges), np.zeros(spec.n_edges)])
+        got = graph_statistics(spec, rows)
+        assert got.tobytes() == parent_graph_statistics(spec, rows).tobytes()
+        assert list(got[:, 2]) == [math.comb(n, 3), 0]
 
     def test_empty_graph_counts(self):
         spec = GraphModelSpec(4)
