@@ -8,6 +8,10 @@ b(x) = sum_j |theta_h_j + sum_i x_i w_ji|,
     max_x f(x, h) = h.theta_h + a(h),   min_x f(x, h) = h.theta_h - a(h),
     max_h f(x, h) = x.theta_v + b(x),   min_h f(x, h) = x.theta_v - b(x).
 
+a(h) is b(x) of the transposed RBM (visible and hidden roles swapped), so
+both come from ``zoo._first_layer``'s fields, each added in unit order from
+its bias over outcome rows or aligned runs, with no BLAS product.
+
 From these come the report quantities: B = max_h a(h), C = min_h a(h),
 the joint LREP (exactly 2 max_h [h.theta_h + a(h)] sandwich), and the
 visible-range quantity a_n = max_x [x.theta_v + b(x)] - min_x [...], which
@@ -29,11 +33,11 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .core import (CertificateError, DEFAULT_ENUMERATION_BUDGET, OutcomeSpace,
-                   _check_finite)
+from .core import CertificateError, DEFAULT_ENUMERATION_BUDGET, _check_finite
 from .metrics import (PathThresholds, _check_path_sizes, _extremal_range,
                       classify_trend)
-from .zoo import RbmParams, make_rbm_marginal, rbm_joint_score
+from .zoo import (RbmParams, _aligned_runs, _first_layer, make_rbm_marginal,
+                  rbm_joint_score)
 
 _TOL = 1e-9
 
@@ -49,36 +53,27 @@ def f_theta(params: RbmParams, x, h) -> float:
     return float(rbm_joint_score(params, x[None, :], h[None, :])[0])
 
 
-def visible_absum(params: RbmParams, h: np.ndarray) -> np.ndarray:
-    """a(h) = sum_i |theta_v_i + sum_j h_j w_ji|, rowwise over h."""
-    h = np.atleast_2d(np.asarray(h, dtype=np.float64))
-    return np.abs(params.visible[None, :] + h @ params.interaction).sum(axis=1)
+def hidden_absum(fields: np.ndarray) -> np.ndarray:
+    """b(x) = sum_j |f_j| over field rows f_j = theta_h_j + sum_i x_i w_ji,
+    added in unit order from 0; ``fields`` is overwritten by its |f_j|."""
+    return sum(np.abs(fields, out=fields), np.zeros(fields.shape[1:]))
 
 
-def hidden_absum(params: RbmParams, x: np.ndarray) -> np.ndarray:
-    """b(x) = sum_j |theta_h_j + sum_i x_i w_ji|, rowwise over x."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    return np.abs(params.hidden[None, :] + x @ params.interaction.T).sum(axis=1)
-
-
-def _visible_profile(params: RbmParams, h) -> tuple[np.ndarray, np.ndarray]:
-    """(h.theta_h, a(h)) rowwise over h: f(., h) spans center -/+ a."""
-    h = np.atleast_2d(np.asarray(h, dtype=np.float64))
-    return h @ params.hidden, visible_absum(params, h)
+def _spans(biases: tuple, weights: tuple, x) -> tuple:
+    """(x.theta_v -/+ b(x), b(x)) over the rows or aligned run ``_first_layer`` takes."""
+    first = _first_layer(biases, weights, x)
+    b = hidden_absum(first[1:])
+    return first[0] - b, first[0] + b, b
 
 
 def visible_extremes_by_hidden(params: RbmParams, h) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form (min over x, max over x) of f(., h), rowwise over h."""
-    center, a = _visible_profile(params, h)
-    return center - a, center + a
+    """Closed-form (min, max) over x of f(., h) for hidden rows or an aligned run."""
+    return _spans((params.hidden, params.visible), (params.interaction.T,), h)[:2]
 
 
 def hidden_extremes_by_visible(params: RbmParams, x) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form (min over h, max over h) of f(x, .), rowwise over x."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    center = x @ params.visible
-    b = hidden_absum(params, x)
-    return center - b, center + b
+    """Closed-form (min, max) over h of f(x, .) for visible rows or an aligned run."""
+    return _spans((params.visible, params.hidden), (params.interaction,), x)[:2]
 
 
 @dataclass(frozen=True)
@@ -123,26 +118,25 @@ def bounds_report(params: RbmParams,
 
     b_n = c_n = lrep_joint = a_hidden_first = lower_witness = None
     if hidden_ok:
-        def profile(h):
-            center, a = _visible_profile(params, h)
-            return np.array((center - a, center + a, a)).T
-
-        # each side's table is a (columns, m) array transposed: tabulate
-        # keeps that layout, so each column stays contiguous for the reductions
-        lo, hi, a_vals = (OutcomeSpace(nh, (-1, 1)).tabulate(profile, budget) if nh
-                          else profile(np.zeros((1, 0)))).T
+        # a(h) is b of the transposed RBM; each side's table is freed before the next
+        lo, hi, a_vals = table = np.empty((3, 2**nh))
+        for h in _aligned_runs(nh):
+            table[:, h] = _spans((params.hidden, params.visible), (params.interaction.T,), h)
         b_n = float(a_vals.max())
         c_n = float(a_vals.min())
         lrep_joint = float(hi.max() - lo.min())
         a_hidden_first = float(hi.max() - lo.max())
         # h* minimizes a(h) - h.theta_h, i.e. maximizes the lower profile
         lower_witness = float(2.0 * a_vals[int(np.argmax(lo))])
+        del lo, hi, a_vals, table
 
     a_n = lrep_marginal = None
     if visible_ok:
-        # one 2^n table at a time: each is freed before the next is built
-        a_n = float(_extremal_range(OutcomeSpace(n, (-1, 1)).tabulate(
-            lambda x: hidden_extremes_by_visible(params, x)[1], budget)))
+        upper = np.empty(2**n)
+        for x in _aligned_runs(n):
+            upper[x] = hidden_extremes_by_visible(params, x)[1]
+        a_n = float(_extremal_range(upper))
+        del upper
         lrep_marginal = float(_extremal_range(make_rbm_marginal(params, budget).scores()))
 
     report = RbmBoundsReport(

@@ -319,7 +319,7 @@ def _first_layer(biases: tuple, weights: tuple, x: np.ndarray | slice) -> np.nda
     ``biases[0]``, ``biases[1]`` and ``weights[0]`` may share a trailing axis of draws.
     """
     stack = np.concatenate((biases[0][None], weights[0]))  # (1 + n_1, n_visible, *draws)
-    base = np.concatenate((np.full_like(biases[0][:1], -0.0), biases[1]))
+    base = np.concatenate((np.full((1, *biases[0].shape[1:]), -0.0), biases[1]))
     if isinstance(x, slice):
         d, signs = _aligned_run(x, stack.shape[1], "visible")
         out = np.empty((len(base), 2**d, *base.shape[1:]))
@@ -378,6 +378,12 @@ def _aligned_run(run: slice, n: int, name: str) -> tuple[int, list[float]]:
     return d, [1.0 if first >> i & 1 else -1.0 for i in range(d, n)]
 
 
+def _aligned_runs(n: int):
+    """The {-1,+1}^n index as aligned runs of at most one chunk, in order."""
+    size = 2 ** min(n, _chunk_digits(n, 2))
+    return (slice(x0, x0 + size) for x0 in range(0, 2**n, size))
+
+
 class _VisibleRuns(FoesModel):
     """Model on {-1,+1}^n with the low ``n_visible`` digits visible, scoring
     rows by ``score_fn``. ``fill(x, block)`` fills the table's columns of
@@ -390,10 +396,9 @@ class _VisibleRuns(FoesModel):
 
     def _score_table(self) -> np.ndarray:
         self.space.check_budget(self.budget)
-        nv, cols = self._n_visible, 2 ** _chunk_digits(self._n_visible, 2)
-        table = np.empty((2 ** (self.n_variables - nv), 2**nv))
-        for x0 in range(0, 2**nv, cols):
-            self._fill(slice(x0, x0 + cols), table[:, x0:x0 + cols])
+        table = np.empty((2 ** (self.n_variables - self._n_visible), 2**self._n_visible))
+        for x in _aligned_runs(self._n_visible):
+            self._fill(x, table[:, x])
         return table.reshape(-1)
 
 

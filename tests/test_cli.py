@@ -19,6 +19,7 @@ import foeslab.rbm_bounds
 from foeslab.cli import build_parser, main, merge_config, read_config_file
 from foeslab.core import OutcomeSpace
 from foeslab.rbm_bounds import RbmBoundsReport
+from test_rbm_bounds import blas_bounds_report, readme_draws
 
 
 def run_cli(capsys, *argv):
@@ -544,7 +545,7 @@ README_EXAMPLES = {
     "path --family graph --entries '4:0,1,0;5:0,1,0;6:0,1,0' --epsilon 0.1":
         "a7be1c84e791f945c310802a73521df23a7162cba9659652a618502d83f51b78",
     "bounds --n-visible 4 --n-hidden 2 --random-draws 10 --seed 5":
-        "2e80b1faf3554dc881d979a2a092212cd6f7e5a6fd26ae5bfdba09c3f1fda68d",
+        "173e5aff99bf88c05aa9fa03501c79b882f46321d9e5d28cc397336484d61223",
     "psr --model rbm_joint --n-visible 2 --n-hidden 1 --theta-v 1,-0.5 "
     "--theta-h 0.3 --theta-vh 0.7,-1.1":
         "7d40a736da63def01953264be0dbb8fd7c092d487a74dad57a87991591065b70",
@@ -565,12 +566,12 @@ README_EXAMPLES = {
 
 # (OutcomeSpace.all_outcomes calls, modal_set calls) per example: each
 # model is enumerated once however many diagnostics read it, mh's
-# proposals all share the start point's one statistic table, and figure1
-# and the joint RBM (psr) build their scores by signed sums without
-# outcome rows
+# proposals all share the start point's one statistic table, and figure1,
+# the joint RBM (psr) and both sides of bounds build their scores by signed
+# sums without outcome rows
 README_EXAMPLE_PASSES = {
     "lrep": (1, 0), "delta": (1, 0), "modeset": (1, 1), "path": (3, 3),
-    "bounds": (20, 0), "psr": (0, 0), "lowerbound": (1, 0), "gibbs": (1, 1),
+    "bounds": (0, 0), "psr": (0, 0), "lowerbound": (1, 0), "gibbs": (1, 1),
     "mh": (1, 0), "score": (1, 0), "figure1": (0, 0),
 }
 
@@ -661,31 +662,34 @@ def test_mh_rejects_bad_data_before_enumerating(capsys, monkeypatch, data,
     assert err.count("\n") == 1 and message in err
 
 
-def test_readme_bounds_evaluates_visible_absum_once_per_draw(capsys, monkeypatch):
+def test_readme_bounds_evaluates_hidden_absum_twice_per_draw(capsys, monkeypatch):
+    # once for b(x) and once for a(h), which is b of the transposed RBM:
+    # each side of a 4+2 draw is one run
     calls = []
-    original = foeslab.rbm_bounds.visible_absum
-    monkeypatch.setattr(foeslab.rbm_bounds, "visible_absum",
+    original = foeslab.rbm_bounds.hidden_absum
+    monkeypatch.setattr(foeslab.rbm_bounds, "hidden_absum",
                         lambda *args: calls.append(1) or original(*args))
     command = next(c for c in README_EXAMPLES if c.startswith("bounds"))
     code, out, _ = run_cli(capsys, *shlex.split(command))
-    assert code == 0 and len(calls) == 10
+    assert code == 0 and len(calls) == 20
     assert hashlib.sha256(out.encode()).hexdigest() == README_EXAMPLES[command]
 
 
-def test_readme_bounds_moves_only_the_marginal_lrep(capsys):
-    # the marginal table left BLAS, so lrep_marginal moved by ulps (2 of 10
-    # draws, at most 2.0e-16 relative); with that column dropped the bytes
-    # are those of the BLAS route, whose digest this is
+def test_readme_bounds_columns_are_the_blas_route_within_ulps(capsys):
+    # a(h) and b(x) add their fields in unit order from the bias, where the
+    # BLAS route added in BLAS order, so each column may move by ulps of the
+    # draw's largest magnitude; lrep_marginal's route is unchanged, and so
+    # are its bytes
     command = next(c for c in README_EXAMPLES if c.startswith("bounds"))
     code, out, _ = run_cli(capsys, *shlex.split(command))
-    lines = out.splitlines()
-    drop = next(l for l in lines if not l.startswith("#")).split(",").index("lrep_marginal")
-    kept = [l if l.startswith("#")
-            else ",".join(v for i, v in enumerate(l.split(",")) if i != drop)
-            for l in lines]
-    assert code == 0
-    assert hashlib.sha256(("\n".join(kept) + "\n").encode()).hexdigest() == \
-        "6971cd067134cb1a46b7ac99ca53cee18ff1afb75627c00aa4dd9334266b717e"
+    _, rows = parse_csv(out)
+    assert code == 0 and len(rows) == 10
+    for row, params in zip(rows, readme_draws()):
+        want = dataclasses.asdict(blas_bounds_report(params))
+        tol = 4.5e-16 * max(abs(v) for v in want.values() if isinstance(v, float))
+        assert row["lrep_marginal"] == repr(want["lrep_marginal"])
+        for name, value in want.items():
+            assert abs(float(row[name]) - value) <= tol, name
 
 
 # The child reports VmHWM, its own peak RSS: its ru_maxrss would also

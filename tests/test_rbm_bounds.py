@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +22,12 @@ from foeslab import (
     stability_conditions,
     visible_extremes_by_hidden,
 )
+import foeslab.core
 from foeslab.core import CertificateError, OutcomeSpace, _philox
 from foeslab.metrics import PathThresholds, _extremal_range, classify_trend
 from foeslab.rbm_bounds import (STABILITY_CONDITION_KEYS, RbmBoundsReport,
-                                _assert_proven, _visible_profile, hidden_absum,
-                                visible_absum)
+                                _assert_proven)
+from foeslab.zoo import _aligned_runs, _log2cosh
 
 
 def fl_params(n, nh):
@@ -75,15 +77,18 @@ class TestJointScore:
 
 class TestPartialExtremes:
     def test_no_interaction_constant_span(self):
+        # a(h) = |theta_v|_1 = 3 about the center h.theta_h, whatever h is
         params = RbmParams([1.0, -2.0], [0.3], np.zeros((1, 2)))
         for h in ([1], [-1]):
-            a = visible_absum(params, np.asarray(h, dtype=float))
-            assert a[0] == pytest.approx(3.0, abs=1e-12)
+            lo, hi = visible_extremes_by_hidden(params, np.asarray(h, dtype=float))
+            assert (hi[0] - lo[0]) / 2 == pytest.approx(3.0, abs=1e-12)
+            assert (hi[0] + lo[0]) / 2 == pytest.approx(0.3 * h[0], abs=1e-12)
 
     def test_small_closed_form(self):
+        # a(+1) = |1 + 2| = 3 and a(-1) = |1 - 2| = 1, about the center 0
         params = RbmParams([1.0], [0.0], [[2.0]])
-        assert visible_absum(params, np.array([1.0]))[0] == pytest.approx(3.0)
-        assert visible_absum(params, np.array([-1.0]))[0] == pytest.approx(1.0)
+        lo, hi = visible_extremes_by_hidden(params, np.array([[1.0], [-1.0]]))
+        assert lo.tolist() == [-3.0, -1.0] and hi.tolist() == [3.0, 1.0]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
@@ -343,9 +348,36 @@ def test_overflow_is_bad_input_not_a_certificate_error():
         bounds_report(RbmParams([1e308, 1e308], [0.3], [[0.7, 0.2]]))
 
 
-def dense_bounds_report(params, budget=2**24):
-    """The dense-matrix bounds_report that the tabulated one replaced, kept
-    verbatim as the reference for its values."""
+# The parent's BLAS route, verbatim but for a blas_ prefix on each name: the
+# reference within ulps of which the field route must stay.
+def blas_visible_absum(params: RbmParams, h: np.ndarray) -> np.ndarray:
+    """a(h) = sum_i |theta_v_i + sum_j h_j w_ji|, rowwise over h."""
+    h = np.atleast_2d(np.asarray(h, dtype=np.float64))
+    return np.abs(params.visible[None, :] + h @ params.interaction).sum(axis=1)
+
+
+def blas_hidden_absum(params: RbmParams, x: np.ndarray) -> np.ndarray:
+    """b(x) = sum_j |theta_h_j + sum_i x_i w_ji|, rowwise over x."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    return np.abs(params.hidden[None, :] + x @ params.interaction.T).sum(axis=1)
+
+
+def blas_visible_profile(params: RbmParams, h) -> tuple[np.ndarray, np.ndarray]:
+    """(h.theta_h, a(h)) rowwise over h: f(., h) spans center -/+ a."""
+    h = np.atleast_2d(np.asarray(h, dtype=np.float64))
+    return h @ params.hidden, blas_visible_absum(params, h)
+
+
+def blas_hidden_extremes_by_visible(params: RbmParams, x) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form (min over h, max over h) of f(x, .), rowwise over x."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    center = x @ params.visible
+    b = blas_hidden_absum(params, x)
+    return center - b, center + b
+
+
+def blas_bounds_report(params, budget=2**24):
+    """The dense-matrix bounds_report on the BLAS route, kept verbatim."""
     n, nh = params.n_visible, params.n_hidden
     hidden_ok = 2**nh <= budget
     visible_ok = 2**n <= budget
@@ -354,7 +386,7 @@ def dense_bounds_report(params, budget=2**24):
     if hidden_ok:
         hall = (OutcomeSpace(nh, (-1, 1)).all_outcomes(budget) if nh
                 else np.zeros((1, 0)))
-        center, a_vals = _visible_profile(params, hall)
+        center, a_vals = blas_visible_profile(params, hall)
         lo, hi = center - a_vals, center + a_vals
         b_n = float(a_vals.max())
         c_n = float(a_vals.min())
@@ -366,7 +398,7 @@ def dense_bounds_report(params, budget=2**24):
     a_n = lrep_marginal = None
     if visible_ok:
         xall = OutcomeSpace(n, (-1, 1)).all_outcomes(budget)
-        a_n = float(_extremal_range(hidden_extremes_by_visible(params, xall)[1]))
+        a_n = float(_extremal_range(blas_hidden_extremes_by_visible(params, xall)[1]))
         marginal = make_rbm_marginal(params, budget=budget).score(xall)
         lrep_marginal = float(_extremal_range(marginal))
 
@@ -383,6 +415,69 @@ def dense_bounds_report(params, budget=2**24):
     return report
 
 
+def outcome_rows(n):
+    """Every outcome of {-1,+1}^n as float rows, in index order (n may be 0)."""
+    return np.array([[1.0 if r >> i & 1 else -1.0 for i in range(n)]
+                     for r in range(2**n)]).reshape(2**n, n)
+
+
+def in_order_fields(theta_self, biases, weights):
+    """(2^n, 1 + len(biases)) table over x of {-1,+1}^n, n = len(theta_self):
+    x.theta_self added from -0.0, then each field biases_j + sum_i x_i w_ji
+    added from its bias, one Python float at a time in unit order."""
+    table = []
+    for x in outcome_rows(len(theta_self)):
+        terms = [-0.0, *map(float, biases)]
+        for k, w in enumerate([theta_self, *weights]):
+            for s, w_i in zip(x, w):
+                terms[k] += float(s) * float(w_i)
+        table.append(terms)
+    return np.array(table).reshape(len(table), 1 + len(biases))
+
+
+def in_order_sum(values):
+    total = 0.0
+    for v in values:
+        total += float(v)
+    return total
+
+
+def in_order_profile(theta_self, biases, weights):
+    """(x.theta_self, sum_j |f_j| added from 0 in unit order, the fields)."""
+    table = in_order_fields(theta_self, biases, weights)
+    half = np.array([in_order_sum(map(abs, row[1:])) for row in table])
+    return table[:, 0], half, table[:, 1:]
+
+
+def in_order_report(params):
+    """bounds_report from the in-order profiles of both sides: a(h) on the
+    transposed RBM, b(x) on the RBM, and the marginal's log 2cosh terms added
+    from 0 in unit order before x.theta_v."""
+    center, a, _ = in_order_profile(params.hidden, params.visible, params.interaction.T)
+    lo, hi = center - a, center + a
+    center_x, b, fields_x = in_order_profile(params.visible, params.hidden,
+                                             params.interaction)
+    upper = center_x + b
+    marginal = center_x + np.array([in_order_sum(row) for row in _log2cosh(fields_x)])
+    return RbmBoundsReport(
+        n_visible=params.n_visible, n_hidden=params.n_hidden,
+        visible_l1=params.visible_l1, hidden_l1=params.hidden_l1,
+        interaction_l1=params.interaction_l1,
+        a_n=float(upper.max() - upper.min()), b_n=float(a.max()), c_n=float(a.min()),
+        lrep_joint=float(hi.max() - lo.min()),
+        lrep_marginal=float(marginal.max() - marginal.min()),
+        a_n_hidden_first=float(hi.max() - lo.max()),
+        lower_witness=float(2.0 * a[int(np.argmax(lo))]),
+        n_h_log2=params.n_hidden * math.log(2.0),
+    )
+
+
+def bits(report):
+    """The report's fields with every float as its exact hex form."""
+    return [v if v is None or isinstance(v, int) else float(v).hex()
+            for v in astuple(report)]
+
+
 def readme_draws():
     # the draws of `bounds --n-visible 4 --n-hidden 2 --random-draws 10
     # --seed 5`, made as the CLI makes them (default half-width 3)
@@ -391,19 +486,105 @@ def readme_draws():
                       rng.uniform(-3.0, 3.0, (2, 4))) for _ in range(10)]
 
 
-class TestTabulatedReportEqualsDense:
-    # 18 visibles and 17 hiddens span several 2^16-outcome chunks
-    @pytest.mark.parametrize("n, nh, seed", [(18, 3, 11), (3, 17, 12), (5, 0, 13),
-                                             (1, 0, 14), (17, 17, 15)])
-    def test_random_params(self, n, nh, seed):
-        params = random_params(np.random.default_rng(seed), n, nh)
-        assert bounds_report(params) == dense_bounds_report(params)
+# 18 visibles and 17 hiddens span several 2^16-outcome chunks
+BLAS_CASES = ([random_params(np.random.default_rng(seed), n, nh) for n, nh, seed in
+               ((18, 3, 11), (3, 17, 12), (5, 0, 13), (1, 0, 14), (17, 17, 15))]
+              + readme_draws() + draws_for_sweep(seed=8, count=22))
+
+# h = 7 and h = 23, in the two runs of 16 hiddens when a chunk is 16
+# outcomes, both reach the largest lower profile, 2.0, with a(7) = 4 and
+# a(23) = 6
+PLANTED_TIE = (np.array([-1.0, 0.0]), np.array([2.0, 2.0, 2.0, -1.0, 1.0]),
+               np.array([[2.0, 1.0], [2.0, 1.0], [1.0, -1.0], [2.0, -2.0], [0.0, 1.0]]))
+
+
+class TestReportWithinUlpsOfTheBlasRoute:
+    # a(h) and b(x) add in unit order from the bias, where BLAS adds in its own
+    # order, so each field may move by ulps of the report's largest magnitude
+    ULPS = 4.5e-16
+
+    def check(self, params, budget=2**24):
+        got, want = bounds_report(params, budget), blas_bounds_report(params, budget)
+        tol = self.ULPS * max(abs(v) for v in astuple(want) if isinstance(v, float))
+        for field in fields(RbmBoundsReport):
+            g, w = getattr(got, field.name), getattr(want, field.name)
+            assert (g is None) == (w is None), field.name
+            if g is not None and field.name != "lower_witness":
+                assert abs(g - w) <= tol, field.name
+        if got.lower_witness is not None and abs(got.lower_witness - want.lower_witness) > tol:
+            # the witness may flip only at a near-tie of the lower profile's
+            # argmax: the field route's h* must be within tol of the BLAS
+            # maximum, and its witness 2 a(h*) within tol of the BLAS a(h*)
+            hall = outcome_rows(params.n_hidden)
+            center, a = blas_visible_profile(params, hall)
+            lo = center - a
+            h_star = int(np.argmax(visible_extremes_by_hidden(params, hall)[0]))
+            assert lo[h_star] >= lo.max() - tol
+            assert abs(got.lower_witness - 2.0 * a[h_star]) <= tol
+
+    @pytest.mark.parametrize("case", range(len(BLAS_CASES)))
+    def test_every_field(self, case):
+        self.check(BLAS_CASES[case])
 
     def test_budget_limited_sides(self):
         params = random_params(np.random.default_rng(16), 18, 3)
         for budget in (2**2, 2**8, 2**17):
-            assert bounds_report(params, budget) == dense_bounds_report(params, budget)
+            self.check(params, budget)
+
+    def test_witness_flips_only_at_a_near_tie(self):
+        # scaled by 0.7, the planted tie is a tie in real arithmetic only:
+        # BLAS rounds h = 7 first (witness 2 a = 5.6), the unit order puts
+        # h = 23 above it by 2 ulps (witness 8.4)
+        params = RbmParams(*(0.7 * v for v in PLANTED_TIE))
+        assert bounds_report(params).lower_witness == pytest.approx(8.4, abs=1e-12)
+        assert blas_bounds_report(params).lower_witness == pytest.approx(5.6, abs=1e-12)
+        self.check(params)
+
+
+IN_ORDER_CASES = [(6, 5, 21), (5, 6, 22), (7, 0, 23), (1, 0, 24), (10, 9, 25),
+                  (9, 10, 26), (2, 12, 27)]
+
+
+class TestReportIsTheInOrderFields:
+    @pytest.mark.parametrize("n, nh, seed", IN_ORDER_CASES)
+    def test_random_params(self, n, nh, seed):
+        params = random_params(np.random.default_rng(seed), n, nh)
+        assert bits(bounds_report(params)) == bits(in_order_report(params))
 
     def test_readme_draws(self):
         for params in readme_draws():
-            assert bounds_report(params) == dense_bounds_report(params)
+            assert bits(bounds_report(params)) == bits(in_order_report(params))
+
+    @pytest.mark.parametrize("n, nh, seed", IN_ORDER_CASES)
+    def test_partial_extremes_by_rows_and_by_runs(self, n, nh, seed):
+        params = random_params(np.random.default_rng(seed), n, nh)
+        sides = [(visible_extremes_by_hidden, nh,
+                  in_order_profile(params.hidden, params.visible, params.interaction.T)),
+                 (hidden_extremes_by_visible, n,
+                  in_order_profile(params.visible, params.hidden, params.interaction))]
+        for extremes, units, (center, half, _) in sides:
+            want = np.array((center - half, center + half)).tobytes()
+            for x in (outcome_rows(units), slice(0, 2**units)):
+                assert np.array(extremes(params, x)).tobytes() == want
+
+
+class TestChunkSizeChangesNoBit:
+    @pytest.mark.parametrize("n, nh, seed", [(6, 5, 31), (5, 6, 32), (7, 0, 33)])
+    def test_reports_over_runs_of_16(self, n, nh, seed, monkeypatch):
+        params = random_params(np.random.default_rng(seed), n, nh)
+        whole = bounds_report(params)
+        monkeypatch.setattr(foeslab.core, "_CHUNK_OUTCOMES", 16)
+        assert len(list(_aligned_runs(5))) == 2
+        assert bits(bounds_report(params)) == bits(whole)
+
+    def test_lower_profile_tie_across_runs_takes_the_first_h(self, monkeypatch):
+        # the tie is exact, so the witness is 2 a(7) = 8 and not 12
+        params = RbmParams(*PLANTED_TIE)
+        lo, hi = visible_extremes_by_hidden(params, outcome_rows(5))
+        assert np.flatnonzero(lo == lo.max()).tolist() == [7, 23]
+        assert ((hi - lo) / 2)[[7, 23]].tolist() == [4.0, 6.0]
+        whole = bounds_report(params)
+        monkeypatch.setattr(foeslab.core, "_CHUNK_OUTCOMES", 16)
+        split = bounds_report(params)
+        assert whole.lower_witness == split.lower_witness == 8.0
+        assert bits(split) == bits(whole)

@@ -607,6 +607,19 @@ def test_first_layer_run_is_the_rows_form(data):
         assert got[..., k].tobytes() == alone.tobytes()
 
 
+@pytest.mark.parametrize("draws", [(), (3,)])
+def test_first_layer_with_no_visible_units_keeps_its_center_row(draws):
+    # an empty layer 0, as on the transposed side of an RBM with no hiddens:
+    # its one outcome has center -0.0 and each field equal to its bias
+    biases = (np.zeros((0, *draws)), np.multiply.outer([1.5, -2.0], np.ones(draws)))
+    weights = (np.zeros((2, 0, *draws)),)
+    expected = np.concatenate((np.full((1, 1, *draws), -0.0), biases[1][:, None]))
+    for x in (slice(0, 1), np.zeros((1, 0))):
+        got = _first_layer(biases, weights, x)
+        assert got.shape == (3, 1, *draws)
+        assert got.tobytes() == expected.tobytes()
+
+
 @st.composite
 def boltzmann_models(draw):
     """An RBM marginal, a joint RBM or a DBM marginal of at most 2^13 outcomes."""
