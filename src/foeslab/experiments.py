@@ -117,6 +117,12 @@ def run_figure1(config: GridExperimentConfig = GridExperimentConfig(),
     be taken in blocks of at most one chunk of (outcome, draw) pairs with
     the same bits: memory stays near one chunk per hidden unit whatever
     n_visible. The draws take their streams from one reset Philox.
+
+    A draw is the two ``sample_on_sphere`` calls on its stream, bit for bit,
+    made as one ``standard_normal`` call for both parts (the same normals in
+    the same order), with every draw's squared norms from one stacked dot
+    product and each part scaled in place. A draw with a zero-norm part is
+    remade by those two calls, which redraw it.
     """
     nv, nh = config.n_visible, config.n_hidden
     samples = config.samples_per_point
@@ -128,16 +134,27 @@ def run_figure1(config: GridExperimentConfig = GridExperimentConfig(),
     main_dim, int_dim = nv + nh, nv * nh
     stream = _philox_streams(config.seed)
     draws = np.empty((samples, main_dim + int_dim))
+    parts = draws[:, :main_dim], draws[:, main_dim:]
+    norms = np.empty((2, samples, 1, 1))
     lreps, deltas = np.empty(samples), np.empty(samples)
 
     cells = []
     for i_main, mag_main in enumerate(breaks):
         for i_int, mag_int in enumerate(breaks):
             cell_index = i_main * config.n_breaks + i_int
+            radii = mag_main * main_dim, mag_int * int_dim
             for s in range(samples):
+                stream(cell_index * samples + s).standard_normal(out=draws[s])
+            for part, norm in zip(parts, norms):
+                np.sqrt(np.matmul(part[:, None, :], part[:, :, None], out=norm), out=norm)
+            remade = np.flatnonzero((norms == 0.0).any(axis=0))
+            norms[:, remade] = 1.0  # no division by zero; these rows are remade below
+            for part, norm, radius in zip(parts, norms, radii):
+                part *= radius / norm[:, 0]
+            for s in remade:
                 rng = stream(cell_index * samples + s)
-                draws[s, :main_dim] = sample_on_sphere(main_dim, mag_main * main_dim, rng)
-                draws[s, main_dim:] = sample_on_sphere(int_dim, mag_int * int_dim, rng)
+                for part, radius in zip(parts, radii):
+                    part[s] = sample_on_sphere(part.shape[1], radius, rng)
             # one row per coordinate, draws along the last axis
             cols = np.ascontiguousarray(draws.T)
             theta_v, theta_h = cols[:nv], cols[nv:main_dim]
@@ -147,7 +164,11 @@ def run_figure1(config: GridExperimentConfig = GridExperimentConfig(),
                 part = slice(s0, min(s0 + block, samples))
                 first = _first_layer((theta_v[:, part], theta_h[:, part]),
                                      (theta_vh[..., part],), slice(0, rows))
-                scores = _check_finite(first[0] + sum(_log2cosh(first[1:], out=first[1:])))
+                # log2cosh one hidden unit at a time, summed in unit order
+                total = _log2cosh(first[1], out=first[1])
+                for field in first[2:]:
+                    total += _log2cosh(field, out=field)
+                scores = _check_finite(first[0] + total)
                 if "scaled_lrep" in config.metrics:
                     lreps[part] = _extremal_range(scores)
                 if "delta_n" in config.metrics:

@@ -118,17 +118,21 @@ def bounds_report(params: RbmParams,
 
     b_n = c_n = lrep_joint = a_hidden_first = lower_witness = None
     if hidden_ok:
-        # a(h) is b of the transposed RBM; each side's table is freed before the next
-        lo, hi, a_vals = table = np.empty((3, 2**nh))
+        # a(h) is b of the transposed RBM. h* minimizes a(h) - h.theta_h, i.e.
+        # maximizes the lower profile: each aligned run gives its extremes and
+        # a at its first argmax, and the earliest run wins a tie
+        runs = []
         for h in _aligned_runs(nh):
-            table[:, h] = _spans((params.hidden, params.visible), (params.interaction.T,), h)
-        b_n = float(a_vals.max())
-        c_n = float(a_vals.min())
-        lrep_joint = float(hi.max() - lo.min())
-        a_hidden_first = float(hi.max() - lo.max())
-        # h* minimizes a(h) - h.theta_h, i.e. maximizes the lower profile
-        lower_witness = float(2.0 * a_vals[int(np.argmax(lo))])
-        del lo, hi, a_vals, table
+            lo, hi, a = _spans((params.hidden, params.visible), (params.interaction.T,), h)
+            star = int(np.argmax(lo))
+            runs.append((a.max(), a.min(), hi.max(), lo.min(), lo[star], a[star]))
+        a_max, a_min, hi_max, lo_min, lo_max, a_star = np.array(runs).T
+        star = int(np.argmax(lo_max))
+        b_n = float(a_max.max())
+        c_n = float(a_min.min())
+        lrep_joint = float(hi_max.max() - lo_min.min())
+        a_hidden_first = float(hi_max.max() - lo_max[star])
+        lower_witness = float(2.0 * a_star[star])
 
     a_n = lrep_marginal = None
     if visible_ok:

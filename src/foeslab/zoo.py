@@ -448,7 +448,12 @@ def _boltzmann_marginal(biases: tuple, weights: tuple, family: str,
     def score(x: np.ndarray | slice) -> np.ndarray:
         first = _first_layer(biases, weights, x)
         if not n_even:
-            return first[0] + sum(_log2cosh(first[1:], out=first[1:]))
+            # one hidden unit at a time from 0.0, which turns a -0.0 x.theta_v
+            # of an RBM without hiddens into +0.0
+            total = np.zeros(first.shape[1:])
+            for field in first[1:]:
+                total += _log2cosh(field, out=field)
+            return first[0] + total
         z = first[1:].T
         # blocks of 2^digits even configurations, the most that pair with one
         # visible run in a chunk; rows pair with a block in slices as long

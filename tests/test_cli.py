@@ -748,14 +748,16 @@ def test_mh_at_two_to_the_21_keeps_one_statistic_table(tmp_path):
     "bounds --n-visible 2 --n-hidden 22 --random-draws 1",
 ])
 def test_bounds_at_two_to_the_22_peaks_near_its_tables(tmp_path, argv):
-    # each side is one two-column table of 2^22 rows (64 MB); the dense
-    # outcome matrix and its float64 copies took near 1 GB on either side
+    # the visible side is one column of 2^22 rows (32 MB) and the hidden side
+    # keeps six numbers per run of one chunk; the dense outcome matrix and
+    # its float64 copies took near 1 GB on either side
     assert child_peak_kb(tmp_path, argv) < 512 * 1024
 
 
 def test_bounds_at_24_hiddens_keeps_one_hidden_table(tmp_path):
-    # the hidden side is one three-column table of 2^24 rows (384 MB);
-    # separate full-size copies of its lower and upper profiles took the
-    # peak to about 565 MB
+    # the hidden side reduces each run of one chunk to six numbers, so no
+    # table of 2^24 rows is kept: about 41 MB in all, against 432 MB for
+    # one three-column table (384 MB) and 565 MB with full-size copies of
+    # its lower and upper profiles besides
     argv = "bounds --n-visible 1 --n-hidden 24 --random-draws 1"
-    assert child_peak_kb(tmp_path, argv) < 500 * 1024
+    assert child_peak_kb(tmp_path, argv) < 64 * 1024

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import foeslab.core
 import foeslab.experiments
 from foeslab import (
     GridExperimentConfig,
@@ -21,9 +22,11 @@ from foeslab import (
     run_figure1,
     sample_on_sphere,
 )
-from foeslab.core import OutcomeSpace, _check_finite, _philox
+from foeslab.core import (_CHUNK_OUTCOMES, DEFAULT_ENUMERATION_BUDGET, OutcomeSpace,
+                          _check_finite, _philox, _philox_streams)
 from foeslab.experiments import GRID_METRICS, GridCell
 from foeslab.metrics import _extremal_range, _one_flip_range
+from foeslab.zoo import _first_layer, _log2cosh
 
 
 class TestSampleOnSphere:
@@ -344,3 +347,150 @@ class TestDrawBlocks:
         code, peak_kb = proc.stdout.split()
         assert code == "0", proc.stderr
         assert int(peak_kb) < 128 * 1024
+
+
+def _per_draw_run_figure1(config, budget=DEFAULT_ENUMERATION_BUDGET):
+    """run_figure1 before the one normal call per draw, verbatim: two
+    sample_on_sphere calls per draw, each copied into ``draws``, and numpy's
+    sum over the hidden units' log2cosh block. The oracle for the draw route."""
+    nv, nh = config.n_visible, config.n_hidden
+    samples = config.samples_per_point
+    space = OutcomeSpace(nv, (-1, 1))
+    space.check_budget(budget)
+    rows = space.n_outcomes
+    block = min(samples, max(1, _CHUNK_OUTCOMES // rows))
+    breaks = config.breaks
+    main_dim, int_dim = nv + nh, nv * nh
+    stream = _philox_streams(config.seed)
+    draws = np.empty((samples, main_dim + int_dim))
+    lreps, deltas = np.empty(samples), np.empty(samples)
+
+    cells = []
+    for i_main, mag_main in enumerate(breaks):
+        for i_int, mag_int in enumerate(breaks):
+            cell_index = i_main * config.n_breaks + i_int
+            for s in range(samples):
+                rng = stream(cell_index * samples + s)
+                draws[s, :main_dim] = sample_on_sphere(main_dim, mag_main * main_dim, rng)
+                draws[s, main_dim:] = sample_on_sphere(int_dim, mag_int * int_dim, rng)
+            # one row per coordinate, draws along the last axis
+            cols = np.ascontiguousarray(draws.T)
+            theta_v, theta_h = cols[:nv], cols[nv:main_dim]
+            theta_vh = cols[main_dim:].reshape(nh, nv, samples)
+
+            for s0 in range(0, samples, block):
+                part = slice(s0, min(s0 + block, samples))
+                first = _first_layer((theta_v[:, part], theta_h[:, part]),
+                                     (theta_vh[..., part],), slice(0, rows))
+                scores = _check_finite(first[0] + sum(_log2cosh(first[1:], out=first[1:])))
+                if "scaled_lrep" in config.metrics:
+                    lreps[part] = _extremal_range(scores)
+                if "delta_n" in config.metrics:
+                    deltas[part] = _one_flip_range(scores, nv, 2)
+
+            mean_lrep = mean_delta = float("nan")
+            if "scaled_lrep" in config.metrics:
+                mean_lrep = float(lreps.mean() / nv)
+            if "delta_n" in config.metrics:
+                mean_delta = float(deltas.mean())
+
+            cells.append(GridCell(
+                main_magnitude=float(mag_main),
+                interaction_magnitude=float(mag_int),
+                mean_scaled_lrep=mean_lrep,
+                mean_delta_n=mean_delta,
+                n_samples=samples,
+            ))
+    return cells
+
+
+class _Normals:
+    """A stream's generator that counts its ``standard_normal`` calls and
+    replaces the normals at stream positions [zero_from, zero_to) by 0.0."""
+
+    def __init__(self, rng, calls, zero_from=0, zero_to=0):
+        self.rng, self.calls = rng, calls
+        self.zero_from, self.zero_to, self.position = zero_from, zero_to, 0
+
+    def standard_normal(self, size=None, out=None):
+        v = self.rng.standard_normal(size, out=out)
+        flat = v.reshape(-1)
+        flat[max(self.zero_from - self.position, 0):
+             max(self.zero_to - self.position, 0)] = 0.0
+        self.position += flat.size
+        self.calls.append(flat.size)
+        return v
+
+
+def _planted_streams(calls, index=-1, zero_from=0, zero_to=0):
+    """_philox_streams whose stream ``index`` has zeros planted in [zero_from,
+    zero_to) after every reset; every stream counts its calls in ``calls``."""
+    def streams(seed):
+        stream = foeslab.core._philox_streams(seed)
+        return lambda i: _Normals(stream(i), calls, *((zero_from, zero_to) if i == index
+                                                        else ()))
+    return streams
+
+
+class TestOneNormalCallPerDraw:
+    """A draw takes one standard_normal call for both parts, and equals the
+    two sample_on_sphere calls per draw bit for bit."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(n_visible=st.integers(1, 9), n_hidden=st.integers(1, 9),
+           n_breaks=st.integers(2, 3), samples=st.integers(1, 5),
+           seed=st.one_of(st.integers(-2**70, -1), st.integers(2**64, 2**70),
+                          st.integers(0, 2**64 - 1)),
+           magnitude_min=st.sampled_from([0.0, 0.001]),
+           magnitude_max=st.sampled_from([3.0, 0.05, 40.0]),
+           metrics=st.sampled_from(METRIC_SUBSETS))
+    def test_csv_is_the_per_draw_route(self, n_visible, n_hidden, n_breaks, samples,
+                                       seed, magnitude_min, magnitude_max, metrics):
+        # a radius of 0 scales every normal to +0.0 or -0.0, as the per-draw
+        # route does
+        config = GridExperimentConfig(
+            n_visible=n_visible, n_hidden=n_hidden, n_breaks=n_breaks,
+            samples_per_point=samples, seed=seed, magnitude_min=magnitude_min,
+            magnitude_max=magnitude_max, metrics=metrics)
+        assert (figure1_csv(run_figure1(config), config)
+                == figure1_csv(_per_draw_run_figure1(config), config))
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 14, 31, 45, 64, 81])
+    def test_stacked_norms_are_the_dot_product(self, dim):
+        # run_figure1's squared norms are sample_on_sphere's v.dot(v), bit for
+        # bit, on rows that are column slices of one draws buffer
+        draws = np.random.default_rng(dim).standard_normal((300, dim + 7))
+        for part in (draws[:, :dim], draws[:, 7:]):
+            stacked = np.matmul(part[:, None, :], part[:, :, None]).reshape(-1)
+            assert stacked.tobytes() == np.array([v.dot(v) for v in part]).tobytes()
+
+    @pytest.mark.parametrize("config", [
+        GridExperimentConfig(n_visible=3, n_hidden=2, n_breaks=2, samples_per_point=4,
+                             seed=5),
+        GridExperimentConfig(n_visible=7, n_hidden=9, n_breaks=3, samples_per_point=7,
+                             seed=-3),
+    ], ids=["3+2", "7+9"])
+    def test_one_call_per_draw(self, monkeypatch, config):
+        calls = []
+        monkeypatch.setattr(foeslab.experiments, "_philox_streams", _planted_streams(calls))
+        run_figure1(config)
+        dim = config.n_visible + config.n_hidden + config.n_visible * config.n_hidden
+        assert calls == [dim] * (config.n_breaks**2 * config.samples_per_point)
+
+    @pytest.mark.parametrize("zeros", ["main", "interaction"])
+    def test_zero_norm_part_is_redrawn_as_per_draw(self, monkeypatch, zeros):
+        # draw 2 of cell 3 gets 0.0 for every normal of one part, a zero
+        # norm that sample_on_sphere redraws from the same stream
+        config = GridExperimentConfig(n_visible=4, n_hidden=3, n_breaks=2,
+                                      samples_per_point=5, seed=9)
+        main_dim, int_dim = 7, 12
+        start = 0 if zeros == "main" else main_dim
+        dim = main_dim if zeros == "main" else int_dim
+        planted = _planted_streams([], 3 * 5 + 2, start, start + dim)
+        monkeypatch.setattr(foeslab.experiments, "_philox_streams", planted)
+        monkeypatch.setitem(globals(), "_philox_streams", planted)
+        got, want = run_figure1(config), _per_draw_run_figure1(config)
+        assert figure1_csv(got, config) == figure1_csv(want, config)
+        monkeypatch.undo()
+        assert cell_array(got)[3].tobytes() != cell_array(run_figure1(config))[3].tobytes()
+        assert cell_array(got)[:3].tobytes() == cell_array(run_figure1(config))[:3].tobytes()

@@ -411,6 +411,23 @@ class TestRbm:
         assert_marginal_table(RbmParams(rng.uniform(-2, 2, nv), rng.uniform(-2, 2, nh),
                                         rng.uniform(-2, 2, (nh, nv))))
 
+    @pytest.mark.parametrize("zero_visible", [False, True])
+    @pytest.mark.parametrize("nh", [0, 1, 4, 9])
+    def test_marginal_adds_log2cosh_as_numpy_sum_did(self, nh, zero_visible):
+        # one hidden unit at a time is sum()'s order over the unit axis; with
+        # no hiddens sum() added the int 0, which turns the -0.0 of x.theta_v
+        # = 0 at x = (-1, ..., -1) into +0.0
+        rng = np.random.default_rng(70 + nh)
+        nv = 6
+        params = RbmParams(np.zeros(nv) if zero_visible else rng.uniform(-2, 2, nv),
+                           rng.uniform(-2, 2, nh), rng.uniform(-2, 2, (nh, nv)))
+        first = _first_layer((params.visible, params.hidden), (params.interaction,),
+                             slice(0, 2**nv))
+        if zero_visible:
+            assert first[0][0] == 0.0 and np.signbit(first[0][0])
+        want = first[0] + sum(_log2cosh(first[1:], out=first[1:]))
+        assert make_rbm_marginal(params).scores().tobytes() == want.tobytes()
+
     def test_no_hiddens_scaled_lrep(self):
         theta_v = np.array([0.5, -1.5, 2.0])
         params = RbmParams(theta_v, [], np.zeros((0, 3)))
