@@ -153,13 +153,15 @@ class OutcomeSpace:
     def all_outcomes(self, budget: int = DEFAULT_ENUMERATION_BUDGET) -> np.ndarray:
         """Dense (n_outcomes, n_variables) matrix of all outcome vectors.
 
-        Built one variable column at a time with progressive division; the
-        symbol dtype is int8 whenever the alphabet fits. The matrix is
-        n_outcomes * n_variables bytes (384 MB for 24 variables at the
-        budget cap), and a scorer's float64 copy is 8 times that, so callers
-        that need only a value per outcome use ``tabulate`` instead. The
-        callers that keep rows are ``tabulate`` for its low block and the
-        DBM marginal (the low digits of its even-layer configurations).
+        Built one variable column at a time, each by broadcasting the
+        alphabet over the matrix viewed so that the column's digit is an
+        axis of its own; the symbol dtype is int8 whenever the alphabet
+        fits. The matrix is n_outcomes * n_variables bytes (384 MB for 24
+        variables at the budget cap), and a scorer's float64 copy is 8 times
+        that, so callers that need only a value per outcome use ``tabulate``
+        instead. The callers that keep rows are ``tabulate`` and the graph
+        model's statistic chunks for their low block, and the DBM marginal
+        (the low digits of its even-layer configurations).
         """
         self.check_budget(budget)
         k = self.alphabet_size
@@ -167,10 +169,9 @@ class OutcomeSpace:
         if alpha.min() >= np.iinfo(np.int8).min and alpha.max() <= np.iinfo(np.int8).max:
             alpha = alpha.astype(np.int8)
         out = np.empty((self.n_outcomes, self.n_variables), dtype=alpha.dtype)
-        scratch = np.arange(self.n_outcomes, dtype=np.int64)
         for i in range(self.n_variables):
-            out[:, i] = alpha[scratch % k]
-            np.floor_divide(scratch, k, out=scratch)
+            # digit i of the little-endian index is axis 1 of this view
+            out.reshape(-1, k, k**i, self.n_variables)[:, :, :, i] = alpha[:, None]
         return out
 
     def tabulate(self, fn: Callable[[np.ndarray], np.ndarray],
@@ -189,17 +190,25 @@ class OutcomeSpace:
         self.check_budget(budget)
         m = _chunk_digits(self.n_variables, self.alphabet_size)
         low = OutcomeSpace(m, self.alphabet).all_outcomes(budget)
-        table = None
-        for start, chunk in _aligned_blocks(low, self.n_variables, self.alphabet):
-            rows = len(chunk)
-            out = np.asarray(fn(chunk))
-            if out.shape[:1] != (rows,):
-                raise ValueError(f"score_fn returned shape {out.shape} "
-                                 f"for a chunk of {rows} outcomes")
-            if table is None:
-                table = np.empty_like(out, shape=(self.n_outcomes, *out.shape[1:]))
-            table[start:start + rows] = out
-        return table
+        return _fill_table(_aligned_blocks(low, self.n_variables, self.alphabet), fn,
+                           self.n_outcomes)
+
+
+def _fill_table(chunks, fn: Callable[[np.ndarray], np.ndarray], n_outcomes: int) -> np.ndarray:
+    """``fn``'s values of each (first index, chunk) of ``chunks``, placed in
+    one table of n_outcomes rows with the shape and memory layout of
+    ``fn``'s output; ``fn`` must return one row per chunk row."""
+    table = None
+    for start, chunk in chunks:
+        rows = len(chunk)
+        out = np.asarray(fn(chunk))
+        if out.shape[:1] != (rows,):
+            raise ValueError(f"score_fn returned shape {out.shape} "
+                             f"for a chunk of {rows} outcomes")
+        if table is None:
+            table = np.empty_like(out, shape=(n_outcomes, *out.shape[1:]))
+        table[start:start + rows] = out
+    return table
 
 
 def _chunk_digits(n_variables: int, k: int) -> int:
@@ -282,6 +291,7 @@ class FoesModel:
         self.family = family
         self.budget = budget
         self._scores = None
+        self._extremes = None
         self._log_normalizer = None
 
     @property
@@ -307,8 +317,18 @@ class FoesModel:
                     f"score_fn returned shape {scores.shape}, "
                     f"expected ({self.space.n_outcomes},)"
                 )
-            self._scores = _check_finite(scores)
+            # the first NaN or +inf is the argmax, the first -inf the argmin
+            imax, imin = int(np.argmax(scores)), int(np.argmin(scores))
+            if not (np.isfinite(scores[imax]) and np.isfinite(scores[imin])):
+                raise ValueError(_NOT_FINITE)
+            self._scores, self._extremes = scores, (imax, imin)
         return self._scores
+
+    def extreme_indices(self) -> tuple[int, int]:
+        """(argmax, argmin) of ``scores()``, lowest index on ties; found
+        once, with the table."""
+        self.scores()
+        return self._extremes
 
     def _score_table(self) -> np.ndarray:
         # unchecked scores of every outcome; scores() validates and caches
@@ -330,11 +350,14 @@ class FoesModel:
         return float(self.scores()[self.space.encode(outcome)] - self.log_normalizer)
 
 
+_NOT_FINITE = ("model has a non-finite log-probability; "
+               "FOES models must support every outcome")
+
+
 def _check_finite(scores: np.ndarray) -> np.ndarray:
     """Return ``scores`` unchanged; raise ValueError if any is not finite."""
     if not np.all(np.isfinite(scores)):
-        raise ValueError("model has a non-finite log-probability; "
-                         "FOES models must support every outcome")
+        raise ValueError(_NOT_FINITE)
     return scores
 
 

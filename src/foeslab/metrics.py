@@ -52,6 +52,19 @@ def _extremal_range(table: np.ndarray) -> np.ndarray:
     return table.max(axis=0) - table.min(axis=0)
 
 
+def _flip_views(block: np.ndarray, m: int, k: int, upper: int, spread: np.ndarray) -> list:
+    """(a, b, out) views for one-flip scans of the upper digits of a block of
+    k^m rows: for each such digit i, the rows where digit i is j and where
+    it is j' < j, pairs of runs of k^i rows a stride k^i apart, and
+    ``spread`` shaped like them."""
+    views = []
+    for i in range(m - upper, m):
+        flip = block.reshape(*_one_flip_shape(m, k, i), -1)
+        out = spread.reshape(flip[:, 0].shape)
+        views += [(flip[:, j], flip[:, jp], out) for j in range(1, k) for jp in range(j)]
+    return views
+
+
 def _one_flip_range(table: np.ndarray, n_variables: int, k: int) -> np.ndarray:
     """Largest spread among outcomes one flip apart; a trailing axis holds draws.
 
@@ -65,7 +78,9 @@ def _one_flip_range(table: np.ndarray, n_variables: int, k: int) -> np.ndarray:
     most m minus the transposed count. A slab, copied out of the table once,
     holds every value of a group's digits (its upper digits) times a run of
     low rows. So the table is read from memory once for the pieces and once
-    per group: twice at the 2^24 cap.
+    per group: twice at the 2^24 cap. The buffer's scan views are built once
+    per scanned digit count; each scan's maximum goes into one row of a
+    table of maxima, which is folded at the end.
     """
     draws = table.shape[1:]
     rows = table.reshape(table.shape[0], -1)
@@ -74,29 +89,32 @@ def _one_flip_range(table: np.ndarray, n_variables: int, k: int) -> np.ndarray:
     # transposed pieces and slabs share one buffer; a table of one piece
     # whose runs are all long (figure1's blocks of draws) needs neither
     copy = np.empty(k**m * width if half or m < n_variables else 0)
-    buffer = np.empty(k ** (m - 1) * width)
-    best = np.zeros(width)
+    spread = np.empty(k ** (m - 1) * width)
+    # every outcome digit is scanned once per piece's worth of rows, for
+    # each of the k(k - 1)/2 pairs of its values
+    peaks = np.empty((k ** (n_variables - m) * n_variables * (k * (k - 1) // 2), width))
+    plans, scans = {}, iter(peaks)
 
-    def scan(block: np.ndarray, upper: int) -> None:
-        # block is k^m rows; flipping digit i pairs runs of k^i rows a
-        # stride k^i apart. The largest pairwise |difference| is max - min
-        # exactly: rounding is monotone and fl(a - b) = -fl(b - a)
-        for i in range(m - upper, m):
-            flip = block.reshape(*_one_flip_shape(m, k, i), width)
-            spread = buffer.reshape(flip[:, 0].shape)
-            for j in range(1, k):
-                for jp in range(j):
-                    np.subtract(flip[:, j], flip[:, jp], out=spread)
-                    np.abs(spread, out=spread)
-                    np.maximum(best, spread.max(axis=(0, 1)), out=best)
+    def scan(views: list) -> None:
+        # the largest pairwise |difference| is max - min exactly: rounding
+        # is monotone and fl(a - b) = -fl(b - a)
+        for a, b, out in views:
+            np.subtract(a, b, out=out)
+            np.abs(out, out=out)
+            np.maximum.reduce(out, axis=(0, 1), out=next(scans))
+
+    def copy_views(upper: int) -> list:
+        if upper not in plans:
+            plans[upper] = _flip_views(copy, m, k, upper, spread)
+        return plans[upper]
 
     for start in range(0, len(rows), k**m):
         part = rows[start:start + k**m]
-        scan(part, m - half)
+        scan(_flip_views(part, m, k, m - half, spread))
         if half:
             np.copyto(copy.reshape(k**half, -1, width),
                       part.reshape(-1, k**half, width).transpose(1, 0, 2))
-            scan(copy, half)
+            scan(copy_views(half))
     for low in range(m, n_variables, m - half):
         upper = min(m - half, n_variables - low)
         run = k ** (m - upper)
@@ -104,14 +122,15 @@ def _one_flip_range(table: np.ndarray, n_variables: int, k: int) -> np.ndarray:
         for group in rows.reshape(-1, k**upper, k**low, width):
             for start in range(0, k**low, run):
                 np.copyto(slab, group[:, start:start + run])
-                scan(slab, upper)
-    return best.reshape(draws)
+                scan(copy_views(upper))
+    return np.maximum.reduce(peaks, axis=0, initial=0.0).reshape(draws)
 
 
 def _score_range(model: FoesModel) -> tuple[np.ndarray, float, float]:
     """Score table with its min and max, which a uniform model leaves equal."""
     scores = model.scores()
-    lo, hi = float(scores.min()), float(scores.max())
+    imax, imin = model.extreme_indices()
+    lo, hi = float(scores[imin]), float(scores[imax])
     if hi == lo:
         raise UniformModelError("standardized log-probability needs a "
                                 "non-uniform model (zero denominator)")
@@ -125,8 +144,7 @@ def lrep(model: FoesModel) -> InstabilityReport:
     taken as the difference of the argmax and argmin entries.
     """
     scores = model.scores()
-    imax = int(np.argmax(scores))
-    imin = int(np.argmin(scores))
+    imax, imin = model.extreme_indices()
     value = float(scores[imax] - scores[imin])
     n = model.n_variables
     return InstabilityReport(

@@ -272,11 +272,15 @@ def expected_standardized_log_prob(model: FoesModel) -> float:
     """Exact expectation of the standardized log-probability position.
 
     The statistic (log P(X) - min log P) / LREP lies in [0, 1]; under a
-    strongly concentrated model its expectation approaches 1.
+    strongly concentrated model its expectation approaches 1. The products
+    go into the fresh probability array and are summed by numpy's pairwise
+    sum, so the value does not depend on the BLAS thread count, and no BLAS
+    worker is left spinning after the call.
     """
     scores, lo, hi = _score_range(model)
-    g = (scores - lo) / (hi - lo)
-    return float(np.exp(model.log_probs()) @ g)
+    p = np.exp(model.log_probs())
+    p *= (scores - lo) / (hi - lo)
+    return float(p.sum())
 
 
 def expected_statistic(model: LinearExpFamily) -> np.ndarray:

@@ -22,6 +22,7 @@ from .core import (
     OutcomeSpace,
     _aligned_blocks,
     _chunk_digits,
+    _fill_table,
     _signed_sums,
 )
 
@@ -69,6 +70,10 @@ class LinearExpFamily(FoesModel):
         # a lone model scores chunk by chunk until its table exists, so its
         # peak holds one score table, not k statistic columns
         self._scores_from_stats = False
+        # (first index, (rows, k) statistics) chunks of the space, given the
+        # budget, where a family counts them faster than stat_fn on rows;
+        # None tabulates stat_fn
+        self._stat_chunks = None
 
         def score_fn(outcomes: np.ndarray) -> np.ndarray:
             return _statistic_matrix(stat_fn, outcomes, params.size) @ params
@@ -92,21 +97,29 @@ class LinearExpFamily(FoesModel):
         if model.n_params != self.n_params:
             raise ValueError(f"params must have length {self.n_params}, "
                              f"got {model.n_params}")
-        model._stat_slot = self._stat_slot
+        model._stat_slot, model._stat_chunks = self._stat_slot, self._stat_chunks
         model._scores_from_stats = True
         return model
 
     def _score_table(self) -> np.ndarray:
-        if self._stat_slot[0] is None and not self._scores_from_stats:
+        if self._stat_slot[0] is not None or self._scores_from_stats:
+            return self.statistic_values() @ self.params
+        if self._stat_chunks is None:
             return super()._score_table()
-        return self.statistic_values() @ self.params
+        return _fill_table(self._stat_chunks(self.budget), lambda g: g @ self.params,
+                           self.space.n_outcomes)
 
     def statistic_values(self) -> np.ndarray:
         """(n_outcomes, k) matrix of statistic values, enumerated and cached."""
         if self._stat_slot[0] is None:
-            self._stat_slot[0] = self.space.tabulate(
-                lambda x: _statistic_matrix(self.stat_fn, x, self.params.size),
-                self.budget)
+            if self._stat_chunks is None:
+                table = self.space.tabulate(
+                    lambda x: _statistic_matrix(self.stat_fn, x, self.params.size),
+                    self.budget)
+            else:
+                table = _fill_table(self._stat_chunks(self.budget), lambda g: g,
+                                    self.space.n_outcomes)
+            self._stat_slot[0] = table
         return self._stat_slot[0]
 
     def statistic_extremes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -229,9 +242,77 @@ def graph_statistics(spec: GraphModelSpec, outcomes: np.ndarray) -> np.ndarray:
                      triangles], axis=1)
 
 
+def _graph_chunks(spec: GraphModelSpec, term_cols: list, budget: int):
+    """(first index, ``graph_statistics(spec, rows)[:, term_cols]``) of every
+    graph, in aligned chunks of 2^m rows (m = ``_chunk_digits``), bit for
+    bit and in the same Fortran order, one array reused from chunk to chunk.
+
+    A chunk varies the low m edges over one block and fixes the high edges
+    H. Chunk 0 (H empty) is the block itself, counted once by
+    ``graph_statistics``; every other chunk adds integer corrections from H
+    to the block's counts, with k_v node v's degree in H and d_v its degree
+    column in the block: |H| edges; sum_v k_v d_v + C(k_v, 2) 2-stars;
+    triangles from the block's common-neighbour column of each edge of H,
+    the bit column of the low edge that closes each pair of H-edges sharing
+    a node, and the triangles wholly in H. The sums run in the narrowest
+    unsigned type that holds every count.
+    """
+    n, m = spec.n_nodes, _chunk_digits(spec.n_edges, 2)
+    OutcomeSpace(spec.n_edges, (0, 1)).check_budget(budget)
+    pairs = spec.edge_index
+    low, high = {e: i for i, e in enumerate(pairs[:m])}, pairs[m:]
+    block = np.zeros((2**m, spec.n_edges), dtype=np.int8)
+    block[:, :m] = OutcomeSpace(m, (0, 1)).all_outcomes(budget)
+    counts = graph_statistics(spec, block)
+    out = np.empty((2**m, len(term_cols)), order="F")
+    out[...] = counts[:, term_cols]
+    yield 0, out
+    kind = np.min_scalar_type(3 * math.comb(n, 3))  # the most 2-stars, the largest count
+    base, bits = counts.T.astype(kind), block[:, :m].T.astype(kind)
+    del counts, block
+    deg = np.zeros((n, 2**m), dtype=kind)
+    for e, (a, b) in enumerate(pairs[:m]):
+        deg[a] += bits[e]
+        deg[b] += bits[e]
+
+    def closing(e: tuple, f: tuple) -> tuple | None:
+        # the edge that closes two distinct edges sharing a node into a triangle
+        ends = set(e) ^ set(f)
+        return tuple(sorted(ends)) if len(ends) == 2 else None
+
+    common = np.zeros((len(high), 2**m), dtype=kind)
+    for j, (a, b) in enumerate(high):
+        for v in set(range(n)) - {a, b}:
+            av, bv = tuple(sorted((a, v))), tuple(sorted((b, v)))
+            if av in low and bv in low:
+                common[j] += bits[low[av]] & bits[low[bv]]
+    total = np.empty(2**m, dtype=kind)
+    for c in range(1, 2 ** len(high)):
+        h = [e for j, e in enumerate(high) if c >> j & 1]
+        k = np.bincount(np.ravel(h), minlength=n)
+        shut = [closing(e, f) for i, e in enumerate(h) for f in h[:i]]
+        terms = (
+            (len(h), []),
+            (sum(math.comb(int(kv), 2) for kv in k), [deg[v] for v in np.repeat(range(n), k)]),
+            (sum(g in h for g in shut) // 3,
+             [common[high.index(e)] for e in h] + [bits[low[g]] for g in shut if g in low]),
+        )
+        for j, t in enumerate(term_cols):
+            const, columns = terms[t]
+            np.add(base[t], const, out=total)
+            for column in columns:
+                total += column
+            out[:, j] = total
+        yield c * 2**m, out
+
+
 def make_graph_model(spec: GraphModelSpec,
                      budget: int = DEFAULT_ENUMERATION_BUDGET) -> LinearExpFamily:
-    """Exponential random-graph model with edge/2-star/triangle terms."""
+    """Exponential random-graph model with edge/2-star/triangle terms.
+
+    Its tables read ``_graph_chunks`` when a chunk fixes some edges;
+    ``score`` counts each row by ``graph_statistics``.
+    """
     term_cols = [GRAPH_TERMS.index(t) for t in spec.active_terms]
     params = [spec.params[c] for c in term_cols]
     space = OutcomeSpace(spec.n_edges, (0, 1))
@@ -239,7 +320,10 @@ def make_graph_model(spec: GraphModelSpec,
     def stat_fn(outcomes: np.ndarray) -> np.ndarray:
         return graph_statistics(spec, outcomes)[:, term_cols]
 
-    return LinearExpFamily(space, stat_fn, params, family="graph", budget=budget)
+    model = LinearExpFamily(space, stat_fn, params, family="graph", budget=budget)
+    if spec.n_edges > _chunk_digits(spec.n_edges, 2):
+        model._stat_chunks = lambda budget: _graph_chunks(spec, term_cols, budget)
+    return model
 
 
 def graph_statistic_extremes(spec: GraphModelSpec,

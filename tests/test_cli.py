@@ -761,3 +761,54 @@ def test_bounds_at_24_hiddens_keeps_one_hidden_table(tmp_path):
     # its lower and upper profiles besides
     argv = "bounds --n-visible 1 --n-hidden 24 --random-draws 1"
     assert child_peak_kb(tmp_path, argv) < 64 * 1024
+
+
+def child_stdout(code: str, *args: str, **env: str) -> str:
+    """Standard output of ``code`` run in a fresh process; it must exit 0."""
+    src = os.path.dirname(os.path.dirname(foeslab.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src, **env},
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+SCORE_CHILD = "import sys; from foeslab.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("nodes", ["6", "7"])
+def test_score_bytes_do_not_depend_on_the_blas_thread_count(nodes):
+    # 2^15 and 2^21 outcomes, past the size where a BLAS dot product splits
+    # its sum over threads
+    argv = ["score", "--model", "graph", "--nodes", nodes, "--theta1=-0.2",
+            "--theta2=0.3", "--theta3=-0.1"]
+    single, double = (child_stdout(SCORE_CHILD, *argv, OPENBLAS_NUM_THREADS=threads)
+                      for threads in ("1", "2"))
+    assert single == double and "expected_position" in single
+
+
+SPIN_CHILD = """
+import io, sys, time
+from contextlib import redirect_stdout
+from foeslab.cli import main
+
+def busy_cpu_minus_wall():
+    cpu, wall = time.process_time(), time.perf_counter()
+    while time.perf_counter() - wall < 0.3:
+        pass
+    return time.process_time() - cpu - (time.perf_counter() - wall)
+
+busy_cpu_minus_wall()  # BLAS workers started at import may spin through this
+with redirect_stdout(io.StringIO()):
+    main(sys.argv[1:])
+print(busy_cpu_minus_wall())
+"""
+
+
+def test_score_leaves_no_blas_worker_spinning():
+    # this process's CPU time beyond its wall time, over a busy loop run
+    # after score, is time other threads spent; a BLAS dot product's worker
+    # spun for about 0.12 s after each call
+    out = child_stdout(SPIN_CHILD, "score", "--model", "graph", "--nodes", "6",
+                       "--theta2=0.3", "--theta3=-0.1")
+    assert float(out) < 0.02

@@ -103,7 +103,32 @@ class TestPhiloxStreams:
         assert stream(0) is stream(1)
 
 
+def _dividing_all_outcomes(space: OutcomeSpace) -> np.ndarray:
+    """OutcomeSpace.all_outcomes before broadcasting, verbatim: progressive
+    division of an int64 copy of the index."""
+    k = space.alphabet_size
+    alpha = np.asarray(space.alphabet)
+    if alpha.min() >= np.iinfo(np.int8).min and alpha.max() <= np.iinfo(np.int8).max:
+        alpha = alpha.astype(np.int8)
+    out = np.empty((space.n_outcomes, space.n_variables), dtype=alpha.dtype)
+    scratch = np.arange(space.n_outcomes, dtype=np.int64)
+    for i in range(space.n_variables):
+        out[:, i] = alpha[scratch % k]
+        np.floor_divide(scratch, k, out=scratch)
+    return out
+
+
 class TestOutcomeSpace:
+    @pytest.mark.parametrize("alphabet", [(0, 1), (-1, 1), (1, 2, 3), (-128, 127),
+                                          (0, 1000, -7), (0.5, -1.5)])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_all_outcomes_is_the_dividing_route(self, n, alphabet):
+        # int8 symbols while the alphabet fits, numpy's default type otherwise
+        space = OutcomeSpace(n, alphabet)
+        got, want = space.all_outcomes(), _dividing_all_outcomes(space)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n,alphabet", [
         (10, (0, 1)), (6, (1, 2, 3)), (4, (-1, 1)), (3, (0, 1, 2, 3)),
     ])
@@ -168,6 +193,23 @@ class TestEnumeration:
         bad = FoesModel(space, lambda x: np.where(x.sum(1) > 1, -np.inf, 0.0))
         with pytest.raises(ValueError, match="non-finite"):
             bad.scores()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 5, 15])
+    def test_nonfinite_score_rejected_at_any_index(self, bad, at):
+        # the extremes found with the table catch what a full isfinite pass did
+        table = np.linspace(-1.0, 1.0, 16)
+        table[at] = bad
+        model = FoesModel(OutcomeSpace(4, (0, 1)), lambda x: table[np.asarray(x) @ 2 ** np.arange(4)])
+        with pytest.raises(ValueError, match="^model has a non-finite log-probability; "
+                                             "FOES models must support every outcome$"):
+            model.scores()
+
+    def test_extreme_indices_are_the_lowest_argmax_and_argmin(self):
+        table = np.array([1.0, 3.0, -2.0, 3.0, -2.0, 0.0, 3.0, -2.0])
+        model = FoesModel(OutcomeSpace(3, (0, 1)), lambda x: table[np.asarray(x) @ [1, 2, 4]])
+        assert model.extreme_indices() == (1, 2)
+        assert model.scores().tobytes() == table.tobytes()
 
     def test_wrong_width_outcome_rejected(self):
         model = make_bernoulli(5, 1.0)

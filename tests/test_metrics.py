@@ -472,6 +472,69 @@ def test_piecewise_one_flip_range_is_the_per_variable_scan(case):
     assert got.tobytes() == want.tobytes() == parent.tobytes()
 
 
+def _cache_resident_one_flip_range(table, n_variables, k):
+    """_one_flip_range before its scan views were planned once per buffer,
+    verbatim: views rebuilt for every digit of every block, and each scan's
+    maximum folded in at once."""
+    draws = table.shape[1:]
+    rows = table.reshape(table.shape[0], -1)
+    m, width = _chunk_digits(n_variables, k), rows.shape[1]
+    half = sum(k**i * width < k ** (m // 2) for i in range(m // 2))
+    copy = np.empty(k**m * width if half or m < n_variables else 0)
+    buffer = np.empty(k ** (m - 1) * width)
+    best = np.zeros(width)
+
+    def scan(block: np.ndarray, upper: int) -> None:
+        for i in range(m - upper, m):
+            flip = block.reshape(*_one_flip_shape(m, k, i), width)
+            spread = buffer.reshape(flip[:, 0].shape)
+            for j in range(1, k):
+                for jp in range(j):
+                    np.subtract(flip[:, j], flip[:, jp], out=spread)
+                    np.abs(spread, out=spread)
+                    np.maximum(best, spread.max(axis=(0, 1)), out=best)
+
+    for start in range(0, len(rows), k**m):
+        part = rows[start:start + k**m]
+        scan(part, m - half)
+        if half:
+            np.copyto(copy.reshape(k**half, -1, width),
+                      part.reshape(-1, k**half, width).transpose(1, 0, 2))
+            scan(copy, half)
+    for low in range(m, n_variables, m - half):
+        upper = min(m - half, n_variables - low)
+        run = k ** (m - upper)
+        slab = copy.reshape(k**upper, run, width)
+        for group in rows.reshape(-1, k**upper, k**low, width):
+            for start in range(0, k**low, run):
+                np.copyto(slab, group[:, start:start + run])
+                scan(slab, upper)
+    return best.reshape(draws)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=piecewise_tables())
+def test_planned_one_flip_range_is_the_cache_resident_scan(case):
+    # k = 2, 3 and 5, with and without a draws axis, over chunk sizes that
+    # leave one piece, transposed pieces, and several slab groups
+    table, n, k, chunk = case
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
+        got = _one_flip_range(table, n, k)
+        want = _cache_resident_one_flip_range(table, n, k)
+    assert got.shape == want.shape == table.shape[1:]
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, k, draws", [(21, 2, ()), (12, 3, ()), (9, 2, (100,))])
+def test_planned_one_flip_range_is_the_cache_resident_scan_at_size(n, k, draws):
+    # a multi-chunk graph table, a multinomial one, and one figure1 block
+    table = np.random.default_rng(n).standard_normal((k**n, *draws))
+    got = _one_flip_range(table, n, k)
+    assert got.tobytes() == _cache_resident_one_flip_range(table, n, k).tobytes()
+
+
 @st.composite
 def one_flip_tables(draw):
     k = draw(st.sampled_from([2, 3, 4]))

@@ -313,6 +313,92 @@ def test_at_matches_a_fresh_model_bitwise(name):
     check()
 
 
+GRAPH_TERM_SUBSETS = [terms for r in (1, 2, 3)
+                      for terms in itertools.combinations(foeslab.zoo.GRAPH_TERMS, r)]
+
+
+@pytest.fixture(scope="module")
+def graph_row_statistics():
+    """graph_statistics of every graph on ``nodes`` nodes, chunk by chunk
+    over the outcome rows ``tabulate`` hands out, as (chunk rows, table)."""
+    tables = {}
+
+    def table(nodes):
+        if nodes not in tables:
+            spec = GraphModelSpec(nodes)
+            chunk = 2 ** foeslab.core._chunk_digits(spec.n_edges, 2)
+            tables[nodes] = chunk, OutcomeSpace(spec.n_edges, (0, 1)).tabulate(
+                lambda rows: graph_statistics(spec, rows))
+        return tables[nodes]
+
+    return table
+
+
+@pytest.mark.parametrize("nodes", [5, 7])  # one chunk; 2^5 chunks of 2^16 graphs
+@pytest.mark.parametrize("terms", GRAPH_TERM_SUBSETS, ids="+".join)
+def test_graph_tables_are_graph_statistics_of_every_row(graph_row_statistics, nodes, terms):
+    # both the lone model's chunkwise scores and the statistic table that
+    # ``at`` shares: the rows' counts in graph_statistics' Fortran order, and
+    # the products a chunk at a time or over the whole table, bit for bit
+    chunk, full = graph_row_statistics(nodes)
+    cols = [foeslab.zoo.GRAPH_TERMS.index(t) for t in terms]
+    want = full[:, cols]
+
+    def spec(theta):
+        params = dict(zip(terms, theta))
+        return GraphModelSpec(nodes, params=tuple(params.get(t, 0.0) for t in
+                                                  foeslab.zoo.GRAPH_TERMS),
+                              active_terms=terms)
+
+    base = make_graph_model(spec([1.0] * len(terms)))
+    stats = base.statistic_values()
+    assert stats.flags.f_contiguous and stats.tobytes() == want.tobytes()
+
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @given(theta=st.lists(st.floats(-4, 4), min_size=len(terms), max_size=len(terms)))
+    def check(theta):
+        lone = make_graph_model(spec(theta)).scores()
+        chunkwise = [full[s:s + chunk][:, cols] @ theta for s in range(0, len(full), chunk)]
+        assert lone.tobytes() == np.concatenate(chunkwise).tobytes()
+        assert base.at(theta).scores().tobytes() == (want @ theta).tobytes()
+
+    check()
+
+
+@pytest.mark.parametrize("nodes, chunk", [(4, 2**3), (5, 2**4), (6, 2**9), (6, 2**6)])
+def test_graph_tables_from_smaller_low_blocks(monkeypatch, nodes, chunk):
+    # more fixed high edges than a 7-node graph has at the budget, and low
+    # blocks that end at other edges
+    monkeypatch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
+    spec = GraphModelSpec(nodes, params=(0.3, -0.2, 0.7))
+    full = graph_statistics(spec, OutcomeSpace(spec.n_edges, (0, 1)).all_outcomes())
+    params = np.array(spec.params)
+    chunkwise = [full[s:s + chunk][:, [0, 1, 2]] @ params for s in range(0, len(full), chunk)]
+    assert make_graph_model(spec).scores().tobytes() == np.concatenate(chunkwise).tobytes()
+    assert make_graph_model(spec).statistic_values().tobytes() == full.tobytes()
+
+
+def test_seven_node_tables_count_one_low_block_by_graph_statistics(monkeypatch):
+    # the module attribute is looked up at call time, once per table
+    calls = []
+    original = foeslab.zoo.graph_statistics
+    monkeypatch.setattr(foeslab.zoo, "graph_statistics",
+                        lambda spec, rows: calls.append(len(rows)) or original(spec, rows))
+    model = make_graph_model(GraphModelSpec(7, params=(0.2, -0.1, 0.3)))
+    model.scores()
+    model.at([0.1, 0.2, 0.3]).scores()
+    model.score(np.ones(21))
+    assert calls == [2**16, 2**16, 1]
+
+
+def test_seven_node_tables_keep_the_budget():
+    model = make_graph_model(GraphModelSpec(7, params=(0.2, -0.1, 0.3)), budget=2**20)
+    with pytest.raises(BudgetExceededError):
+        model.scores()
+    with pytest.raises(BudgetExceededError):
+        model.statistic_values()
+
+
 def test_at_keeps_the_family_and_leaves_the_model_unchanged():
     model = make_graph_model(GraphModelSpec(4, params=(0.3, -0.2, 0.1)), budget=4096)
     before = (model.params.tobytes(), model.scores().tobytes(), model.log_normalizer)
