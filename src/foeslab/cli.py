@@ -97,28 +97,19 @@ def merge_config(args: argparse.Namespace, options: dict) -> dict:
         if flag_val is not None:
             resolved[key] = flag_val
         elif key in file_values:
-            if isinstance(cast, tuple):
-                cast = str  # checked by check_choices
+            text = file_values[key]
             try:
-                resolved[key] = cast(file_values[key])
+                if isinstance(cast, tuple) and text not in cast:
+                    raise ValueError(f"choose from {', '.join(cast)}")
+                resolved[key] = text if isinstance(cast, tuple) else cast(text)
             except (ValueError, TypeError) as exc:
-                raise ConfigError(
-                    f"config key {key} = {file_values[key]!r}: {exc}") from exc
+                raise ConfigError(f"config key {key} = {text!r}: {exc}") from exc
         else:
             resolved[key] = default
     unknown = set(file_values) - set(options)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return resolved
-
-
-def check_choices(values: dict, options: dict) -> dict:
-    """Reject a config-file value outside its option's choices, as argparse does."""
-    for key, (cast, *_) in options.items():
-        if isinstance(cast, tuple) and values[key] not in (None, *cast):
-            raise ConfigError(f"config key {key} = {values[key]!r}: "
-                              f"choose from {', '.join(cast)}")
-    return values
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -213,8 +204,7 @@ SIZED_KINDS = tuple(k for k, kind in KINDS.items() if kind.size and kind.needs)
 
 # Each option is declared once, as key: (cast, default[, help]). The flag is
 # --key with dashes for underscores and a config file takes the key itself.
-# A tuple cast lists the values the flag and the config key accept; a
-# config-file value is read as a string and checked by check_choices.
+# A tuple cast lists the values the flag and the config key accept.
 GRAPH_OPTIONS = {
     "nodes": (int, None, "graph node count"),
     "theta1": (float, 0.0, "graph edge parameter"),
@@ -547,7 +537,7 @@ def main(argv=None) -> int:
     """Run one subcommand; returns the process exit code."""
     try:
         args = build_parser().parse_args(argv)
-        values = check_choices(merge_config(args, args.options), args.options)
+        values = merge_config(args, args.options)
         # score tables are checked for finiteness; numpy's warnings add nothing
         with np.errstate(all="ignore"):
             _emit(args.func(values), args.out)

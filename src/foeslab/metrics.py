@@ -204,8 +204,8 @@ def modal_set(model: FoesModel, epsilon: float) -> ModalSet:
     """Modal set of ``model`` at level ``epsilon`` in (0, 1)."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    logp = model.log_probs()
-    threshold = (1.0 - epsilon) * logp.max() + epsilon * logp.min()
+    logp, (imax, imin) = model.log_probs(), model.extreme_indices()
+    threshold = (1.0 - epsilon) * logp[imax] + epsilon * logp[imin]
     members = np.flatnonzero(logp > threshold - MODAL_TIE_TOL)
     mass = float(np.exp(logp[members]).sum())
     return ModalSet(epsilon=epsilon, threshold=float(threshold),

@@ -57,10 +57,10 @@ def _pair(model_family, theta):
 
 
 def _psr_report(model_pos, model_neg) -> PsrReport:
-    logp_pos = model_pos.log_probs()
-    logp_neg = model_neg.log_probs()
+    logp_pos, logp_neg = model_pos.log_probs(), model_neg.log_probs()
     product = logp_pos + logp_neg
-    target = logp_pos.max() + logp_neg.min()
+    (top, _), (_, bottom) = model_pos.extreme_indices(), model_neg.extreme_indices()
+    target = logp_pos[top] + logp_neg[bottom]
     max_violation = float(np.abs(product - target).max())
     return PsrReport(
         holds=max_violation <= PSR_TOL,

@@ -34,8 +34,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .core import CertificateError, DEFAULT_ENUMERATION_BUDGET, _check_finite
-from .metrics import (PathThresholds, _check_path_sizes, _extremal_range,
-                      classify_trend)
+from .metrics import PathThresholds, _check_path_sizes, classify_trend
 from .zoo import (RbmParams, _aligned_runs, _first_layer, make_rbm_marginal,
                   rbm_joint_score)
 
@@ -76,6 +75,21 @@ def hidden_extremes_by_visible(params: RbmParams, x) -> tuple[np.ndarray, np.nda
     return _spans((params.visible, params.hidden), (params.interaction,), x)[:2]
 
 
+def _run_extremes(biases: tuple, weights: tuple) -> list:
+    """Over the {-1,+1}^n index (n = biases[0].size), with (lo, hi, b) from
+    ``_spans``: max b, max hi, min b, min hi, min lo, and (lo, b) at lo's
+    first argmax. Each aligned run reduces to one row, then the rows reduce,
+    the earliest run winning a tie."""
+    rows = []
+    for x in _aligned_runs(biases[0].size):
+        lo, hi, b = _spans(biases, weights, x)
+        star = int(np.argmax(lo))
+        rows.append((b.max(), hi.max(), b.min(), hi.min(), lo.min(), lo[star], b[star]))
+    rows = np.array(rows)
+    ends = rows[:, :2].max(axis=0), rows[:, 2:5].min(axis=0), rows[np.argmax(rows[:, 5]), 5:]
+    return np.concatenate(ends).tolist()
+
+
 @dataclass(frozen=True)
 class RbmBoundsReport:
     """Extremal-bound quantities for one RBM parameter set.
@@ -113,35 +127,23 @@ def bounds_report(params: RbmParams,
     (they can fail; see the module docstring).
     """
     n, nh = params.n_visible, params.n_hidden
-    hidden_ok = 2**nh <= budget
-    visible_ok = 2**n <= budget
-
     b_n = c_n = lrep_joint = a_hidden_first = lower_witness = None
-    if hidden_ok:
-        # a(h) is b of the transposed RBM. h* minimizes a(h) - h.theta_h, i.e.
-        # maximizes the lower profile: each aligned run gives its extremes and
-        # a at its first argmax, and the earliest run wins a tie
-        runs = []
-        for h in _aligned_runs(nh):
-            lo, hi, a = _spans((params.hidden, params.visible), (params.interaction.T,), h)
-            star = int(np.argmax(lo))
-            runs.append((a.max(), a.min(), hi.max(), lo.min(), lo[star], a[star]))
-        a_max, a_min, hi_max, lo_min, lo_max, a_star = np.array(runs).T
-        star = int(np.argmax(lo_max))
-        b_n = float(a_max.max())
-        c_n = float(a_min.min())
-        lrep_joint = float(hi_max.max() - lo_min.min())
-        a_hidden_first = float(hi_max.max() - lo_max[star])
-        lower_witness = float(2.0 * a_star[star])
+    if 2**nh <= budget:
+        # a(h) is b of the transposed RBM, and h* maximizes its lower profile
+        b_n, hi_max, c_n, _, lo_min, lo_max, a_star = _run_extremes(
+            (params.hidden, params.visible), (params.interaction.T,))
+        lrep_joint, a_hidden_first = hi_max - lo_min, hi_max - lo_max
+        lower_witness = 2.0 * a_star
 
     a_n = lrep_marginal = None
-    if visible_ok:
-        upper = np.empty(2**n)
-        for x in _aligned_runs(n):
-            upper[x] = hidden_extremes_by_visible(params, x)[1]
-        a_n = float(_extremal_range(upper))
-        del upper
-        lrep_marginal = float(_extremal_range(make_rbm_marginal(params, budget).scores()))
+    if 2**n <= budget:
+        _, hi_max, _, hi_min, *_ = _run_extremes((params.visible, params.hidden),
+                                                 (params.interaction,))
+        a_n = hi_max - hi_min
+        # the marginal's scores run by run, as its table is filled
+        runs = map(make_rbm_marginal(params, budget)._run_block, _aligned_runs(n))
+        ends = np.array([(s.max(), s.min()) for s in runs])
+        lrep_marginal = float(ends[:, 0].max() - ends[:, 1].min())
 
     report = RbmBoundsReport(
         n_visible=n, n_hidden=nh,

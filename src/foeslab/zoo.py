@@ -249,7 +249,8 @@ def _graph_chunks(spec: GraphModelSpec, term_cols: list, budget: int):
 
     A chunk varies the low m edges over one block and fixes the high edges
     H. Chunk 0 (H empty) is the block itself, counted once by
-    ``graph_statistics``; every other chunk adds integer corrections from H
+    ``graph_statistics``, and the whole table of a graph of at most m
+    edges; every other chunk adds integer corrections from H
     to the block's counts, with k_v node v's degree in H and d_v its degree
     column in the block: |H| edges; sum_v k_v d_v + C(k_v, 2) 2-stars;
     triangles from the block's common-neighbour column of each edge of H,
@@ -267,6 +268,8 @@ def _graph_chunks(spec: GraphModelSpec, term_cols: list, budget: int):
     out = np.empty((2**m, len(term_cols)), order="F")
     out[...] = counts[:, term_cols]
     yield 0, out
+    if not high:
+        return
     kind = np.min_scalar_type(3 * math.comb(n, 3))  # the most 2-stars, the largest count
     base, bits = counts.T.astype(kind), block[:, :m].T.astype(kind)
     del counts, block
@@ -310,8 +313,8 @@ def make_graph_model(spec: GraphModelSpec,
                      budget: int = DEFAULT_ENUMERATION_BUDGET) -> LinearExpFamily:
     """Exponential random-graph model with edge/2-star/triangle terms.
 
-    Its tables read ``_graph_chunks`` when a chunk fixes some edges;
-    ``score`` counts each row by ``graph_statistics``.
+    Its tables read ``_graph_chunks``; ``score`` counts each row by
+    ``graph_statistics``.
     """
     term_cols = [GRAPH_TERMS.index(t) for t in spec.active_terms]
     params = [spec.params[c] for c in term_cols]
@@ -321,8 +324,7 @@ def make_graph_model(spec: GraphModelSpec,
         return graph_statistics(spec, outcomes)[:, term_cols]
 
     model = LinearExpFamily(space, stat_fn, params, family="graph", budget=budget)
-    if spec.n_edges > _chunk_digits(spec.n_edges, 2):
-        model._stat_chunks = lambda budget: _graph_chunks(spec, term_cols, budget)
+    model._stat_chunks = lambda budget: _graph_chunks(spec, term_cols, budget)
     return model
 
 
@@ -484,6 +486,12 @@ class _VisibleRuns(FoesModel):
         for x in _aligned_runs(self._n_visible):
             self._fill(x, table[:, x])
         return table.reshape(-1)
+
+    def _run_block(self, x: slice) -> np.ndarray:
+        """The table's (hidden, visible) block of the visible run ``x``, on its own."""
+        block = np.empty((2 ** (self.n_variables - self._n_visible), x.stop - x.start))
+        self._fill(x, block)
+        return block
 
 
 def make_rbm_joint(params: RbmParams,

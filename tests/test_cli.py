@@ -143,6 +143,20 @@ class TestConfigFile:
         assert (code, out) == (2, "")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, text, choices", [
+        ("lrep", "model = nonsense",
+         "uniform, bernoulli, multinomial, graph, rbm_marginal, rbm_joint"),
+        ("path", "family = uniform", "bernoulli, multinomial, graph"),
+    ])
+    def test_value_outside_choices_names_them(self, tmp_path, capsys, command,
+                                              text, choices):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text + "\n")
+        key, _, value = text.partition(" = ")
+        assert run_cli(capsys, command, "--config", str(cfg)) == (
+            2, "", f"foeslab: error: config key {key} = {value!r}: "
+                   f"choose from {choices}\n")
+
     def test_missing_file(self, capsys):
         assert run_cli(capsys, "lrep", "--config", "/nonexistent.cfg")[0] == 2
 
@@ -517,10 +531,12 @@ def subcommand_parsers():
 
 @pytest.mark.parametrize("name", sorted(subcommand_parsers()))
 def test_flags_and_config_keys_agree(name, tmp_path):
-    dests = {a.dest for a in subcommand_parsers()[name]._actions} \
-        - {"help", "config", "out"}
+    actions = [a for a in subcommand_parsers()[name]._actions
+               if a.dest not in {"help", "config", "out"}]
+    dests = {a.dest for a in actions}
     cfg = tmp_path / "all.cfg"
-    cfg.write_text("".join(f"{key} = 1\n" for key in sorted(dests)))
+    # a choice key is checked as it is read, so it takes its first choice
+    cfg.write_text("".join(f"{a.dest} = {(a.choices or [1])[0]}\n" for a in actions))
     args = build_parser().parse_args([name, "--config", str(cfg)])
     assert set(merge_config(args, args.options)) == dests
 
@@ -629,10 +645,11 @@ def test_multi_chunk_example_bytes(capsys, command):
 
 
 def count_tabulate(monkeypatch) -> list:
-    """Patch OutcomeSpace.tabulate to log each call; returns the log."""
+    """Patch OutcomeSpace.all_outcomes, which every table route calls once
+    for its low block, to log each call; returns the log."""
     calls = []
-    original = OutcomeSpace.tabulate
-    monkeypatch.setattr(OutcomeSpace, "tabulate",
+    original = OutcomeSpace.all_outcomes
+    monkeypatch.setattr(OutcomeSpace, "all_outcomes",
                         lambda *args, **kwargs: calls.append(1) or
                         original(*args, **kwargs))
     return calls
@@ -748,18 +765,26 @@ def test_mh_at_two_to_the_21_keeps_one_statistic_table(tmp_path):
     "bounds --n-visible 2 --n-hidden 22 --random-draws 1",
 ])
 def test_bounds_at_two_to_the_22_peaks_near_its_tables(tmp_path, argv):
-    # the visible side is one column of 2^22 rows (32 MB) and the hidden side
-    # keeps six numbers per run of one chunk; the dense outcome matrix and
-    # its float64 copies took near 1 GB on either side
+    # each side keeps seven numbers per run of one chunk, and the marginal
+    # LREP two; the dense outcome matrix and its float64 copies took near
+    # 1 GB on either side
     assert child_peak_kb(tmp_path, argv) < 512 * 1024
 
 
 def test_bounds_at_24_hiddens_keeps_one_hidden_table(tmp_path):
-    # the hidden side reduces each run of one chunk to six numbers, so no
+    # the hidden side reduces each run of one chunk to seven numbers, so no
     # table of 2^24 rows is kept: about 41 MB in all, against 432 MB for
     # one three-column table (384 MB) and 565 MB with full-size copies of
     # its lower and upper profiles besides
     argv = "bounds --n-visible 1 --n-hidden 24 --random-draws 1"
+    assert child_peak_kb(tmp_path, argv) < 64 * 1024
+
+
+def test_bounds_at_24_visibles_keeps_no_visible_table(tmp_path):
+    # the visible side reduces each run of one chunk to seven numbers and the
+    # marginal's scores to two, so no table of 2^24 rows is kept: about 40 MB
+    # in all, against about 170 MB for the upper profile and marginal score tables
+    argv = "bounds --n-visible 24 --n-hidden 2 --random-draws 1"
     assert child_peak_kb(tmp_path, argv) < 64 * 1024
 
 

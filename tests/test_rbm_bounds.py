@@ -336,9 +336,9 @@ def test_certificates_survive_python_O():
 def test_finite_violation_is_a_certificate_error(monkeypatch):
     import foeslab.rbm_bounds
 
-    original = foeslab.rbm_bounds.hidden_extremes_by_visible
-    monkeypatch.setattr(foeslab.rbm_bounds, "hidden_extremes_by_visible",
-                        lambda params, x: tuple(10.0 * v for v in original(params, x)))
+    original = foeslab.rbm_bounds._spans
+    monkeypatch.setattr(foeslab.rbm_bounds, "_spans",
+                        lambda *args: tuple(10.0 * v for v in original(*args)))
     with pytest.raises(CertificateError, match="proven bound violated"):
         bounds_report(RbmParams([0.5, -1.0], [0.3], [[0.7, 0.2]]))
 
