@@ -363,8 +363,6 @@ def cmd_gibbs(values: dict) -> str:
     config = ChainConfig(n_sweeps=values["sweeps"], burn_in=values["burn_in"],
                          seed=values["seed"], init_outcome=init)
     report = run_gibbs(model, config, epsilon=values["epsilon"], keep_trace=True)
-    logp = model.log_probs()
-    mask = report.modal.member_mask(model.space.n_outcomes)
     comments = [
         f"model = {model.family}", f"seed = {values['seed']}",
         f"epsilon = {values['epsilon']!r}",
@@ -374,9 +372,11 @@ def cmd_gibbs(values: dict) -> str:
         f"modal_occupancy = {report.modal_occupancy!r}",
     ]
     trace = report.trace
+    # fl(s - log Z) at the visited states only
+    log_probs = model.scores()[trace] - model.log_normalizer
     rows = [{"sweep": s, "outcome_index": idx, "log_prob": lp, "in_modal_set": m}
-            for s, (idx, lp, m) in enumerate(zip(trace.tolist(), logp[trace].tolist(),
-                                                 mask[trace].tolist()), 1)]
+            for s, (idx, lp, m) in enumerate(zip(trace.tolist(), log_probs.tolist(),
+                                                 report.modal.contains(trace).tolist()), 1)]
     return _csv(rows, comments)
 
 

@@ -11,6 +11,7 @@ done on the natural-log scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -75,17 +76,45 @@ def _philox(seed: int, stream: int = 0) -> np.random.Generator:
     return _philox_streams(seed)(stream)
 
 
+# numpy's pairwise sum adds runs of at most this many terms without a split
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_sum(leaf_sum: Callable[[int, int], float], n: int, start: int = 0) -> float:
+    """numpy's pairwise sum of n terms, formed one leaf at a time.
+
+    ``leaf_sum(a, b)`` must return ``np.sum`` of the terms a to b - 1 in a
+    fresh contiguous array. Leaves hold at most ``_CHUNK_OUTCOMES`` terms
+    (at least ``_PAIRWISE_BLOCK``, below which numpy does not split) and are
+    combined by numpy's split rule: halve n and round the split down to a
+    multiple of 8. So the result is bit for bit ``np.sum`` of all n terms
+    in one contiguous float64 array, while only one leaf's terms exist at
+    a time.
+    """
+    if n <= max(_CHUNK_OUTCOMES, _PAIRWISE_BLOCK):
+        return leaf_sum(start, start + n)
+    half = n // 2
+    half -= half % 8
+    return (_pairwise_sum(leaf_sum, half, start)
+            + _pairwise_sum(leaf_sum, n - half, start + half))
+
+
 def log_sum_exp(values) -> float:
     """Return log(sum(exp(values))) with the max-subtraction trick.
 
-    Exact for singletons; never overflows for finite inputs. Raises
-    ValueError on an empty input.
+    Exact for singletons; never overflows for finite inputs. An input
+    whose maximum is -inf or +inf gives that infinity, and one holding a
+    NaN gives NaN. The exponentials are formed and summed one chunk at a
+    time (see ``_pairwise_sum``). Raises ValueError on an empty input.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.ravel(np.asarray(values, dtype=np.float64), order="K")
     if arr.size == 0:
         raise ValueError("log_sum_exp of an empty collection")
     m = float(arr.max())
-    return m + float(np.log(np.sum(np.exp(arr - m))))
+    if not math.isfinite(m):
+        return m
+    total = _pairwise_sum(lambda a, b: np.exp(arr[a:b] - m).sum(), arr.size)
+    return m + float(np.log(total))
 
 
 @dataclass(frozen=True)
@@ -211,6 +240,11 @@ def _fill_table(chunks, fn: Callable[[np.ndarray], np.ndarray], n_outcomes: int)
     return table
 
 
+def _chunks(n: int):
+    """Slices that cut [0, n) into runs of at most ``_CHUNK_OUTCOMES``, in order."""
+    return (slice(a, min(a + _CHUNK_OUTCOMES, n)) for a in range(0, n, _CHUNK_OUTCOMES))
+
+
 def _chunk_digits(n_variables: int, k: int) -> int:
     """Low digits a chunk varies: the most, from 1 to n_variables, whose
     k^digits outcomes fit in ``_CHUNK_OUTCOMES``."""
@@ -274,9 +308,10 @@ class FoesModel:
 
     ``score_fn`` maps an (m, n_variables) array of outcome vectors to an
     (m,) float64 array of unnormalized log-probabilities, finite everywhere.
-    The log-normalizer and the full score/log-probability tables are
-    computed lazily on first use and cached; instances are otherwise
-    immutable, so they are safe to share between threads.
+    The score table (with its argmax and argmin) and the log-normalizer
+    are computed lazily on first use and cached; no table of normalized
+    log-probabilities is kept. Instances are otherwise immutable, so they
+    are safe to share between threads.
     """
 
     def __init__(
@@ -336,12 +371,19 @@ class FoesModel:
 
     @property
     def log_normalizer(self) -> float:
+        """log Z: ``log_sum_exp`` of the score table, found on first use."""
         if self._log_normalizer is None:
             self._log_normalizer = log_sum_exp(self.scores())
         return self._log_normalizer
 
     def log_probs(self) -> np.ndarray:
-        """Normalized log-probabilities of all outcomes, in index order."""
+        """Normalized log-probabilities of all outcomes, in index order.
+
+        Allocates a fresh table the size of ``scores()`` on every call. No
+        code in this package calls it: each reduction forms
+        fl(s - log Z) one chunk at a time, or only at the indices it
+        needs, with the same bits as this table's entries.
+        """
         return self.scores() - self.log_normalizer
 
     def log_prob(self, outcome) -> float:

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (CertificateError, FoesModel, UniformModelError, _check_finite,
-                   _chunk_digits, _one_flip_shape)
+                   _chunk_digits, _chunks, _one_flip_shape, _pairwise_sum)
 from .zoo import GraphModelSpec, LinearExpFamily, graph_statistics
 
 # Outcomes whose log-probability falls within this distance below a modal
@@ -194,20 +194,31 @@ class ModalSet:
     def n_members(self) -> int:
         return int(self.members.size)
 
-    def member_mask(self, n_outcomes: int) -> np.ndarray:
-        mask = np.zeros(n_outcomes, dtype=bool)
-        mask[self.members] = True
-        return mask
+    def contains(self, indices) -> np.ndarray:
+        """Whether each outcome index is a member, by binary search in
+        ``members`` (never empty: the argmax is a member)."""
+        indices = np.asarray(indices)
+        at = np.minimum(np.searchsorted(self.members, indices), self.members.size - 1)
+        return self.members[at] == indices
 
 
 def modal_set(model: FoesModel, epsilon: float) -> ModalSet:
-    """Modal set of ``model`` at level ``epsilon`` in (0, 1)."""
+    """Modal set of ``model`` at level ``epsilon`` in (0, 1).
+
+    Log-probabilities are fl(score - log Z), formed one chunk at a time
+    for the members and at the members alone for the mass, so no
+    full-size table is made beyond the score table.
+    """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    logp, (imax, imin) = model.log_probs(), model.extreme_indices()
-    threshold = (1.0 - epsilon) * logp[imax] + epsilon * logp[imin]
-    members = np.flatnonzero(logp > threshold - MODAL_TIE_TOL)
-    mass = float(np.exp(logp[members]).sum())
+    scores, log_z = model.scores(), model.log_normalizer
+    imax, imin = model.extreme_indices()
+    threshold = (1.0 - epsilon) * (scores[imax] - log_z) + epsilon * (scores[imin] - log_z)
+    cut = threshold - MODAL_TIE_TOL
+    members = np.concatenate([np.flatnonzero(scores[c] - log_z > cut) + c.start
+                              for c in _chunks(scores.size)])
+    mass = float(_pairwise_sum(lambda a, b: np.exp(scores[members[a:b]] - log_z).sum(),
+                               members.size))
     return ModalSet(epsilon=epsilon, threshold=float(threshold),
                     members=members, mass=mass)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _chunks, _pairwise_sum
 from .metrics import ParameterPath, lrep, modal_set
 
 PSR_TOL = 1e-9
@@ -57,11 +58,13 @@ def _pair(model_family, theta):
 
 
 def _psr_report(model_pos, model_neg) -> PsrReport:
-    logp_pos, logp_neg = model_pos.log_probs(), model_neg.log_probs()
-    product = logp_pos + logp_neg
+    # fl(s - log Z) of each model, formed one chunk at a time
+    (s_pos, z_pos), (s_neg, z_neg) = ((m.scores(), m.log_normalizer)
+                                      for m in (model_pos, model_neg))
     (top, _), (_, bottom) = model_pos.extreme_indices(), model_neg.extreme_indices()
-    target = logp_pos[top] + logp_neg[bottom]
-    max_violation = float(np.abs(product - target).max())
+    target = (s_pos[top] - z_pos) + (s_neg[bottom] - z_neg)
+    max_violation = max(float(np.abs((s_pos[c] - z_pos) + (s_neg[c] - z_neg) - target).max())
+                        for c in _chunks(s_pos.size))
     return PsrReport(
         holds=max_violation <= PSR_TOL,
         max_violation=max_violation,
@@ -86,9 +89,30 @@ def sign_reversal_masses(model_family, theta, epsilon: float
             f"{report.max_violation:.3e}); masses are only paired under it"
         )
     mset = modal_set(model_pos, epsilon)
-    mask = mset.member_mask(model_pos.space.n_outcomes)
-    p_neg = np.exp(model_neg.log_probs())
-    return mset.mass, float(p_neg[~mask].sum())
+    return mset.mass, _complement_mass(model_neg, mset.members)
+
+
+def _complement_mass(model, members: np.ndarray) -> float:
+    """P(outcomes outside the sorted ``members``), with the bits of summing
+    the probability table compressed to those outcomes, one leaf of
+    ``_pairwise_sum`` at a time."""
+    scores, log_z = model.scores(), model.log_normalizer
+    if members.size == scores.size:
+        return 0.0
+    # outsiders before each member; the j-th outsider is outcome j plus the
+    # number of members before it
+    gaps = members - np.arange(members.size)
+
+    def outcome(j: int) -> int:
+        return j + int(np.searchsorted(gaps, j, side="right"))
+
+    def leaf_sum(a: int, b: int) -> float:
+        lo, hi = outcome(a), outcome(b - 1) + 1
+        keep = np.ones(hi - lo, dtype=bool)
+        keep[members[np.searchsorted(members, lo):np.searchsorted(members, hi)] - lo] = False
+        return np.exp(scores[lo:hi][keep] - log_z).sum()
+
+    return float(_pairwise_sum(leaf_sum, scores.size - members.size))
 
 
 def degeneracy_trend(path: ParameterPath, epsilon: float) -> list[float]:
@@ -111,5 +135,4 @@ def complement_inclusion_holds(model_family, theta, epsilon: float) -> bool:
     model_pos, model_neg = _pair(model_family, theta)
     m_pos = modal_set(model_pos, epsilon)
     m_neg = modal_set(model_neg, 1.0 - epsilon)
-    pos_mask = m_pos.member_mask(model_pos.space.n_outcomes)
-    return bool(np.all(~pos_mask[m_neg.members]))
+    return not np.any(m_pos.contains(m_neg.members))

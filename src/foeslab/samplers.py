@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FoesModel, UniformModelError, _one_flip_shape, _philox
+from .core import (FoesModel, UniformModelError, _chunks, _one_flip_shape, _pairwise_sum,
+                   _philox)
 from .metrics import ModalSet, _score_range, modal_set
 from .zoo import LinearExpFamily
 
@@ -112,12 +113,13 @@ def run_gibbs(model: FoesModel, config: ChainConfig, epsilon: float = 0.1,
     order per sweep when ``random_scan``); the state after each sweep is
     one sample. Deterministic given the config seed. Each (site, block)
     conditional is normalised on the chain's first visit and looked up on
-    later ones, and each sweep draws its n uniforms in one call.
+    later ones, and each sweep draws its n uniforms in one call. Modal
+    membership is looked up for the visited states alone, and the TV
+    distance is summed one chunk of outcomes at a time, so the chain keeps
+    no full-size table beyond the score table.
     """
     scores = model.scores()
-    logp = model.log_probs()
     mset = modal_set(model, epsilon)
-    in_modal = mset.member_mask(model.space.n_outcomes)
     k = model.space.alphabet_size
     n = model.n_variables
     strides = [k**i for i in range(n)]
@@ -128,10 +130,9 @@ def run_gibbs(model: FoesModel, config: ChainConfig, epsilon: float = 0.1,
     else:
         idx = model.space.encode(np.asarray(config.init_outcome))
 
+    first = idx
     trace = np.empty(config.n_sweeps, dtype=np.int64)
     max_ratio = 0.0
-    entry_sweep = 0 if in_modal[idx] else None
-    escape_time = None
     # memo[i] maps a block's base index to the cumulative conditional of
     # site i; a revisited block cannot raise max_ratio, so only a miss does
     memo = [{} for _ in range(n)]
@@ -154,19 +155,16 @@ def run_gibbs(model: FoesModel, config: ChainConfig, epsilon: float = 0.1,
                     stored += 1
             idx = base + min(bisect_right(cum, u), k - 1) * stride
         trace[sweep - 1] = idx
-        if entry_sweep is None and in_modal[idx]:
-            entry_sweep = sweep
-        elif entry_sweep is not None and escape_time is None and not in_modal[idx]:
-            escape_time = sweep - entry_sweep
 
+    # in_modal[s]: whether the state after sweep s (0: the start) is modal
+    in_modal = mset.contains(np.concatenate(([first], trace)))
+    entered = np.flatnonzero(in_modal)
+    left = np.flatnonzero(~in_modal[entered[0]:]) if entered.size else ()
+    escape_time = int(left[0]) if len(left) else None
+    occupancy = float(in_modal[1 + config.burn_in:].mean())
     kept = trace[config.burn_in:]
-    occupancy = float(in_modal[kept].mean())
-    counts = np.bincount(kept, minlength=model.space.n_outcomes)
-    emp = counts / kept.size
-    tv = 0.5 * float(np.abs(emp - np.exp(logp)).sum())
-
     return MixingReport(
-        tv_distance=tv,
+        tv_distance=_tv_from_trace(model, kept),
         max_transition_log_ratio=max_ratio,
         mode_escape_time=escape_time,
         modal_occupancy=occupancy,
@@ -176,6 +174,28 @@ def run_gibbs(model: FoesModel, config: ChainConfig, epsilon: float = 0.1,
         modal=mset,
         trace=trace if keep_trace else None,
     )
+
+
+def _tv_from_trace(model: FoesModel, kept: np.ndarray) -> float:
+    """Total variation between the occupancy of ``kept`` and the model.
+
+    Each outcome's term is |occupancy - P|, which is P where the chain
+    never went; P is exp(fl(score - log Z)), formed one leaf of
+    ``_pairwise_sum`` at a time, so the sum has the bits of the one over
+    full-size tables.
+    """
+    scores, log_z = model.scores(), model.log_normalizer
+    visited, counts = np.unique(kept, return_counts=True)
+    emp = counts / kept.size
+
+    def leaf_sum(a: int, b: int) -> float:
+        terms = np.exp(scores[a:b] - log_z)
+        lo, hi = np.searchsorted(visited, (a, b))
+        at = visited[lo:hi] - a
+        terms[at] = np.abs(emp[lo:hi] - terms[at])
+        return terms.sum()
+
+    return 0.5 * float(_pairwise_sum(leaf_sum, scores.size))
 
 
 def apply_gibbs_sweep(model: FoesModel, dist: np.ndarray) -> np.ndarray:
@@ -272,21 +292,36 @@ def expected_standardized_log_prob(model: FoesModel) -> float:
     """Exact expectation of the standardized log-probability position.
 
     The statistic (log P(X) - min log P) / LREP lies in [0, 1]; under a
-    strongly concentrated model its expectation approaches 1. The products
-    go into the fresh probability array and are summed by numpy's pairwise
-    sum, so the value does not depend on the BLAS thread count, and no BLAS
-    worker is left spinning after the call.
+    strongly concentrated model its expectation approaches 1. Probability
+    times position is formed one leaf of ``_pairwise_sum`` at a time and
+    summed in numpy's pairwise order, so the value has the bits of one
+    dense sum, does not depend on the BLAS thread count, and leaves no
+    BLAS worker spinning after the call.
     """
     scores, lo, hi = _score_range(model)
-    p = np.exp(model.log_probs())
-    p *= (scores - lo) / (hi - lo)
-    return float(p.sum())
+    log_z = model.log_normalizer
+
+    def leaf_sum(a: int, b: int) -> float:
+        p = np.exp(scores[a:b] - log_z)
+        p *= (scores[a:b] - lo) / (hi - lo)
+        return p.sum()
+
+    return float(_pairwise_sum(leaf_sum, scores.size))
 
 
 def expected_statistic(model: LinearExpFamily) -> np.ndarray:
-    """Exact mean of the sufficient-statistic vector under the model."""
+    """Exact mean of the sufficient-statistic vector under the model.
+
+    The probabilities are filled in one chunk at a time, and the product
+    runs on full arrays, so its BLAS rounding is that of one dense
+    product: three tables (scores, statistics and probabilities).
+    """
     g = model.statistic_values()  # first, so the score table reuses it
-    return np.exp(model.log_probs()) @ g
+    scores, log_z = model.scores(), model.log_normalizer
+    p = np.empty_like(scores)
+    for c in _chunks(scores.size):
+        np.exp(scores[c] - log_z, out=p[c])
+    return p @ g
 
 
 def normalized_score(model: LinearExpFamily) -> float:

@@ -788,6 +788,40 @@ def test_bounds_at_24_visibles_keeps_no_visible_table(tmp_path):
     assert child_peak_kb(tmp_path, argv) < 64 * 1024
 
 
+@pytest.fixture(scope="module")
+def import_peak_kb(tmp_path_factory) -> int:
+    """Peak RSS of a CLI run on a 16-outcome model: the import baseline."""
+    return child_peak_kb(tmp_path_factory.mktemp("baseline"),
+                         "lrep --model bernoulli --n 4 --theta 0.3")
+
+
+TABLE_KB = 2**24 * 8 // 1024  # one float64 table of 2^24 entries
+BERNOULLI_24 = "--model bernoulli --n 24 --theta 0.3"
+
+
+@pytest.mark.parametrize("argv, tables_kb", [
+    ("modeset " + BERNOULLI_24, TABLE_KB),
+    ("modeset " + " ".join(joint_rbm_argv(14, 10)[1:]), TABLE_KB),
+    # three models held at once: 2^24, 2^22 and 2^20 outcomes
+    ("path --family bernoulli --entries 20:0.3;22:0.3;24:0.3 --epsilon 0.1",
+     TABLE_KB + TABLE_KB // 4 + TABLE_KB // 16),
+    ("gibbs --sweeps 10 " + BERNOULLI_24, TABLE_KB),
+    # the models at theta and at -theta
+    ("psr " + BERNOULLI_24, 2 * TABLE_KB),
+    ("psr " + " ".join(joint_rbm_argv(14, 10)[1:]), 2 * TABLE_KB),
+    # scores, statistics and probabilities: E[g] is one dense BLAS product,
+    # so its bytes do not move
+    ("score " + BERNOULLI_24, 3 * TABLE_KB),
+], ids=["modeset", "modeset-rbm-joint", "path", "gibbs", "psr", "psr-rbm-joint", "score"])
+def test_commands_at_the_cap_keep_one_table_per_model(tmp_path, import_peak_kb, argv,
+                                                      tables_kb):
+    # each normalizing reduction forms fl(s - log Z) one chunk at a time,
+    # so past the import a run holds its tables plus a few chunks; full-size
+    # log-prob, exp and mask copies took these runs to 413-950 MB
+    few_chunks_kb = 16 * 1024
+    assert child_peak_kb(tmp_path, argv) < import_peak_kb + tables_kb + few_chunks_kb
+
+
 def child_stdout(code: str, *args: str, **env: str) -> str:
     """Standard output of ``code`` run in a fresh process; it must exit 0."""
     src = os.path.dirname(os.path.dirname(foeslab.__file__))

@@ -25,7 +25,9 @@ from foeslab import (
     GraphModelSpec,
     RbmParams,
 )
-from foeslab.core import _CHUNK_OUTCOMES, _philox, _philox_streams, _signed_sums
+import foeslab.core
+from foeslab.core import (_CHUNK_OUTCOMES, _pairwise_sum, _philox, _philox_streams,
+                          _signed_sums)
 from foeslab.metrics import lrep
 from foeslab.zoo import _statistic_matrix
 
@@ -58,6 +60,47 @@ class TestLogSumExp:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             log_sum_exp([])
+
+    @pytest.mark.parametrize("values, expected", [
+        ([-math.inf], -math.inf),
+        ([-math.inf, -math.inf], -math.inf),
+        ([-math.inf, 2.5], 2.5),
+        ([math.inf], math.inf),
+        ([1.0, math.inf, -math.inf], math.inf),
+    ])
+    def test_infinite_terms(self, values, expected):
+        assert log_sum_exp(values) == expected
+
+    @pytest.mark.parametrize("values", [[math.nan], [1.0, math.nan], [math.inf, math.nan],
+                                        [-math.inf, math.nan]])
+    def test_nan_stays_nan(self, values):
+        assert math.isnan(log_sum_exp(values))
+
+    @pytest.mark.parametrize("n", [2, 129, 2**16 + 1, 3**12])
+    def test_chunked_sum_has_the_bits_of_one_dense_pass(self, n):
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(n) * 30.0
+        m = float(values.max())
+        dense = m + float(np.log(np.sum(np.exp(values - m))))
+        assert np.float64(log_sum_exp(values)).tobytes() == np.float64(dense).tobytes()
+        strided = np.repeat(values, 2)[::2]
+        assert np.float64(log_sum_exp(strided)).tobytes() == np.float64(dense).tobytes()
+
+
+PAIRWISE_LENGTHS = [1, 7, 8, 9, 127, 128, 129, 2**16 - 1, 2**16, 2**16 + 1, 2**16 + 8,
+                    3**12, 5**10, 2**20 + 13, 2**24]
+
+
+@pytest.mark.parametrize("chunk", [_CHUNK_OUTCOMES, 200, 8])
+@pytest.mark.parametrize("n", PAIRWISE_LENGTHS)
+def test_pairwise_sum_is_numpys_sum_bit_for_bit(monkeypatch, n, chunk):
+    # the leaf-and-split order is numpy's own; a numpy whose sum order
+    # changes fails here first
+    monkeypatch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n) * np.exp2(rng.integers(-40, 40, n))
+    got = _pairwise_sum(lambda a, b: values[a:b].sum(), n)
+    assert np.float64(got).tobytes() == np.sum(values).tobytes()
 
 
 def _fresh_philox(seed, index):

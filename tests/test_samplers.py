@@ -312,7 +312,7 @@ def reference_run_gibbs(model, config, epsilon=0.1, random_scan=False,
     scores = model.scores()
     logp = model.log_probs()
     mset = modal_set(model, epsilon)
-    in_modal = mset.member_mask(model.space.n_outcomes)
+    in_modal = np.isin(np.arange(model.space.n_outcomes), mset.members)
     k = model.space.alphabet_size
     n = model.n_variables
     strides = [k**i for i in range(n)]
