@@ -241,8 +241,10 @@ def _fill_table(chunks, fn: Callable[[np.ndarray], np.ndarray], n_outcomes: int)
 
 
 def _chunks(n: int):
-    """Slices that cut [0, n) into runs of at most ``_CHUNK_OUTCOMES``, in order."""
-    return (slice(a, min(a + _CHUNK_OUTCOMES, n)) for a in range(0, n, _CHUNK_OUTCOMES))
+    """Slices that cut [0, n) into runs of the largest power of two within
+    ``_CHUNK_OUTCOMES``, in order: ``_chunks(2**n)`` gives aligned runs of {-1,+1}^n."""
+    step = 1 << (_CHUNK_OUTCOMES.bit_length() - 1)
+    return (slice(a, min(a + step, n)) for a in range(0, n, step))
 
 
 def _chunk_digits(n_variables: int, k: int) -> int:

@@ -65,6 +65,12 @@ def _flip_views(block: np.ndarray, m: int, k: int, upper: int, spread: np.ndarra
     return views
 
 
+def _line_aligned(n: int) -> np.ndarray:
+    """np.empty(n) starting on a 64-byte cache line; off one, one-flip scans ran 10-25% slower."""
+    raw = np.empty(n + 7)
+    return raw[-raw.ctypes.data % 64 // 8:][:n]
+
+
 def _one_flip_range(table: np.ndarray, n_variables: int, k: int) -> np.ndarray:
     """Largest spread among outcomes one flip apart; a trailing axis holds draws.
 
@@ -88,8 +94,8 @@ def _one_flip_range(table: np.ndarray, n_variables: int, k: int) -> np.ndarray:
     half = sum(k**i * width < k ** (m // 2) for i in range(m // 2))
     # transposed pieces and slabs share one buffer; a table of one piece
     # whose runs are all long (figure1's blocks of draws) needs neither
-    copy = np.empty(k**m * width if half or m < n_variables else 0)
-    spread = np.empty(k ** (m - 1) * width)
+    copy = _line_aligned(k**m * width if half or m < n_variables else 0)
+    spread = _line_aligned(k ** (m - 1) * width)
     # every outcome digit is scanned once per piece's worth of rows, for
     # each of the k(k - 1)/2 pairs of its values
     peaks = np.empty((k ** (n_variables - m) * n_variables * (k * (k - 1) // 2), width))

@@ -33,10 +33,9 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .core import CertificateError, DEFAULT_ENUMERATION_BUDGET, _check_finite
+from .core import CertificateError, DEFAULT_ENUMERATION_BUDGET, _check_finite, _chunks
 from .metrics import PathThresholds, _check_path_sizes, classify_trend
-from .zoo import (RbmParams, _aligned_runs, _first_layer, make_rbm_marginal,
-                  rbm_joint_score)
+from .zoo import RbmParams, _first_layer, _rbm_marginal_scores, rbm_joint_score
 
 _TOL = 1e-9
 
@@ -75,18 +74,17 @@ def hidden_extremes_by_visible(params: RbmParams, x) -> tuple[np.ndarray, np.nda
     return _spans((params.visible, params.hidden), (params.interaction,), x)[:2]
 
 
-def _run_extremes(biases: tuple, weights: tuple) -> list:
-    """Over the {-1,+1}^n index (n = biases[0].size), with (lo, hi, b) from
-    ``_spans``: max b, max hi, min b, min hi, min lo, and (lo, b) at lo's
-    first argmax. Each aligned run reduces to one row, then the rows reduce,
-    the earliest run winning a tie."""
+def _run_extremes(params: RbmParams) -> list:
+    """Over the {-1,+1}^n_hidden index, with (lo, hi, a) from ``_spans`` on the
+    transposed RBM: max a, max hi, min a, min lo, and (lo, a) at lo's first argmax,
+    each aligned run reduced to one row, then the rows, the earliest run winning a tie."""
     rows = []
-    for x in _aligned_runs(biases[0].size):
-        lo, hi, b = _spans(biases, weights, x)
+    for h in _chunks(2**params.n_hidden):
+        lo, hi, a = _spans((params.hidden, params.visible), (params.interaction.T,), h)
         star = int(np.argmax(lo))
-        rows.append((b.max(), hi.max(), b.min(), hi.min(), lo.min(), lo[star], b[star]))
+        rows.append((a.max(), hi.max(), a.min(), lo.min(), lo[star], a[star]))
     rows = np.array(rows)
-    ends = rows[:, :2].max(axis=0), rows[:, 2:5].min(axis=0), rows[np.argmax(rows[:, 5]), 5:]
+    ends = rows[:, :2].max(axis=0), rows[:, 2:4].min(axis=0), rows[np.argmax(rows[:, 4]), 4:]
     return np.concatenate(ends).tolist()
 
 
@@ -124,26 +122,27 @@ def bounds_report(params: RbmParams,
     2B >= a_n_hidden_first >= a_n; a_n_hidden_first >= max{C, B - 2|theta_h|_1};
     |marginal LREP - a_n| <= n_hidden ln 2. A violation raises
     CertificateError. The lower chain links are NOT checked for a_n itself
-    (they can fail; see the module docstring).
+    (they can fail; see the module docstring). Each visible run builds
+    ``_first_layer``'s fields once: x.theta_v + b(x) for a_n, then the same
+    fields, now |f_j|, give the marginal model's scores bit for bit.
     """
     n, nh = params.n_visible, params.n_hidden
     b_n = c_n = lrep_joint = a_hidden_first = lower_witness = None
     if 2**nh <= budget:
-        # a(h) is b of the transposed RBM, and h* maximizes its lower profile
-        b_n, hi_max, c_n, _, lo_min, lo_max, a_star = _run_extremes(
-            (params.hidden, params.visible), (params.interaction.T,))
+        b_n, hi_max, c_n, lo_min, lo_max, a_star = _run_extremes(params)
         lrep_joint, a_hidden_first = hi_max - lo_min, hi_max - lo_max
         lower_witness = 2.0 * a_star
 
     a_n = lrep_marginal = None
     if 2**n <= budget:
-        _, hi_max, _, hi_min, *_ = _run_extremes((params.visible, params.hidden),
-                                                 (params.interaction,))
-        a_n = hi_max - hi_min
-        # the marginal's scores run by run, as its table is filled
-        runs = map(make_rbm_marginal(params, budget)._run_block, _aligned_runs(n))
-        ends = np.array([(s.max(), s.min()) for s in runs])
-        lrep_marginal = float(ends[:, 0].max() - ends[:, 1].min())
+        ends = []
+        for x in _chunks(2**n):
+            first = _first_layer((params.visible, params.hidden), (params.interaction,), x)
+            hi = first[0] + hidden_absum(first[1:])
+            s = _rbm_marginal_scores(first)
+            ends.append((hi.max(), s.max(), hi.min(), s.min()))
+        ends = np.array(ends)
+        a_n, lrep_marginal = (ends[:, :2].max(axis=0) - ends[:, 2:].min(axis=0)).tolist()
 
     report = RbmBoundsReport(
         n_visible=n, n_hidden=nh,

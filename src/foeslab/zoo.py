@@ -22,6 +22,7 @@ from .core import (
     OutcomeSpace,
     _aligned_blocks,
     _chunk_digits,
+    _chunks,
     _fill_table,
     _signed_sums,
 )
@@ -464,17 +465,11 @@ def _aligned_run(run: slice, n: int, name: str) -> tuple[int, list[float]]:
     return d, [1.0 if first >> i & 1 else -1.0 for i in range(d, n)]
 
 
-def _aligned_runs(n: int):
-    """The {-1,+1}^n index as aligned runs of at most one chunk, in order."""
-    size = 2 ** min(n, _chunk_digits(n, 2))
-    return (slice(x0, x0 + size) for x0 in range(0, 2**n, size))
-
-
 class _VisibleRuns(FoesModel):
     """Model on {-1,+1}^n with the low ``n_visible`` digits visible, scoring
     rows by ``score_fn``. ``fill(x, block)`` fills the table's columns of
     the visible run ``x``, the table viewed as a (hidden, visible) grid, for
-    each aligned run of at most one chunk in turn."""
+    each aligned run of ``_chunks(2**n_visible)`` in turn."""
 
     def __init__(self, n: int, n_visible: int, score_fn, fill, family: str, budget: int):
         super().__init__(OutcomeSpace(n, (-1, 1)), score_fn, family=family, budget=budget)
@@ -483,15 +478,9 @@ class _VisibleRuns(FoesModel):
     def _score_table(self) -> np.ndarray:
         self.space.check_budget(self.budget)
         table = np.empty((2 ** (self.n_variables - self._n_visible), 2**self._n_visible))
-        for x in _aligned_runs(self._n_visible):
+        for x in _chunks(2**self._n_visible):
             self._fill(x, table[:, x])
         return table.reshape(-1)
-
-    def _run_block(self, x: slice) -> np.ndarray:
-        """The table's (hidden, visible) block of the visible run ``x``, on its own."""
-        block = np.empty((2 ** (self.n_variables - self._n_visible), x.stop - x.start))
-        self._fill(x, block)
-        return block
 
 
 def make_rbm_joint(params: RbmParams,
@@ -523,6 +512,15 @@ def _log2cosh(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return az
 
 
+def _rbm_marginal_scores(first: np.ndarray) -> np.ndarray:
+    """x.theta_v + sum_j log(2 cosh f_j) of ``_first_layer``'s stack, from 0.0 in unit
+    order (a hiddenless -0.0 turns +0.0); it overwrites the fields, and |f_j| gives f_j's bits."""
+    total = np.zeros(first.shape[1:])
+    for field in first[1:]:
+        total += _log2cosh(field, out=field)
+    return first[0] + total
+
+
 def _boltzmann_marginal(biases: tuple, weights: tuple, family: str,
                         budget: int) -> FoesModel:
     """Visible model of a Boltzmann machine on {-1,+1} units, layer 0 visible.
@@ -540,12 +538,7 @@ def _boltzmann_marginal(biases: tuple, weights: tuple, family: str,
     def score(x: np.ndarray | slice) -> np.ndarray:
         first = _first_layer(biases, weights, x)
         if not n_even:
-            # one hidden unit at a time from 0.0, which turns a -0.0 x.theta_v
-            # of an RBM without hiddens into +0.0
-            total = np.zeros(first.shape[1:])
-            for field in first[1:]:
-                total += _log2cosh(field, out=field)
-            return first[0] + total
+            return _rbm_marginal_scores(first)
         z = first[1:].T
         # blocks of 2^digits even configurations, the most that pair with one
         # visible run in a chunk; rows pair with a block in slices as long

@@ -32,7 +32,7 @@ from foeslab import (
     standardized_log_prob,
 )
 from foeslab.core import CertificateError, _chunk_digits, _one_flip_shape
-from foeslab.metrics import ParameterPath, PathThresholds, _one_flip_range
+from foeslab.metrics import ParameterPath, PathThresholds, _line_aligned, _one_flip_range
 
 
 def logistic(z):
@@ -615,6 +615,15 @@ def test_one_flip_range_allocates_one_and_a_half_chunks():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * chunk_bytes + ufunc_bytes + 2**14
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 2**15])
+def test_scan_buffers_start_on_a_cache_line(n):
+    # whatever the heap's layout, so a scan's speed does not depend on it
+    for _ in range(8):
+        buf = _line_aligned(n)
+        assert buf.shape == (n,) and buf.dtype == np.float64
+        assert buf.ctypes.data % 64 == 0
 
 
 @pytest.mark.parametrize("values", [

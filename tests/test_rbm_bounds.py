@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foeslab import (
     RbmParams,
@@ -23,11 +24,13 @@ from foeslab import (
     visible_extremes_by_hidden,
 )
 import foeslab.core
-from foeslab.core import CertificateError, OutcomeSpace, _philox
+import foeslab.rbm_bounds
+import foeslab.zoo
+from foeslab.core import CertificateError, OutcomeSpace, _chunk_digits, _chunks, _philox
 from foeslab.metrics import PathThresholds, _extremal_range, classify_trend
 from foeslab.rbm_bounds import (STABILITY_CONDITION_KEYS, RbmBoundsReport,
-                                _assert_proven)
-from foeslab.zoo import _aligned_runs, _log2cosh
+                                _assert_proven, _spans)
+from foeslab.zoo import _first_layer, _log2cosh
 
 
 def fl_params(n, nh):
@@ -334,11 +337,10 @@ def test_certificates_survive_python_O():
 
 
 def test_finite_violation_is_a_certificate_error(monkeypatch):
-    import foeslab.rbm_bounds
-
-    original = foeslab.rbm_bounds._spans
-    monkeypatch.setattr(foeslab.rbm_bounds, "_spans",
-                        lambda *args: tuple(10.0 * v for v in original(*args)))
+    # b(x) and a(h) grow tenfold, while the marginal keeps the unscaled |f_j|
+    original = foeslab.rbm_bounds.hidden_absum
+    monkeypatch.setattr(foeslab.rbm_bounds, "hidden_absum",
+                        lambda *args: 10.0 * original(*args))
     with pytest.raises(CertificateError, match="proven bound violated"):
         bounds_report(RbmParams([0.5, -1.0], [0.3], [[0.7, 0.2]]))
 
@@ -574,7 +576,7 @@ class TestChunkSizeChangesNoBit:
         params = random_params(np.random.default_rng(seed), n, nh)
         whole = bounds_report(params)
         monkeypatch.setattr(foeslab.core, "_CHUNK_OUTCOMES", 16)
-        assert len(list(_aligned_runs(5))) == 2
+        assert len(list(_chunks(2**5))) == 2
         assert bits(bounds_report(params)) == bits(whole)
 
     def test_lower_profile_tie_across_runs_takes_the_first_h(self, monkeypatch):
@@ -588,3 +590,104 @@ class TestChunkSizeChangesNoBit:
         split = bounds_report(params)
         assert whole.lower_witness == split.lower_witness == 8.0
         assert bits(split) == bits(whole)
+
+
+# The report before its visible side took one field pass per run, verbatim
+# but for a parent_ prefix on each name and the marginal's scorer inlined:
+# `_run_extremes` on both sides over the aligned runs, then the marginal
+# model's scores run by run, as its table is filled.
+def parent_aligned_runs(n: int):
+    """The {-1,+1}^n index as aligned runs of at most one chunk, in order."""
+    size = 2 ** min(n, _chunk_digits(n, 2))
+    return (slice(x0, x0 + size) for x0 in range(0, 2**n, size))
+
+
+def parent_run_extremes(biases: tuple, weights: tuple) -> list:
+    rows = []
+    for x in parent_aligned_runs(biases[0].size):
+        lo, hi, b = _spans(biases, weights, x)
+        star = int(np.argmax(lo))
+        rows.append((b.max(), hi.max(), b.min(), hi.min(), lo.min(), lo[star], b[star]))
+    rows = np.array(rows)
+    ends = rows[:, :2].max(axis=0), rows[:, 2:5].min(axis=0), rows[np.argmax(rows[:, 5]), 5:]
+    return np.concatenate(ends).tolist()
+
+
+def parent_marginal_run(params: RbmParams, x: slice) -> np.ndarray:
+    first = _first_layer((params.visible, params.hidden), (params.interaction,), x)
+    total = np.zeros(first.shape[1:])
+    for field in first[1:]:
+        total += _log2cosh(field, out=field)
+    return first[0] + total
+
+
+def parent_bounds_report(params: RbmParams, budget: int) -> RbmBoundsReport:
+    n, nh = params.n_visible, params.n_hidden
+    b_n = c_n = lrep_joint = a_hidden_first = lower_witness = None
+    if 2**nh <= budget:
+        b_n, hi_max, c_n, _, lo_min, lo_max, a_star = parent_run_extremes(
+            (params.hidden, params.visible), (params.interaction.T,))
+        lrep_joint, a_hidden_first = hi_max - lo_min, hi_max - lo_max
+        lower_witness = 2.0 * a_star
+
+    a_n = lrep_marginal = None
+    if 2**n <= budget:
+        _, hi_max, _, hi_min, *_ = parent_run_extremes((params.visible, params.hidden),
+                                                       (params.interaction,))
+        a_n = hi_max - hi_min
+        runs = (parent_marginal_run(params, x) for x in parent_aligned_runs(n))
+        ends = np.array([(s.max(), s.min()) for s in runs])
+        lrep_marginal = float(ends[:, 0].max() - ends[:, 1].min())
+
+    return RbmBoundsReport(
+        n_visible=n, n_hidden=nh,
+        visible_l1=params.visible_l1, hidden_l1=params.hidden_l1,
+        interaction_l1=params.interaction_l1,
+        a_n=a_n, b_n=b_n, c_n=c_n,
+        lrep_joint=lrep_joint, lrep_marginal=lrep_marginal,
+        a_n_hidden_first=a_hidden_first, lower_witness=lower_witness,
+        n_h_log2=nh * math.log(2.0),
+    )
+
+
+@st.composite
+def report_cases(draw):
+    """(params, budget): 1-10 visibles and 0-7 hiddens with integer (tied),
+    normal or signed-zero parameters, and a budget that keeps both sides or
+    drops one."""
+    n, nh = draw(st.integers(1, 10)), draw(st.integers(0, 7))
+    kind = draw(st.sampled_from(["integer", "normal", "signed_zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def coef(*shape):
+        if kind == "integer":
+            return rng.integers(-2, 3, shape).astype(np.float64)
+        if kind == "signed_zero":
+            return rng.choice(np.array([-0.0, 0.0, -1.0, 1.0]), shape)
+        return rng.standard_normal(shape)
+
+    budget = draw(st.sampled_from([2**24, 2**n - 1, max(2**nh - 1, 1)]))
+    return RbmParams(coef(n), coef(nh), coef(nh, n)), budget
+
+
+@pytest.mark.parametrize("chunk", [4, 16, 2**16])
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=report_cases())
+def test_one_pass_report_is_the_two_pass_report(chunk, case):
+    params, budget = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
+        want = repr(astuple(parent_bounds_report(params, budget)))
+        assert repr(astuple(bounds_report(params, budget))) == want
+
+
+def test_one_field_build_per_visible_run(monkeypatch):
+    calls = []
+    original = foeslab.zoo._first_layer
+    for module in (foeslab.zoo, foeslab.rbm_bounds):
+        monkeypatch.setattr(module, "_first_layer",
+                            lambda *args: calls.append(1) or original(*args))
+    monkeypatch.setattr(foeslab.core, "_CHUNK_OUTCOMES", 16)
+    bounds_report(random_params(np.random.default_rng(41), 10, 3))
+    # 64 visible runs of 16 and one hidden run of 8
+    assert len(calls) == 65
