@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import (
     BudgetExceededError,
+    CertificateError,
     DEFAULT_ENUMERATION_BUDGET,
     FoesModel,
     UniformModelError,
@@ -550,7 +551,7 @@ def main(argv=None) -> int:
         print(f"foeslab: out of memory: {str(exc) or 'allocation failed'}",
               file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except (CertificateError, ConfigError, ValueError) as exc:
         print(f"foeslab: error: {exc}", file=sys.stderr)
         return 2
     return 0

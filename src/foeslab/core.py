@@ -189,8 +189,7 @@ class OutcomeSpace:
         variables at the budget cap), and a scorer's float64 copy is 8 times
         that, so callers that need only a value per outcome use ``tabulate``
         instead. The callers that keep rows are ``tabulate`` and the graph
-        model's statistic chunks for their low block, and the DBM marginal
-        (the low digits of its even-layer configurations).
+        model's statistic chunks, each for its low block.
         """
         self.check_budget(budget)
         k = self.alphabet_size

@@ -221,8 +221,12 @@ def modal_set(model: FoesModel, epsilon: float) -> ModalSet:
     imax, imin = model.extreme_indices()
     threshold = (1.0 - epsilon) * (scores[imax] - log_z) + epsilon * (scores[imin] - log_z)
     cut = threshold - MODAL_TIE_TOL
-    members = np.concatenate([np.flatnonzero(scores[c] - log_z > cut) + c.start
-                              for c in _chunks(scores.size)])
+    # count each chunk's members first, then fill one array: no second copy
+    counts = [np.count_nonzero(scores[c] - log_z > cut) for c in _chunks(scores.size)]
+    members, at = np.empty(sum(counts), dtype=np.intp), 0
+    for c, k in zip(_chunks(scores.size), counts):
+        members[at:at + k] = np.flatnonzero(scores[c] - log_z > cut) + c.start
+        at += k
     mass = float(_pairwise_sum(lambda a, b: np.exp(scores[members[a:b]] - log_z).sum(),
                                members.size))
     return ModalSet(epsilon=epsilon, threshold=float(threshold),

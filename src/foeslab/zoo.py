@@ -3,7 +3,7 @@
 Covers linear exponential families (iid Bernoulli, iid multinomial, the
 edge/2-star/triangle random-graph model), restricted Boltzmann machines
 (joint and analytically-marginalized visible models on {-1,+1} variables),
-and deep Boltzmann machines with their odd hidden layers summed analytically.
+and deep Boltzmann machines as the RBM between their even and odd layers.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .core import (
     DEFAULT_ENUMERATION_BUDGET,
     FoesModel,
     OutcomeSpace,
-    _aligned_blocks,
     _chunk_digits,
     _chunks,
     _fill_table,
@@ -521,50 +520,45 @@ def _rbm_marginal_scores(first: np.ndarray) -> np.ndarray:
     return first[0] + total
 
 
-def _boltzmann_marginal(biases: tuple, weights: tuple, family: str,
-                        budget: int) -> FoesModel:
-    """Visible model of a Boltzmann machine on {-1,+1} units, layer 0 visible.
+def _halved(op, a: np.ndarray) -> np.ndarray:
+    """``op`` over the 2^d rows of ``a`` by halving it in place, in the same steps at any width."""
+    for h in 2 ** np.arange(len(a).bit_length() - 1)[::-1]:
+        op(a[:h], a[h:2 * h], out=a[:h])
+    return a[0]
 
-    ``weights[l]`` (n_(l+1), n_l) couples layers l and l+1. Given the even
-    layers, each odd unit adds log(2 cosh(field)) exactly (in unit order for
-    an RBM); the even layers' 2^(visibles + even units) <= budget points are
-    enumerated under a log-sum-exp streamed in blocks of at most one chunk
-    of pairs, the same blocks for rows and runs.
-    """
-    n, n_even = biases[0].size, sum(b.size for b in biases[2::2])
-    OutcomeSpace(n + n_even, (-1, 1)).check_budget(budget)
-    splits = np.cumsum([b.size for b in biases[2::2]])[:-1]
+
+def _boltzmann_marginal(params: RbmParams, n: int, family: str,
+                        budget: int) -> FoesModel:
+    """Model of an RBM's first ``n`` visibles. Each hidden adds log(2 cosh f_j) in unit
+    order; a log-sum-exp sums the other visibles, 2^d configurations a block against a
+    chunk of pairs: their low d columns (bias atop weights) are doubled onto
+    ``_first_layer``'s fields once a row slice, and each block adds its high digits'."""
+    OutcomeSpace(params.n_visible, (-1, 1)).check_budget(budget)
+    summed = np.concatenate((params.visible[None, n:], params.interaction[:, n:]))
 
     def score(x: np.ndarray | slice) -> np.ndarray:
-        first = _first_layer(biases, weights, x)
-        if not n_even:
+        first = _first_layer((params.visible[:n], params.hidden), (params.interaction[:, :n],), x)
+        if not summed.shape[1]:
             return _rbm_marginal_scores(first)
-        z = first[1:].T
-        # blocks of 2^digits even configurations, the most that pair with one
-        # visible run in a chunk; rows pair with a block in slices as long
-        digits = min(n_even, (_CHUNK_OUTCOMES >> _chunk_digits(n, 2) or 1).bit_length() - 1)
-        low = OutcomeSpace(max(digits, 1), (-1, 1)).all_outcomes().astype(np.float64)
-        top, total, step = np.full(len(z), -np.inf), np.zeros(len(z)), _CHUNK_OUTCOMES >> digits
-        for _, block in _aligned_blocks(low[:, :digits], n_even, (-1, 1)):
-            h = dict(zip(range(2, len(biases), 2), np.split(block, splits, axis=1)))
-            # every term but the first odd layer's depends on the even units alone
-            even, first_h = [sum(h[l] @ biases[l] for l in h)], h[2] @ weights[1]
-            for l in range(3, len(biases), 2):
-                field = h[l - 1] @ weights[l - 1].T + biases[l]
-                field = field + h[l + 1] @ weights[l] if l + 1 in h else field
-                even.append(_log2cosh(field, out=field).sum(axis=-1))
-            for r in range(0, len(z), step):
-                t, s, field = top[r:r + step], total[r:r + step], z[r:r + step, None] + first_h
-                joint = sum(even[1:], even[0] + _log2cosh(field, out=field).sum(axis=-1))
-                peak = np.maximum(t, joint.max(axis=1))
-                s[...] = s * np.exp(t - peak) + np.exp(joint - peak[:, None]).sum(axis=1)
-                t[...] = peak
-        return first[0] + top + np.log(total)
+        d = min(summed.shape[1], (_CHUNK_OUTCOMES >> _chunk_digits(n, 2) or 1).bit_length() - 1)
+        high = _first_layer((summed[0, d:], np.zeros(params.n_hidden)), (summed[1:, d:],),
+                            slice(0, 2 ** (summed.shape[1] - d)))
+        out = np.empty(first.shape[1])
+        for r in range(0, len(out), _CHUNK_OUTCOMES >> d):
+            rows = first[:, r:r + (_CHUNK_OUTCOMES >> d)]
+            fields = np.empty((len(first), 2**d, rows.shape[1]))
+            for row, base, w in zip(fields, rows, summed[:, :d]):
+                _signed_sums(base, w, row)
+            top, total = -np.inf, 0.0
+            for offset in high.T:
+                joint = _rbm_marginal_scores(fields + offset[:, None, None])  # (2^d, rows)
+                peak = np.maximum(top, _halved(np.maximum, joint.copy()))
+                terms = np.exp(np.subtract(joint, peak, out=joint), out=joint)
+                total, top = total * np.exp(top - peak) + _halved(np.add, terms), peak
+            out[r:r + len(top)] = top + np.log(total)
+        return out
 
-    def fill(x: slice, block: np.ndarray) -> None:
-        block[0] = score(x)
-
-    return _VisibleRuns(n, n, score, fill, family, budget)
+    return _VisibleRuns(n, n, score, lambda x, out: np.copyto(out[0], score(x)), family, budget)
 
 
 def make_rbm_marginal(params: RbmParams,
@@ -574,8 +568,7 @@ def make_rbm_marginal(params: RbmParams,
     Score is x.theta_v + sum_j log(2 cosh(theta_h_j + sum_i x_i w_ji)),
     which equals the log of the brute-force hidden sum of the joint model.
     """
-    return _boltzmann_marginal((params.visible, params.hidden),
-                               (params.interaction,), "rbm_marginal", budget)
+    return _boltzmann_marginal(params, params.n_visible, "rbm_marginal", budget)
 
 
 @dataclass(frozen=True)
@@ -631,7 +624,14 @@ class DbmParams:
 
 def make_dbm_marginal(params: DbmParams,
                       budget: int = DEFAULT_ENUMERATION_BUDGET) -> FoesModel:
-    """Visible DBM model: odd hidden layers in closed form, even ones enumerated."""
-    weights = params.couplings[:1] + tuple(g.T for g in params.couplings[1:])
-    return _boltzmann_marginal((params.visible_bias,) + params.hidden_biases,
-                               weights, "dbm_marginal", budget)
+    """Visible DBM model: the marginal of the RBM between its even layers
+    (visible) and odd layers (hidden), N visibles then h2, h4, ... summed."""
+    sizes, layers = params.layer_sizes, (params.visible_bias,) + params.hidden_biases
+    # each layer's units among the RBM's visibles (even) or hiddens (odd)
+    at = [slice(sum(sizes[l % 2:l:2]), sum(sizes[l % 2:l + 1:2])) for l in range(len(sizes))]
+    interaction = np.zeros((sum(sizes[1::2]), sum(sizes[::2])))
+    for l, g in enumerate(params.couplings):
+        # couplings[0] is (n_h1, N), couplings[l] (n_hl, n_h(l+1)); rows odd, columns even
+        interaction[at[l + 1 - l % 2], at[l + l % 2]] = g.T if l and not l % 2 else g
+    rbm = RbmParams(np.concatenate(layers[::2]), np.concatenate(layers[1::2]), interaction)
+    return _boltzmann_marginal(rbm, sizes[0], "dbm_marginal", budget)

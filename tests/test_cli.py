@@ -19,6 +19,7 @@ import foeslab.rbm_bounds
 from foeslab.cli import build_parser, main, merge_config, read_config_file
 from foeslab.core import OutcomeSpace
 from foeslab.rbm_bounds import RbmBoundsReport
+from conftest import CLI_CHILD, child_peak_kb, child_stdout
 from test_rbm_bounds import blas_bounds_report, readme_draws
 
 
@@ -512,6 +513,19 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err.count("\n") == 1 and "out of memory" in err
 
+    def test_failed_certificate_is_one_line_and_exit_2(self, capsys, monkeypatch):
+        # b(x) and a(h) grow tenfold, as in test_rbm_bounds'
+        # test_finite_violation_is_a_certificate_error
+        original = foeslab.rbm_bounds.hidden_absum
+        monkeypatch.setattr(foeslab.rbm_bounds, "hidden_absum",
+                            lambda *args: 10.0 * original(*args))
+        code, out, err = run_cli(capsys, "bounds", "--n-visible", "2", "--n-hidden", "1",
+                                 "--theta-v=0.5,-1.0", "--theta-h", "0.3",
+                                 "--theta-vh", "0.7,0.2")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith("foeslab: error: proven bound violated")
+
     def test_bounds_negative_seed_wraps_to_64_bits(self, capsys):
         base = ("bounds", "--n-visible", "3", "--n-hidden", "2",
                 "--random-draws", "2")
@@ -709,90 +723,63 @@ def test_readme_bounds_columns_are_the_blas_route_within_ulps(capsys):
             assert abs(float(row[name]) - value) <= tol, name
 
 
-# The child reports VmHWM, its own peak RSS: its ru_maxrss would also
-# count the peak of the test process it was forked from.
-PEAK_RSS_CHILD = """
-import resource, sys
-from foeslab.cli import main
-code = main(sys.argv[1:])
-try:
-    peak = next(line.split()[1] for line in open("/proc/self/status")
-                if line.startswith("VmHWM:"))
-except OSError:
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(code, peak)
-"""
-
-
-def child_peak_kb(tmp_path, argv: str) -> int:
-    """Peak RSS in KB of one CLI run in a fresh process; it must exit 0."""
-    src = os.path.dirname(os.path.dirname(foeslab.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", PEAK_RSS_CHILD, *argv.split(),
-                           "--out", str(tmp_path / "out.csv")],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.stdout.split()[:1] == ["0"], proc.stderr
-    return int(proc.stdout.split()[1])
-
-
-def test_lrep_at_two_to_the_21_peaks_near_its_score_table(tmp_path):
+def test_lrep_at_two_to_the_21_peaks_near_its_score_table():
     # a 7-node graph has 2^21 outcomes and a 16 MB score table; building
     # the table chunk by chunk keeps the process far below the 2 GB that a
     # dense float64 copy of the outcome matrix would take
     argv = ("lrep --model graph --nodes 7 --theta1 0.3 --theta2 -0.2 "
             "--theta3 0.5")
-    assert child_peak_kb(tmp_path, argv) < 512 * 1024
+    assert child_peak_kb(CLI_CHILD, *argv.split()) < 512 * 1024
 
 
-def test_lrep_on_the_joint_rbm_at_the_cap_peaks_near_its_table(tmp_path):
+def test_lrep_on_the_joint_rbm_at_the_cap_peaks_near_its_table():
     # 14 + 10 units: the score table is 128 MB, and the visible and hidden
     # rows are scored once each; a full-size one-flip temporary per
     # variable took the peak to about 295 MB
     argv = " ".join(joint_rbm_argv(14, 10))
-    assert child_peak_kb(tmp_path, argv) < 256 * 1024
+    assert child_peak_kb(CLI_CHILD, *argv.split()) < 256 * 1024
 
 
-def test_mh_at_two_to_the_21_keeps_one_statistic_table(tmp_path):
+def test_mh_at_two_to_the_21_keeps_one_statistic_table():
     # proposals share one 48 MB statistic table (three columns of 2^21
     # rows) and each holds one 16 MB score table while it is scored
     argv = ("mh --model graph --nodes 7 --data " + ",".join("10" * 10 + "1")
             + " --theta0=-0.3,0.1,0.2 --steps 20 --seed 2")
-    assert child_peak_kb(tmp_path, argv) < 512 * 1024
+    assert child_peak_kb(CLI_CHILD, *argv.split()) < 512 * 1024
 
 
 @pytest.mark.parametrize("argv", [
     "bounds --n-visible 22 --random-draws 1",
     "bounds --n-visible 2 --n-hidden 22 --random-draws 1",
 ])
-def test_bounds_at_two_to_the_22_peaks_near_its_tables(tmp_path, argv):
+def test_bounds_at_two_to_the_22_peaks_near_its_tables(argv):
     # each side keeps seven numbers per run of one chunk, and the marginal
     # LREP two; the dense outcome matrix and its float64 copies took near
     # 1 GB on either side
-    assert child_peak_kb(tmp_path, argv) < 512 * 1024
+    assert child_peak_kb(CLI_CHILD, *argv.split()) < 512 * 1024
 
 
-def test_bounds_at_24_hiddens_keeps_one_hidden_table(tmp_path):
+def test_bounds_at_24_hiddens_keeps_one_hidden_table():
     # the hidden side reduces each run of one chunk to seven numbers, so no
     # table of 2^24 rows is kept: about 41 MB in all, against 432 MB for
     # one three-column table (384 MB) and 565 MB with full-size copies of
     # its lower and upper profiles besides
     argv = "bounds --n-visible 1 --n-hidden 24 --random-draws 1"
-    assert child_peak_kb(tmp_path, argv) < 64 * 1024
+    assert child_peak_kb(CLI_CHILD, *argv.split()) < 64 * 1024
 
 
-def test_bounds_at_24_visibles_keeps_no_visible_table(tmp_path):
+def test_bounds_at_24_visibles_keeps_no_visible_table():
     # the visible side reduces each run of one chunk to seven numbers and the
     # marginal's scores to two, so no table of 2^24 rows is kept: about 40 MB
     # in all, against about 170 MB for the upper profile and marginal score tables
     argv = "bounds --n-visible 24 --n-hidden 2 --random-draws 1"
-    assert child_peak_kb(tmp_path, argv) < 64 * 1024
+    assert child_peak_kb(CLI_CHILD, *argv.split()) < 64 * 1024
 
 
 @pytest.fixture(scope="module")
-def import_peak_kb(tmp_path_factory) -> int:
+def import_peak_kb() -> int:
     """Peak RSS of a CLI run on a 16-outcome model: the import baseline."""
-    return child_peak_kb(tmp_path_factory.mktemp("baseline"),
-                         "lrep --model bernoulli --n 4 --theta 0.3")
+    return child_peak_kb(CLI_CHILD, *"lrep --model bernoulli --n 4 --theta 0.3".split())
 
 
 TABLE_KB = 2**24 * 8 // 1024  # one float64 table of 2^24 entries
@@ -802,6 +789,8 @@ BERNOULLI_24 = "--model bernoulli --n 24 --theta 0.3"
 @pytest.mark.parametrize("argv, tables_kb", [
     ("modeset " + BERNOULLI_24, TABLE_KB),
     ("modeset " + " ".join(joint_rbm_argv(14, 10)[1:]), TABLE_KB),
+    # every outcome is a member: the score table plus one int64 member array
+    ("modeset --model bernoulli --n 24 --theta 0 --epsilon 0.5", 2 * TABLE_KB),
     # three models held at once: 2^24, 2^22 and 2^20 outcomes
     ("path --family bernoulli --entries 20:0.3;22:0.3;24:0.3 --epsilon 0.1",
      TABLE_KB + TABLE_KB // 4 + TABLE_KB // 16),
@@ -812,27 +801,15 @@ BERNOULLI_24 = "--model bernoulli --n 24 --theta 0.3"
     # scores, statistics and probabilities: E[g] is one dense BLAS product,
     # so its bytes do not move
     ("score " + BERNOULLI_24, 3 * TABLE_KB),
-], ids=["modeset", "modeset-rbm-joint", "path", "gibbs", "psr", "psr-rbm-joint", "score"])
-def test_commands_at_the_cap_keep_one_table_per_model(tmp_path, import_peak_kb, argv,
+], ids=["modeset", "modeset-rbm-joint", "modeset-uniform", "path", "gibbs", "psr",
+        "psr-rbm-joint", "score"])
+def test_commands_at_the_cap_keep_one_table_per_model(import_peak_kb, argv,
                                                       tables_kb):
     # each normalizing reduction forms fl(s - log Z) one chunk at a time,
     # so past the import a run holds its tables plus a few chunks; full-size
     # log-prob, exp and mask copies took these runs to 413-950 MB
     few_chunks_kb = 16 * 1024
-    assert child_peak_kb(tmp_path, argv) < import_peak_kb + tables_kb + few_chunks_kb
-
-
-def child_stdout(code: str, *args: str, **env: str) -> str:
-    """Standard output of ``code`` run in a fresh process; it must exit 0."""
-    src = os.path.dirname(os.path.dirname(foeslab.__file__))
-    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": src, **env},
-                          timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
-SCORE_CHILD = "import sys; from foeslab.cli import main; sys.exit(main(sys.argv[1:]))"
+    assert child_peak_kb(CLI_CHILD, *argv.split()) < import_peak_kb + tables_kb + few_chunks_kb
 
 
 @pytest.mark.parametrize("nodes", ["6", "7"])
@@ -841,7 +818,7 @@ def test_score_bytes_do_not_depend_on_the_blas_thread_count(nodes):
     # its sum over threads
     argv = ["score", "--model", "graph", "--nodes", nodes, "--theta1=-0.2",
             "--theta2=0.3", "--theta3=-0.1"]
-    single, double = (child_stdout(SCORE_CHILD, *argv, OPENBLAS_NUM_THREADS=threads)
+    single, double = (child_stdout(CLI_CHILD, *argv, OPENBLAS_NUM_THREADS=threads)
                       for threads in ("1", "2"))
     assert single == double and "expected_position" in single
 

@@ -2,9 +2,6 @@
 
 import hashlib
 import itertools
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -27,6 +24,7 @@ from foeslab.core import (_CHUNK_OUTCOMES, DEFAULT_ENUMERATION_BUDGET, OutcomeSp
 from foeslab.experiments import GRID_METRICS, GridCell
 from foeslab.metrics import _extremal_range, _one_flip_range
 from foeslab.zoo import _first_layer, _log2cosh
+from conftest import CLI_CHILD, child_peak_kb
 
 
 class TestSampleOnSphere:
@@ -333,20 +331,9 @@ class TestDrawBlocks:
     def test_sixteen_visibles_peak_near_one_chunk(self, tmp_path):
         # 2^16 visible outcomes take one draw per block; holding every draw's
         # fields at once took this run to about 216 MB
-        code = ("import sys\n"
-                "from foeslab.cli import main\n"
-                "code = main(sys.argv[1:])\n"
-                "peak = next(line.split()[1] for line in open('/proc/self/status')\n"
-                "            if line.startswith('VmHWM:'))\n"
-                "print(code, peak)\n")
-        src = os.path.dirname(os.path.dirname(foeslab.__file__))
         argv = ["figure1", "--n-visible", "16", "--n-breaks", "2",
                 "--samples-per-point", "25", "--out", str(tmp_path / "grid.csv")]
-        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
-        code, peak_kb = proc.stdout.split()
-        assert code == "0", proc.stderr
-        assert int(peak_kb) < 128 * 1024
+        assert child_peak_kb(CLI_CHILD, *argv) < 128 * 1024
 
 
 def _per_draw_run_figure1(config, budget=DEFAULT_ENUMERATION_BUDGET):

@@ -3,9 +3,6 @@
 import hashlib
 import itertools
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -35,6 +32,7 @@ from foeslab.core import (
 )
 from foeslab.metrics import lrep
 from foeslab.zoo import _first_layer, _log2cosh, rbm_joint_score
+from conftest import child_peak_kb, child_stdout
 
 
 def logistic(z):
@@ -892,6 +890,7 @@ class TestDbm:
         # 2 + 2 + 22 units: 2^24 (visible, even-layer) pairs at the cap; the
         # full-enumeration route held 2^24-row float64 arrays (GBs)
         assert child_peak_kb(
+            DBM_CHILD +
             "p = DbmParams(rng.normal(size=2), (rng.normal(size=2), rng.normal(size=22)),"
             " (rng.normal(size=(2, 2)), rng.normal(size=(2, 22))))\n"
             "assert np.isfinite(make_dbm_marginal(p).scores()).all()\n") < 512 * 1024
@@ -900,25 +899,60 @@ class TestDbm:
         # 2 + 2 + 14 units: each row pairs with 2^14 even-layer configurations,
         # so 1024 rows at once would hold 2^24 pairs, a 256 MB field
         assert child_peak_kb(
+            DBM_CHILD +
             "p = DbmParams(rng.normal(size=2), (rng.normal(size=2), rng.normal(size=14)),"
             " (rng.normal(size=(2, 2)), rng.normal(size=(2, 14))))\n"
             "x = rng.choice([-1, 1], size=(1024, 4))\n"
             "assert np.isfinite(replicate(make_dbm_marginal(p), 2).score(x)).all()\n"
         ) < 256 * 1024
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(sizes=st.lists(st.integers(1, 3), min_size=3, max_size=6).filter(
+               lambda s: sum(s) <= 14),
+           seed=st.integers(0, 2**32 - 1), chunk=st.sampled_from([None, 4]))
+    def test_marginal_is_the_rbm_between_even_and_odd_layers(self, sizes, seed, chunk):
+        # 2 to 5 hidden layers: an RBM with the visibles and even layers
+        # visible and the odd layers hidden, its even units then summed out;
+        # small chunks split them into several blocks
+        params = dbm_params(np.random.default_rng(seed), sizes)
+        layers = (params.visible_bias,) + params.hidden_biases
+        even, odd = range(0, len(sizes), 2), range(1, len(sizes), 2)
 
-def child_peak_kb(code: str) -> int:
-    """Peak resident kB of a fresh interpreter running ``code`` after
-    importing this checkout's foeslab and seeding ``rng``."""
-    code = ("import numpy as np\n"
-            "from foeslab import DbmParams, make_dbm_marginal, replicate\n"
-            "rng = np.random.default_rng(22)\n" + code +
-            "print([l for l in open('/proc/self/status') if l.startswith('VmHWM')][0])\n")
-    # the child imports this checkout's foeslab, whatever PYTHONPATH says
-    src = os.path.dirname(os.path.dirname(foeslab.core.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    return int(out.split()[1])
+        def coupling(i: int, j: int) -> np.ndarray:
+            # odd layer i against even layer j, as (n_i, n_j)
+            if j == i - 1:
+                return params.couplings[0] if i == 1 else params.couplings[i - 1].T
+            if j == i + 1:
+                return params.couplings[i]
+            return np.zeros((sizes[i], sizes[j]))
+
+        bipartite = RbmParams(np.concatenate([layers[j] for j in even]),
+                              np.concatenate([layers[i] for i in odd]),
+                              np.block([[coupling(i, j) for j in even] for i in odd]))
+        table = make_rbm_marginal(bipartite).scores().reshape(2 ** sum(sizes[2::2]),
+                                                               2 ** sizes[0])
+        want = np.array([log_sum_exp(column) for column in table.T])
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(foeslab.zoo, "_CHUNK_OUTCOMES", chunk)
+            assert_close_to_oracle(make_dbm_marginal(params).scores(), want)
+
+    def test_score_bytes_do_not_depend_on_the_blas_thread_count(self):
+        # 16 + 12 + 4 units, 2^16 visibles against 2^4 even configurations
+        code = DBM_CHILD + (
+            "import hashlib\n"
+            "p = DbmParams(rng.normal(size=16), (rng.normal(size=12), rng.normal(size=4)),"
+            " (rng.normal(size=(12, 16)), rng.normal(size=(12, 4))))\n"
+            "print(hashlib.sha256(make_dbm_marginal(p).scores().tobytes()).hexdigest())\n")
+        single, double = (child_stdout(code, OPENBLAS_NUM_THREADS=threads)
+                          for threads in ("1", "2"))
+        assert single == double and len(single.split()) == 1
+
+
+# a child's code starts with a DBM builder and a seeded ``rng``
+DBM_CHILD = ("import numpy as np\n"
+             "from foeslab import DbmParams, make_dbm_marginal, replicate\n"
+             "rng = np.random.default_rng(22)\n")
 
 
 def enumerated_dbm_marginal(params: DbmParams,
