@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
@@ -275,6 +276,31 @@ def _aligned_blocks(low: np.ndarray, n_variables: int, alphabet):
         yield c * rows, block
 
 
+def _gamma(m: int) -> Fraction:
+    """Higham's gamma_m = m*u / (1 - m*u) for float64, u = 2^-53, exactly.
+
+    Rounding to nearest gives fl(a op b) = (a op b)(1 + delta) with
+    |delta| <= u. A product of m such factors (1 + delta_k)^(+-1) is
+    1 + theta with |theta| <= gamma_m (Higham, "Accuracy and Stability of
+    Numerical Algorithms", 2nd ed., 2002, Lemma 3.1). So a sum whose every
+    term passes through at most m additions is off by at most gamma_m times
+    the sum of the terms' magnitudes, in any order of addition (ch. 4).
+    """
+    if not 0 <= m < 2**53:
+        raise ValueError(f"gamma_m needs 0 <= m < 2^53, got {m}")
+    return Fraction(m, 2**53 - m)
+
+
+def _float_above(value: Fraction) -> float:
+    """The smallest float64 at or above the nonnegative rational ``value``,
+    +inf past the largest float: a bound found in exact rationals stays one."""
+    try:
+        nearest = float(value)  # correctly rounded
+    except OverflowError:
+        return math.inf
+    return nearest if Fraction(nearest) >= value else math.nextafter(nearest, math.inf)
+
+
 def _signed_sums(base, weights, out: np.ndarray) -> np.ndarray:
     """Fill ``out[r] = base + sum_i s_i(r) * weights[i]`` and return it.
 
@@ -313,7 +339,13 @@ class FoesModel:
     are computed lazily on first use and cached; no table of normalized
     log-probabilities is kept. Instances are otherwise immutable, so they
     are safe to share between threads.
+
+    ``flip_bounds`` is None, or one float per variable, set by a constructor
+    that can certify it: b_i is at least every |difference| of two score-table
+    entries that differ only at variable i, as the table rounds.
     """
+
+    flip_bounds: np.ndarray | None = None
 
     def __init__(
         self,

@@ -12,10 +12,11 @@ over the enumerated space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .core import _chunks, _pairwise_sum
+from .core import _chunks, _float_above, _gamma, _pairwise_sum
 from .metrics import ParameterPath, lrep, modal_set
 
 PSR_TOL = 1e-9
@@ -27,8 +28,10 @@ class PsrReport:
 
     ``max_violation`` is the largest |log[P_theta(x) P_-theta(x)] -
     log[max P_theta * min P_-theta]| over all outcomes; ``holds`` means it
-    stays within PSR_TOL (the identity is exact in algebra for every model
-    family here, so the tolerance covers float noise only). When the
+    stays within PSR_TOL, or within the check's own rounding slack where
+    that is larger (see ``_psr_report``). The tolerance covers float noise
+    only: where the identity holds it is exact in algebra on the two score
+    tables, which for a linear family are negations of each other. When the
     condition holds, the two extremal log-ratios agree to the same
     tolerance.
     """
@@ -58,15 +61,26 @@ def _pair(model_family, theta):
 
 
 def _psr_report(model_pos, model_neg) -> PsrReport:
-    # fl(s - log Z) of each model, formed one chunk at a time
+    """The check on two models' score tables, with fl(s - log Z) of each
+    formed one chunk at a time.
+
+    A violation sums eight terms: s and log Z of either model at x, and at
+    the extremes for the target. Each passes through at most three rounded
+    additions, so where the identity is exact on the tables, rounding alone
+    leaves a violation of at most gamma_3 times the sum of their magnitudes,
+    2 (max |s_theta| + max |s_-theta| + |log Z_theta| + |log Z_-theta|).
+    log Z cancels in algebra, so its own rounding does not enter.
+    """
     (s_pos, z_pos), (s_neg, z_neg) = ((m.scores(), m.log_normalizer)
                                       for m in (model_pos, model_neg))
-    (top, _), (_, bottom) = model_pos.extreme_indices(), model_neg.extreme_indices()
+    (top, low), (high, bottom) = model_pos.extreme_indices(), model_neg.extreme_indices()
     target = (s_pos[top] - z_pos) + (s_neg[bottom] - z_neg)
     max_violation = max(float(np.abs((s_pos[c] - z_pos) + (s_neg[c] - z_neg) - target).max())
                         for c in _chunks(s_pos.size))
+    magnitude = sum(map(Fraction, (max(abs(s_pos[top]), abs(s_pos[low])), abs(z_pos),
+                                   max(abs(s_neg[high]), abs(s_neg[bottom])), abs(z_neg))))
     return PsrReport(
-        holds=max_violation <= PSR_TOL,
+        holds=max_violation <= max(PSR_TOL, _float_above(2 * _gamma(3) * magnitude)),
         max_violation=max_violation,
         lrep_theta=lrep(model_pos).lrep,
         lrep_neg_theta=lrep(model_neg).lrep,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -23,6 +24,8 @@ from .core import (
     _chunk_digits,
     _chunks,
     _fill_table,
+    _float_above,
+    _gamma,
     _signed_sums,
 )
 
@@ -482,12 +485,36 @@ class _VisibleRuns(FoesModel):
         return table.reshape(-1)
 
 
+def _joint_flip_bounds(params: RbmParams) -> np.ndarray:
+    """Per-variable bounds on a joint table's one-flip spreads, as it rounds.
+
+    Flipping visible i moves the exact score s by 2 x_i (theta_v_i + (hW)_i),
+    flipping hidden j by 2 h_j (theta_h_j + (Wx)_j), so no flip of i moves s
+    by more than U_i = 2 (|theta_i| + sum of |W| on i's row or column). The
+    table sums every term of s (theta_v_i x_i, theta_h_j h_j and
+    W_ji x_i h_j, each product exact) through at most N = n_visible +
+    n_hidden rounded additions: n_visible in ``_first_layer``, n_hidden in the
+    ``_signed_sums`` grid. So each entry is within gamma_N * T of s, with T
+    = |theta_v|_1 + |theta_h|_1 + |W|_1, and two entries one flip of i apart
+    differ by at most U_i + 2 gamma_N T. That holds also for their rounded
+    difference: rounding is monotone and the bound, found in exact rationals,
+    is rounded up to a float.
+    """
+    exact = np.vectorize(Fraction, otypes=[object])
+    w = exact(np.abs(params.interaction))  # (n_hidden, n_visible)
+    unit = np.concatenate((exact(np.abs(params.visible)) + w.sum(axis=0),
+                           exact(np.abs(params.hidden)) + w.sum(axis=1)))
+    slack = 2 * _gamma(len(unit)) * (sum(unit) - w.sum())  # sum(unit) counts |W|_1 twice
+    return np.array([_float_above(2 * u + slack) for u in unit])
+
+
 def make_rbm_joint(params: RbmParams,
                    budget: int = DEFAULT_ENUMERATION_BUDGET) -> FoesModel:
     """Joint RBM model over {-1,+1}^(n_visible + n_hidden).
 
     Outcome vectors concatenate the visibles first, then the hiddens; the
     table is rbm_joint_score's grid of all hiddens against one visible run.
+    The model carries ``_joint_flip_bounds`` as its ``flip_bounds``.
     """
     nv, nh = params.n_visible, params.n_hidden
 
@@ -498,7 +525,9 @@ def make_rbm_joint(params: RbmParams,
         # the table holds what rbm_joint_score returns: block itself, no copy
         block[...] = rbm_joint_score(params, x, slice(0, 2**nh), out=block)
 
-    return _VisibleRuns(nv + nh, nv, score_fn, fill, "rbm_joint", budget)
+    model = _VisibleRuns(nv + nh, nv, score_fn, fill, "rbm_joint", budget)
+    model.flip_bounds = _joint_flip_bounds(params)
+    return model
 
 
 def _log2cosh(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -511,12 +540,15 @@ def _log2cosh(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return az
 
 
-def _rbm_marginal_scores(first: np.ndarray) -> np.ndarray:
+def _rbm_marginal_scores(first: np.ndarray, shared=()) -> np.ndarray:
     """x.theta_v + sum_j log(2 cosh f_j) of ``_first_layer``'s stack, from 0.0 in unit
-    order (a hiddenless -0.0 turns +0.0); it overwrites the fields, and |f_j| gives f_j's bits."""
+    order (a hiddenless -0.0 turns +0.0); it overwrites the fields, and |f_j| gives f_j's bits.
+    ``shared`` holds the log(2 cosh f_j) of units after the stack's, which broadcast."""
     total = np.zeros(first.shape[1:])
     for field in first[1:]:
         total += _log2cosh(field, out=field)
+    for term in shared:
+        total += term
     return first[0] + total
 
 
@@ -532,26 +564,37 @@ def _boltzmann_marginal(params: RbmParams, n: int, family: str,
     """Model of an RBM's first ``n`` visibles. Each hidden adds log(2 cosh f_j) in unit
     order; a log-sum-exp sums the other visibles, 2^d configurations a block against a
     chunk of pairs: their low d columns (bias atop weights) are doubled onto
-    ``_first_layer``'s fields once a row slice, and each block adds its high digits'."""
+    ``_first_layer``'s fields once a row slice, and each block adds its high digits'.
+    The hiddens after the last one coupled to the first ``n`` (a DBM's h3, h5, ...)
+    have fields that do not depend on them: those are found once a block and
+    broadcast, and |f_j|, all log(2 cosh) reads, has the same bits either way."""
     OutcomeSpace(params.n_visible, (-1, 1)).check_budget(budget)
     summed = np.concatenate((params.visible[None, n:], params.interaction[:, n:]))
+    coupled = np.flatnonzero(params.interaction[:, :n].any(axis=1))
+    near = coupled[-1] + 1 if coupled.size else 0
 
     def score(x: np.ndarray | slice) -> np.ndarray:
-        first = _first_layer((params.visible[:n], params.hidden), (params.interaction[:, :n],), x)
+        first = _first_layer((params.visible[:n], params.hidden[:near]),
+                             (params.interaction[:near, :n],), x)
         if not summed.shape[1]:
-            return _rbm_marginal_scores(first)
+            return _rbm_marginal_scores(first, _log2cosh(params.hidden[near:, None]))
         d = min(summed.shape[1], (_CHUNK_OUTCOMES >> _chunk_digits(n, 2) or 1).bit_length() - 1)
         high = _first_layer((summed[0, d:], np.zeros(params.n_hidden)), (summed[1:, d:],),
                             slice(0, 2 ** (summed.shape[1] - d)))
+        far = np.empty((params.n_hidden - near, 2**d))
+        for row, base, w in zip(far, params.hidden[near:], summed[1 + near:, :d]):
+            _signed_sums(base, w, row)
         out = np.empty(first.shape[1])
         for r in range(0, len(out), _CHUNK_OUTCOMES >> d):
             rows = first[:, r:r + (_CHUNK_OUTCOMES >> d)]
             fields = np.empty((len(first), 2**d, rows.shape[1]))
-            for row, base, w in zip(fields, rows, summed[:, :d]):
+            for row, base, w in zip(fields, rows, summed[:1 + near, :d]):
                 _signed_sums(base, w, row)
             top, total = -np.inf, 0.0
             for offset in high.T:
-                joint = _rbm_marginal_scores(fields + offset[:, None, None])  # (2^d, rows)
+                shared = _log2cosh(far + offset[1 + near:, None])[:, :, None]
+                joint = _rbm_marginal_scores(fields + offset[:1 + near, None, None],
+                                             shared)  # (2^d, rows)
                 peak = np.maximum(top, _halved(np.maximum, joint.copy()))
                 terms = np.exp(np.subtract(joint, peak, out=joint), out=joint)
                 total, top = total * np.exp(top - peak) + _halved(np.add, terms), peak

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import foeslab.core
 from foeslab import (
@@ -615,6 +615,72 @@ def test_one_flip_range_allocates_one_and_a_half_chunks():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * chunk_bytes + ufunc_bytes + 2**14
+
+
+@st.composite
+def bounded_joint_rbms(draw):
+    """(params, chunk) of joint RBMs of 1-10 visibles and 0-8 hiddens at
+    scales 1e-3 to 1e12: normal draws, exact ties, W = 0, scattered signed
+    zeros, or every parameter a signed zero. Patched chunks of 4 and 16 run
+    on at most 2^12 outcomes, where a scan's pieces stay few."""
+    chunk = draw(st.sampled_from([None, 4, 16]))
+    nv = draw(st.integers(1, 10))
+    nh = draw(st.integers(0, 8 if chunk is None else min(8, 12 - nv)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e6, 1e12]))
+    kind = draw(st.sampled_from(["normal", "ties", "uncoupled", "signed_zeros", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v, h, w = (rng.normal(size=size) * scale for size in (nv, nh, (nh, nv)))
+    signs = lambda size: rng.choice([-1.0, 1.0], size=size)
+    if kind == "ties":
+        # equal |biases| and equal coupling columns: every visible has one
+        # bound and every hidden another
+        v, h, w = v[0] * signs(nv), h[:1] * signs(nh), np.repeat(w[:, :1], nv, axis=1)
+    elif kind == "uncoupled":
+        w = 0.0 * signs((nh, nv))
+    elif kind in ("signed_zeros", "zero"):
+        p = 0.5 if kind == "signed_zeros" else 1.0
+        v, h, w = (np.where(rng.random(np.shape(a)) < p, 0.0 * signs(np.shape(a)), a)
+                   for a in (v, h, w))
+    return RbmParams(v, h, w), chunk
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=bounded_joint_rbms())
+@example(case=(RbmParams(-0.0 * np.ones(10), np.zeros(8), np.zeros((8, 10))), None))
+@example(case=(RbmParams(np.full(10, 1e12), np.full(8, -1e12), np.full((8, 10), 3e11)), None))
+def test_pruned_delta_n_is_the_full_scan_and_each_bound_holds(case):
+    # the pruned scan skips only digits whose bound cannot beat what it read,
+    # so it returns the full scan's bits; each bound holds on its own digit
+    params, chunk = case
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
+        model = make_rbm_joint(params)
+        table, n = model.scores(), model.n_variables
+        assert delta_n(model).hex() == float(_one_flip_range(table, n, 2)).hex()
+        for i, bound in enumerate(model.flip_bounds):
+            assert float(_one_flip_range(table, n, 2, [i])) <= bound, i
+
+
+@pytest.mark.parametrize("digits", [[], [0], [3], [5, 1], [6, 7], [0, 4, 8], range(9)])
+@pytest.mark.parametrize("draws", [(), (3,)])
+def test_one_flip_range_of_a_digit_subset_is_the_max_over_its_digits(digits, draws):
+    # chunks of 2^4 rows: the low digits on the transposed copy (two, or one
+    # with 3 draws), the rest of the piece as stored, digits 4-8 in slab groups
+    table = np.random.default_rng(len(digits)).standard_normal((2**9, *draws))
+
+    def spread(i):
+        block = table.reshape(*_one_flip_shape(9, 2, i), *draws)
+        return (block.max(axis=1) - block.min(axis=1)).max(axis=(0, 1))
+
+    want = np.maximum.reduce([np.zeros(draws)] + [spread(i) for i in digits])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", 2**4)
+        assert _one_flip_range(table, 9, 2, digits).tobytes() == want.tobytes()
+        assert _one_flip_range(table, 9, 2, range(9)).tobytes() == \
+            _one_flip_range(table, 9, 2).tobytes()
+    with pytest.raises(ValueError, match="outside"):
+        _one_flip_range(table, 9, 2, [9])
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 2**15])

@@ -23,6 +23,8 @@ from foeslab import (
     modal_set,
     sign_reversal_masses,
 )
+from foeslab.cli import main
+from foeslab.core import FoesModel
 from foeslab.metrics import MODAL_TIE_TOL, ParameterPath
 from foeslab.psr import PSR_TOL
 
@@ -87,6 +89,42 @@ class TestCheckPsr:
                            (rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 1)),
                            (rng.uniform(-2, 2, (2, 2)), rng.uniform(-2, 2, (2, 1))))
         assert not check_psr(lambda p: make_dbm_marginal(p), params).holds
+
+    def test_large_parameter_holds_within_the_checks_rounding(self, capsys):
+        # one ulp of |log P| near 1.7e8 is 3e-8, above PSR_TOL; the check's
+        # own rounding slack there is about 4.6e-7
+        assert main(["psr", "--model", "bernoulli", "--n", "14", "--theta", "12345678.9"]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[1:3] == ["true", "2.9802322387695312e-08"]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e8])
+    def test_one_score_shifted_by_a_millionth_fails(self, scale):
+        # the -theta table with one entry moved by 1e-6 of its largest magnitude
+        weights = 2 ** np.arange(14)
+
+        def family(theta):
+            model = make_bernoulli(14, theta)
+            if theta > 0:
+                return model
+            table = model.scores().copy()
+            table[5] += 1e-6 * np.abs(table).max()
+            return FoesModel(model.space, lambda x: table[x @ weights])
+
+        r = check_psr(family, 1.2345 * scale)
+        assert not r.holds and r.max_violation > 1e-7 * scale
+
+    def test_hidden_summed_families_still_fail_past_the_slack(self):
+        # criterion 6's draws: violations of 6.67 and 2.28, far above any slack
+        rng = np.random.default_rng(1066)
+        rbm = RbmParams(rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 2),
+                        rng.uniform(-2, 2, (2, 3)))
+        dbm = DbmParams(rng.uniform(-2, 2, 2),
+                        (rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 1)),
+                        (rng.uniform(-2, 2, (2, 2)), rng.uniform(-2, 2, (2, 1))))
+        for family, theta, violation in ((make_rbm_marginal, rbm, 6.675),
+                                         (make_dbm_marginal, dbm, 2.28)):
+            r = check_psr(family, theta)
+            assert not r.holds and r.max_violation == pytest.approx(violation, abs=5e-3)
 
     def test_tolerance_matches_module_constant(self):
         r = check_psr(lambda t: make_bernoulli(4, t), 1.0)

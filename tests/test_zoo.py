@@ -3,12 +3,14 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import foeslab.core
+import foeslab.metrics
 import foeslab.zoo
 from foeslab import (
     DbmParams,
@@ -30,7 +32,8 @@ from foeslab.core import (
     FoesModel,
     OutcomeSpace,
 )
-from foeslab.metrics import lrep
+from foeslab.cli import main
+from foeslab.metrics import delta_n, lrep
 from foeslab.zoo import _first_layer, _log2cosh, rbm_joint_score
 from conftest import child_peak_kb, child_stdout
 
@@ -762,6 +765,44 @@ def test_joint_table_at_the_budget_cap_is_pinned():
     assert (scores.argmax(), scores.argmin()) == (15546342, 13436953)
 
 
+def test_joint_delta_at_the_budget_cap_reads_at_most_two_digits(monkeypatch):
+    # the full scan's value, pinned before the scan was pruned; the bounds
+    # leave one or two of the 24 digits to read, within the allocation bound
+    # of tests/test_metrics.py::test_one_flip_range_allocates_one_and_a_half_chunks
+    params, _ = _rbm_case(14, 10, seed=1410)
+    model = make_rbm_joint(params)
+    table = model.scores()
+    read, scan = [], foeslab.metrics._one_flip_range
+
+    def counted(table, n_variables, k, digits=None):
+        read.extend(range(n_variables) if digits is None else digits)
+        return scan(table, n_variables, k, digits)
+
+    monkeypatch.setattr(foeslab.metrics, "_one_flip_range", counted)
+    chunk_bytes = foeslab.core._CHUNK_OUTCOMES * table.itemsize
+    ufunc_bytes = 2 * np.getbufsize() * table.itemsize
+    tracemalloc.start()
+    try:
+        got = delta_n(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.hex() == "0x1.251bc825f96b7p+4"
+    assert len(read) <= 2
+    assert peak <= 1.5 * chunk_bytes + ufunc_bytes + 2**14
+
+
+def test_joint_lrep_csv_at_the_budget_cap_is_pinned(capsys):
+    # the CLI row of the pinned 14 + 10 table, as before the scan was pruned
+    params, _ = _rbm_case(14, 10, seed=1410)
+    values = lambda a: ",".join(repr(float(v)) for v in np.ravel(a))
+    assert main(["lrep", "--model", "rbm_joint", "--n-visible", "14", "--n-hidden", "10",
+                 "--theta-v=" + values(params.visible), "--theta-h=" + values(params.hidden),
+                 "--theta-vh=" + values(params.interaction)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "75b62ab2c913251d619d6654e878fc207bdcf726233005f5ce1eade87cc00416"
+
+
 class TestDbm:
     def test_single_layer_reduces_to_rbm_marginal(self):
         rng = np.random.default_rng(3)
@@ -849,6 +890,45 @@ class TestDbm:
         oracle = enumerated_dbm_marginal(params).scores()
         assert hashlib.sha256(oracle.tobytes()).hexdigest() == digest
         assert_close_to_oracle(make_dbm_marginal(params).scores(), oracle)
+
+    # sha256 of score tables with 3 to 5 hidden layers, as computed before
+    # the far odd layers' log(2 cosh) was shared across visible rows
+    @pytest.mark.parametrize("sizes, chunk, digest", [
+        ((14, 4, 4, 4), None, "226a2487fcd38f0b186211413bcc92e2f9278c4cc4df5a935408c7fe8c9badf1"),
+        ((10, 4, 4, 4, 4), None,
+         "a7361042dd987ba790e3a142cfee3fcd95a0d8b598c03215ff1d72fa424cda24"),
+        ((3, 2, 3, 2), 4, "08d105792282461fa409a5528a86e4b3755144f980b7fdad6091796e900c0196"),
+        ((4, 1, 2, 3, 2), 16, "82bf3d3495d2ec1d9129185cc352e21695bd2c546fcdc3336f265dc2729a90b2"),
+        ((3, 2, 2, 2, 2, 2), 4,
+         "97edfd2d8b293739d490b123c824987e20a3e19cdeb8083a61d97858d8e612f1"),
+        ((2, 3, 1, 2), 1, "9e4946987367f80f46e2b12edeab34e316e6c81bb74070bf49bbd2fb0b5d88c0"),
+    ])
+    def test_deep_score_table_bytes_are_pinned(self, sizes, chunk, digest):
+        params = dbm_params(np.random.default_rng(sum(sizes)), sizes)
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(foeslab.zoo, "_CHUNK_OUTCOMES", chunk)
+            scores = make_dbm_marginal(params).scores()
+        assert hashlib.sha256(scores.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("chunk, digest", [
+        (None, "32ac799f682b5bdd4da778f046d56fdaa60cb86ca2092ac331d1c4ad4bdc01dc"),
+        (4, "8519774c429ed19a102ec544650eda8c6b663bc79f58155166e419501a098b50"),
+    ])
+    def test_signed_zero_fields_keep_their_bytes(self, chunk, digest):
+        # h1 units 1 and 2 see no visible, so they and h3 take the shared
+        # route; signed-zero biases and couplings leave fields of either sign
+        params = dbm_params(np.random.default_rng(5), (4, 3, 2, 2, 2))
+        biases = [a.copy() for a in params.hidden_biases]
+        couplings = [g.copy() for g in params.couplings]
+        couplings[0][1], couplings[0][2], couplings[2][0] = 0.0, -0.0, -0.0
+        biases[0][1], biases[0][2], biases[2][0] = -0.0, 0.0, -0.0
+        params = DbmParams(params.visible_bias, tuple(biases), tuple(couplings))
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk is not None:
+                patch.setattr(foeslab.zoo, "_CHUNK_OUTCOMES", chunk)
+            scores = make_dbm_marginal(params).scores()
+        assert hashlib.sha256(scores.tobytes()).hexdigest() == digest
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(sizes=st.lists(st.integers(1, 4), min_size=2, max_size=6).filter(
