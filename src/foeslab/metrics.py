@@ -186,9 +186,10 @@ def delta_n(model: FoesModel) -> float:
     symmetry the maximum signed log-ratio equals the maximum absolute one.
     Zero exactly for uniform models.
 
-    A model with ``flip_bounds`` has its variable of largest bound scanned
-    first, which gives a maximum L, and then, in one more scan, only the
-    variables whose bound exceeds L. The others cannot exceed L, and a float
+    A model with ``flip_bounds`` has its variables of largest bound (every
+    one tied there) scanned first, which gives a maximum L, and then, in one
+    more scan, only the other variables whose bound exceeds L, so no
+    variable is read twice. Those left out cannot exceed L, and a float
     maximum does not depend on the order it is taken in, so the result is
     the full scan's bit for bit. Only the joint RBM has bounds (see
     ``zoo._joint_flip_bounds``); at the 14 + 10 cap it reads one of the 24
@@ -202,9 +203,9 @@ def delta_n(model: FoesModel) -> float:
     bounds = model.flip_bounds
     if bounds is None:
         return float(_one_flip_range(table, n, k))
-    first = int(np.argmax(bounds))
-    reached = float(_one_flip_range(table, n, k, [first]))
-    rest = [i for i, b in enumerate(bounds) if b > reached and i != first]
+    top = bounds == bounds.max()
+    reached = float(_one_flip_range(table, n, k, np.flatnonzero(top)))
+    rest = np.flatnonzero((bounds > reached) & ~top)
     return max(reached, float(_one_flip_range(table, n, k, rest)))
 
 

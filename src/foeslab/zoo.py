@@ -540,15 +540,12 @@ def _log2cosh(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return az
 
 
-def _rbm_marginal_scores(first: np.ndarray, shared=()) -> np.ndarray:
+def _rbm_marginal_scores(first: np.ndarray) -> np.ndarray:
     """x.theta_v + sum_j log(2 cosh f_j) of ``_first_layer``'s stack, from 0.0 in unit
-    order (a hiddenless -0.0 turns +0.0); it overwrites the fields, and |f_j| gives f_j's bits.
-    ``shared`` holds the log(2 cosh f_j) of units after the stack's, which broadcast."""
+    order (a hiddenless -0.0 turns +0.0); it overwrites the fields, and |f_j| gives f_j's bits."""
     total = np.zeros(first.shape[1:])
     for field in first[1:]:
         total += _log2cosh(field, out=field)
-    for term in shared:
-        total += term
     return first[0] + total
 
 
@@ -564,37 +561,26 @@ def _boltzmann_marginal(params: RbmParams, n: int, family: str,
     """Model of an RBM's first ``n`` visibles. Each hidden adds log(2 cosh f_j) in unit
     order; a log-sum-exp sums the other visibles, 2^d configurations a block against a
     chunk of pairs: their low d columns (bias atop weights) are doubled onto
-    ``_first_layer``'s fields once a row slice, and each block adds its high digits'.
-    The hiddens after the last one coupled to the first ``n`` (a DBM's h3, h5, ...)
-    have fields that do not depend on them: those are found once a block and
-    broadcast, and |f_j|, all log(2 cosh) reads, has the same bits either way."""
+    ``_first_layer``'s fields once a row slice, and each block adds its high digits'."""
     OutcomeSpace(params.n_visible, (-1, 1)).check_budget(budget)
     summed = np.concatenate((params.visible[None, n:], params.interaction[:, n:]))
-    coupled = np.flatnonzero(params.interaction[:, :n].any(axis=1))
-    near = coupled[-1] + 1 if coupled.size else 0
 
     def score(x: np.ndarray | slice) -> np.ndarray:
-        first = _first_layer((params.visible[:n], params.hidden[:near]),
-                             (params.interaction[:near, :n],), x)
+        first = _first_layer((params.visible[:n], params.hidden), (params.interaction[:, :n],), x)
         if not summed.shape[1]:
-            return _rbm_marginal_scores(first, _log2cosh(params.hidden[near:, None]))
+            return _rbm_marginal_scores(first)
         d = min(summed.shape[1], (_CHUNK_OUTCOMES >> _chunk_digits(n, 2) or 1).bit_length() - 1)
         high = _first_layer((summed[0, d:], np.zeros(params.n_hidden)), (summed[1:, d:],),
                             slice(0, 2 ** (summed.shape[1] - d)))
-        far = np.empty((params.n_hidden - near, 2**d))
-        for row, base, w in zip(far, params.hidden[near:], summed[1 + near:, :d]):
-            _signed_sums(base, w, row)
         out = np.empty(first.shape[1])
         for r in range(0, len(out), _CHUNK_OUTCOMES >> d):
             rows = first[:, r:r + (_CHUNK_OUTCOMES >> d)]
             fields = np.empty((len(first), 2**d, rows.shape[1]))
-            for row, base, w in zip(fields, rows, summed[:1 + near, :d]):
+            for row, base, w in zip(fields, rows, summed[:, :d]):
                 _signed_sums(base, w, row)
             top, total = -np.inf, 0.0
             for offset in high.T:
-                shared = _log2cosh(far + offset[1 + near:, None])[:, :, None]
-                joint = _rbm_marginal_scores(fields + offset[:1 + near, None, None],
-                                             shared)  # (2^d, rows)
+                joint = _rbm_marginal_scores(fields + offset[:, None, None])  # (2^d, rows)
                 peak = np.maximum(top, _halved(np.maximum, joint.copy()))
                 terms = np.exp(np.subtract(joint, peak, out=joint), out=joint)
                 total, top = total * np.exp(top - peak) + _halved(np.add, terms), peak

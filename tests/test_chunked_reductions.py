@@ -4,9 +4,14 @@ Every reduction that normalizes (log Z, modal sets, Gibbs TV and
 occupancy, PSR, expectations) forms fl(s - log Z) one chunk at a time and
 sums through ``core._pairwise_sum``. The oracles below are the full-table
 versions these replaced, kept verbatim: each builds ``log_probs()`` and
-reduces it with numpy in one call. The chunked values must have the same
-bytes, with chunks small enough that many leaves and chunks are crossed.
+reduces it with numpy in one call. The PSR oracle's verdict follows the
+check's rule, PSR_TOL or its rounding slack where that is larger, worked
+out here in exact rationals from the full tables. The chunked values must
+have the same bytes, with chunks small enough that many leaves and chunks
+are crossed.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,8 +77,13 @@ def oracle_psr_report(model_pos, model_neg) -> PsrReport:
     (top, _), (_, bottom) = model_pos.extreme_indices(), model_neg.extreme_indices()
     target = logp_pos[top] + logp_neg[bottom]
     max_violation = float(np.abs(product - target).max())
+    # gamma_3 = 3u / (1 - 3u), u = 2^-53, times the violation's eight terms
+    u = Fraction(1, 2**53)
+    magnitude = sum(Fraction(float(np.abs(m.scores()).max())) + Fraction(abs(m.log_normalizer))
+                    for m in (model_pos, model_neg))
+    slack = 3 * u / (1 - 3 * u) * 2 * magnitude
     return PsrReport(
-        holds=max_violation <= PSR_TOL,
+        holds=Fraction(max_violation) <= max(Fraction(PSR_TOL), slack),
         max_violation=max_violation,
         lrep_theta=lrep(model_pos).lrep,
         lrep_neg_theta=lrep(model_neg).lrep,
@@ -160,6 +170,37 @@ def test_chunked_reductions_match_the_full_table_oracles(case, chunk, epsilon, s
         masses = sign_reversal_masses(family, theta, epsilon)
         assert same_bytes(masses, (want.mass, oracle_complement_mass(model, model_neg,
                                                                      epsilon)))
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "multinomial", "graph", "rbm_joint"])
+@pytest.mark.parametrize("scale", [1.0, 1e7, 1e10])
+@pytest.mark.parametrize("chunk", [16, 2**16])
+def test_psr_verdict_matches_the_oracle_at_large_theta(kind, scale, chunk):
+    # past |theta| ~ 1e6 rounding alone leaves violations above PSR_TOL, so
+    # there the verdict rests on the slack: each scale above 1 has draws that
+    # hold only by it
+    reports = []
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        family, theta = {
+            "bernoulli": (lambda t: make_bernoulli(10, t), float(rng.standard_normal())),
+            "multinomial": (lambda t: make_multinomial(6, t), rng.standard_normal(3)),
+            "graph": (lambda t: make_graph_model(GraphModelSpec(5, tuple(map(float, t)))),
+                      rng.standard_normal(3)),
+            "rbm_joint": (make_rbm_joint, RbmParams(*(rng.standard_normal(s)
+                                                      for s in (5, 3, (3, 5))))),
+        }[kind]
+        theta = RbmParams(theta.visible * scale, theta.hidden * scale,
+                          theta.interaction * scale) if kind == "rbm_joint" else theta * scale
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
+            model, model_neg = family(theta), family(-theta)
+            got, want = _psr_report(model, model_neg), oracle_psr_report(model, model_neg)
+        assert same_bytes(got.max_violation, want.max_violation)
+        assert got == want
+        reports.append(got)
+    if scale > 1:
+        assert any(r.holds and r.max_violation > PSR_TOL for r in reports)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

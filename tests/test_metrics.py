@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import foeslab.core
+import foeslab.metrics
 from foeslab import (
     GraphModelSpec,
     LinearExpFamily,
@@ -650,14 +651,26 @@ def bounded_joint_rbms(draw):
 @example(case=(RbmParams(np.full(10, 1e12), np.full(8, -1e12), np.full((8, 10), 3e11)), None))
 def test_pruned_delta_n_is_the_full_scan_and_each_bound_holds(case):
     # the pruned scan skips only digits whose bound cannot beat what it read,
-    # so it returns the full scan's bits; each bound holds on its own digit
+    # so it returns the full scan's bits; its first call reads every digit
+    # tied at the largest bound, so no digit is read twice; each bound holds
+    # on its own digit
     params, chunk = case
+    calls, scan = [], foeslab.metrics._one_flip_range
+
+    def counted(table, n_variables, k, digits=None):
+        calls.append(list(range(n_variables) if digits is None else digits))
+        return scan(table, n_variables, k, digits)
+
     with pytest.MonkeyPatch.context() as patch:
         if chunk is not None:
             patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
         model = make_rbm_joint(params)
         table, n = model.scores(), model.n_variables
-        assert delta_n(model).hex() == float(_one_flip_range(table, n, 2)).hex()
+        patch.setattr(foeslab.metrics, "_one_flip_range", counted)
+        assert delta_n(model).hex() == float(scan(table, n, 2)).hex()
+        read, bounds = sum(calls, []), model.flip_bounds
+        assert len(read) == len(set(read))
+        assert calls[0] == np.flatnonzero(bounds == bounds.max()).tolist()
         for i, bound in enumerate(model.flip_bounds):
             assert float(_one_flip_range(table, n, 2, [i])) <= bound, i
 

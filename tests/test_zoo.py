@@ -522,6 +522,15 @@ class TestRbm:
         assert lrep(make_rbm_marginal(params)).scaled_lrep == pytest.approx(
             expected, abs=1e-12)
 
+    @pytest.mark.parametrize("rows", [[3], [1], [1, 3], [0, 1, 2, 3]])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_uncoupled_hiddens_keep_the_table_bytes(self, rows, zero):
+        # hidden units with no visible coupling, last, in the middle or all
+        rng = np.random.default_rng(len(rows))
+        w = rng.uniform(-2, 2, (4, 6))
+        w[rows] = zero
+        assert_marginal_table(RbmParams(rng.uniform(-2, 2, 6), rng.uniform(-2, 2, 4), w))
+
     def test_hidden_only_params_give_uniform_visibles(self):
         params = RbmParams(np.zeros(3), [5.0, -8.0], np.zeros((2, 3)))
         logp = make_rbm_marginal(params).log_probs()
