@@ -11,6 +11,7 @@ done on the natural-log scale.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -292,8 +293,8 @@ def _gamma(m: int) -> Fraction:
 
 
 def _float_above(value: Fraction) -> float:
-    """The smallest float64 at or above the nonnegative rational ``value``,
-    +inf past the largest float: a bound found in exact rationals stays one."""
+    """The smallest float64 at or above the rational ``value`` (+inf past
+    the largest float): a bound found in exact rationals stays one."""
     try:
         nearest = float(value)  # correctly rounded
     except OverflowError:
@@ -339,13 +340,7 @@ class FoesModel:
     are computed lazily on first use and cached; no table of normalized
     log-probabilities is kept. Instances are otherwise immutable, so they
     are safe to share between threads.
-
-    ``flip_bounds`` is None, or one float per variable, set by a constructor
-    that can certify it: b_i is at least every |difference| of two score-table
-    entries that differ only at variable i, as the table rounds.
     """
-
-    flip_bounds: np.ndarray | None = None
 
     def __init__(
         self,
@@ -377,7 +372,13 @@ class FoesModel:
         return np.asarray(self.score_fn(arr), dtype=np.float64)
 
     def scores(self) -> np.ndarray:
-        """Unnormalized log-probabilities of all outcomes, in index order."""
+        """Unnormalized log-probabilities of all outcomes, in index order.
+
+        The argmax and argmin are found with the table, the lowest index on
+        ties. A model with an ``envelope`` reads them only in the rows that
+        can hold them (``_enveloped_extremes``); any other model takes one
+        full argmax and argmin, which also reject a NaN or infinite score.
+        """
         if self._scores is None:
             scores = np.asarray(self._score_table(), dtype=np.float64)
             if scores.shape != (self.space.n_outcomes,):
@@ -385,11 +386,10 @@ class FoesModel:
                     f"score_fn returned shape {scores.shape}, "
                     f"expected ({self.space.n_outcomes},)"
                 )
-            # the first NaN or +inf is the argmax, the first -inf the argmin
-            imax, imin = int(np.argmax(scores)), int(np.argmin(scores))
-            if not (np.isfinite(scores[imax]) and np.isfinite(scores[imin])):
-                raise ValueError(_NOT_FINITE)
-            self._scores, self._extremes = scores, (imax, imin)
+            envelope = self.envelope()
+            self._extremes = (_extremes(scores) if envelope is None
+                              else _enveloped_extremes(scores, envelope))
+            self._scores = scores
         return self._scores
 
     def extreme_indices(self) -> tuple[int, int]:
@@ -401,6 +401,11 @@ class FoesModel:
     def _score_table(self) -> np.ndarray:
         # unchecked scores of every outcome; scores() validates and caches
         return self.space.tabulate(self.score_fn, self.budget)
+
+    def envelope(self) -> GridEnvelope | None:
+        """Certified row and column bounds on ``scores()``, or None. Only a
+        constructor that can prove them supplies them: ``zoo.make_rbm_joint``."""
+        return None
 
     @property
     def log_normalizer(self) -> float:
@@ -427,6 +432,126 @@ class FoesModel:
 
 _NOT_FINITE = ("model has a non-finite log-probability; "
                "FOES models must support every outcome")
+
+
+def _extremes(scores: np.ndarray) -> tuple[int, int]:
+    """(argmax, argmin) of a full table; ValueError unless both are finite."""
+    # the first NaN or +inf is the argmax, the first -inf the argmin
+    imax, imin = int(np.argmax(scores)), int(np.argmin(scores))
+    if not (np.isfinite(scores[imax]) and np.isfinite(scores[imin])):
+        raise ValueError(_NOT_FINITE)
+    return imax, imin
+
+
+@dataclass(frozen=True)
+class GridEnvelope:
+    """Certified bounds on a score table seen as a grid of 2^row_digits rows,
+    each an aligned run of 2^column_digits indices (the low digits).
+
+    ``rows(run)``, for a run of ``row_runs``, gives three arrays: each row's
+    bound on its max, on its min and on its flip spread, the largest
+    |difference| of two of its entries whose indices differ in one column
+    digit. ``columns(run)``, for a run of ``column_runs``, gives each
+    column's bound on its flip spread over the row digits. The table's
+    values, as it rounds, lie within ``slack`` of each bound, on either
+    side. ``row_summary`` holds each row run's largest max, smallest min
+    and largest flip bound, and ``column_summary`` each column run's largest
+    flip bound, so a reader recomputes only the runs it needs and no array
+    of 2^row_digits or 2^column_digits bounds is kept.
+    """
+
+    row_digits: int
+    column_digits: int
+    slack: float
+    rows: Callable[[slice], tuple]
+    columns: Callable[[slice], np.ndarray]
+    row_runs: tuple
+    row_summary: np.ndarray
+    column_runs: tuple
+    column_summary: np.ndarray
+
+    @classmethod
+    def summarize(cls, row_digits: int, column_digits: int, slack: float,
+                  rows, columns) -> "GridEnvelope":
+        """The envelope of ``rows`` and ``columns``, each run of one chunk
+        reduced to its summary."""
+        rows, columns = _last_run(rows), _last_run(columns)
+        row_runs, column_runs = tuple(_chunks(2**row_digits)), tuple(_chunks(2**column_digits))
+        row_summary = np.array([(top.max(), low.min(), flip.max())
+                                for top, low, flip in map(rows, row_runs)])
+        column_summary = np.array([columns(run).max() for run in column_runs])
+        return cls(row_digits, column_digits, slack, rows, columns,
+                   row_runs, row_summary, column_runs, column_summary)
+
+
+def _last_run(bounds):
+    """``bounds`` of a run, kept for the last run asked: a grid of one run
+    per side (the 2^24 cap) computes each side once."""
+    memo = {}
+
+    def cached(run: slice):
+        if run.start not in memo:
+            memo.clear()
+            memo[run.start] = bounds(run)
+        return memo[run.start]
+
+    return cached
+
+
+def _batches(lines: np.ndarray, picked: np.ndarray):
+    """(indices, lines) of the rows ``picked`` of ``lines``, in order, in
+    batches of at most a chunk of entries and one row at least: consecutive
+    rows are read in place, others gathered."""
+    per = max(1, _CHUNK_OUTCOMES // lines.shape[1])
+    for b in range(0, len(picked), per):
+        batch = picked[b:b + per]
+        consecutive = batch[-1] - batch[0] == len(batch) - 1
+        yield batch, lines[batch[0]:batch[-1] + 1] if consecutive else lines[batch]
+
+
+def _row_reduce(op, block: np.ndarray) -> np.ndarray:
+    """``op`` over each row of a 2-D block; short rows column by column,
+    where numpy's reduce along them runs one short loop per row."""
+    return functools.reduce(op, block.T) if block.shape[1] <= 64 else op.reduce(block, axis=1)
+
+
+def _enveloped_extremes(table: np.ndarray, envelope: GridEnvelope) -> tuple[int, int]:
+    """(argmax, argmin) of ``table``, lowest index on ties, read only in rows
+    whose envelope can hold them.
+
+    Row r's max is within slack s of its bound u_r, so the table's max M is
+    at least u_r - s for every r, and a row that holds M has
+    u_r + s >= M >= max(u) - s. So only rows with u_r >= max(u) - 2s can
+    hold it, and likewise only rows with l_r <= min(l) + 2s the min. Those
+    thresholds are rounded outward from exact rationals, so no such row is
+    left out. The rows that pass are read in index order, in batches of
+    at most a chunk (``_batches``), and a later batch wins only by a larger
+    value, so a tie keeps the lowest index, as a full argmax does. Each row
+    read must lie within its envelope, or CertificateError is raised; the
+    check is code, not an ``assert``.
+    """
+    grid = table.reshape(2**envelope.row_digits, -1)
+    slack = envelope.slack
+    top = _float_above(Fraction(float(envelope.row_summary[:, 0].max())) - 2 * Fraction(slack))
+    bottom = -_float_above(-Fraction(float(envelope.row_summary[:, 1].min())) - 2 * Fraction(slack))
+    best, worst = (-math.inf, -1), (math.inf, -1)
+    for run, (high, low, _) in zip(envelope.row_runs, envelope.row_summary):
+        if high < top and low > bottom:
+            continue
+        upper, lower, _ = envelope.rows(run)
+        picked = np.flatnonzero((upper >= top) | (lower <= bottom)) + run.start
+        for batch, block in _batches(grid, picked):
+            peaks, floors = _row_reduce(np.maximum, block), _row_reduce(np.minimum, block)
+            at = batch - run.start
+            if not (np.all(np.abs(peaks - upper[at]) <= slack)
+                    and np.all(np.abs(floors - lower[at]) <= slack)):
+                raise CertificateError("a score-table row lies outside its certified envelope")
+            r, q = int(np.argmax(peaks)), int(np.argmin(floors))
+            if peaks[r] > best[0]:
+                best = (peaks[r], int(batch[r]) * grid.shape[1] + int(np.argmax(block[r])))
+            if floors[q] < worst[0]:
+                worst = (floors[q], int(batch[q]) * grid.shape[1] + int(np.argmin(block[q])))
+    return best[1], worst[1]
 
 
 def _check_finite(scores: np.ndarray) -> np.ndarray:

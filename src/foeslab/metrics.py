@@ -12,12 +12,13 @@ models, and a finite-N trend classifier for parameter paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
-from .core import (CertificateError, FoesModel, UniformModelError, _check_finite,
-                   _chunk_digits, _chunks, _one_flip_shape, _pairwise_sum)
+from .core import (CertificateError, FoesModel, UniformModelError, _batches, _check_finite,
+                   _chunk_digits, _chunks, _float_above, _one_flip_shape, _pairwise_sum)
 from .zoo import GraphModelSpec, LinearExpFamily, graph_statistics
 
 # Outcomes whose log-probability falls within this distance below a modal
@@ -52,13 +53,13 @@ def _extremal_range(table: np.ndarray) -> np.ndarray:
     return table.max(axis=0) - table.min(axis=0)
 
 
-def _flip_views(block: np.ndarray, m: int, k: int, digits, spread: np.ndarray) -> list:
-    """(a, b, out) views for one-flip scans of ``digits`` of a block of k^m
-    rows: for each digit i, the rows where digit i is j and where it is
-    j' < j, pairs of runs of k^i rows a stride k^i apart, and ``spread``
-    shaped like them."""
+def _flip_views(block: np.ndarray, m: int, k: int, upper: int, spread: np.ndarray) -> list:
+    """(a, b, out) views for one-flip scans of the upper digits of a block of
+    k^m rows: for each such digit i, the rows where digit i is j and where
+    it is j' < j, pairs of runs of k^i rows a stride k^i apart, and
+    ``spread`` shaped like them."""
     views = []
-    for i in digits:
+    for i in range(m - upper, m):
         flip = block.reshape(*_one_flip_shape(m, k, i), -1)
         out = spread.reshape(flip[:, 0].shape)
         views += [(flip[:, j], flip[:, jp], out) for j in range(1, k) for jp in range(j)]
@@ -71,11 +72,8 @@ def _line_aligned(n: int) -> np.ndarray:
     return raw[-raw.ctypes.data % 64 // 8:][:n]
 
 
-def _one_flip_range(table: np.ndarray, n_variables: int, k: int, digits=None) -> np.ndarray:
+def _one_flip_range(table: np.ndarray, n_variables: int, k: int) -> np.ndarray:
     """Largest spread among outcomes one flip apart; a trailing axis holds draws.
-
-    Only flips of the variables in ``digits`` count, all by default; an
-    empty ``digits`` gives 0.0 for every draw.
 
     Every scan reads a block of k^m outcome rows (m = ``_chunk_digits``)
     that sits in cache, with the flipped digit an outer axis over runs of at
@@ -87,29 +85,21 @@ def _one_flip_range(table: np.ndarray, n_variables: int, k: int, digits=None) ->
     most m minus the transposed count. A slab, copied out of the table once,
     holds every value of a group's digits (its upper digits) times a run of
     low rows. So the table is read from memory once for the pieces and once
-    per group: twice at the 2^24 cap. Pieces, transposed copies and groups
-    that hold no digit of ``digits`` are skipped. The buffer's scan views
-    are built once per set of scanned digits; each scan's maximum goes into
-    one row of a table of maxima, which is folded at the end.
+    per group: twice at the 2^24 cap. The buffer's scan views are built once
+    per scanned digit count; each scan's maximum goes into one row of a
+    table of maxima, which is folded at the end.
     """
-    chosen = range(n_variables) if digits is None else sorted(set(digits))
-    if chosen and not 0 <= chosen[0] <= chosen[-1] < n_variables:
-        raise ValueError(f"digits {chosen} outside 0..{n_variables - 1}")
     draws = table.shape[1:]
     rows = table.reshape(table.shape[0], -1)
     m, width = _chunk_digits(n_variables, k), rows.shape[1]
     half = sum(k**i * width < k ** (m // 2) for i in range(m // 2))
-    # the piece's digits scanned as stored, and on the copy, where digit i
-    # of the piece is digit m - half + i
-    stored = [i for i in range(half, m) if i in chosen]
-    moved = tuple(m - half + i for i in range(half) if i in chosen)
     # transposed pieces and slabs share one buffer; a table of one piece
     # whose runs are all long (figure1's blocks of draws) needs neither
-    copy = _line_aligned(k**m * width if moved or chosen and chosen[-1] >= m else 0)
+    copy = _line_aligned(k**m * width if half or m < n_variables else 0)
     spread = _line_aligned(k ** (m - 1) * width)
-    # every chosen digit is scanned once per piece's worth of rows, for
+    # every outcome digit is scanned once per piece's worth of rows, for
     # each of the k(k - 1)/2 pairs of its values
-    peaks = np.empty((k ** (n_variables - m) * len(chosen) * (k * (k - 1) // 2), width))
+    peaks = np.empty((k ** (n_variables - m) * n_variables * (k * (k - 1) // 2), width))
     plans, scans = {}, iter(peaks)
 
     def scan(views: list) -> None:
@@ -120,30 +110,26 @@ def _one_flip_range(table: np.ndarray, n_variables: int, k: int, digits=None) ->
             np.abs(out, out=out)
             np.maximum.reduce(out, axis=(0, 1), out=next(scans))
 
-    def copy_views(upper: tuple) -> list:
-        # the buffer's views of its digits ``upper``, counted as in a piece
+    def copy_views(upper: int) -> list:
         if upper not in plans:
             plans[upper] = _flip_views(copy, m, k, upper, spread)
         return plans[upper]
 
-    for start in range(0, len(rows), k**m) if stored or moved else ():
+    for start in range(0, len(rows), k**m):
         part = rows[start:start + k**m]
-        scan(_flip_views(part, m, k, stored, spread))
-        if moved:
+        scan(_flip_views(part, m, k, m - half, spread))
+        if half:
             np.copyto(copy.reshape(k**half, -1, width),
                       part.reshape(-1, k**half, width).transpose(1, 0, 2))
-            scan(copy_views(moved))
+            scan(copy_views(half))
     for low in range(m, n_variables, m - half):
         upper = min(m - half, n_variables - low)
-        picked = tuple(m - upper + i - low for i in range(low, low + upper) if i in chosen)
-        if not picked:
-            continue
         run = k ** (m - upper)
         slab = copy.reshape(k**upper, run, width)
         for group in rows.reshape(-1, k**upper, k**low, width):
             for start in range(0, k**low, run):
                 np.copyto(slab, group[:, start:start + run])
-                scan(copy_views(picked))
+                scan(copy_views(upper))
     return np.maximum.reduce(peaks, axis=0, initial=0.0).reshape(draws)
 
 
@@ -186,27 +172,73 @@ def delta_n(model: FoesModel) -> float:
     symmetry the maximum signed log-ratio equals the maximum absolute one.
     Zero exactly for uniform models.
 
-    A model with ``flip_bounds`` has its variables of largest bound (every
-    one tied there) scanned first, which gives a maximum L, and then, in one
-    more scan, only the other variables whose bound exceeds L, so no
-    variable is read twice. Those left out cannot exceed L, and a float
-    maximum does not depend on the order it is taken in, so the result is
-    the full scan's bit for bit. Only the joint RBM has bounds (see
-    ``zoo._joint_flip_bounds``); at the 14 + 10 cap it reads one of the 24
-    variables, 20-60 ms against about 0.3 s for all of them (2-vCPU host;
-    a variable below the middle of a chunk costs the most, as it is read
-    from a transposed copy). A linear family's bounds would be
-    equal across variables and prune nothing. The RBM marginal's
-    log(2 cosh) rounding would need its own analysis, so it has none.
+    A model with an ``envelope`` (the joint RBM) is read by pieces: each
+    row of its grid for the flips of a column digit, each column for the
+    flips of a row digit, so every one-flip pair lies in exactly one piece.
+    The piece of largest bound is read first, which gives a spread L; then,
+    run by run in index order, only the other pieces whose bound exceeds
+    L - slack, L the largest spread read so far, since no other can exceed
+    L. No piece is read twice, and a float maximum does not depend on the
+    order it is taken in, so the result is the full scan's bit for bit. At
+    the 14 + 10 cap it reads one piece (a column of 2^10 entries on the
+    seeds tried) in well under a millisecond, against about 0.3 s for the
+    full scan of the 2^24 table. Every other model takes the full scan.
     """
     table, n, k = model.scores(), model.n_variables, model.space.alphabet_size
-    bounds = model.flip_bounds
-    if bounds is None:
+    envelope = model.envelope()
+    if envelope is None:
         return float(_one_flip_range(table, n, k))
-    top = bounds == bounds.max()
-    reached = float(_one_flip_range(table, n, k, np.flatnonzero(top)))
-    rest = np.flatnonzero((bounds > reached) & ~top)
-    return max(reached, float(_one_flip_range(table, n, k, rest)))
+    grid, slack = table.reshape(2**envelope.row_digits, -1), envelope.slack
+    # a row piece flips column digits, a column piece row digits; a grid of
+    # one row (no hiddens) has no row digits to flip
+    sides = [(0, envelope.row_runs, envelope.row_summary[:, 2],
+              lambda run: envelope.rows(run)[2])]
+    if envelope.row_digits:
+        sides.append((1, envelope.column_runs, envelope.column_summary, envelope.columns))
+    first_axis, runs, summary, bounds = max(sides, key=lambda side: side[2].max())
+    run = runs[int(np.argmax(summary))]
+    limits = bounds(run)
+    first = run.start + int(np.argmax(limits))
+    reached = _read_pieces(grid, slack, first_axis, np.array([first]),
+                           limits[[first - run.start]])
+    for axis, runs, summary, bounds in sides:
+        for run, top in zip(runs, summary):
+            # a piece can beat L only if its bound exceeds L - slack, rounded down
+            beaten = -_float_above(Fraction(slack) - Fraction(reached))
+            if top <= beaten:
+                continue
+            limits = bounds(run)
+            mask = limits > beaten
+            if axis == first_axis and run.start <= first < run.stop:
+                mask[first - run.start] = False
+            if mask.any():
+                reached = max(reached, _read_pieces(grid, slack, axis,
+                                                    np.flatnonzero(mask) + run.start, limits[mask]))
+    return reached
+
+
+def _read_pieces(grid: np.ndarray, slack: float, axis: int, pieces: np.ndarray,
+                 bounds: np.ndarray) -> float:
+    """Largest flip spread of the rows (axis 0) or columns (axis 1) ``pieces``
+    of ``grid``; each must lie within ``slack`` of its bound, or
+    CertificateError is raised (code, not an ``assert``)."""
+    spreads = _piece_spreads(grid, axis, pieces)
+    if not np.all(np.abs(spreads - bounds) <= slack):
+        raise CertificateError("a one-flip spread lies outside its certified envelope")
+    return float(spreads.max())
+
+
+def _piece_spreads(grid: np.ndarray, axis: int, pieces: np.ndarray) -> np.ndarray:
+    """``_one_flip_range`` of each row (axis 0) or column (axis 1) of ``grid``
+    in ``pieces``, over its own index digits, a batch of at most a chunk of
+    entries per call (``core._batches``), the pieces as its draws."""
+    lines = grid if axis == 0 else grid.T
+    digits = lines.shape[1].bit_length() - 1
+    spreads, at = np.empty(len(pieces)), 0
+    for batch, block in _batches(lines, pieces):
+        spreads[at:at + len(batch)] = _one_flip_range(block.T, digits, 2)
+        at += len(batch)
+    return spreads
 
 
 def instability_report(model: FoesModel) -> InstabilityReport:

@@ -30,10 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .core import CertificateError, DEFAULT_ENUMERATION_BUDGET, _check_finite, _chunks
+from .core import (CertificateError, DEFAULT_ENUMERATION_BUDGET, _check_finite, _chunks,
+                   _float_above, _gamma)
 from .metrics import PathThresholds, _check_path_sizes, classify_trend
 from .zoo import RbmParams, _first_layer, _rbm_marginal_scores, rbm_joint_score
 
@@ -58,10 +60,11 @@ def hidden_absum(fields: np.ndarray) -> np.ndarray:
 
 
 def _spans(biases: tuple, weights: tuple, x) -> tuple:
-    """(x.theta_v -/+ b(x), b(x)) over the rows or aligned run ``_first_layer`` takes."""
+    """(x.theta_v -/+ b(x), b(x), |f_j|) over the rows or aligned run
+    ``_first_layer`` takes; |f_j| is the (n_1, m) stack of field magnitudes."""
     first = _first_layer(biases, weights, x)
     b = hidden_absum(first[1:])
-    return first[0] - b, first[0] + b, b
+    return first[0] - b, first[0] + b, b, first[1:]
 
 
 def visible_extremes_by_hidden(params: RbmParams, h) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +83,7 @@ def _run_extremes(params: RbmParams) -> list:
     each aligned run reduced to one row, then the rows, the earliest run winning a tie."""
     rows = []
     for h in _chunks(2**params.n_hidden):
-        lo, hi, a = _spans((params.hidden, params.visible), (params.interaction.T,), h)
+        lo, hi, a, _ = _spans((params.hidden, params.visible), (params.interaction.T,), h)
         star = int(np.argmax(lo))
         rows.append((a.max(), hi.max(), a.min(), lo.min(), lo[star], a[star]))
     rows = np.array(rows)
@@ -117,10 +120,10 @@ def bounds_report(params: RbmParams,
                   budget: int = DEFAULT_ENUMERATION_BUDGET) -> RbmBoundsReport:
     """Compute the bound quantities, checking every proven inequality.
 
-    Checked (tolerance 1e-9 for float noise): B >= |theta_v|_1; the joint
-    sandwich 2B + 2|theta_h|_1 >= joint LREP >= 2 max{B, |theta_h|_1};
-    2B >= a_n_hidden_first >= a_n; a_n_hidden_first >= max{C, B - 2|theta_h|_1};
-    |marginal LREP - a_n| <= n_hidden ln 2. A violation raises
+    Checked, each up to max(1e-9, its rounding slack; see ``_assert_proven``):
+    B >= |theta_v|_1; the joint sandwich 2B + 2|theta_h|_1 >= joint LREP >=
+    2 max{B, |theta_h|_1}; 2B >= a_n_hidden_first >= a_n; a_n_hidden_first >=
+    max{C, B - 2|theta_h|_1}; |marginal LREP - a_n| <= n_hidden ln 2. A violation raises
     CertificateError. The lower chain links are NOT checked for a_n itself
     (they can fail; see the module docstring). Each visible run builds
     ``_first_layer``'s fields once: x.theta_v + b(x) for a_n, then the same
@@ -158,29 +161,48 @@ def bounds_report(params: RbmParams,
 
 
 def _assert_proven(r: RbmBoundsReport) -> None:
+    """Raise CertificateError unless every proven inequality holds on ``r``,
+    each up to max(``_TOL``, the report's rounding slack).
+
+    Every report value is a rounded sum of the score's terms theta_v_i x_i,
+    theta_h_j h_j and W_ji x_i h_j, whose magnitudes total T = |theta_v|_1 +
+    |theta_h|_1 + |W|_1, and, for the marginal LREP, of n_hidden log1p terms
+    below ln 2, taken as a difference of two such sums. So its exact terms
+    total at most 2 (T + n_hidden), and each passes through at most N + 4
+    rounded steps (a field, a sum of magnitudes or of log 2cosh terms, the
+    bias sum, the log1p and exp steps, the difference), N = n_visible +
+    n_hidden: each value is within gamma_(N+4) 2 (T + n_hidden) of exact
+    (``core._gamma``). A check weighs at most five values (2B + 2|theta_h|_1
+    against the joint LREP) and rounds at most three times on its own, so
+    16 gamma_(N+4) (T + n_hidden), rounded up, covers it. While that stays
+    under ``_TOL`` (T below about 2e4 at N = 24) no verdict moves.
+    """
     # overflowing parameters are bad input, not a violated certificate
     _check_finite(np.array([v for v in astuple(r) if v is not None], dtype=np.float64))
+    magnitude = (Fraction(r.visible_l1) + Fraction(r.hidden_l1) + Fraction(r.interaction_l1)
+                 + r.n_hidden)
+    tol = max(_TOL, _float_above(16 * _gamma(r.n_visible + r.n_hidden + 4) * magnitude))
     checks = []
     if r.b_n is not None:
         checks += [
-            (r.b_n >= r.visible_l1 - _TOL, "B >= |theta_v|_1"),
-            (2 * r.b_n + 2 * r.hidden_l1 >= r.lrep_joint - _TOL,
+            (r.b_n >= r.visible_l1 - tol, "B >= |theta_v|_1"),
+            (2 * r.b_n + 2 * r.hidden_l1 >= r.lrep_joint - tol,
              "2B + 2|theta_h|_1 >= joint LREP"),
-            (r.lrep_joint >= 2 * max(r.b_n, r.hidden_l1) - _TOL,
+            (r.lrep_joint >= 2 * max(r.b_n, r.hidden_l1) - tol,
              "joint LREP >= 2 max{B, |theta_h|_1}"),
-            (r.a_n_hidden_first <= 2 * r.b_n + _TOL, "2B >= a_n_hidden_first"),
-            (r.a_n_hidden_first >= max(r.c_n, r.b_n - 2 * r.hidden_l1) - _TOL,
+            (r.a_n_hidden_first <= 2 * r.b_n + tol, "2B >= a_n_hidden_first"),
+            (r.a_n_hidden_first >= max(r.c_n, r.b_n - 2 * r.hidden_l1) - tol,
              "a_n_hidden_first >= max{C, B - 2|theta_h|_1}"),
-            (r.a_n_hidden_first >= r.lower_witness - _TOL,
+            (r.a_n_hidden_first >= r.lower_witness - tol,
              "a_n_hidden_first >= lower_witness"),
-            (r.lower_witness >= r.c_n - _TOL, "lower_witness >= C"),
+            (r.lower_witness >= r.c_n - tol, "lower_witness >= C"),
         ]
     if r.a_n is not None:
         if r.b_n is not None:
-            checks += [(2 * r.b_n >= r.a_n - _TOL, "2B >= a_n"),
-                       (r.a_n_hidden_first >= r.a_n - _TOL,
+            checks += [(2 * r.b_n >= r.a_n - tol, "2B >= a_n"),
+                       (r.a_n_hidden_first >= r.a_n - tol,
                         "a_n_hidden_first >= a_n")]
-        checks.append((abs(r.lrep_marginal - r.a_n) <= r.n_h_log2 + _TOL,
+        checks.append((abs(r.lrep_marginal - r.a_n) <= r.n_h_log2 + tol,
                        "marginal LREP must track a_n within n_hidden ln 2"))
     violated = [label for holds, label in checks if not holds]
     if violated:

@@ -8,6 +8,7 @@ and deep Boltzmann machines as the RBM between their even and odd layers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from .core import (
     _CHUNK_OUTCOMES,
     DEFAULT_ENUMERATION_BUDGET,
     FoesModel,
+    GridEnvelope,
     OutcomeSpace,
     _chunk_digits,
     _chunks,
@@ -485,27 +487,31 @@ class _VisibleRuns(FoesModel):
         return table.reshape(-1)
 
 
-def _joint_flip_bounds(params: RbmParams) -> np.ndarray:
-    """Per-variable bounds on a joint table's one-flip spreads, as it rounds.
+def _joint_envelope(params: RbmParams) -> GridEnvelope | None:
+    """``make_rbm_joint``'s grid envelope, or None where a sum could overflow."""
+    from .rbm_bounds import _spans  # rbm_bounds imports this module
 
-    Flipping visible i moves the exact score s by 2 x_i (theta_v_i + (hW)_i),
-    flipping hidden j by 2 h_j (theta_h_j + (Wx)_j), so no flip of i moves s
-    by more than U_i = 2 (|theta_i| + sum of |W| on i's row or column). The
-    table sums every term of s (theta_v_i x_i, theta_h_j h_j and
-    W_ji x_i h_j, each product exact) through at most N = n_visible +
-    n_hidden rounded additions: n_visible in ``_first_layer``, n_hidden in the
-    ``_signed_sums`` grid. So each entry is within gamma_N * T of s, with T
-    = |theta_v|_1 + |theta_h|_1 + |W|_1, and two entries one flip of i apart
-    differ by at most U_i + 2 gamma_N T. That holds also for their rounded
-    difference: rounding is monotone and the bound, found in exact rationals,
-    is rounded up to a float.
-    """
-    exact = np.vectorize(Fraction, otypes=[object])
-    w = exact(np.abs(params.interaction))  # (n_hidden, n_visible)
-    unit = np.concatenate((exact(np.abs(params.visible)) + w.sum(axis=0),
-                           exact(np.abs(params.hidden)) + w.sum(axis=1)))
-    slack = 2 * _gamma(len(unit)) * (sum(unit) - w.sum())  # sum(unit) counts |W|_1 twice
-    return np.array([_float_above(2 * u + slack) for u in unit])
+    n = params.n_visible + params.n_hidden
+    try:
+        magnitude = math.fsum(np.abs(np.concatenate(
+            (params.visible, params.hidden, params.interaction.ravel()))))
+    except OverflowError:
+        return None
+    total = Fraction(magnitude) * (1 + _gamma(1))  # fsum rounds once
+    if _float_above(2 * (1 + _gamma(n + 1)) * total) == math.inf:
+        return None
+    transposed = ((params.hidden, params.visible), (params.interaction.T,))
+    coupled = ((params.visible, params.hidden), (params.interaction,))
+
+    def rows(h: slice) -> tuple:
+        low, high, _, fields = _spans(*transposed, h)
+        return high, low, 2 * fields.max(axis=0, initial=0.0)
+
+    def columns(x: slice) -> np.ndarray:
+        return 2 * _spans(*coupled, x)[3].max(axis=0, initial=0.0)
+
+    slack = _float_above(2 * (_gamma(n) + _gamma(n + 1)) * total)
+    return GridEnvelope.summarize(params.n_hidden, params.n_visible, slack, rows, columns)
 
 
 def make_rbm_joint(params: RbmParams,
@@ -514,7 +520,36 @@ def make_rbm_joint(params: RbmParams,
 
     Outcome vectors concatenate the visibles first, then the hiddens; the
     table is rbm_joint_score's grid of all hiddens against one visible run.
-    The model carries ``_joint_flip_bounds`` as its ``flip_bounds``.
+
+    Its ``envelope()`` bounds that grid, row h against column x, in closed
+    form. Row h scores s(x, h) = h.theta_h + x.phi(h), with
+    phi_i(h) = theta_v_i + (W^T h)_i, so its max and min are
+    h.theta_h +/- sum_i |phi_i(h)|, and flipping visible i moves it by
+    exactly 2 |phi_i(h)|; in column x, flipping hidden j moves s by exactly
+    2 |f_j(x)|, f_j(x) = theta_h_j + (W x)_j. The bounds are those closed
+    forms as ``rbm_bounds._spans`` computes them, per run of one chunk: the
+    transposed RBM's fields over the hidden run, the RBM's over the visible
+    run, so no grid call is made and ``score_fn`` is never called.
+
+    Slack. Each table entry sums the terms theta_v_i x_i, theta_h_j h_j and
+    W_ji x_i h_j, each product exact, through at most N = n_visible +
+    n_hidden rounded additions (n_visible in ``_first_layer``, n_hidden in
+    the ``_signed_sums`` grid). So it is within gamma_N T of the exact
+    score, with T = |theta_v|_1 + |theta_h|_1 + |W|_1 (Higham 2002, Lemma
+    3.1 and ch. 4; ``core._gamma``). A computed row bound passes each term
+    through at most N + 1 additions: phi_i or f_j (n_hidden or n_visible),
+    the sum of magnitudes, and the bias sum's last addition; |.| and the
+    doubling are exact. So it is within gamma_(N+1) T of its closed form,
+    and a row's max or min is within (gamma_N + gamma_(N+1)) T of its bound.
+    A flip difference is within 2 gamma_N T of exact before its own rounding,
+    which adds at most u (2T + 2 gamma_N T), and the bound 2 |phi_i| is within
+    2 gamma_(N-1) T of exact; since gamma_(N-1) + u (1 + gamma_N) <=
+    gamma_(N+1), every spread is within sigma = 2 (gamma_N + gamma_(N+1)) T
+    of its bound. sigma is found in exact rationals from T rounded up
+    (``math.fsum`` rounds once, so T <= fsum (1 + gamma_1)) and rounded up
+    once to a float. Where 2 (1 + gamma_(N+1)) T passes the largest float, a
+    sum or a difference could overflow, and the model has no envelope: it
+    takes the full argmax and argmin, which reject an infinite score.
     """
     nv, nh = params.n_visible, params.n_hidden
 
@@ -526,7 +561,7 @@ def make_rbm_joint(params: RbmParams,
         block[...] = rbm_joint_score(params, x, slice(0, 2**nh), out=block)
 
     model = _VisibleRuns(nv + nh, nv, score_fn, fill, "rbm_joint", budget)
-    model.flip_bounds = _joint_flip_bounds(params)
+    model.envelope = functools.cache(lambda: _joint_envelope(params))
     return model
 
 

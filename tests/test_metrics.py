@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from foeslab import (
     modal_set,
     standardized_log_prob,
 )
-from foeslab.core import CertificateError, _chunk_digits, _one_flip_shape
+from foeslab.core import CertificateError, _chunk_digits, _float_above, _one_flip_shape
 from foeslab.metrics import ParameterPath, PathThresholds, _line_aligned, _one_flip_range
 
 
@@ -620,21 +621,26 @@ def test_one_flip_range_allocates_one_and_a_half_chunks():
 
 @st.composite
 def bounded_joint_rbms(draw):
-    """(params, chunk) of joint RBMs of 1-10 visibles and 0-8 hiddens at
-    scales 1e-3 to 1e12: normal draws, exact ties, W = 0, scattered signed
-    zeros, or every parameter a signed zero. Patched chunks of 4 and 16 run
-    on at most 2^12 outcomes, where a scan's pieces stay few."""
+    """(params, chunk) of joint RBMs of 1-10 visibles and 0-8 hiddens, or of
+    more hiddens than visibles (1-5 and up to 10), at scales 1e-3 to 1e12:
+    normal draws, exact ties, W = 0, scattered signed zeros, or every
+    parameter a signed zero. Patched chunks of 4 and 16 run on at most 2^12
+    outcomes, where a scan's pieces stay few."""
     chunk = draw(st.sampled_from([None, 4, 16]))
-    nv = draw(st.integers(1, 10))
-    nh = draw(st.integers(0, 8 if chunk is None else min(8, 12 - nv)))
+    if draw(st.booleans()):
+        nv = draw(st.integers(1, 5))
+        nh = draw(st.integers(nv + 1, 10 if chunk is None else 12 - nv))
+    else:
+        nv = draw(st.integers(1, 10))
+        nh = draw(st.integers(0, 8 if chunk is None else min(8, 12 - nv)))
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e6, 1e12]))
     kind = draw(st.sampled_from(["normal", "ties", "uncoupled", "signed_zeros", "zero"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     v, h, w = (rng.normal(size=size) * scale for size in (nv, nh, (nh, nv)))
     signs = lambda size: rng.choice([-1.0, 1.0], size=size)
     if kind == "ties":
-        # equal |biases| and equal coupling columns: every visible has one
-        # bound and every hidden another
+        # equal |biases| and equal coupling columns: rows and columns tie in
+        # pairs and runs
         v, h, w = v[0] * signs(nv), h[:1] * signs(nh), np.repeat(w[:, :1], nv, axis=1)
     elif kind == "uncoupled":
         w = 0.0 * signs((nh, nv))
@@ -645,55 +651,116 @@ def bounded_joint_rbms(draw):
     return RbmParams(v, h, w), chunk
 
 
+def flip_spreads(lines: np.ndarray) -> np.ndarray:
+    """Oracle: each row's largest max - min over pairs one digit apart."""
+    digits = lines.shape[1].bit_length() - 1
+    spreads = np.zeros(len(lines))
+    for i in range(digits):
+        pair = lines.reshape(len(lines), -1, 2, 2**i)
+        spread = pair.max(axis=2) - pair.min(axis=2)
+        spreads = np.maximum(spreads, spread.max(axis=(1, 2)))
+    return spreads
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=bounded_joint_rbms())
 @example(case=(RbmParams(-0.0 * np.ones(10), np.zeros(8), np.zeros((8, 10))), None))
 @example(case=(RbmParams(np.full(10, 1e12), np.full(8, -1e12), np.full((8, 10), 3e11)), None))
-def test_pruned_delta_n_is_the_full_scan_and_each_bound_holds(case):
-    # the pruned scan skips only digits whose bound cannot beat what it read,
-    # so it returns the full scan's bits; its first call reads every digit
-    # tied at the largest bound, so no digit is read twice; each bound holds
-    # on its own digit
+@example(case=(RbmParams(np.full(2, 0.5), np.zeros(10), np.full((10, 2), 0.25)), None))
+# both rows peak at 1.807 in exact arithmetic and in the table, but their
+# bounds round an ulp apart, the higher in row 1: row 0 must still be read
+@example(case=(RbmParams([0.903, 0.904], [0.0], [[-0.206, 0.206]]), None))
+def test_enveloped_reads_are_the_full_pass_and_each_bound_holds(case):
+    # the envelope route reads only rows and columns whose bound can reach
+    # the answer, so it returns the full pass's extremes and delta_N bit for
+    # bit; its first read is the piece of largest bound, no piece is read
+    # twice, and every row or piece it leaves out is certified not to hold
+    # the answer
     params, chunk = case
-    calls, scan = [], foeslab.metrics._one_flip_range
+    calls, rows_read, cut = [], [], foeslab.core._batches
 
-    def counted(table, n_variables, k, digits=None):
-        calls.append(list(range(n_variables) if digits is None else digits))
-        return scan(table, n_variables, k, digits)
+    def batches(lines, picked):
+        rows_read.extend(picked.tolist())
+        return cut(lines, picked)
+
+    def counted(grid, axis, pieces):
+        calls.extend((axis, int(p)) for p in pieces)
+        return spreads(grid, axis, pieces)
 
     with pytest.MonkeyPatch.context() as patch:
         if chunk is not None:
             patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
         model = make_rbm_joint(params)
+        patch.setattr(foeslab.core, "_batches", batches)
         table, n = model.scores(), model.n_variables
-        patch.setattr(foeslab.metrics, "_one_flip_range", counted)
-        assert delta_n(model).hex() == float(scan(table, n, 2)).hex()
-        read, bounds = sum(calls, []), model.flip_bounds
-        assert len(read) == len(set(read))
-        assert calls[0] == np.flatnonzero(bounds == bounds.max()).tolist()
-        for i, bound in enumerate(model.flip_bounds):
-            assert float(_one_flip_range(table, n, 2, [i])) <= bound, i
+        assert model.extreme_indices() == (int(np.argmax(table)), int(np.argmin(table)))
+        spreads = foeslab.metrics._piece_spreads
+        patch.setattr(foeslab.metrics, "_piece_spreads", counted)
+        got = delta_n(model)
+        assert got.hex() == float(_one_flip_range(table, n, 2)).hex()
+        envelope = model.envelope()
+        upper, lower, row_flip = (np.concatenate(side)
+                                  for side in zip(*map(envelope.rows, envelope.row_runs)))
+        column_flip = np.concatenate([envelope.columns(run) for run in envelope.column_runs])
+    # every row's max and min and every row or column spread lies within its envelope
+    grid, slack = table.reshape(2**params.n_hidden, -1), envelope.slack
+    for read, bound in ((grid.max(axis=1), upper), (grid.min(axis=1), lower),
+                        (flip_spreads(grid), row_flip), (flip_spreads(grid.T), column_flip)):
+        assert np.all(np.abs(read - bound) <= slack)
+    # a row left out has max + slack below max(upper) - slack, and min -
+    # slack above min(lower) + slack, in exact rationals
+    skipped = np.ones(len(grid), dtype=bool)
+    skipped[rows_read] = False
+    assert len(rows_read) == len(set(rows_read))
+    top = _float_above(Fraction(float(upper.max())) - 2 * Fraction(slack))
+    bottom = -_float_above(2 * Fraction(slack) - Fraction(float(lower.min())))
+    assert np.all((upper[skipped] < top) & (lower[skipped] > bottom))
+    bounds = np.concatenate([row_flip] + [column_flip] * (params.n_hidden > 0))
+    first = int(np.argmax(bounds))
+    side = int(first >= len(row_flip))
+    assert calls[0] == (side, first - side * len(row_flip))
+    assert len(calls) == len(set(calls))
+    # a piece left out has bound + slack <= delta_N, in exact rationals
+    cap = -_float_above(Fraction(slack) - Fraction(got))
+    read = np.zeros(len(bounds), dtype=bool)
+    read[[p + axis * len(row_flip) for axis, p in calls]] = True
+    assert np.all(bounds[~read] <= cap)
 
 
-@pytest.mark.parametrize("digits", [[], [0], [3], [5, 1], [6, 7], [0, 4, 8], range(9)])
-@pytest.mark.parametrize("draws", [(), (3,)])
-def test_one_flip_range_of_a_digit_subset_is_the_max_over_its_digits(digits, draws):
-    # chunks of 2^4 rows: the low digits on the transposed copy (two, or one
-    # with 3 draws), the rest of the piece as stored, digits 4-8 in slab groups
-    table = np.random.default_rng(len(digits)).standard_normal((2**9, *draws))
+@pytest.mark.parametrize("params", [
+    RbmParams([1e308, 1e308], [0.5], [[0.25, -0.5]]),
+    RbmParams([1e308], [-1e308], [[1e308]]),
+])
+def test_overflowing_joint_rbm_takes_the_full_pass(params):
+    # 2(1 + gamma) T passes the largest float, so there is no envelope, and
+    # the full argmax/argmin rejects the infinite scores as every model does
+    model = make_rbm_joint(params)
+    assert model.envelope() is None
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+        model.scores()
 
-    def spread(i):
-        block = table.reshape(*_one_flip_shape(9, 2, i), *draws)
-        return (block.max(axis=1) - block.min(axis=1)).max(axis=(0, 1))
 
-    want = np.maximum.reduce([np.zeros(draws)] + [spread(i) for i in digits])
+@pytest.mark.parametrize("pieces", [[], [0], [3], [5, 1], [6, 7], [0, 4, 8, 15], range(16)])
+@pytest.mark.parametrize("chunk", [2**4, 2**8])
+def test_piece_spreads_are_the_max_over_each_row_or_column(pieces, chunk):
+    # a 16 x 32 grid: at chunks of 2^4 each row and column is read alone, at
+    # 2^8 rows go eight and columns sixteen to a batch, in place where they
+    # are consecutive and gathered where not
+    grid = np.random.default_rng(len(pieces)).standard_normal((16, 32))
+    pieces = np.array(pieces, dtype=np.intp)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", 2**4)
-        assert _one_flip_range(table, 9, 2, digits).tobytes() == want.tobytes()
-        assert _one_flip_range(table, 9, 2, range(9)).tobytes() == \
-            _one_flip_range(table, 9, 2).tobytes()
-    with pytest.raises(ValueError, match="outside"):
-        _one_flip_range(table, 9, 2, [9])
+        patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
+        rows = foeslab.metrics._piece_spreads(grid, 0, pieces)
+        columns = foeslab.metrics._piece_spreads(grid, 1, pieces)
+        every = [foeslab.metrics._piece_spreads(grid, axis, np.arange(size))
+                 for axis, size in ((0, 16), (1, 32))]
+    assert rows.tobytes() == flip_spreads(grid)[pieces].tobytes()
+    assert columns.tobytes() == flip_spreads(grid.T)[pieces].tobytes()
+    # every one-flip pair lies in one row or one column
+    assert max(every[0].max(), every[1].max()) == float(_one_flip_range(grid.ravel(), 9, 2))
+    # a piece past the grid is no piece: read in place it is an empty slice
+    with pytest.raises(ValueError):
+        foeslab.metrics._piece_spreads(grid, 0, np.array([16]))
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 2**15])

@@ -1,5 +1,6 @@
 """RBM bound quantities: closed forms, proven chains, and the one false link."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -324,6 +325,22 @@ try:
     metrics.graph_lower_bound(GraphModelSpec(4, params=(0.0, 1.0, 0.0)))
 except CertificateError:
     print("graph")
+# the joint RBM's envelope checks each row and piece it reads
+import foeslab.zoo as zoo
+from foeslab import delta_n, make_rbm_joint
+params = RbmParams([1.0, -0.5], [0.3], [[0.7, -1.1]])
+model = make_rbm_joint(params)
+model.scores()[:] *= 1 + 1e-6
+try:
+    delta_n(model)
+except CertificateError:
+    print("delta")
+joint_score = zoo.rbm_joint_score
+zoo.rbm_joint_score = lambda *args, **kwargs: joint_score(*args, **kwargs) * (1 + 1e-6)
+try:
+    make_rbm_joint(params).scores()
+except CertificateError:
+    print("extremes")
 """
 
 
@@ -333,7 +350,8 @@ def test_certificates_survive_python_O():
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-O", "-c", CERTIFICATES_UNDER_O],
                           capture_output=True, text=True, env=env, timeout=120)
-    assert proc.stdout.split() == ["1", "True", "rbm", "graph"], proc.stderr
+    assert proc.stdout.split() == ["1", "True", "rbm", "graph", "delta", "extremes"], \
+        proc.stderr
 
 
 def test_finite_violation_is_a_certificate_error(monkeypatch):
@@ -348,6 +366,59 @@ def test_finite_violation_is_a_certificate_error(monkeypatch):
 def test_overflow_is_bad_input_not_a_certificate_error():
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
         bounds_report(RbmParams([1e308, 1e308], [0.3], [[0.7, 0.2]]))
+
+
+ROUNDING_CASE = [
+    "bounds", "--n-visible", "9", "--n-hidden", "2",
+    "--theta-v=175338411.752,-11129219.319,-68856494.763,14425708.806,-19141133.048,"
+    "85214226.421,3392818.244,1374958.362,-71457972.103",
+    "--theta-h=46956809.875,-103386672.235", "--theta-vh=" + ",".join(["0"] * 18),
+]
+
+
+def test_rounding_alone_is_no_violated_bound(capsys):
+    # with W = 0, B = |theta_v|_1 in algebra; the two sums round apart at
+    # 1.8e8, which a fixed 1e-9 read as a violated bound (exit 2)
+    from foeslab.cli import main
+
+    assert main(ROUNDING_CASE) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "0,9,2,450330942.818,150343482.11,0.0,900661885.6359999,450330942.81799996,"
+        "450330942.81799996,1201348849.856,900661885.6359999,900661885.6359999,"
+        "900661885.6359999,1.3862943611198906")
+
+
+@st.composite
+def scaled_rbms(draw):
+    """RbmParams of 1-10 visibles and 0-6 hiddens at scales 1 to 1e12, with
+    W = 0 (where B = |theta_v|_1 and several links are equalities) or not."""
+    n, nh = draw(st.integers(1, 10)), draw(st.integers(0, 6))
+    scale = draw(st.sampled_from([1.0, 1e3, 1e6, 1e7, 1e8, 1e10, 1e12]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coupled = draw(st.booleans())
+    return RbmParams(rng.standard_normal(n) * scale, rng.standard_normal(nh) * scale,
+                     rng.standard_normal((nh, n)) * scale * coupled)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(params=scaled_rbms())
+def test_no_spurious_violation_at_any_scale(params):
+    bounds_report(params)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8])
+@pytest.mark.parametrize("field, factor", [("b_n", 1 - 1e-6), ("a_n", 1 + 1e-6),
+                                           ("a_n_hidden_first", 1 + 1e-6)])
+def test_a_bound_shifted_by_a_millionth_still_raises(scale, field, factor):
+    # with W = 0 the links B >= |theta_v|_1, 2B >= a_n, 2B >= a_n_hidden_first
+    # and a_n_hidden_first >= a_n are equalities, so a shift of 1e-6 of one
+    # side must break one, far above the rounding slack
+    rng = np.random.default_rng(7)
+    report = bounds_report(RbmParams(rng.standard_normal(8) * scale,
+                                     rng.standard_normal(3) * scale, np.zeros((3, 8))))
+    shifted = dataclasses.replace(report, **{field: getattr(report, field) * factor})
+    with pytest.raises(CertificateError, match="proven bound violated"):
+        _assert_proven(shifted)
 
 
 # The parent's BLAS route, verbatim but for a blas_ prefix on each name: the
@@ -605,7 +676,7 @@ def parent_aligned_runs(n: int):
 def parent_run_extremes(biases: tuple, weights: tuple) -> list:
     rows = []
     for x in parent_aligned_runs(biases[0].size):
-        lo, hi, b = _spans(biases, weights, x)
+        lo, hi, b, _ = _spans(biases, weights, x)
         star = int(np.argmax(lo))
         rows.append((b.max(), hi.max(), b.min(), hi.min(), lo.min(), lo[star], b[star]))
     rows = np.array(rows)

@@ -774,20 +774,21 @@ def test_joint_table_at_the_budget_cap_is_pinned():
     assert (scores.argmax(), scores.argmin()) == (15546342, 13436953)
 
 
-def test_joint_delta_at_the_budget_cap_reads_at_most_two_digits(monkeypatch):
-    # the full scan's value, pinned before the scan was pruned; the bounds
-    # leave one or two of the 24 digits to read, within the allocation bound
-    # of tests/test_metrics.py::test_one_flip_range_allocates_one_and_a_half_chunks
+def test_joint_delta_at_the_budget_cap_reads_at_most_two_pieces(monkeypatch):
+    # the full scan's value, pinned before the scan was pruned; the envelope
+    # leaves one or two rows or columns of the grid to read, within the
+    # allocation bound of
+    # tests/test_metrics.py::test_one_flip_range_allocates_one_and_a_half_chunks
     params, _ = _rbm_case(14, 10, seed=1410)
     model = make_rbm_joint(params)
     table = model.scores()
-    read, scan = [], foeslab.metrics._one_flip_range
+    read, spreads = [], foeslab.metrics._piece_spreads
 
-    def counted(table, n_variables, k, digits=None):
-        read.extend(range(n_variables) if digits is None else digits)
-        return scan(table, n_variables, k, digits)
+    def counted(grid, axis, pieces):
+        read.extend((axis, int(p)) for p in pieces)
+        return spreads(grid, axis, pieces)
 
-    monkeypatch.setattr(foeslab.metrics, "_one_flip_range", counted)
+    monkeypatch.setattr(foeslab.metrics, "_piece_spreads", counted)
     chunk_bytes = foeslab.core._CHUNK_OUTCOMES * table.itemsize
     ufunc_bytes = 2 * np.getbufsize() * table.itemsize
     tracemalloc.start()
@@ -797,8 +798,49 @@ def test_joint_delta_at_the_budget_cap_reads_at_most_two_digits(monkeypatch):
     finally:
         tracemalloc.stop()
     assert got.hex() == "0x1.251bc825f96b7p+4"
-    assert len(read) <= 2
+    assert 1 <= len(read) <= 2
     assert peak <= 1.5 * chunk_bytes + ufunc_bytes + 2**14
+
+
+@pytest.mark.parametrize("nv, nh, coupled", [(1, 23, False), (1, 23, True), (23, 1, True)])
+def test_enveloped_reads_at_the_cap_keep_the_full_pass(nv, nh, coupled, monkeypatch):
+    # theta_h = 0: at 1 + 23 without couplings all 2^23 rows tie, so every
+    # row is read; with couplings the two columns of 2^23 tie. At 23 + 1 the
+    # two rows are longer than a chunk. Each case must give the full pass's
+    # indices and delta_N, read in batches (never a Python step per row),
+    # and hold no array of per-row or per-column bounds
+    rng = np.random.default_rng(nv)
+    params = RbmParams(rng.uniform(-1, 1, nv), np.zeros(nh),
+                       rng.uniform(-1, 1, (nh, nv)) * coupled)
+    model = make_rbm_joint(params)
+    table = model._score_table()
+    want = (int(np.argmax(table)), int(np.argmin(table)),
+            float(foeslab.metrics._one_flip_range(table, 24, 2)).hex())
+    model._score_table = lambda: table
+    batches, cut = [], foeslab.core._batches
+
+    def counted(lines, picked):
+        for batch, block in cut(lines, picked):
+            batches.append(len(batch))
+            yield batch, block
+
+    monkeypatch.setattr(foeslab.core, "_batches", counted)
+    monkeypatch.setattr(foeslab.metrics, "_batches", counted)
+    chunk_bytes = foeslab.core._CHUNK_OUTCOMES * table.itemsize
+    tracemalloc.start()
+    try:
+        got = (*model.extreme_indices(), delta_n(model).hex())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    # at most a chunk of entries a batch and one part batch per run of a
+    # chunk, so two reads of the whole table take at most 2 * 2 * 2^24 /
+    # chunk batches, plus the first piece
+    assert len(batches) <= 2 * 2 * 2**24 // foeslab.core._CHUNK_OUTCOMES + 1
+    # a run's kept bounds, its candidate indices and a batch's temporaries:
+    # at most about ten chunks, against 64 MB for one bound per row or column
+    assert peak <= 12 * chunk_bytes, peak / chunk_bytes
 
 
 def test_joint_lrep_csv_at_the_budget_cap_is_pinned(capsys):
