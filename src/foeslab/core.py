@@ -11,7 +11,6 @@ done on the natural-log scale.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -375,9 +374,10 @@ class FoesModel:
         """Unnormalized log-probabilities of all outcomes, in index order.
 
         The argmax and argmin are found with the table, the lowest index on
-        ties. A model with an ``envelope`` reads them only in the rows that
-        can hold them (``_enveloped_extremes``); any other model takes one
-        full argmax and argmin, which also reject a NaN or infinite score.
+        ties. A model whose ``envelope`` bounds each row reads them only in
+        the rows that can hold them (``_enveloped_extremes``); any other
+        model takes one full argmax and argmin, which also reject a NaN or
+        infinite score.
         """
         if self._scores is None:
             scores = np.asarray(self._score_table(), dtype=np.float64)
@@ -448,54 +448,23 @@ class GridEnvelope:
     """Certified bounds on a score table seen as a grid of 2^row_digits rows,
     each an aligned run of 2^column_digits indices (the low digits).
 
-    ``rows(run)``, for a run of ``row_runs``, gives three arrays: each row's
-    bound on its max, on its min and on its flip spread, the largest
-    |difference| of two of its entries whose indices differ in one column
-    digit. ``columns(run)``, for a run of ``column_runs``, gives each
-    column's bound on its flip spread over the row digits. The table's
-    values, as it rounds, lie within ``slack`` of each bound, on either
-    side. ``row_summary`` holds each row run's largest max, smallest min
-    and largest flip bound, and ``column_summary`` each column run's largest
-    flip bound, so a reader recomputes only the runs it needs and no array
-    of 2^row_digits or 2^column_digits bounds is kept.
+    Two entries one flip apart differ in a column digit, and lie in one row,
+    or in a row digit, and lie in one column. A digit's flip spread is the
+    largest |difference| of two such entries. Row d of ``row_flips`` bounds
+    column digit d's flip spread in each row of the grid, or, where it has
+    one entry, over the whole grid; row d of ``column_flips`` bounds row
+    digit d's in each column, or over the whole grid. ``upper`` and
+    ``lower`` bound each row's max and min, or are None. The table's
+    values, as it rounds, lie within ``slack`` of each bound, on either side.
     """
 
     row_digits: int
     column_digits: int
     slack: float
-    rows: Callable[[slice], tuple]
-    columns: Callable[[slice], np.ndarray]
-    row_runs: tuple
-    row_summary: np.ndarray
-    column_runs: tuple
-    column_summary: np.ndarray
-
-    @classmethod
-    def summarize(cls, row_digits: int, column_digits: int, slack: float,
-                  rows, columns) -> "GridEnvelope":
-        """The envelope of ``rows`` and ``columns``, each run of one chunk
-        reduced to its summary."""
-        rows, columns = _last_run(rows), _last_run(columns)
-        row_runs, column_runs = tuple(_chunks(2**row_digits)), tuple(_chunks(2**column_digits))
-        row_summary = np.array([(top.max(), low.min(), flip.max())
-                                for top, low, flip in map(rows, row_runs)])
-        column_summary = np.array([columns(run).max() for run in column_runs])
-        return cls(row_digits, column_digits, slack, rows, columns,
-                   row_runs, row_summary, column_runs, column_summary)
-
-
-def _last_run(bounds):
-    """``bounds`` of a run, kept for the last run asked: a grid of one run
-    per side (the 2^24 cap) computes each side once."""
-    memo = {}
-
-    def cached(run: slice):
-        if run.start not in memo:
-            memo.clear()
-            memo[run.start] = bounds(run)
-        return memo[run.start]
-
-    return cached
+    upper: np.ndarray | None
+    lower: np.ndarray | None
+    row_flips: np.ndarray
+    column_flips: np.ndarray
 
 
 def _batches(lines: np.ndarray, picked: np.ndarray):
@@ -509,15 +478,26 @@ def _batches(lines: np.ndarray, picked: np.ndarray):
         yield batch, lines[batch[0]:batch[-1] + 1] if consecutive else lines[batch]
 
 
-def _row_reduce(op, block: np.ndarray) -> np.ndarray:
-    """``op`` over each row of a 2-D block; short rows column by column,
-    where numpy's reduce along them runs one short loop per row."""
-    return functools.reduce(op, block.T) if block.shape[1] <= 64 else op.reduce(block, axis=1)
+def _flip_spreads(lines: np.ndarray, digit: int) -> np.ndarray:
+    """Each line's largest |difference| of two entries whose positions differ
+    only in binary digit ``digit``, found half a chunk of pairs at a time."""
+    pairs = lines.reshape(len(lines), -1, 2, 2**digit)
+    size, groups, _, run = pairs.shape
+    run_step = min(run, max(1, _CHUNK_OUTCOMES // 2 // size))
+    group_step = min(groups, max(1, _CHUNK_OUTCOMES // 2 // (size * run_step)))
+    buffer, spreads = np.empty((size, group_step, run_step)), np.zeros(size)
+    for g in range(0, groups, group_step):
+        for r in range(0, run, run_step):
+            piece = pairs[:, g:g + group_step, :, r:r + run_step]
+            diff = np.subtract(piece[:, :, 1], piece[:, :, 0],
+                               out=buffer[:, :piece.shape[1], :piece.shape[3]])
+            np.maximum(spreads, np.abs(diff, out=diff).max(axis=(1, 2)), out=spreads)
+    return spreads
 
 
 def _enveloped_extremes(table: np.ndarray, envelope: GridEnvelope) -> tuple[int, int]:
     """(argmax, argmin) of ``table``, lowest index on ties, read only in rows
-    whose envelope can hold them.
+    whose envelope can hold them; the full pass where rows have no bounds.
 
     Row r's max is within slack s of its bound u_r, so the table's max M is
     at least u_r - s for every r, and a row that holds M has
@@ -530,27 +510,23 @@ def _enveloped_extremes(table: np.ndarray, envelope: GridEnvelope) -> tuple[int,
     read must lie within its envelope, or CertificateError is raised; the
     check is code, not an ``assert``.
     """
-    grid = table.reshape(2**envelope.row_digits, -1)
-    slack = envelope.slack
-    top = _float_above(Fraction(float(envelope.row_summary[:, 0].max())) - 2 * Fraction(slack))
-    bottom = -_float_above(-Fraction(float(envelope.row_summary[:, 1].min())) - 2 * Fraction(slack))
+    upper, lower, slack = envelope.upper, envelope.lower, envelope.slack
+    if upper is None:
+        return _extremes(table)
+    grid = table.reshape(len(upper), -1)
+    top = _float_above(Fraction(float(upper.max())) - 2 * Fraction(slack))
+    bottom = -_float_above(-Fraction(float(lower.min())) - 2 * Fraction(slack))
     best, worst = (-math.inf, -1), (math.inf, -1)
-    for run, (high, low, _) in zip(envelope.row_runs, envelope.row_summary):
-        if high < top and low > bottom:
-            continue
-        upper, lower, _ = envelope.rows(run)
-        picked = np.flatnonzero((upper >= top) | (lower <= bottom)) + run.start
-        for batch, block in _batches(grid, picked):
-            peaks, floors = _row_reduce(np.maximum, block), _row_reduce(np.minimum, block)
-            at = batch - run.start
-            if not (np.all(np.abs(peaks - upper[at]) <= slack)
-                    and np.all(np.abs(floors - lower[at]) <= slack)):
-                raise CertificateError("a score-table row lies outside its certified envelope")
-            r, q = int(np.argmax(peaks)), int(np.argmin(floors))
-            if peaks[r] > best[0]:
-                best = (peaks[r], int(batch[r]) * grid.shape[1] + int(np.argmax(block[r])))
-            if floors[q] < worst[0]:
-                worst = (floors[q], int(batch[q]) * grid.shape[1] + int(np.argmin(block[q])))
+    for batch, block in _batches(grid, np.flatnonzero((upper >= top) | (lower <= bottom))):
+        peaks, floors = block.max(axis=1), block.min(axis=1)
+        if not (np.all(np.abs(peaks - upper[batch]) <= slack)
+                and np.all(np.abs(floors - lower[batch]) <= slack)):
+            raise CertificateError("a score-table row lies outside its certified envelope")
+        r, q = int(np.argmax(peaks)), int(np.argmin(floors))
+        if peaks[r] > best[0]:
+            best = (peaks[r], int(batch[r]) * grid.shape[1] + int(np.argmax(block[r])))
+        if floors[q] < worst[0]:
+            worst = (floors[q], int(batch[q]) * grid.shape[1] + int(np.argmin(block[q])))
     return best[1], worst[1]
 
 

@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .core import (CertificateError, FoesModel, UniformModelError, _batches, _check_finite,
-                   _chunk_digits, _chunks, _float_above, _one_flip_shape, _pairwise_sum)
+                   _chunk_digits, _chunks, _flip_spreads, _float_above, _one_flip_shape,
+                   _pairwise_sum)
 from .zoo import GraphModelSpec, LinearExpFamily, graph_statistics
 
 # Outcomes whose log-probability falls within this distance below a modal
@@ -172,73 +173,63 @@ def delta_n(model: FoesModel) -> float:
     symmetry the maximum signed log-ratio equals the maximum absolute one.
     Zero exactly for uniform models.
 
-    A model with an ``envelope`` (the joint RBM) is read by pieces: each
-    row of its grid for the flips of a column digit, each column for the
-    flips of a row digit, so every one-flip pair lies in exactly one piece.
-    The piece of largest bound is read first, which gives a spread L; then,
-    run by run in index order, only the other pieces whose bound exceeds
-    L - slack, L the largest spread read so far, since no other can exceed
-    L. No piece is read twice, and a float maximum does not depend on the
-    order it is taken in, so the result is the full scan's bit for bit. At
-    the 14 + 10 cap it reads one piece (a column of 2^10 entries on the
-    seeds tried) in well under a millisecond, against about 0.3 s for the
-    full scan of the 2^24 table. Every other model takes the full scan.
+    A model with an ``envelope`` (the joint RBM) is read by the pieces its
+    bounds cover: one digit's flips in one row or one column of its grid,
+    or in the whole grid where a side is bounded per digit
+    (``_flip_sides``). Every one-flip pair lies in exactly one piece. The
+    piece of largest bound is read first, which gives a spread L; then,
+    digit by digit, only the pieces whose bound exceeds L - slack, L the
+    largest spread read so far, since no other can exceed L. No piece is
+    read twice, and a float maximum does not depend on the order it is
+    taken in, so the result is the full scan's bit for bit. At the 14 + 10
+    cap it reads one digit of one column (2^9 pairs) on the seeds tried, in
+    well under a millisecond, against about 0.3 s for the full scan of the
+    2^24 table; where every row ties in a digit (W = 0) it reads that digit
+    once over the table. Every other model takes the full scan.
     """
     table, n, k = model.scores(), model.n_variables, model.space.alphabet_size
     envelope = model.envelope()
     if envelope is None:
         return float(_one_flip_range(table, n, k))
-    grid, slack = table.reshape(2**envelope.row_digits, -1), envelope.slack
-    # a row piece flips column digits, a column piece row digits; a grid of
-    # one row (no hiddens) has no row digits to flip
-    sides = [(0, envelope.row_runs, envelope.row_summary[:, 2],
-              lambda run: envelope.rows(run)[2])]
-    if envelope.row_digits:
-        sides.append((1, envelope.column_runs, envelope.column_summary, envelope.columns))
-    first_axis, runs, summary, bounds = max(sides, key=lambda side: side[2].max())
-    run = runs[int(np.argmax(summary))]
-    limits = bounds(run)
-    first = run.start + int(np.argmax(limits))
-    reached = _read_pieces(grid, slack, first_axis, np.array([first]),
-                           limits[[first - run.start]])
-    for axis, runs, summary, bounds in sides:
-        for run, top in zip(runs, summary):
+    sides, slack = _flip_sides(table, envelope), envelope.slack
+    _, side, digit = max((bounds[d].max(), s, d) for s, (_, _, bounds) in enumerate(sides)
+                         for d in range(len(bounds)))
+    line = int(np.argmax(sides[side][2][digit]))
+    reached = _read_flips(sides[side], digit, np.array([line]), slack)
+    for s, (_, _, bounds) in enumerate(sides):
+        for d, limits in enumerate(bounds):
             # a piece can beat L only if its bound exceeds L - slack, rounded down
-            beaten = -_float_above(Fraction(slack) - Fraction(reached))
-            if top <= beaten:
-                continue
-            limits = bounds(run)
-            mask = limits > beaten
-            if axis == first_axis and run.start <= first < run.stop:
-                mask[first - run.start] = False
-            if mask.any():
-                reached = max(reached, _read_pieces(grid, slack, axis,
-                                                    np.flatnonzero(mask) + run.start, limits[mask]))
+            picked = limits > -_float_above(Fraction(slack) - Fraction(reached))
+            if (s, d) == (side, digit):
+                picked[line] = False
+            if picked.any():
+                reached = max(reached, _read_flips(sides[s], d, np.flatnonzero(picked), slack))
     return reached
 
 
-def _read_pieces(grid: np.ndarray, slack: float, axis: int, pieces: np.ndarray,
-                 bounds: np.ndarray) -> float:
-    """Largest flip spread of the rows (axis 0) or columns (axis 1) ``pieces``
-    of ``grid``; each must lie within ``slack`` of its bound, or
-    CertificateError is raised (code, not an ``assert``)."""
-    spreads = _piece_spreads(grid, axis, pieces)
-    if not np.all(np.abs(spreads - bounds) <= slack):
+def _flip_sides(table: np.ndarray, envelope) -> list:
+    """(lines, first digit, bounds) for the rows and the columns of an
+    envelope's grid: the grid's rows or columns, each with its bound per
+    digit, or the whole table as one line, whose flips are those of its
+    digits from the first digit on."""
+    grid, whole = table.reshape(2**envelope.row_digits, -1), table.reshape(1, -1)
+    rows, columns = envelope.row_flips, envelope.column_flips
+    return [(grid, 0, rows) if rows.shape[1] == len(grid) else (whole, 0, rows),
+            (grid.T, 0, columns) if columns.shape[1] == grid.shape[1]
+            else (whole, envelope.column_digits, columns)]
+
+
+def _read_flips(side: tuple, digit: int, picked: np.ndarray, slack: float) -> float:
+    """Largest flip spread of ``digit`` over the lines ``picked`` of a side
+    (``_flip_sides``), a batch of at most a chunk of entries at a time
+    (``core._batches``). Each line's spread must lie within ``slack`` of its
+    bound, or CertificateError is raised (code, not an ``assert``)."""
+    lines, first, bounds = side
+    spreads = np.concatenate([_flip_spreads(block, first + digit)
+                              for _, block in _batches(lines, picked)])
+    if not np.all(np.abs(spreads - bounds[digit, picked]) <= slack):
         raise CertificateError("a one-flip spread lies outside its certified envelope")
     return float(spreads.max())
-
-
-def _piece_spreads(grid: np.ndarray, axis: int, pieces: np.ndarray) -> np.ndarray:
-    """``_one_flip_range`` of each row (axis 0) or column (axis 1) of ``grid``
-    in ``pieces``, over its own index digits, a batch of at most a chunk of
-    entries per call (``core._batches``), the pieces as its draws."""
-    lines = grid if axis == 0 else grid.T
-    digits = lines.shape[1].bit_length() - 1
-    spreads, at = np.empty(len(pieces)), 0
-    for batch, block in _batches(lines, pieces):
-        spreads[at:at + len(batch)] = _one_flip_range(block.T, digits, 2)
-        at += len(batch)
-    return spreads
 
 
 def instability_report(model: FoesModel) -> InstabilityReport:

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import foeslab.core
 import foeslab.metrics
+import foeslab.zoo
 from foeslab import (
     GraphModelSpec,
     LinearExpFamily,
@@ -621,11 +622,13 @@ def test_one_flip_range_allocates_one_and_a_half_chunks():
 
 @st.composite
 def bounded_joint_rbms(draw):
-    """(params, chunk) of joint RBMs of 1-10 visibles and 0-8 hiddens, or of
-    more hiddens than visibles (1-5 and up to 10), at scales 1e-3 to 1e12:
-    normal draws, exact ties, W = 0, scattered signed zeros, or every
-    parameter a signed zero. Patched chunks of 4 and 16 run on at most 2^12
-    outcomes, where a scan's pieces stay few."""
+    """(params, chunk, line_digits) of joint RBMs of 1-10 visibles and 0-8
+    hiddens, or of more hiddens than visibles (1-5 and up to 10), at scales
+    1e-3 to 1e12: normal draws, exact ties, W = 0, scattered signed zeros,
+    or every parameter a signed zero. Patched chunks of 4 and 16 run on at
+    most 2^12 outcomes, where a scan's pieces stay few. ``line_digits`` None
+    keeps the envelope's own threshold for bounding a side line by line; 1
+    bounds every side so, 4 only sides of lines of 2^4 entries or more."""
     chunk = draw(st.sampled_from([None, 4, 16]))
     if draw(st.booleans()):
         nv = draw(st.integers(1, 5))
@@ -635,6 +638,7 @@ def bounded_joint_rbms(draw):
         nh = draw(st.integers(0, 8 if chunk is None else min(8, 12 - nv)))
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e6, 1e12]))
     kind = draw(st.sampled_from(["normal", "ties", "uncoupled", "signed_zeros", "zero"]))
+    line_digits = draw(st.sampled_from([None, 1, 4]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     v, h, w = (rng.normal(size=size) * scale for size in (nv, nh, (nh, nv)))
     signs = lambda size: rng.choice([-1.0, 1.0], size=size)
@@ -648,83 +652,97 @@ def bounded_joint_rbms(draw):
         p = 0.5 if kind == "signed_zeros" else 1.0
         v, h, w = (np.where(rng.random(np.shape(a)) < p, 0.0 * signs(np.shape(a)), a)
                    for a in (v, h, w))
-    return RbmParams(v, h, w), chunk
+    return RbmParams(v, h, w), chunk, line_digits
 
 
-def flip_spreads(lines: np.ndarray) -> np.ndarray:
-    """Oracle: each row's largest max - min over pairs one digit apart."""
-    digits = lines.shape[1].bit_length() - 1
-    spreads = np.zeros(len(lines))
-    for i in range(digits):
-        pair = lines.reshape(len(lines), -1, 2, 2**i)
-        spread = pair.max(axis=2) - pair.min(axis=2)
-        spreads = np.maximum(spreads, spread.max(axis=(1, 2)))
-    return spreads
+def digit_spreads(lines: np.ndarray, digit: int) -> np.ndarray:
+    """Oracle: each line's largest max - min over pairs one flip of
+    ``digit`` apart."""
+    pair = lines.reshape(len(lines), -1, 2, 2**digit)
+    return (pair.max(axis=2) - pair.min(axis=2)).max(axis=(1, 2))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=bounded_joint_rbms())
-@example(case=(RbmParams(-0.0 * np.ones(10), np.zeros(8), np.zeros((8, 10))), None))
-@example(case=(RbmParams(np.full(10, 1e12), np.full(8, -1e12), np.full((8, 10), 3e11)), None))
-@example(case=(RbmParams(np.full(2, 0.5), np.zeros(10), np.full((10, 2), 0.25)), None))
+@example(case=(RbmParams(-0.0 * np.ones(10), np.zeros(8), np.zeros((8, 10))), None, None))
+@example(case=(RbmParams(np.full(10, 1e12), np.full(8, -1e12), np.full((8, 10), 3e11)),
+               None, None))
+@example(case=(RbmParams(np.full(2, 0.5), np.zeros(10), np.full((10, 2), 0.25)), None, None))
 # both rows peak at 1.807 in exact arithmetic and in the table, but their
 # bounds round an ulp apart, the higher in row 1: row 0 must still be read
-@example(case=(RbmParams([0.903, 0.904], [0.0], [[-0.206, 0.206]]), None))
+@example(case=(RbmParams([0.903, 0.904], [0.0], [[-0.206, 0.206]]), None, 1))
 def test_enveloped_reads_are_the_full_pass_and_each_bound_holds(case):
-    # the envelope route reads only rows and columns whose bound can reach
-    # the answer, so it returns the full pass's extremes and delta_N bit for
-    # bit; its first read is the piece of largest bound, no piece is read
-    # twice, and every row or piece it leaves out is certified not to hold
-    # the answer
-    params, chunk = case
-    calls, rows_read, cut = [], [], foeslab.core._batches
+    # the envelope route reads only the rows, and the pieces (one digit's
+    # flips in a row, a column or the whole grid), whose bound can reach the
+    # answer, so it returns the full pass's extremes and delta_N bit for
+    # bit; its first read is a piece of largest bound, no row or piece is
+    # read twice, and every row or piece it leaves out is certified not to
+    # hold the answer
+    params, chunk, line_digits = case
+    nv, nh = params.n_visible, params.n_hidden
+    rows_read, pieces, cut = [], [], foeslab.core._batches
 
     def batches(lines, picked):
         rows_read.extend(picked.tolist())
         return cut(lines, picked)
 
-    def counted(grid, axis, pieces):
-        calls.extend((axis, int(p)) for p in pieces)
-        return spreads(grid, axis, pieces)
+    def counted(side, digit, picked, slack):
+        s = int(side[2] is not envelope.row_flips)
+        pieces.extend((s, digit, int(p)) for p in picked)
+        return read(side, digit, picked, slack)
 
     with pytest.MonkeyPatch.context() as patch:
         if chunk is not None:
             patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
+        if line_digits is not None:
+            patch.setattr(foeslab.zoo, "_LINE_BOUND_DIGITS", line_digits)
         model = make_rbm_joint(params)
         patch.setattr(foeslab.core, "_batches", batches)
         table, n = model.scores(), model.n_variables
         assert model.extreme_indices() == (int(np.argmax(table)), int(np.argmin(table)))
-        spreads = foeslab.metrics._piece_spreads
-        patch.setattr(foeslab.metrics, "_piece_spreads", counted)
+        envelope, read = model.envelope(), foeslab.metrics._read_flips
+        patch.setattr(foeslab.metrics, "_read_flips", counted)
         got = delta_n(model)
         assert got.hex() == float(_one_flip_range(table, n, 2)).hex()
-        envelope = model.envelope()
-        upper, lower, row_flip = (np.concatenate(side)
-                                  for side in zip(*map(envelope.rows, envelope.row_runs)))
-        column_flip = np.concatenate([envelope.columns(run) for run in envelope.column_runs])
-    # every row's max and min and every row or column spread lies within its envelope
-    grid, slack = table.reshape(2**params.n_hidden, -1), envelope.slack
-    for read, bound in ((grid.max(axis=1), upper), (grid.min(axis=1), lower),
-                        (flip_spreads(grid), row_flip), (flip_spreads(grid.T), column_flip)):
-        assert np.all(np.abs(read - bound) <= slack)
-    # a row left out has max + slack below max(upper) - slack, and min -
-    # slack above min(lower) + slack, in exact rationals
-    skipped = np.ones(len(grid), dtype=bool)
-    skipped[rows_read] = False
-    assert len(rows_read) == len(set(rows_read))
-    top = _float_above(Fraction(float(upper.max())) - 2 * Fraction(slack))
-    bottom = -_float_above(2 * Fraction(slack) - Fraction(float(lower.min())))
-    assert np.all((upper[skipped] < top) & (lower[skipped] > bottom))
-    bounds = np.concatenate([row_flip] + [column_flip] * (params.n_hidden > 0))
-    first = int(np.argmax(bounds))
-    side = int(first >= len(row_flip))
-    assert calls[0] == (side, first - side * len(row_flip))
-    assert len(calls) == len(set(calls))
+    # a side is bounded line by line where its lines hold 2^line_digits
+    # entries or more, else per digit over the whole grid
+    threshold = foeslab.zoo._LINE_BOUND_DIGITS if line_digits is None else line_digits
+    grid, slack = table.reshape(2**nh, -1), envelope.slack
+    rows = (grid, 0) if nv >= threshold else (table.reshape(1, -1), 0)
+    columns = (grid.T, 0) if nh >= threshold else (table.reshape(1, -1), nv)
+    sides = [(*rows, envelope.row_flips), (*columns, envelope.column_flips)]
+    # every row's max and min and every piece's spread lies within its envelope
+    assert envelope.row_flips.shape == (nv, len(rows[0]))
+    assert envelope.column_flips.shape == (nh, len(columns[0]))
+    for lines, first, bounds in sides:
+        for d, bound in enumerate(bounds):
+            assert np.all(np.abs(digit_spreads(lines, first + d) - bound) <= slack)
+    if nv < threshold:
+        assert envelope.upper is None and envelope.lower is None and not rows_read
+    else:
+        upper, lower = envelope.upper, envelope.lower
+        assert np.all(np.abs(grid.max(axis=1) - upper) <= slack)
+        assert np.all(np.abs(grid.min(axis=1) - lower) <= slack)
+        # a row left out has max + slack below max(upper) - slack, and min -
+        # slack above min(lower) + slack, in exact rationals
+        skipped = np.ones(len(grid), dtype=bool)
+        skipped[rows_read] = False
+        assert len(rows_read) == len(set(rows_read))
+        top = _float_above(Fraction(float(upper.max())) - 2 * Fraction(slack))
+        bottom = -_float_above(2 * Fraction(slack) - Fraction(float(lower.min())))
+        assert np.all((upper[skipped] < top) & (lower[skipped] > bottom))
+    largest = max(bounds.max() for _, _, bounds in sides if bounds.size)
+    s, d, p = pieces[0]
+    assert sides[s][2][d, p] == largest
+    assert len(pieces) == len(set(pieces))
     # a piece left out has bound + slack <= delta_N, in exact rationals
     cap = -_float_above(Fraction(slack) - Fraction(got))
-    read = np.zeros(len(bounds), dtype=bool)
-    read[[p + axis * len(row_flip) for axis, p in calls]] = True
-    assert np.all(bounds[~read] <= cap)
+    for s, (_, _, bounds) in enumerate(sides):
+        left = np.ones(bounds.shape, dtype=bool)
+        for side, d, p in pieces:
+            if side == s:
+                left[d, p] = False
+        assert np.all(bounds[left] <= cap)
 
 
 @pytest.mark.parametrize("params", [
@@ -740,27 +758,36 @@ def test_overflowing_joint_rbm_takes_the_full_pass(params):
         model.scores()
 
 
-@pytest.mark.parametrize("pieces", [[], [0], [3], [5, 1], [6, 7], [0, 4, 8, 15], range(16)])
+@pytest.mark.parametrize("pieces", [[0], [3], [5, 1], [6, 7], [0, 4, 8, 15], range(16)])
 @pytest.mark.parametrize("chunk", [2**4, 2**8])
-def test_piece_spreads_are_the_max_over_each_row_or_column(pieces, chunk):
-    # a 16 x 32 grid: at chunks of 2^4 each row and column is read alone, at
-    # 2^8 rows go eight and columns sixteen to a batch, in place where they
-    # are consecutive and gathered where not
+def test_flip_spreads_are_the_max_over_each_line_and_digit(pieces, chunk):
+    # a 16 x 32 grid: at chunks of 2^4 a row or column is read in parts of
+    # half a chunk of pairs, at 2^8 rows go eight and columns sixteen to a
+    # batch; rows in place, columns as a strided view, pieces in place
+    # where they are consecutive and gathered where not, and the whole table
+    # as one line
     grid = np.random.default_rng(len(pieces)).standard_normal((16, 32))
     pieces = np.array(pieces, dtype=np.intp)
+    read = lambda lines, d: np.concatenate([foeslab.core._flip_spreads(block, d)
+                                            for _, block in foeslab.core._batches(lines, pieces)])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
-        rows = foeslab.metrics._piece_spreads(grid, 0, pieces)
-        columns = foeslab.metrics._piece_spreads(grid, 1, pieces)
-        every = [foeslab.metrics._piece_spreads(grid, axis, np.arange(size))
-                 for axis, size in ((0, 16), (1, 32))]
-    assert rows.tobytes() == flip_spreads(grid)[pieces].tobytes()
-    assert columns.tobytes() == flip_spreads(grid.T)[pieces].tobytes()
-    # every one-flip pair lies in one row or one column
-    assert max(every[0].max(), every[1].max()) == float(_one_flip_range(grid.ravel(), 9, 2))
-    # a piece past the grid is no piece: read in place it is an empty slice
-    with pytest.raises(ValueError):
-        foeslab.metrics._piece_spreads(grid, 0, np.array([16]))
+        rows = [read(grid, d) for d in range(5)]
+        columns = [read(grid.T, d) for d in range(4)]
+        whole = [foeslab.core._flip_spreads(grid.reshape(1, -1), d) for d in range(9)]
+        with pytest.raises(ValueError):
+            # a piece past the grid is no piece: read in place it is an empty slice
+            foeslab.metrics._read_flips((grid, 0, np.zeros((5, 16))), 0, np.array([16]), 0.0)
+    for d in range(5):
+        assert rows[d].tobytes() == digit_spreads(grid, d)[pieces].tobytes()
+    for d in range(4):
+        assert columns[d].tobytes() == digit_spreads(grid.T, d)[pieces].tobytes()
+    for d in range(9):
+        assert whole[d].tobytes() == digit_spreads(grid.reshape(1, -1), d).tobytes()
+    # every one-flip pair lies in one row or one column, and in the whole table
+    every = [foeslab.core._flip_spreads(lines, d).max()
+             for lines, digits in ((grid, 5), (grid.T, 4)) for d in range(digits)]
+    assert max(every) == np.max(whole) == float(_one_flip_range(grid.ravel(), 9, 2))
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 2**15])

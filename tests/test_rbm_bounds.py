@@ -325,10 +325,11 @@ try:
     metrics.graph_lower_bound(GraphModelSpec(4, params=(0.0, 1.0, 0.0)))
 except CertificateError:
     print("graph")
-# the joint RBM's envelope checks each row and piece it reads
+# the joint RBM's envelope checks each row and piece it reads; rows of 2^8
+# entries are bounded one by one
 import foeslab.zoo as zoo
 from foeslab import delta_n, make_rbm_joint
-params = RbmParams([1.0, -0.5], [0.3], [[0.7, -1.1]])
+params = RbmParams([1.0, -0.5] * 4, [0.3], [[0.7, -1.1] * 4])
 model = make_rbm_joint(params)
 model.scores()[:] *= 1 + 1e-6
 try:

@@ -776,19 +776,19 @@ def test_joint_table_at_the_budget_cap_is_pinned():
 
 def test_joint_delta_at_the_budget_cap_reads_at_most_two_pieces(monkeypatch):
     # the full scan's value, pinned before the scan was pruned; the envelope
-    # leaves one or two rows or columns of the grid to read, within the
-    # allocation bound of
+    # leaves one or two pieces (one digit's flips in a row or a column of
+    # the grid) to read, within the allocation bound of
     # tests/test_metrics.py::test_one_flip_range_allocates_one_and_a_half_chunks
     params, _ = _rbm_case(14, 10, seed=1410)
     model = make_rbm_joint(params)
     table = model.scores()
-    read, spreads = [], foeslab.metrics._piece_spreads
+    read, pieces = [], foeslab.metrics._read_flips
 
-    def counted(grid, axis, pieces):
-        read.extend((axis, int(p)) for p in pieces)
-        return spreads(grid, axis, pieces)
+    def counted(side, digit, picked, slack):
+        read.extend((side[2] is model.envelope().row_flips, digit, int(p)) for p in picked)
+        return pieces(side, digit, picked, slack)
 
-    monkeypatch.setattr(foeslab.metrics, "_piece_spreads", counted)
+    monkeypatch.setattr(foeslab.metrics, "_read_flips", counted)
     chunk_bytes = foeslab.core._CHUNK_OUTCOMES * table.itemsize
     ufunc_bytes = 2 * np.getbufsize() * table.itemsize
     tracemalloc.start()
@@ -804,11 +804,12 @@ def test_joint_delta_at_the_budget_cap_reads_at_most_two_pieces(monkeypatch):
 
 @pytest.mark.parametrize("nv, nh, coupled", [(1, 23, False), (1, 23, True), (23, 1, True)])
 def test_enveloped_reads_at_the_cap_keep_the_full_pass(nv, nh, coupled, monkeypatch):
-    # theta_h = 0: at 1 + 23 without couplings all 2^23 rows tie, so every
-    # row is read; with couplings the two columns of 2^23 tie. At 23 + 1 the
-    # two rows are longer than a chunk. Each case must give the full pass's
-    # indices and delta_N, read in batches (never a Python step per row),
-    # and hold no array of per-row or per-column bounds
+    # theta_h = 0: at 1 + 23 without couplings all 2^23 rows tie; with
+    # couplings the two columns of 2^23 tie. At 23 + 1 the two rows are
+    # longer than a chunk. The side of lines of 2 entries is bounded per
+    # digit, and read whole. Each case must give the full pass's indices and
+    # delta_N, read in batches (never a Python step per row), and hold no
+    # array of per-row or per-column bounds
     rng = np.random.default_rng(nv)
     params = RbmParams(rng.uniform(-1, 1, nv), np.zeros(nh),
                        rng.uniform(-1, 1, (nh, nv)) * coupled)
@@ -838,8 +839,9 @@ def test_enveloped_reads_at_the_cap_keep_the_full_pass(nv, nh, coupled, monkeypa
     # chunk, so two reads of the whole table take at most 2 * 2 * 2^24 /
     # chunk batches, plus the first piece
     assert len(batches) <= 2 * 2 * 2**24 // foeslab.core._CHUNK_OUTCOMES + 1
-    # a run's kept bounds, its candidate indices and a batch's temporaries:
-    # at most about ten chunks, against 64 MB for one bound per row or column
+    # the long side's bounds, the candidate indices and a batch's
+    # temporaries: at most about ten chunks, against 64 MB for one bound per
+    # row or column
     assert peak <= 12 * chunk_bytes, peak / chunk_bytes
 
 
