@@ -638,20 +638,33 @@ def test_readme_example_passes(capsys, monkeypatch, command):
     assert (calls["all_outcomes"], calls["modal_set"]) == expected
 
 
-# sha256 of the stdout of two commands whose tables span more than one
-# chunk, so delta_n's scan reads digits above a piece: 2^21 graph outcomes
-# (5 such digits, one group) and 3^12 multinomial outcomes (pieces of 3^10
-# rows, 2 such digits)
+# sha256 of the stdout of commands whose tables span more than one chunk:
+# 2^21 graph outcomes (2^5 chunks) and 3^12 multinomial outcomes (pieces of
+# 3^10 rows, 2 digits above a piece). The graph commands hold all three
+# terms, an exact tie (every triangle-free graph of at most one 2-star
+# against the rest) and a scale of ~1e8.
 MULTI_CHUNK_EXAMPLES = {
     "lrep --model graph --nodes 7 --theta2 0.3 --theta3 -0.1":
         "7616f716524b32183dad6394713389d8c910c86e99086def07e4af6e632588b0",
+    "lrep --model graph --nodes 7 --theta1=-0.4 --theta2=0.3 --theta3=-0.1":
+        "01fb42d1892cde2900f3b8df698957010cf8b57e63079189d05e2b5e1fee0245",
+    "delta --model graph --nodes 7 --theta1=-0.4 --theta2=0.3 --theta3=-0.1":
+        "74d3cee1aa33e8c8073a7a103fbd067154985549489b6c536fd1efec654f4877",
+    "lrep --model graph --nodes 7 --theta2 1":
+        "19ab82eee9a79d665bfc056f854900b760e07b3389c0adcaccde78a303538044",
+    "delta --model graph --nodes 7 --theta2 1":
+        "486f145e43336aa5ae7cce43c3a7761571432e45c5a2de1f3dd8680df5712261",
+    "lrep --model graph --nodes 7 --theta1=-4.1e8 --theta2=3.3e8 --theta3=-1.7e8":
+        "845660c22f758daecbf39dec5b7414bf498c6de403a21ecc4e1bcda0c112190e",
+    "delta --model graph --nodes 7 --theta1=-4.1e8 --theta2=3.3e8 --theta3=-1.7e8":
+        "617cfeb6af300304c3f2ebdb19745e8285f1c0e41265a4007ca1e97a48f0bb9b",
     "delta --model multinomial --n 12 --thetas 0.3,-0.2,0.5":
         "95bbe061e7162bf77dbf86ff071f831f3ecdac3ec4581f0034c7e717267cc0c3",
 }
 
 
 @pytest.mark.parametrize("command", MULTI_CHUNK_EXAMPLES,
-                         ids=lambda c: "-".join(c.split()[:3]))
+                         ids=lambda c: "-".join(c.split()[:1] + c.split()[2:3] + c.split()[4:]))
 def test_multi_chunk_example_bytes(capsys, command):
     code, out, _ = run_cli(capsys, *shlex.split(command))
     assert code == 0
@@ -821,6 +834,17 @@ def test_score_bytes_do_not_depend_on_the_blas_thread_count(nodes):
     single, double = (child_stdout(CLI_CHILD, *argv, OPENBLAS_NUM_THREADS=threads)
                       for threads in ("1", "2"))
     assert single == double and "expected_position" in single
+
+
+@pytest.mark.parametrize("command", ["lrep", "delta"])
+def test_seven_node_diagnostics_do_not_depend_on_the_blas_thread_count(command):
+    # a lone graph model scores its table without a statistic table first,
+    # unlike score above
+    argv = [command, "--model", "graph", "--nodes", "7", "--theta1=-0.4",
+            "--theta2=0.3", "--theta3=-0.1"]
+    single, double = (child_stdout(CLI_CHILD, *argv, OPENBLAS_NUM_THREADS=threads)
+                      for threads in ("1", "2"))
+    assert single == double and "delta_n" in single
 
 
 SPIN_CHILD = """
