@@ -407,6 +407,14 @@ class FoesModel:
         constructor that can prove them supplies them: ``zoo.make_rbm_joint``."""
         return None
 
+    def exchangeable(self) -> bool:
+        """Whether the built ``scores()`` is a gather S[key(x)], with key(x)
+        kept by a group of variable permutations that is transitive on the
+        variables: then every variable's one-flip spreads are one multiset.
+        Only a table built so says so: ``zoo.make_graph_model``'s, gathered
+        by its count keys, which node relabelling keeps."""
+        return False
+
     @property
     def log_normalizer(self) -> float:
         """log Z: ``log_sum_exp`` of the score table, found on first use."""

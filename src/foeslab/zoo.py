@@ -25,7 +25,6 @@ from .core import (
     OutcomeSpace,
     _chunk_digits,
     _chunks,
-    _fill_table,
     _float_above,
     _gamma,
     _signed_sums,
@@ -75,10 +74,13 @@ class LinearExpFamily(FoesModel):
         # a lone model scores chunk by chunk until its table exists, so its
         # peak holds one score table, not k statistic columns
         self._scores_from_stats = False
-        # (first index, (rows, k) statistics) chunks of the space, given the
-        # budget, where a family counts them faster than stat_fn on rows;
-        # None tabulates stat_fn
-        self._stat_chunks = None
+        # (box, key chunks) of the space, given the budget, where a family
+        # counts its statistics into integer keys faster than stat_fn on rows
+        # (``_graph_keys``); None tabulates stat_fn. Each key's statistic must
+        # be kept by a group of variable permutations, transitive on the
+        # variables, for ``exchangeable`` to hold of the table it gathers
+        self._stat_keys = None
+        self._gathered = False
 
         def score_fn(outcomes: np.ndarray) -> np.ndarray:
             return _statistic_matrix(stat_fn, outcomes, params.size) @ params
@@ -102,28 +104,38 @@ class LinearExpFamily(FoesModel):
         if model.n_params != self.n_params:
             raise ValueError(f"params must have length {self.n_params}, "
                              f"got {model.n_params}")
-        model._stat_slot, model._stat_chunks = self._stat_slot, self._stat_chunks
+        model._stat_slot, model._stat_keys = self._stat_slot, self._stat_keys
         model._scores_from_stats = True
         return model
 
     def _score_table(self) -> np.ndarray:
         if self._stat_slot[0] is not None or self._scores_from_stats:
             return self.statistic_values() @ self.params
-        if self._stat_chunks is None:
+        if self._stat_keys is None:
             return super()._score_table()
-        return _fill_table(self._stat_chunks(self.budget), lambda g: g @ self.params,
-                           self.space.n_outcomes)
+        box, chunks = self._stat_keys(self.budget)
+        k = self.space.alphabet_size
+        rows = k ** _chunk_digits(self.n_variables, k)  # the rows of a key chunk
+        box = _box_scores(box, self.params, rows)[None]  # each key's score, in place of its counts
+        table = _gather(chunks, box, self.space.n_outcomes)
+        self._gathered = True
+        return table[:, 0]
+
+    def exchangeable(self) -> bool:
+        """Whether the score table was gathered by the family's keys; see
+        ``FoesModel.exchangeable``."""
+        return self._gathered
 
     def statistic_values(self) -> np.ndarray:
         """(n_outcomes, k) matrix of statistic values, enumerated and cached."""
         if self._stat_slot[0] is None:
-            if self._stat_chunks is None:
+            if self._stat_keys is None:
                 table = self.space.tabulate(
                     lambda x: _statistic_matrix(self.stat_fn, x, self.params.size),
                     self.budget)
             else:
-                table = _fill_table(self._stat_chunks(self.budget), lambda g: g,
-                                    self.space.n_outcomes)
+                box, chunks = self._stat_keys(self.budget)
+                table = _gather(chunks, box, self.space.n_outcomes)
             self._stat_slot[0] = table
         return self._stat_slot[0]
 
@@ -247,10 +259,33 @@ def graph_statistics(spec: GraphModelSpec, outcomes: np.ndarray) -> np.ndarray:
                      triangles], axis=1)
 
 
+def _key_sizes(spec: GraphModelSpec, term_cols: list) -> list[int]:
+    """Radices of ``_graph_chunks``' keys: one more than the largest count of
+    each active term, the complete graph's (n_edges edges, 3 C(n, 3)
+    2-stars, C(n, 3) triangles)."""
+    tops = (spec.n_edges, 3 * math.comb(spec.n_nodes, 3), math.comb(spec.n_nodes, 3))
+    return [tops[t] + 1 for t in term_cols]
+
+
+def _graph_keys(spec: GraphModelSpec, term_cols: list, budget: int) -> tuple:
+    """(box, key chunks) of every graph: ``_graph_chunks``' keys, and the
+    statistic row of every key as a (k, keys) float64 box, column j of key r
+    at ``box[j, r]``. The budget is checked first, before the box is built."""
+    OutcomeSpace(spec.n_edges, (0, 1)).check_budget(budget)
+    sizes = _key_sizes(spec, term_cols)
+    box = np.empty((len(sizes), math.prod(sizes)))
+    for j, size in enumerate(sizes):
+        box[j].reshape(-1, size, math.prod(sizes[:j]))[...] = np.arange(size)[:, None]
+    return box, _graph_chunks(spec, term_cols, budget)
+
+
 def _graph_chunks(spec: GraphModelSpec, term_cols: list, budget: int):
-    """(first index, ``graph_statistics(spec, rows)[:, term_cols]``) of every
-    graph, in aligned chunks of 2^m rows (m = ``_chunk_digits``), bit for
-    bit and in the same Fortran order, one array reused from chunk to chunk.
+    """(first index, key) of every graph, in aligned chunks of 2^m rows
+    (m = ``_chunk_digits``), one uint32 array reused from chunk to chunk.
+    A key is mixed-radix over the active terms' counts in ``term_cols``
+    order, sum_j c_j prod_(i<j) r_i with radices r_i (``_key_sizes``):
+    ``graph_statistics(spec, rows)[:, term_cols]`` is the statistic row of
+    each key, exactly. ``_graph_keys`` checks the budget.
 
     A chunk varies the low m edges over one block and fixes the high edges
     H. Chunk 0 (H empty) is the block itself, counted once by
@@ -260,24 +295,31 @@ def _graph_chunks(spec: GraphModelSpec, term_cols: list, budget: int):
     column in the block: |H| edges; sum_v k_v d_v + C(k_v, 2) 2-stars;
     triangles from the block's common-neighbour column of each edge of H,
     the bit column of the low edge that closes each pair of H-edges sharing
-    a node, and the triangles wholly in H. The sums run in the narrowest
-    unsigned type that holds every count.
+    a node, and the triangles wholly in H. The column sums run in the
+    narrowest unsigned type that holds every count, and go into the block's
+    own keys weighted by their term's radix.
     """
     n, m = spec.n_nodes, _chunk_digits(spec.n_edges, 2)
-    OutcomeSpace(spec.n_edges, (0, 1)).check_budget(budget)
+    sizes = _key_sizes(spec, term_cols)
+    strides = [math.prod(sizes[:j]) for j in range(len(sizes))]
     pairs = spec.edge_index
     low, high = {e: i for i, e in enumerate(pairs[:m])}, pairs[m:]
     block = np.zeros((2**m, spec.n_edges), dtype=np.int8)
     block[:, :m] = OutcomeSpace(m, (0, 1)).all_outcomes(budget)
-    counts = graph_statistics(spec, block)
-    out = np.empty((2**m, len(term_cols)), order="F")
-    out[...] = counts[:, term_cols]
-    yield 0, out
-    if not high:
+    counts = graph_statistics(spec, block)[:, term_cols]
+    # a count that is not a whole number below its radix would key another
+    # row of the box, silently: the gather clips keys, and later chunks add
+    # to these
+    if not np.all((counts >= 0) & (counts < sizes) & (counts == np.floor(counts))):
+        raise ValueError("graph counts must be whole numbers below their key radices")
+    base = (counts @ strides).astype(np.uint32)
+    del counts
+    if not high:  # the block is the whole table
+        yield 0, base
         return
     kind = np.min_scalar_type(3 * math.comb(n, 3))  # the most 2-stars, the largest count
-    base, bits = counts.T.astype(kind), block[:, :m].T.astype(kind)
-    del counts, block
+    bits = block[:, :m].T.astype(kind)
+    del block
     deg = np.zeros((n, 2**m), dtype=kind)
     for e, (a, b) in enumerate(pairs[:m]):
         deg[a] += bits[e]
@@ -294,7 +336,13 @@ def _graph_chunks(spec: GraphModelSpec, term_cols: list, budget: int):
             av, bv = tuple(sorted((a, v))), tuple(sorted((b, v)))
             if av in low and bv in low:
                 common[j] += bits[low[av]] & bits[low[bv]]
-    total = np.empty(2**m, dtype=kind)
+    # of the low bit columns, only those that close two high edges are kept
+    closers = {closing(e, f) for i, e in enumerate(high) for f in high[:i]}
+    bits = {g: bits[low[g]].copy() for g in closers if g in low}
+    total, weighted, keys = (np.empty(2**m, dtype=t) for t in (kind, np.uint32, np.uint32))
+    # yielded only now, so the set-up's transients are gone when a consumer
+    # allocates its table
+    yield 0, base
     for c in range(1, 2 ** len(high)):
         h = [e for j, e in enumerate(high) if c >> j & 1]
         k = np.bincount(np.ravel(h), minlength=n)
@@ -303,23 +351,60 @@ def _graph_chunks(spec: GraphModelSpec, term_cols: list, budget: int):
             (len(h), []),
             (sum(math.comb(int(kv), 2) for kv in k), [deg[v] for v in np.repeat(range(n), k)]),
             (sum(g in h for g in shut) // 3,
-             [common[high.index(e)] for e in h] + [bits[low[g]] for g in shut if g in low]),
+             [common[high.index(e)] for e in h] + [bits[g] for g in shut if g in bits]),
         )
-        for j, t in enumerate(term_cols):
-            const, columns = terms[t]
-            np.add(base[t], const, out=total)
-            for column in columns:
-                total += column
-            out[:, j] = total
-        yield c * 2**m, out
+        np.add(base, sum(s * terms[t][0] for s, t in zip(strides, term_cols)), out=keys)
+        for stride, t in zip(strides, term_cols):
+            columns = terms[t][1]
+            if columns:
+                np.copyto(total, columns[0])
+                for column in columns[1:]:
+                    total += column
+                keys += np.multiply(total, stride, out=weighted, dtype=np.uint32)
+        yield c * 2**m, keys
+
+
+def _box_scores(box: np.ndarray, params: np.ndarray, rows: int) -> np.ndarray:
+    """params . g of every statistic row g of a (k, keys) box, in key order,
+    scored as a chunk of ``rows`` statistic rows is: an F-ordered (rows, k)
+    matrix times ``params``, the last one filled out by earlier rows. Rows
+    that no outcome keys may overflow, so the product's floating-point
+    warnings are off; an outcome's non-finite score is rejected where the
+    table is checked."""
+    block, scores = np.zeros((rows, len(box)), order="F"), np.empty(box.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(scores), rows):
+            part = box[:, start:start + rows]
+            np.copyto(block.T[:, :part.shape[1]], part)
+            scores[start:start + rows] = (block @ params)[:part.shape[1]]
+    return scores
+
+
+def _gather(chunks, columns: np.ndarray, n_outcomes: int) -> np.ndarray:
+    """F-ordered (n_outcomes, k) table whose rows in each (first index, keys)
+    chunk of ``chunks`` hold column j's entries ``columns[j][keys]``."""
+    table = None
+    for start, keys in chunks:
+        if table is None:  # after the first chunk's transients are gone
+            table = np.empty((n_outcomes, len(columns)), order="F")
+        for j, column in enumerate(columns):
+            # keys are in range; the default mode would buffer ``out``
+            np.take(column, keys, out=table[start:start + len(keys), j], mode="clip")
+    return table
 
 
 def make_graph_model(spec: GraphModelSpec,
                      budget: int = DEFAULT_ENUMERATION_BUDGET) -> LinearExpFamily:
     """Exponential random-graph model with edge/2-star/triangle terms.
 
-    Its tables read ``_graph_chunks``; ``score`` counts each row by
-    ``graph_statistics``.
+    Its tables gather by ``_graph_chunks``' keys: a lone model's scores
+    from every key's score, ``_box_scores`` over the box of count rows, and
+    the statistic table from the box's columns. ``score`` counts each row
+    by ``graph_statistics``. Relabelling the nodes permutes the edges
+    transitively and keeps every count, so a table gathered by the keys is
+    ``exchangeable`` and ``metrics.delta_n`` reads one digit of it; a table
+    made from the statistic table (``at``, or after ``statistic_values``)
+    is a product over the whole table and is not declared so.
     """
     term_cols = [GRAPH_TERMS.index(t) for t in spec.active_terms]
     params = [spec.params[c] for c in term_cols]
@@ -329,7 +414,7 @@ def make_graph_model(spec: GraphModelSpec,
         return graph_statistics(spec, outcomes)[:, term_cols]
 
     model = LinearExpFamily(space, stat_fn, params, family="graph", budget=budget)
-    model._stat_chunks = lambda budget: _graph_chunks(spec, term_cols, budget)
+    model._stat_keys = functools.partial(_graph_keys, spec, term_cols)
     return model
 
 

@@ -37,14 +37,14 @@ from foeslab import (
     sign_reversal_masses,
 )
 from foeslab.core import UniformModelError
-from foeslab.metrics import MODAL_TIE_TOL, ModalSet, _score_range, lrep
+from foeslab.metrics import ModalSet, _score_range, lrep, modal_tie_tol
 from foeslab.psr import PSR_TOL, PsrReport, _psr_report
 
 
 def oracle_modal_set(model, epsilon: float) -> ModalSet:
     logp, (imax, imin) = model.log_probs(), model.extreme_indices()
     threshold = (1.0 - epsilon) * logp[imax] + epsilon * logp[imin]
-    members = np.flatnonzero(logp > threshold - MODAL_TIE_TOL)
+    members = np.flatnonzero(logp > threshold - modal_tie_tol(logp[imax], logp[imin]))
     mass = float(np.exp(logp[members]).sum())
     return ModalSet(epsilon=epsilon, threshold=float(threshold),
                     members=members, mass=mass)

@@ -491,6 +491,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         "lrep --model bernoulli --n 3 --theta 1e308",
+        "lrep --model graph --nodes 4 --theta1 1e308 --theta2 1e308",
         "figure1 --n-breaks 2 --samples-per-point 1 --magnitude-max 1e307",
     ])
     def test_overflow_is_one_line_in_a_process(self, argv):
@@ -743,6 +744,22 @@ def test_lrep_at_two_to_the_21_peaks_near_its_score_table():
     argv = ("lrep --model graph --nodes 7 --theta1 0.3 --theta2 -0.2 "
             "--theta3 0.5")
     assert child_peak_kb(CLI_CHILD, *argv.split()) < 512 * 1024
+
+
+def test_seven_node_lrep_holds_its_score_table_and_two_chunks(capsys):
+    # each chunk of scores is gathered from the score of every count key
+    # (84k of them), so no 2^21 key table (8 MB) or (2^21, 3) statistic
+    # table (48 MB) is made; a chunk here is a (2^16, 3) float64 block of
+    # statistic rows, what the route held per chunk before the keys
+    argv = "lrep --model graph --nodes 7 --theta1=-0.4 --theta2=0.3 --theta3=-0.1"
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, *argv.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.count("\n") == 2
+    assert peak < 2**21 * 8 + 2 * 2**16 * 3 * 8
 
 
 def test_lrep_on_the_joint_rbm_at_the_cap_peaks_near_its_table():

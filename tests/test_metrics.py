@@ -24,6 +24,7 @@ from foeslab import (
     g_distance,
     graph_lower_bound,
     graph_statistic_extremes,
+    graph_statistics,
     lrep,
     make_bernoulli,
     make_graph_model,
@@ -193,6 +194,68 @@ class TestModalSet:
         # growth shows up end to end even though the path is not monotone
         assert masses[14] > masses[4]
         assert masses[8] < masses[4]  # the dip that breaks monotonicity
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=st.sampled_from([(10, 0.5), (12, 0.5), (10, 0.25), (12, 0.125)]),
+       exponent=st.floats(0, 12), whole=st.booleans(), sign=st.sampled_from([1.0, -1.0]))
+@example(case=(10, 0.5), exponent=7.0, whole=True, sign=1.0)
+@example(case=(12, 0.5), exponent=12.0, whole=True, sign=-1.0)
+def test_modal_ties_are_members_at_every_scale(case, exponent, whole, sign):
+    # theta from 1 to 1e12, at whole powers of ten and between them. The
+    # stored scores are fl(t theta), and fl(n theta) = 2 fl(n theta / 2), so
+    # at eps = 0.5 the level t = n / 2 ties the threshold exactly; at the
+    # other two the threshold lies half a level from the nearest. log Z
+    # cancels from the comparison, so the members are the outcomes whose
+    # stored score clears the threshold in exact rationals. At theta = 1e7
+    # the 1e-9 tolerance alone was below an ulp of the threshold, and the
+    # 252 tied outcomes of Bernoulli-10 fell out
+    (n, epsilon), theta = case, sign * 10.0 ** (round(exponent) if whole else exponent)
+    model = make_bernoulli(n, theta)
+    scores = model.scores()
+    lo, hi = Fraction(float(scores.min())), Fraction(float(scores.max()))
+    cut = (1 - Fraction(epsilon)) * hi + Fraction(epsilon) * lo
+    want = [i for i, s in enumerate(scores.tolist()) if Fraction(s) >= cut]
+    assert modal_set(model, epsilon).members.tolist() == want
+
+
+def test_modal_tie_tolerance_is_the_floor_at_ordinary_sizes():
+    # gamma_8 M passes 1e-9 only once M = max |log P| passes about 1.1e6
+    tol = foeslab.metrics.modal_tie_tol
+    assert tol(-0.0, 0.0) == tol(-1.0, -1e6) == foeslab.metrics.MODAL_TIE_TOL
+    assert tol(0.0, -1e7) > foeslab.metrics.MODAL_TIE_TOL
+    assert tol(0.0, -1e7) == _float_above(foeslab.core._gamma(8) * Fraction(1e7))
+
+
+def _edge_zero_twice(spec):
+    # graph counts with edge 0 counted twice: no longer kept by relabelling
+    return lambda x: graph_statistics(spec, x)[:, :2] + np.outer(x[:, 0], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LinearExpFamily(OutcomeSpace(10, (0, 1)), _edge_zero_twice(GraphModelSpec(5)),
+                            [1.5, -0.25]),
+    lambda: make_graph_model(GraphModelSpec(7, params=(-0.4, 0.3, -0.1))),
+    lambda: make_graph_model(GraphModelSpec(6, params=(0.0, 1.0, 0.0))),
+    lambda: make_graph_model(GraphModelSpec(7, params=(0.2, 0.3, 0.1))).at([-0.4, 0.3, -0.1]),
+    lambda: make_bernoulli(12, -1.3),
+    lambda: make_multinomial(7, [0.7, -1.1, 0.25]),
+], ids=["custom-edge-zero", "graph-stats-first", "graph-stats-first-tie", "graph-at",
+        "bernoulli", "multinomial"])
+def test_delta_n_of_unkeyed_tables_is_the_full_scan(build):
+    # only a table gathered by the graph's count keys reads one digit; a
+    # statistic that singles out edge 0, tables made from the statistic
+    # table (first, or shared by ``at``), and the other linear families
+    # take the full scan. The custom family's top digit moves its score by
+    # 1.5 at most where edge 0's flip moves it by 3, so one digit's read
+    # would be wrong there
+    model = build()
+    if model.family == "graph" and model._stat_slot[0] is None:
+        model.statistic_values()
+    table = model.scores()
+    assert not model.exchangeable()
+    want = _one_flip_range(table, model.n_variables, model.space.alphabet_size)
+    assert delta_n(model).hex() == float(want).hex()
 
 
 class TestStandardizedLogProb:

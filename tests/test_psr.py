@@ -25,7 +25,7 @@ from foeslab import (
 )
 from foeslab.cli import main
 from foeslab.core import FoesModel
-from foeslab.metrics import MODAL_TIE_TOL, ParameterPath
+from foeslab.metrics import ParameterPath, modal_tie_tol
 from foeslab.psr import PSR_TOL
 
 
@@ -300,7 +300,7 @@ def test_extremes_at_the_extreme_indices_are_the_scans(case, epsilon):
     family, theta = case
     logp, logn = family(theta).log_probs(), family(-theta).log_probs()
     threshold = (1.0 - epsilon) * logp.max() + epsilon * logp.min()
-    mass = float(np.exp(logp[logp > threshold - MODAL_TIE_TOL]).sum())
+    mass = float(np.exp(logp[logp > threshold - modal_tie_tol(logp.max(), logp.min())]).sum())
     violation = float(np.abs(logp + logn - (logp.max() + logn.min())).max())
     mset = modal_set(family(theta), epsilon)
     got = (mset.threshold, mset.mass, check_psr(family, theta).max_violation)

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -390,6 +391,101 @@ def test_seven_node_tables_count_one_low_block_by_graph_statistics(monkeypatch):
     model.at([0.1, 0.2, 0.3]).scores()
     model.score(np.ones(21))
     assert calls == [2**16, 2**16, 1]
+
+
+def assert_keyed_table(model, full: np.ndarray, cols: list, theta) -> None:
+    """A lone graph model's table against the chunk products of the graphs'
+    statistic rows ``full[:, cols]``, each F-ordered, as they were scored
+    before the keys; its delta_N against the full scan; and every digit's
+    one-flip spread against the others, all bit for bit."""
+    n = model.n_variables
+    rows = 2 ** foeslab.core._chunk_digits(n, 2)
+    chunkwise = [np.asfortranarray(full[s:s + rows][:, cols]) @ np.asarray(theta)
+                 for s in range(0, len(full), rows)]
+    table = model.scores()
+    assert model.exchangeable()
+    assert table.tobytes() == np.concatenate(chunkwise).tobytes()
+    assert delta_n(model).hex() == float(foeslab.metrics._one_flip_range(table, n, 2)).hex()
+    spreads = [foeslab.core._flip_spreads(table.reshape(1, -1), d) for d in range(n)]
+    assert len({s.tobytes() for s in spreads}) == 1
+
+
+def graph_spec(nodes: int, terms: tuple, theta) -> GraphModelSpec:
+    """The graph model on ``terms`` with their parameters ``theta``."""
+    params = dict(zip(terms, theta))
+    return GraphModelSpec(nodes, params=tuple(params.get(t, 0.0) for t in foeslab.zoo.GRAPH_TERMS),
+                          active_terms=terms)
+
+
+# exact ties at round values and signed zeros, or any value, at scales from
+# 1e-3 to 1e12
+GRAPH_THETAS = st.tuples(
+    st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0]) | st.floats(-4, 4),
+             min_size=3, max_size=3),
+    st.sampled_from([1e-3, 1.0, 3.7, 1e3, 1e8, 1e12]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(nodes=st.integers(3, 6), terms=st.sampled_from(GRAPH_TERM_SUBSETS),
+       chunk=st.sampled_from([None, 2**3, 2**6, 2**9]), theta=GRAPH_THETAS)
+def test_keyed_graph_tables_are_the_chunk_products(nodes, terms, chunk, theta):
+    # every graph of 3 to 6 nodes, in chunks of the default size or of 2^3
+    # to 2^9 graphs, so one to 2^12 chunks and boxes of several blocks
+    direction, scale = theta
+    theta = [scale * d for d in direction[:len(terms)]]
+    spec = graph_spec(nodes, terms, theta)
+    cols = [foeslab.zoo.GRAPH_TERMS.index(t) for t in terms]
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
+        full = graph_statistics(spec, OutcomeSpace(spec.n_edges, (0, 1)).all_outcomes())
+        assert_keyed_table(make_graph_model(spec), full, cols, theta)
+
+
+@pytest.mark.parametrize("terms, theta", [
+    (foeslab.zoo.GRAPH_TERMS, (-0.4e12, 0.3e12, -0.1e12)),
+    (foeslab.zoo.GRAPH_TERMS, (0.0, 1.0, 0.0)),
+    (foeslab.zoo.GRAPH_TERMS, (-0.0, 0.0, -0.0)),
+    (("edges", "two_stars"), (2e8, -0.5e8)),
+    (("triangles",), (-3e-3,)),
+], ids=["scale-1e12", "tie", "signed-zeros", "edges+two_stars", "triangles"])
+def test_seven_node_keyed_tables_are_the_chunk_products(graph_row_statistics, terms, theta):
+    _, full = graph_row_statistics(7)
+    cols = [foeslab.zoo.GRAPH_TERMS.index(t) for t in terms]
+    assert_keyed_table(make_graph_model(graph_spec(7, terms, theta)), full, cols, theta)
+
+
+def test_unused_keys_overflow_without_a_warning():
+    # six edges and four triangles without a 2-star is no graph on 4 nodes,
+    # and its key scores 1e308 + 1e308; every graph scores within 1e308
+    spec = GraphModelSpec(4, params=(1e308 / 6, -1e307, 2.5e307))
+    model = make_graph_model(spec)
+    box, _ = model._stat_keys(model.budget)
+    assert np.isinf(foeslab.zoo._box_scores(box, model.params, 64)).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = model.scores()
+        assert lrep(model).lrep == table.max() - table.min()
+    assert np.isfinite(table).all()
+    # where a graph's own score overflows, the table is rejected as before
+    overflowing = make_graph_model(GraphModelSpec(4, params=(1e308, 1e308, 0.0)))
+    with pytest.raises(ValueError, match="non-finite"):
+        overflowing.scores()
+
+
+@pytest.mark.parametrize("factor", [[1.0, 1.0, 1.5], [1.0, 1.0, 2.0], [1.0, -1.0, 1.0]])
+def test_counts_outside_the_key_box_are_an_error(monkeypatch, factor):
+    # a statistic that is not a count below its radix would key another
+    # graph's row, which the gather would read without a word: half
+    # triangles, twice as many triangles as K4 has, negative 2-stars
+    original = foeslab.zoo.graph_statistics
+    monkeypatch.setattr(foeslab.zoo, "graph_statistics",
+                        lambda spec, rows: original(spec, rows) * factor)
+    model = make_graph_model(GraphModelSpec(4, params=(0.3, -0.2, 0.5)))
+    with pytest.raises(ValueError, match="key radices"):
+        model.scores()
+    with pytest.raises(ValueError, match="key radices"):
+        model.statistic_values()
 
 
 def test_seven_node_tables_keep_the_budget():
