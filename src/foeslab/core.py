@@ -330,6 +330,117 @@ def _one_flip_shape(n_variables: int, k: int, i: int) -> tuple[int, int, int]:
     return (k ** (n_variables - 1 - i), k, k**i)
 
 
+def _flip_views(block: np.ndarray, m: int, k: int, upper: int, spread: np.ndarray) -> list:
+    """(a, b, out) views for one-flip scans of the upper digits of a block of
+    k^m rows: for each such digit i, the rows where digit i is j and where
+    it is j' < j, pairs of runs of k^i rows a stride k^i apart, and
+    ``spread`` shaped like them."""
+    views = []
+    for i in range(m - upper, m):
+        flip = block.reshape(*_one_flip_shape(m, k, i), -1)
+        out = spread.reshape(flip[:, 0].shape)
+        views += [(flip[:, j], flip[:, jp], out) for j in range(1, k) for jp in range(j)]
+    return views
+
+
+def _line_aligned(n: int) -> np.ndarray:
+    """np.empty(n) starting on a 64-byte cache line; off one, one-flip scans ran 10-25% slower."""
+    raw = np.empty(n + 7)
+    return raw[-raw.ctypes.data % 64 // 8:][:n]
+
+
+def _one_flip_range(table: np.ndarray, n_variables: int, k: int) -> np.ndarray:
+    """Largest spread among outcomes one flip apart; a trailing axis holds draws.
+
+    Every scan reads a block of k^m outcome rows (m = ``_chunk_digits``)
+    that sits in cache, with the flipped digit an outer axis over runs of at
+    least k^(m//2) (outcome, draw) entries. A block is an aligned piece of
+    the table or one reused buffer. A piece scans as stored the digits whose
+    runs are that long, and its lower digits on a transposed copy, where
+    they are the upper ones: m//2 digits for a 1-D table, none for
+    figure1's blocks of draws. The digits above a piece go in groups of at
+    most m minus the transposed count. A slab, copied out of the table once,
+    holds every value of a group's digits (its upper digits) times a run of
+    low rows. So the table is read from memory once for the pieces and once
+    per group: twice at the 2^24 cap. The buffer's scan views are built once
+    per scanned digit count; each scan's maximum goes into one row of a
+    table of maxima, which is folded at the end.
+    """
+    draws = table.shape[1:]
+    rows = table.reshape(table.shape[0], -1)
+    m, width = _chunk_digits(n_variables, k), rows.shape[1]
+    half = sum(k**i * width < k ** (m // 2) for i in range(m // 2))
+    # transposed pieces and slabs share one buffer; a table of one piece
+    # whose runs are all long (figure1's blocks of draws) needs neither
+    copy = _line_aligned(k**m * width if half or m < n_variables else 0)
+    spread = _line_aligned(k ** (m - 1) * width)
+    # every outcome digit is scanned once per piece's worth of rows, for
+    # each of the k(k - 1)/2 pairs of its values
+    peaks = np.empty((k ** (n_variables - m) * n_variables * (k * (k - 1) // 2), width))
+    plans, scans = {}, iter(peaks)
+
+    def scan(views: list) -> None:
+        # the largest pairwise |difference| is max - min exactly: rounding
+        # is monotone and fl(a - b) = -fl(b - a)
+        for a, b, out in views:
+            np.subtract(a, b, out=out)
+            np.abs(out, out=out)
+            np.maximum.reduce(out, axis=(0, 1), out=next(scans))
+
+    def copy_views(upper: int) -> list:
+        if upper not in plans:
+            plans[upper] = _flip_views(copy, m, k, upper, spread)
+        return plans[upper]
+
+    for start in range(0, len(rows), k**m):
+        part = rows[start:start + k**m]
+        scan(_flip_views(part, m, k, m - half, spread))
+        if half:
+            np.copyto(copy.reshape(k**half, -1, width),
+                      part.reshape(-1, k**half, width).transpose(1, 0, 2))
+            scan(copy_views(half))
+    for low in range(m, n_variables, m - half):
+        upper = min(m - half, n_variables - low)
+        run = k ** (m - upper)
+        slab = copy.reshape(k**upper, run, width)
+        for group in rows.reshape(-1, k**upper, k**low, width):
+            for start in range(0, k**low, run):
+                np.copyto(slab, group[:, start:start + run])
+                scan(copy_views(upper))
+    return np.maximum.reduce(peaks, axis=0, initial=0.0).reshape(draws)
+
+
+def _batches(lines: np.ndarray, picked: np.ndarray):
+    """(indices, lines) of the rows ``picked`` of ``lines``, in order, in
+    batches of at most a chunk of entries and one row at least: consecutive
+    rows are read in place, others gathered."""
+    per = max(1, _CHUNK_OUTCOMES // lines.shape[1])
+    for b in range(0, len(picked), per):
+        batch = picked[b:b + per]
+        consecutive = batch[-1] - batch[0] == len(batch) - 1
+        yield batch, lines[batch[0]:batch[-1] + 1] if consecutive else lines[batch]
+
+
+def _flip_spreads(lines: np.ndarray, digit: int) -> np.ndarray:
+    """Each line's largest |difference| of two entries whose positions differ
+    only in binary digit ``digit``, found half a chunk of pairs at a time."""
+    size, width = lines.shape
+    if not size:  # a row past a grid, read in place, is an empty slice
+        raise ValueError("no lines to read")
+    pairs = lines.reshape(size, *_one_flip_shape(width.bit_length() - 1, 2, digit))
+    groups, _, run = pairs.shape[1:]
+    run_step = min(run, max(1, _CHUNK_OUTCOMES // 2 // size))
+    group_step = min(groups, max(1, _CHUNK_OUTCOMES // 2 // (size * run_step)))
+    buffer, spreads = np.empty((size, group_step, run_step)), np.zeros(size)
+    for g in range(0, groups, group_step):
+        for r in range(0, run, run_step):
+            piece = pairs[:, g:g + group_step, :, r:r + run_step]
+            diff = np.subtract(piece[:, :, 1], piece[:, :, 0],
+                               out=buffer[:, :piece.shape[1], :piece.shape[3]])
+            np.maximum(spreads, np.abs(diff, out=diff).max(axis=(1, 2)), out=spreads)
+    return spreads
+
+
 class FoesModel:
     """A FOES model: an outcome space plus an unnormalized log score.
 
@@ -374,10 +485,7 @@ class FoesModel:
         """Unnormalized log-probabilities of all outcomes, in index order.
 
         The argmax and argmin are found with the table, the lowest index on
-        ties. A model whose ``envelope`` bounds each row reads them only in
-        the rows that can hold them (``_enveloped_extremes``); any other
-        model takes one full argmax and argmin, which also reject a NaN or
-        infinite score.
+        ties, by ``_find_extremes``.
         """
         if self._scores is None:
             scores = np.asarray(self._score_table(), dtype=np.float64)
@@ -386,9 +494,7 @@ class FoesModel:
                     f"score_fn returned shape {scores.shape}, "
                     f"expected ({self.space.n_outcomes},)"
                 )
-            envelope = self.envelope()
-            self._extremes = (_extremes(scores) if envelope is None
-                              else _enveloped_extremes(scores, envelope))
+            self._extremes = self._find_extremes(scores)
             self._scores = scores
         return self._scores
 
@@ -402,18 +508,21 @@ class FoesModel:
         # unchecked scores of every outcome; scores() validates and caches
         return self.space.tabulate(self.score_fn, self.budget)
 
-    def envelope(self) -> GridEnvelope | None:
-        """Certified row and column bounds on ``scores()``, or None. Only a
-        constructor that can prove them supplies them: ``zoo.make_rbm_joint``."""
-        return None
+    def _find_extremes(self, table: np.ndarray) -> tuple[int, int]:
+        """(argmax, argmin) of the built table: one full argmax and argmin,
+        ValueError unless both are finite. A model whose closed form bounds
+        its table may read less."""
+        # the first NaN or +inf is the argmax, the first -inf the argmin
+        imax, imin = int(np.argmax(table)), int(np.argmin(table))
+        if not (np.isfinite(table[imax]) and np.isfinite(table[imin])):
+            raise ValueError(_NOT_FINITE)
+        return imax, imin
 
-    def exchangeable(self) -> bool:
-        """Whether the built ``scores()`` is a gather S[key(x)], with key(x)
-        kept by a group of variable permutations that is transitive on the
-        variables: then every variable's one-flip spreads are one multiset.
-        Only a table built so says so: ``zoo.make_graph_model``'s, gathered
-        by its count keys, which node relabelling keeps."""
-        return False
+    def _one_flip_max(self) -> float:
+        """delta_N, the largest spread of ``scores()`` over outcomes one flip
+        apart: the full scan (``_one_flip_range``). A model that can prove
+        where the largest spread lies may read less, bit for bit the same."""
+        return float(_one_flip_range(self.scores(), self.n_variables, self.space.alphabet_size))
 
     @property
     def log_normalizer(self) -> float:
@@ -440,102 +549,6 @@ class FoesModel:
 
 _NOT_FINITE = ("model has a non-finite log-probability; "
                "FOES models must support every outcome")
-
-
-def _extremes(scores: np.ndarray) -> tuple[int, int]:
-    """(argmax, argmin) of a full table; ValueError unless both are finite."""
-    # the first NaN or +inf is the argmax, the first -inf the argmin
-    imax, imin = int(np.argmax(scores)), int(np.argmin(scores))
-    if not (np.isfinite(scores[imax]) and np.isfinite(scores[imin])):
-        raise ValueError(_NOT_FINITE)
-    return imax, imin
-
-
-@dataclass(frozen=True)
-class GridEnvelope:
-    """Certified bounds on a score table seen as a grid of 2^row_digits rows,
-    each an aligned run of 2^column_digits indices (the low digits).
-
-    Two entries one flip apart differ in a column digit, and lie in one row,
-    or in a row digit, and lie in one column. A digit's flip spread is the
-    largest |difference| of two such entries. Row d of ``row_flips`` bounds
-    column digit d's flip spread in each row of the grid, or, where it has
-    one entry, over the whole grid; row d of ``column_flips`` bounds row
-    digit d's in each column, or over the whole grid. ``upper`` and
-    ``lower`` bound each row's max and min, or are None. The table's
-    values, as it rounds, lie within ``slack`` of each bound, on either side.
-    """
-
-    row_digits: int
-    column_digits: int
-    slack: float
-    upper: np.ndarray | None
-    lower: np.ndarray | None
-    row_flips: np.ndarray
-    column_flips: np.ndarray
-
-
-def _batches(lines: np.ndarray, picked: np.ndarray):
-    """(indices, lines) of the rows ``picked`` of ``lines``, in order, in
-    batches of at most a chunk of entries and one row at least: consecutive
-    rows are read in place, others gathered."""
-    per = max(1, _CHUNK_OUTCOMES // lines.shape[1])
-    for b in range(0, len(picked), per):
-        batch = picked[b:b + per]
-        consecutive = batch[-1] - batch[0] == len(batch) - 1
-        yield batch, lines[batch[0]:batch[-1] + 1] if consecutive else lines[batch]
-
-
-def _flip_spreads(lines: np.ndarray, digit: int) -> np.ndarray:
-    """Each line's largest |difference| of two entries whose positions differ
-    only in binary digit ``digit``, found half a chunk of pairs at a time."""
-    pairs = lines.reshape(len(lines), -1, 2, 2**digit)
-    size, groups, _, run = pairs.shape
-    run_step = min(run, max(1, _CHUNK_OUTCOMES // 2 // size))
-    group_step = min(groups, max(1, _CHUNK_OUTCOMES // 2 // (size * run_step)))
-    buffer, spreads = np.empty((size, group_step, run_step)), np.zeros(size)
-    for g in range(0, groups, group_step):
-        for r in range(0, run, run_step):
-            piece = pairs[:, g:g + group_step, :, r:r + run_step]
-            diff = np.subtract(piece[:, :, 1], piece[:, :, 0],
-                               out=buffer[:, :piece.shape[1], :piece.shape[3]])
-            np.maximum(spreads, np.abs(diff, out=diff).max(axis=(1, 2)), out=spreads)
-    return spreads
-
-
-def _enveloped_extremes(table: np.ndarray, envelope: GridEnvelope) -> tuple[int, int]:
-    """(argmax, argmin) of ``table``, lowest index on ties, read only in rows
-    whose envelope can hold them; the full pass where rows have no bounds.
-
-    Row r's max is within slack s of its bound u_r, so the table's max M is
-    at least u_r - s for every r, and a row that holds M has
-    u_r + s >= M >= max(u) - s. So only rows with u_r >= max(u) - 2s can
-    hold it, and likewise only rows with l_r <= min(l) + 2s the min. Those
-    thresholds are rounded outward from exact rationals, so no such row is
-    left out. The rows that pass are read in index order, in batches of
-    at most a chunk (``_batches``), and a later batch wins only by a larger
-    value, so a tie keeps the lowest index, as a full argmax does. Each row
-    read must lie within its envelope, or CertificateError is raised; the
-    check is code, not an ``assert``.
-    """
-    upper, lower, slack = envelope.upper, envelope.lower, envelope.slack
-    if upper is None:
-        return _extremes(table)
-    grid = table.reshape(len(upper), -1)
-    top = _float_above(Fraction(float(upper.max())) - 2 * Fraction(slack))
-    bottom = -_float_above(-Fraction(float(lower.min())) - 2 * Fraction(slack))
-    best, worst = (-math.inf, -1), (math.inf, -1)
-    for batch, block in _batches(grid, np.flatnonzero((upper >= top) | (lower <= bottom))):
-        peaks, floors = block.max(axis=1), block.min(axis=1)
-        if not (np.all(np.abs(peaks - upper[batch]) <= slack)
-                and np.all(np.abs(floors - lower[batch]) <= slack)):
-            raise CertificateError("a score-table row lies outside its certified envelope")
-        r, q = int(np.argmax(peaks)), int(np.argmin(floors))
-        if peaks[r] > best[0]:
-            best = (peaks[r], int(batch[r]) * grid.shape[1] + int(np.argmax(block[r])))
-        if floors[q] < worst[0]:
-            worst = (floors[q], int(batch[q]) * grid.shape[1] + int(np.argmin(block[q])))
-    return best[1], worst[1]
 
 
 def _check_finite(scores: np.ndarray) -> np.ndarray:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_CHUNK_OUTCOMES, DEFAULT_ENUMERATION_BUDGET, OutcomeSpace,
-                   _check_finite, _csv, _philox_streams)
-from .metrics import _extremal_range, _one_flip_range
+                   _check_finite, _csv, _one_flip_range, _philox_streams)
+from .metrics import _extremal_range
 from .zoo import _first_layer, _log2cosh
 
 GRID_METRICS = ("scaled_lrep", "delta_n")

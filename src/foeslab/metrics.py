@@ -17,9 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (CertificateError, FoesModel, UniformModelError, _batches, _check_finite,
-                   _chunk_digits, _chunks, _flip_spreads, _float_above, _gamma,
-                   _one_flip_shape, _pairwise_sum)
+from .core import (CertificateError, FoesModel, UniformModelError, _check_finite, _chunks,
+                   _float_above, _gamma, _pairwise_sum)
 from .zoo import GraphModelSpec, LinearExpFamily, graph_statistics
 
 # Outcomes whose log-probability falls within this distance below a modal
@@ -76,86 +75,6 @@ def _extremal_range(table: np.ndarray) -> np.ndarray:
     return table.max(axis=0) - table.min(axis=0)
 
 
-def _flip_views(block: np.ndarray, m: int, k: int, upper: int, spread: np.ndarray) -> list:
-    """(a, b, out) views for one-flip scans of the upper digits of a block of
-    k^m rows: for each such digit i, the rows where digit i is j and where
-    it is j' < j, pairs of runs of k^i rows a stride k^i apart, and
-    ``spread`` shaped like them."""
-    views = []
-    for i in range(m - upper, m):
-        flip = block.reshape(*_one_flip_shape(m, k, i), -1)
-        out = spread.reshape(flip[:, 0].shape)
-        views += [(flip[:, j], flip[:, jp], out) for j in range(1, k) for jp in range(j)]
-    return views
-
-
-def _line_aligned(n: int) -> np.ndarray:
-    """np.empty(n) starting on a 64-byte cache line; off one, one-flip scans ran 10-25% slower."""
-    raw = np.empty(n + 7)
-    return raw[-raw.ctypes.data % 64 // 8:][:n]
-
-
-def _one_flip_range(table: np.ndarray, n_variables: int, k: int) -> np.ndarray:
-    """Largest spread among outcomes one flip apart; a trailing axis holds draws.
-
-    Every scan reads a block of k^m outcome rows (m = ``_chunk_digits``)
-    that sits in cache, with the flipped digit an outer axis over runs of at
-    least k^(m//2) (outcome, draw) entries. A block is an aligned piece of
-    the table or one reused buffer. A piece scans as stored the digits whose
-    runs are that long, and its lower digits on a transposed copy, where
-    they are the upper ones: m//2 digits for a 1-D table, none for
-    figure1's blocks of draws. The digits above a piece go in groups of at
-    most m minus the transposed count. A slab, copied out of the table once,
-    holds every value of a group's digits (its upper digits) times a run of
-    low rows. So the table is read from memory once for the pieces and once
-    per group: twice at the 2^24 cap. The buffer's scan views are built once
-    per scanned digit count; each scan's maximum goes into one row of a
-    table of maxima, which is folded at the end.
-    """
-    draws = table.shape[1:]
-    rows = table.reshape(table.shape[0], -1)
-    m, width = _chunk_digits(n_variables, k), rows.shape[1]
-    half = sum(k**i * width < k ** (m // 2) for i in range(m // 2))
-    # transposed pieces and slabs share one buffer; a table of one piece
-    # whose runs are all long (figure1's blocks of draws) needs neither
-    copy = _line_aligned(k**m * width if half or m < n_variables else 0)
-    spread = _line_aligned(k ** (m - 1) * width)
-    # every outcome digit is scanned once per piece's worth of rows, for
-    # each of the k(k - 1)/2 pairs of its values
-    peaks = np.empty((k ** (n_variables - m) * n_variables * (k * (k - 1) // 2), width))
-    plans, scans = {}, iter(peaks)
-
-    def scan(views: list) -> None:
-        # the largest pairwise |difference| is max - min exactly: rounding
-        # is monotone and fl(a - b) = -fl(b - a)
-        for a, b, out in views:
-            np.subtract(a, b, out=out)
-            np.abs(out, out=out)
-            np.maximum.reduce(out, axis=(0, 1), out=next(scans))
-
-    def copy_views(upper: int) -> list:
-        if upper not in plans:
-            plans[upper] = _flip_views(copy, m, k, upper, spread)
-        return plans[upper]
-
-    for start in range(0, len(rows), k**m):
-        part = rows[start:start + k**m]
-        scan(_flip_views(part, m, k, m - half, spread))
-        if half:
-            np.copyto(copy.reshape(k**half, -1, width),
-                      part.reshape(-1, k**half, width).transpose(1, 0, 2))
-            scan(copy_views(half))
-    for low in range(m, n_variables, m - half):
-        upper = min(m - half, n_variables - low)
-        run = k ** (m - upper)
-        slab = copy.reshape(k**upper, run, width)
-        for group in rows.reshape(-1, k**upper, k**low, width):
-            for start in range(0, k**low, run):
-                np.copyto(slab, group[:, start:start + run])
-                scan(copy_views(upper))
-    return np.maximum.reduce(peaks, axis=0, initial=0.0).reshape(draws)
-
-
 def _score_range(model: FoesModel) -> tuple[np.ndarray, float, float]:
     """Score table with its min and max, which a uniform model leaves equal."""
     scores = model.scores()
@@ -193,81 +112,12 @@ def delta_n(model: FoesModel) -> float:
 
     Scans the ordered pairs differing in exactly one component; by pair
     symmetry the maximum signed log-ratio equals the maximum absolute one.
-    Zero exactly for uniform models.
-
-    A model with an ``envelope`` (the joint RBM) is read by the pieces its
-    bounds cover: one digit's flips in one row or one column of its grid,
-    or in the whole grid where a side is bounded per digit
-    (``_flip_sides``). Every one-flip pair lies in exactly one piece. The
-    piece of largest bound is read first, which gives a spread L; then,
-    digit by digit, only the pieces whose bound exceeds L - slack, L the
-    largest spread read so far, since no other can exceed L. No piece is
-    read twice, and a float maximum does not depend on the order it is
-    taken in, so the result is the full scan's bit for bit. At the 14 + 10
-    cap it reads one digit of one column (2^9 pairs) on the seeds tried, in
-    well under a millisecond, against about 0.3 s for the full scan of the
-    2^24 table; where every row ties in a digit (W = 0) it reads that digit
-    once over the table.
-
-    A binary model whose table is ``exchangeable`` (a graph model's
-    table gathered by its count keys) is read in its top digit alone, two
-    contiguous halves (``core._flip_spreads``). Let sigma relabel the
-    nodes. It permutes the edges, sending edge e to sigma(e) and graph x to
-    sigma(x), and keeps every count: g(sigma(x)) = g(x). It maps the pairs
-    (x, x with e flipped) one to one onto the pairs (sigma(x), sigma(x) with
-    sigma(e) flipped), so edges e and sigma(e) have the same multiset of
-    (g(x), g(x with the edge flipped)) pairs. A gather's entries depend on
-    g alone, so the two digits have the same multiset of score pairs, and of
-    spreads fl(|a - b|). Relabelling takes any node pair to any other, so
-    every digit's largest spread is the top digit's, and so is the full
-    scan's maximum over all digits, bit for bit: 2^20 pairs at 7 nodes,
-    about 1 ms against about 20 ms. Every other model takes the full scan.
+    Zero exactly for uniform models. The model reads it
+    (``FoesModel._one_flip_max``): the full scan, or only the part of its
+    table where it proves the answer lies (the joint RBM, a graph table
+    gathered by its count keys), bit for bit the same.
     """
-    table, n, k = model.scores(), model.n_variables, model.space.alphabet_size
-    if k == 2 and model.exchangeable():
-        return float(_flip_spreads(table.reshape(1, -1), n - 1)[0])
-    envelope = model.envelope()
-    if envelope is None:
-        return float(_one_flip_range(table, n, k))
-    sides, slack = _flip_sides(table, envelope), envelope.slack
-    _, side, digit = max((bounds[d].max(), s, d) for s, (_, _, bounds) in enumerate(sides)
-                         for d in range(len(bounds)))
-    line = int(np.argmax(sides[side][2][digit]))
-    reached = _read_flips(sides[side], digit, np.array([line]), slack)
-    for s, (_, _, bounds) in enumerate(sides):
-        for d, limits in enumerate(bounds):
-            # a piece can beat L only if its bound exceeds L - slack, rounded down
-            picked = limits > -_float_above(Fraction(slack) - Fraction(reached))
-            if (s, d) == (side, digit):
-                picked[line] = False
-            if picked.any():
-                reached = max(reached, _read_flips(sides[s], d, np.flatnonzero(picked), slack))
-    return reached
-
-
-def _flip_sides(table: np.ndarray, envelope) -> list:
-    """(lines, first digit, bounds) for the rows and the columns of an
-    envelope's grid: the grid's rows or columns, each with its bound per
-    digit, or the whole table as one line, whose flips are those of its
-    digits from the first digit on."""
-    grid, whole = table.reshape(2**envelope.row_digits, -1), table.reshape(1, -1)
-    rows, columns = envelope.row_flips, envelope.column_flips
-    return [(grid, 0, rows) if rows.shape[1] == len(grid) else (whole, 0, rows),
-            (grid.T, 0, columns) if columns.shape[1] == grid.shape[1]
-            else (whole, envelope.column_digits, columns)]
-
-
-def _read_flips(side: tuple, digit: int, picked: np.ndarray, slack: float) -> float:
-    """Largest flip spread of ``digit`` over the lines ``picked`` of a side
-    (``_flip_sides``), a batch of at most a chunk of entries at a time
-    (``core._batches``). Each line's spread must lie within ``slack`` of its
-    bound, or CertificateError is raised (code, not an ``assert``)."""
-    lines, first, bounds = side
-    spreads = np.concatenate([_flip_spreads(block, first + digit)
-                              for _, block in _batches(lines, picked)])
-    if not np.all(np.abs(spreads - bounds[digit, picked]) <= slack):
-        raise CertificateError("a one-flip spread lies outside its certified envelope")
-    return float(spreads.max())
+    return model._one_flip_max()
 
 
 def instability_report(model: FoesModel) -> InstabilityReport:

@@ -20,9 +20,9 @@ from foeslab import (
     sample_on_sphere,
 )
 from foeslab.core import (_CHUNK_OUTCOMES, DEFAULT_ENUMERATION_BUDGET, OutcomeSpace,
-                          _check_finite, _philox, _philox_streams)
+                          _check_finite, _one_flip_range, _philox, _philox_streams)
 from foeslab.experiments import GRID_METRICS, GridCell
-from foeslab.metrics import _extremal_range, _one_flip_range
+from foeslab.metrics import _extremal_range
 from foeslab.zoo import _first_layer, _log2cosh
 from conftest import CLI_CHILD, child_peak_kb
 

@@ -5,13 +5,13 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import foeslab.core
-import foeslab.metrics
 import foeslab.zoo
 from foeslab import (
     DbmParams,
@@ -32,6 +32,8 @@ from foeslab.core import (
     BudgetExceededError,
     FoesModel,
     OutcomeSpace,
+    _float_above,
+    _one_flip_range,
 )
 from foeslab.cli import main
 from foeslab.metrics import delta_n, lrep
@@ -396,16 +398,24 @@ def test_seven_node_tables_count_one_low_block_by_graph_statistics(monkeypatch):
 def assert_keyed_table(model, full: np.ndarray, cols: list, theta) -> None:
     """A lone graph model's table against the chunk products of the graphs'
     statistic rows ``full[:, cols]``, each F-ordered, as they were scored
-    before the keys; its delta_N against the full scan; and every digit's
-    one-flip spread against the others, all bit for bit."""
+    before the keys; its delta_N, read in the top digit alone, against the
+    full scan; and every digit's one-flip spread against the others, all
+    bit for bit."""
     n = model.n_variables
     rows = 2 ** foeslab.core._chunk_digits(n, 2)
     chunkwise = [np.asfortranarray(full[s:s + rows][:, cols]) @ np.asarray(theta)
                  for s in range(0, len(full), rows)]
     table = model.scores()
-    assert model.exchangeable()
     assert table.tobytes() == np.concatenate(chunkwise).tobytes()
-    assert delta_n(model).hex() == float(foeslab.metrics._one_flip_range(table, n, 2)).hex()
+    kernels = []
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in ((foeslab.core, "_one_flip_range"), (foeslab.zoo, "_flip_spreads")):
+            kernel = getattr(module, name)
+            patch.setattr(module, name, lambda *args, kernel=kernel, name=name:
+                          kernels.append((name, args[1:])) or kernel(*args))
+        got = delta_n(model)
+    assert kernels == [("_flip_spreads", (n - 1,))]
+    assert got.hex() == float(foeslab.core._one_flip_range(table, n, 2)).hex()
     spreads = [foeslab.core._flip_spreads(table.reshape(1, -1), d) for d in range(n)]
     assert len({s.tobytes() for s in spreads}) == 1
 
@@ -878,13 +888,13 @@ def test_joint_delta_at_the_budget_cap_reads_at_most_two_pieces(monkeypatch):
     params, _ = _rbm_case(14, 10, seed=1410)
     model = make_rbm_joint(params)
     table = model.scores()
-    read, pieces = [], foeslab.metrics._read_flips
+    read, pieces = [], foeslab.zoo._read_flips
 
     def counted(side, digit, picked, slack):
-        read.extend((side[2] is model.envelope().row_flips, digit, int(p)) for p in picked)
+        read.extend((side is model._envelope[3][0], digit, int(p)) for p in picked)
         return pieces(side, digit, picked, slack)
 
-    monkeypatch.setattr(foeslab.metrics, "_read_flips", counted)
+    monkeypatch.setattr(foeslab.zoo, "_read_flips", counted)
     chunk_bytes = foeslab.core._CHUNK_OUTCOMES * table.itemsize
     ufunc_bytes = 2 * np.getbufsize() * table.itemsize
     tracemalloc.start()
@@ -912,17 +922,16 @@ def test_enveloped_reads_at_the_cap_keep_the_full_pass(nv, nh, coupled, monkeypa
     model = make_rbm_joint(params)
     table = model._score_table()
     want = (int(np.argmax(table)), int(np.argmin(table)),
-            float(foeslab.metrics._one_flip_range(table, 24, 2)).hex())
+            float(foeslab.core._one_flip_range(table, 24, 2)).hex())
     model._score_table = lambda: table
-    batches, cut = [], foeslab.core._batches
+    batches, cut = [], foeslab.zoo._batches
 
     def counted(lines, picked):
         for batch, block in cut(lines, picked):
             batches.append(len(batch))
             yield batch, block
 
-    monkeypatch.setattr(foeslab.core, "_batches", counted)
-    monkeypatch.setattr(foeslab.metrics, "_batches", counted)
+    monkeypatch.setattr(foeslab.zoo, "_batches", counted)
     chunk_bytes = foeslab.core._CHUNK_OUTCOMES * table.itemsize
     tracemalloc.start()
     try:
@@ -939,6 +948,182 @@ def test_enveloped_reads_at_the_cap_keep_the_full_pass(nv, nh, coupled, monkeypa
     # temporaries: at most about ten chunks, against 64 MB for one bound per
     # row or column
     assert peak <= 12 * chunk_bytes, peak / chunk_bytes
+
+
+@st.composite
+def bounded_joint_rbms(draw):
+    """(params, chunk, line_digits) of joint RBMs of 1-10 visibles and 0-8
+    hiddens, or of more hiddens than visibles (1-5 and up to 10), at scales
+    1e-3 to 1e12: normal draws, exact ties, W = 0, scattered signed zeros,
+    or every parameter a signed zero. Patched chunks of 4 and 16 run on at
+    most 2^12 outcomes, where a scan's pieces stay few. ``line_digits`` None
+    keeps the envelope's own threshold for bounding a side line by line; 1
+    bounds every side so, 4 only sides of lines of 2^4 entries or more."""
+    chunk = draw(st.sampled_from([None, 4, 16]))
+    if draw(st.booleans()):
+        nv = draw(st.integers(1, 5))
+        nh = draw(st.integers(nv + 1, 10 if chunk is None else 12 - nv))
+    else:
+        nv = draw(st.integers(1, 10))
+        nh = draw(st.integers(0, 8 if chunk is None else min(8, 12 - nv)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e6, 1e12]))
+    kind = draw(st.sampled_from(["normal", "ties", "uncoupled", "signed_zeros", "zero"]))
+    line_digits = draw(st.sampled_from([None, 1, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v, h, w = (rng.normal(size=size) * scale for size in (nv, nh, (nh, nv)))
+    signs = lambda size: rng.choice([-1.0, 1.0], size=size)
+    if kind == "ties":
+        # equal |biases| and equal coupling columns: rows and columns tie in
+        # pairs and runs
+        v, h, w = v[0] * signs(nv), h[:1] * signs(nh), np.repeat(w[:, :1], nv, axis=1)
+    elif kind == "uncoupled":
+        w = 0.0 * signs((nh, nv))
+    elif kind in ("signed_zeros", "zero"):
+        p = 0.5 if kind == "signed_zeros" else 1.0
+        v, h, w = (np.where(rng.random(np.shape(a)) < p, 0.0 * signs(np.shape(a)), a)
+                   for a in (v, h, w))
+    return RbmParams(v, h, w), chunk, line_digits
+
+
+def digit_spreads(lines: np.ndarray, digit: int) -> np.ndarray:
+    """Oracle: each line's largest max - min over pairs one flip of
+    ``digit`` apart."""
+    pair = lines.reshape(len(lines), -1, 2, 2**digit)
+    return (pair.max(axis=2) - pair.min(axis=2)).max(axis=(1, 2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=bounded_joint_rbms())
+@example(case=(RbmParams(-0.0 * np.ones(10), np.zeros(8), np.zeros((8, 10))), None, None))
+@example(case=(RbmParams(np.full(10, 1e12), np.full(8, -1e12), np.full((8, 10), 3e11)),
+               None, None))
+@example(case=(RbmParams(np.full(2, 0.5), np.zeros(10), np.full((10, 2), 0.25)), None, None))
+# both rows peak at 1.807 in exact arithmetic and in the table, but their
+# bounds round an ulp apart, the higher in row 1: row 0 must still be read
+@example(case=(RbmParams([0.903, 0.904], [0.0], [[-0.206, 0.206]]), None, 1))
+def test_enveloped_reads_are_the_full_pass_and_each_bound_holds(case):
+    # the envelope route reads only the rows, and the pieces (one digit's
+    # flips in a row, a column or the whole grid), whose bound can reach the
+    # answer, so it returns the full pass's extremes and delta_N bit for
+    # bit; its first read is a piece of largest bound, no row or piece is
+    # read twice, and every row or piece it leaves out is certified not to
+    # hold the answer
+    params, chunk, line_digits = case
+    nv, nh = params.n_visible, params.n_hidden
+    rows_read, pieces, cut = [], [], foeslab.zoo._batches
+
+    def batches(lines, picked):
+        rows_read.extend(picked.tolist())
+        return cut(lines, picked)
+
+    def counted(side, digit, picked, slack):
+        s = int(side is not envelope[3][0])
+        pieces.extend((s, digit, int(p)) for p in picked)
+        return read(side, digit, picked, slack)
+
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:
+            patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
+        if line_digits is not None:
+            patch.setattr(foeslab.zoo, "_LINE_BOUND_DIGITS", line_digits)
+        model = make_rbm_joint(params)
+        patch.setattr(foeslab.zoo, "_batches", batches)
+        table, n = model.scores(), model.n_variables
+        patch.setattr(foeslab.zoo, "_batches", cut)
+        assert model.extreme_indices() == (int(np.argmax(table)), int(np.argmin(table)))
+        envelope, read = model._envelope, foeslab.zoo._read_flips
+        patch.setattr(foeslab.zoo, "_read_flips", counted)
+        got = delta_n(model)
+        assert got.hex() == float(_one_flip_range(table, n, 2)).hex()
+    # a side is bounded line by line where its lines hold 2^line_digits
+    # entries or more, else per digit over the whole grid
+    threshold = foeslab.zoo._LINE_BOUND_DIGITS if line_digits is None else line_digits
+    (slack, upper, lower, (row_side, column_side)), grid = envelope, table.reshape(2**nh, -1)
+    rows = (grid, 0) if nv >= threshold else (table.reshape(1, -1), 0)
+    columns = (grid.T, 0) if nh >= threshold else (table.reshape(1, -1), nv)
+    sides = [(*rows, row_side[2]), (*columns, column_side[2])]
+    # the envelope's sides are those lines of the table, from those digits
+    for (lines, first, _), (want, want_first, _) in zip(envelope[3], sides):
+        assert (lines.shape, lines.strides, first) == (want.shape, want.strides, want_first)
+        assert np.shares_memory(lines, table)
+    # every row's max and min and every piece's spread lies within its envelope
+    assert row_side[2].shape == (nv, len(rows[0]))
+    assert column_side[2].shape == (nh, len(columns[0]))
+    for lines, first, bounds in sides:
+        for d, bound in enumerate(bounds):
+            assert np.all(np.abs(digit_spreads(lines, first + d) - bound) <= slack)
+    if nv < threshold:
+        assert upper is None and lower is None and not rows_read
+    else:
+        assert np.all(np.abs(grid.max(axis=1) - upper) <= slack)
+        assert np.all(np.abs(grid.min(axis=1) - lower) <= slack)
+        # a row left out has max + slack below max(upper) - slack, and min -
+        # slack above min(lower) + slack, in exact rationals
+        skipped = np.ones(len(grid), dtype=bool)
+        skipped[rows_read] = False
+        assert len(rows_read) == len(set(rows_read))
+        top = _float_above(Fraction(float(upper.max())) - 2 * Fraction(slack))
+        bottom = -_float_above(2 * Fraction(slack) - Fraction(float(lower.min())))
+        assert np.all((upper[skipped] < top) & (lower[skipped] > bottom))
+    largest = max(bounds.max() for _, _, bounds in sides if bounds.size)
+    s, d, p = pieces[0]
+    assert sides[s][2][d, p] == largest
+    assert len(pieces) == len(set(pieces))
+    # a piece left out has bound + slack <= delta_N, in exact rationals
+    cap = -_float_above(Fraction(slack) - Fraction(got))
+    for s, (_, _, bounds) in enumerate(sides):
+        left = np.ones(bounds.shape, dtype=bool)
+        for side, d, p in pieces:
+            if side == s:
+                left[d, p] = False
+        assert np.all(bounds[left] <= cap)
+
+
+@pytest.mark.parametrize("params", [
+    RbmParams([1e308, 1e308], [0.5], [[0.25, -0.5]]),
+    RbmParams([1e308], [-1e308], [[1e308]]),
+])
+def test_overflowing_joint_rbm_takes_the_full_pass(params):
+    # 2(1 + gamma) T passes the largest float, so there is no envelope, and
+    # the full argmax/argmin rejects the infinite scores as every model does
+    model = make_rbm_joint(params)
+    with np.errstate(all="ignore"):
+        assert foeslab.zoo._joint_envelope(params, model._score_table()) is None
+        with pytest.raises(ValueError, match="non-finite"):
+            model.scores()
+    assert model._envelope is None
+
+
+@pytest.mark.parametrize("pieces", [[0], [3], [5, 1], [6, 7], [0, 4, 8, 15], range(16)])
+@pytest.mark.parametrize("chunk", [2**4, 2**8])
+def test_flip_spreads_are_the_max_over_each_line_and_digit(pieces, chunk):
+    # a 16 x 32 grid: at chunks of 2^4 a row or column is read in parts of
+    # half a chunk of pairs, at 2^8 rows go eight and columns sixteen to a
+    # batch; rows in place, columns as a strided view, pieces in place
+    # where they are consecutive and gathered where not, and the whole table
+    # as one line
+    grid = np.random.default_rng(len(pieces)).standard_normal((16, 32))
+    pieces = np.array(pieces, dtype=np.intp)
+    read = lambda lines, d: np.concatenate([foeslab.core._flip_spreads(block, d)
+                                            for _, block in foeslab.core._batches(lines, pieces)])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
+        rows = [read(grid, d) for d in range(5)]
+        columns = [read(grid.T, d) for d in range(4)]
+        whole = [foeslab.core._flip_spreads(grid.reshape(1, -1), d) for d in range(9)]
+        with pytest.raises(ValueError):
+            # a piece past the grid is no piece: read in place it is an empty slice
+            foeslab.zoo._read_flips((grid, 0, np.zeros((5, 16))), 0, np.array([16]), 0.0)
+    for d in range(5):
+        assert rows[d].tobytes() == digit_spreads(grid, d)[pieces].tobytes()
+    for d in range(4):
+        assert columns[d].tobytes() == digit_spreads(grid.T, d)[pieces].tobytes()
+    for d in range(9):
+        assert whole[d].tobytes() == digit_spreads(grid.reshape(1, -1), d).tobytes()
+    # every one-flip pair lies in one row or one column, and in the whole table
+    every = [foeslab.core._flip_spreads(lines, d).max()
+             for lines, digits in ((grid, 5), (grid.T, 4)) for d in range(digits)]
+    assert max(every) == np.max(whole) == float(_one_flip_range(grid.ravel(), 9, 2))
 
 
 def test_joint_lrep_csv_at_the_budget_cap_is_pinned(capsys):
