@@ -410,11 +410,17 @@ def _one_flip_range(table: np.ndarray, n_variables: int, k: int) -> np.ndarray:
     return np.maximum.reduce(peaks, axis=0, initial=0.0).reshape(draws)
 
 
+def _lines_per_batch(width: int) -> int:
+    """Lines of ``width`` entries in a batch: the largest power of two of
+    them within a chunk of entries, one line at least."""
+    return 1 << max(0, (_CHUNK_OUTCOMES // width).bit_length() - 1)
+
+
 def _batches(lines: np.ndarray, picked: np.ndarray):
     """(indices, lines) of the rows ``picked`` of ``lines``, in order, in
-    batches of at most a chunk of entries and one row at least: consecutive
-    rows are read in place, others gathered."""
-    per = max(1, _CHUNK_OUTCOMES // lines.shape[1])
+    batches of ``_lines_per_batch`` rows: consecutive rows are read in
+    place, others gathered."""
+    per = _lines_per_batch(lines.shape[1])
     for b in range(0, len(picked), per):
         batch = picked[b:b + per]
         consecutive = batch[-1] - batch[0] == len(batch) - 1
@@ -464,7 +470,7 @@ class FoesModel:
         self.family = family
         self.budget = budget
         self._scores = None
-        self._extremes = None
+        self._extremes = None  # (argmax, argmin, max score, min score)
         self._log_normalizer = None
 
     @property
@@ -485,7 +491,7 @@ class FoesModel:
         """Unnormalized log-probabilities of all outcomes, in index order.
 
         The argmax and argmin are found with the table, the lowest index on
-        ties, by ``_find_extremes``.
+        ties, by ``_find_extremes``, unless ``_extreme_scores`` found them first.
         """
         if self._scores is None:
             scores = np.asarray(self._score_table(), dtype=np.float64)
@@ -494,14 +500,24 @@ class FoesModel:
                     f"score_fn returned shape {scores.shape}, "
                     f"expected ({self.space.n_outcomes},)"
                 )
-            self._extremes = self._find_extremes(scores)
+            if self._extremes is None:
+                imax, imin = self._find_extremes(scores)
+                self._extremes = (imax, imin, float(scores[imax]), float(scores[imin]))
             self._scores = scores
         return self._scores
 
     def extreme_indices(self) -> tuple[int, int]:
         """(argmax, argmin) of ``scores()``, lowest index on ties; found
-        once, with the table."""
-        self.scores()
+        once (``_extreme_scores``)."""
+        return self._extreme_scores()[:2]
+
+    def _extreme_scores(self) -> tuple[int, int, float, float]:
+        """(argmax, argmin, max score, min score) of ``scores()``, lowest
+        index on ties, found once per model: with the table, by default. A
+        model that can read them without its table may find them first, bit
+        for bit the same."""
+        if self._extremes is None:
+            self.scores()
         return self._extremes
 
     def _score_table(self) -> np.ndarray:

@@ -87,14 +87,16 @@ def _score_range(model: FoesModel) -> tuple[np.ndarray, float, float]:
 
 
 def lrep(model: FoesModel) -> InstabilityReport:
-    """Log-ratio of extremal probabilities, from full enumeration.
+    """Log-ratio of extremal probabilities, exact over every outcome.
 
     Computed on unnormalized scores; the normalizer cancels in the ratio,
-    taken as the difference of the argmax and argmin entries.
+    taken as the difference of the argmax and argmin entries. The model
+    reads them (``FoesModel._extreme_scores``): from its full score table,
+    or, for a joint RBM, from the few grid rows its envelope picks, built
+    alone with the table's bits.
     """
-    scores = model.scores()
-    imax, imin = model.extreme_indices()
-    value = float(scores[imax] - scores[imin])
+    imax, imin, top, bottom = model._extreme_scores()
+    value = top - bottom
     n = model.n_variables
     return InstabilityReport(
         lrep=value,
@@ -114,8 +116,10 @@ def delta_n(model: FoesModel) -> float:
     symmetry the maximum signed log-ratio equals the maximum absolute one.
     Zero exactly for uniform models. The model reads it
     (``FoesModel._one_flip_max``): the full scan, or only the part of its
-    table where it proves the answer lies (the joint RBM, a graph table
-    gathered by its count keys), bit for bit the same.
+    table where it proves the answer lies (a graph table gathered by its
+    count keys, the joint RBM), bit for bit the same. A joint RBM whose
+    grid lines are long on both sides builds only those pieces, with no
+    table.
     """
     return model._one_flip_max()
 

@@ -29,6 +29,7 @@ from .core import (
     _flip_spreads,
     _float_above,
     _gamma,
+    _lines_per_batch,
     _signed_sums,
 )
 
@@ -521,19 +522,19 @@ def _first_layer(biases: tuple, weights: tuple, x: np.ndarray | slice) -> np.nda
     """
     stack = np.concatenate((biases[0][None], weights[0]))  # (1 + n_1, n_visible, *draws)
     base = np.concatenate((np.full((1, *biases[0].shape[1:]), -0.0), biases[1]))
+    # every row at once, by visible unit: the (m, 1 + n_1, *draws) view of out
+    by_unit = stack.swapaxes(0, 1)
     if isinstance(x, slice):
         d, signs = _aligned_run(x, stack.shape[1], "visible")
         out = np.empty((len(base), 2**d, *base.shape[1:]))
-        for row, b, w in zip(out, base, stack):
-            _signed_sums(b, w[:d], row)
+        _signed_sums(base, by_unit[:d], out.swapaxes(0, 1))
     else:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[-1] != stack.shape[1]:
             raise ValueError(f"rows must have {stack.shape[1]} visible units")
-        d, signs = 0, x.T.reshape(*x.T.shape, *[1] * (base.ndim - 1))
+        d, signs = 0, x.T.reshape(*x.T.shape, *[1] * base.ndim)
         out = np.repeat(base[:, None], len(x), axis=1)
-    for row, w in zip(out, stack):
-        _add_in_order(row, signs, w[d:])
+    _add_in_order(out.swapaxes(0, 1), signs, by_unit[d:])
     return out
 
 
@@ -605,18 +606,118 @@ class _VisibleRuns(FoesModel):
 _LINE_BOUND_DIGITS = 8
 
 
-def _joint_envelope(params: RbmParams, table: np.ndarray) -> tuple | None:
-    """(slack, upper, lower, sides) of ``make_rbm_joint``'s table, or None
-    where a sum could overflow.
+class _GridLines:
+    """The rows (``axis`` 0) or the columns (``axis`` 1) of ``make_rbm_joint``'s
+    (2^nh, 2^nv) grid: row h holds hidden outcome h against every visible
+    one, column x visible outcome x against every hidden one. A read takes
+    its lines from ``table``, or, with no table (None), builds them from the
+    parameters with the table's bits: by ``rbm_joint_score``, looked up at
+    call time, over aligned runs of at most a chunk of entries."""
+
+    def __init__(self, params: RbmParams, axis: int):
+        self._params, self._axis = params, axis
+        rows, columns = 2**params.n_hidden, 2**params.n_visible
+        self._count, self._width = (columns, rows) if axis else (rows, columns)
+
+    def _block(self, x: slice) -> np.ndarray:
+        # the (2^nh, columns) grid of the visible run x, by one grid call,
+        # which doubles every hidden digit as the table does
+        grid = np.empty((2**self._params.n_hidden, x.stop - x.start))
+        grid[...] = rbm_joint_score(self._params, x, slice(0, len(grid)), out=grid)
+        return grid
+
+    def _built(self, first: int, count: int) -> np.ndarray:
+        # the aligned run of ``count`` lines from ``first``, (count, width);
+        # a row's entries one visible run of a chunk at a time
+        run = slice(first, first + count)
+        if self._axis:
+            return self._block(run).T
+        lines = np.empty((count, self._width))
+        for x in _chunks(self._width):
+            lines[:, x] = rbm_joint_score(self._params, x, run, out=lines[:, x])
+        return lines
+
+    def batches(self, picked: np.ndarray, table: np.ndarray | None):
+        """(indices, lines) of the lines ``picked``, sorted: views of
+        ``table`` (``_batches``), or, with no table, the picks in each
+        aligned block of ``_lines_per_batch`` lines, built as the one aligned
+        run that spans them, so a run of picked lines costs one build, not
+        one per line."""
+        if table is not None:
+            grid = table.reshape(-1, 2**self._params.n_visible)
+            yield from _batches(grid.T if self._axis else grid, picked)
+            return
+        per = _lines_per_batch(self._width)
+        for batch in np.split(picked, np.flatnonzero(np.diff(picked // per)) + 1):
+            d = int(batch[0] ^ batch[-1]).bit_length()
+            first = int(batch[0]) >> d << d
+            lines = self._built(first, 2**d)
+            yield batch, lines if len(batch) == 2**d else lines[batch - first]
+
+    # A built row adds its hidden terms one by one past its batch's few
+    # doubled hidden digits, where a block of whole columns doubles them all,
+    # as the table does. So half the rows or more of a grid not built are
+    # read from blocks of columns, every row at once: one digit of all 2^12
+    # rows of 12 + 12 took 157-167 ms by rows and 64-94 ms by columns, and
+    # their max and min 168 and 69 ms (best of 3, 2-vCPU host). Each block
+    # is reduced elementwise into a (rows, columns of a block) array, and
+    # that over its columns at the end: numpy reduces many short rows slowly.
+    def dense(self, picked: np.ndarray, table: np.ndarray | None) -> bool:
+        """Whether the rows ``picked`` are read from blocks of columns."""
+        return table is None and not self._axis and 2 * len(picked) >= self._count
+
+    def _per_block(self) -> int:
+        # columns in a block of whole columns
+        return min(_lines_per_batch(self._count), self._width)
+
+    def ranges(self, picked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(max, min) of each row ``picked``, of a grid not built, from
+        blocks of columns."""
+        per = self._per_block()
+        peaks, floors = np.full((self._count, per), -np.inf), np.full((self._count, per), np.inf)
+        for first in range(0, self._width, per):
+            grid = self._block(slice(first, first + per))
+            np.maximum(peaks, grid, out=peaks)
+            np.minimum(floors, grid, out=floors)
+        return peaks.max(axis=1)[picked], floors.min(axis=1)[picked]
+
+    def spreads(self, digit: int, picked: np.ndarray, table: np.ndarray | None) -> np.ndarray:
+        """Each picked line's largest |difference| of two entries whose
+        positions differ only in binary digit ``digit``."""
+        if not self.dense(picked, table):
+            return np.concatenate([_flip_spreads(block, digit)
+                                   for _, block in self.batches(picked, table)])
+        step, per = 2**digit, self._per_block()
+        if step < per:  # each block of columns holds its pairs
+            pairs = (self._block(slice(first, first + per))
+                     .reshape(self._count, -1, 2, step).transpose(2, 0, 1, 3)
+                     for first in range(0, self._width, per))
+        else:  # each block with digit ``digit`` 0, and the block step columns above
+            pairs = ((self._block(slice(first, first + per)),
+                      self._block(slice(first + step, first + step + per)))
+                     for first in range(0, self._width, per) if not first & step)
+        most = np.zeros((self._count, per // 2 if step < per else per))
+        diff = np.empty_like(most)
+        for low, high in pairs:
+            np.subtract(high, low, out=diff.reshape(low.shape))
+            np.maximum(most, np.abs(diff, out=diff), out=most)
+        return most.max(axis=1)[picked]
+
+
+def _joint_envelope(params: RbmParams) -> tuple | None:
+    """(slack, upper, lower, sides) of ``make_rbm_joint``'s table, from its
+    parameters alone, or None where a sum could overflow.
 
     Two entries one flip apart differ in a visible digit, and lie in one
     row of the (2^nh, 2^nv) grid, or in a hidden digit, and lie in one
     column. ``upper`` and ``lower`` bound each row's max and min, or are
     None where rows are short. A side is (lines, first digit, bounds), the
-    rows' and then the columns': the grid's lines, with row d of ``bounds``
-    bounding digit d's flip spread in each line, or, for short lines, the
-    whole table as one line, with one bound per digit from the first digit
-    on. The table's values, as it rounds, lie within ``slack`` of each bound.
+    rows' and then the columns'. Where its lines hold at least
+    2^``_LINE_BOUND_DIGITS`` entries, ``lines`` is the grid's lines
+    (``_GridLines``), and row d of ``bounds`` bounds digit d's flip spread
+    in each line; otherwise ``lines`` is None, the whole table as one line,
+    with one bound per digit from the first digit on. The table's values,
+    as it rounds, lie within ``slack`` of each bound.
     """
     from .rbm_bounds import _spans  # rbm_bounds imports this module
 
@@ -631,32 +732,36 @@ def _joint_envelope(params: RbmParams, table: np.ndarray) -> tuple | None:
         return None
     slack = _float_above(2 * (_gamma(nv + nh) + _gamma(nv + nh + 1)) * total)
 
-    def side(biases: tuple, weights: tuple, lines: np.ndarray, first: int) -> tuple:
+    def side(biases: tuple, weights: tuple, axis: int, first: int) -> tuple:
         # (lower, upper, side) of each line, over runs of a chunk, or, for
         # short lines, (None, None, side) of the whole table from digit first
         if len(biases[1]) < _LINE_BOUND_DIGITS:
             whole = [2 * math.fsum(np.abs(np.append(b, w))) for b, w in zip(biases[1], weights[0])]
-            return None, None, (table.reshape(1, -1), first, np.reshape(whole, (-1, 1)))
+            return None, None, (None, first, np.reshape(whole, (-1, 1)))
         runs = [_spans(biases, weights, run) for run in _chunks(2 ** len(biases[0]))]
         lower, upper, _, flips = (np.concatenate(part, axis=-1) for part in zip(*runs))
-        return lower, upper, (lines, 0, 2 * flips)
+        return lower, upper, (_GridLines(params, axis), 0, 2 * flips)
 
     # the transposed RBM's fields over the hidden index bound the rows,
     # the RBM's over the visible index the columns
-    grid = table.reshape(2**nh, -1)
-    lower, upper, rows = side((params.hidden, params.visible), (params.interaction.T,), grid, 0)
-    columns = side((params.visible, params.hidden), (params.interaction,), grid.T, nv)[2]
+    lower, upper, rows = side((params.hidden, params.visible), (params.interaction.T,), 0, 0)
+    columns = side((params.visible, params.hidden), (params.interaction,), 1, nv)[2]
     return slack, upper, lower, [rows, columns]
 
 
-def _read_flips(side: tuple, digit: int, picked: np.ndarray, slack: float) -> float:
+def _read_flips(side: tuple, digit: int, picked: np.ndarray, slack: float,
+                table: np.ndarray | None) -> float:
     """Largest flip spread of ``digit`` over the lines ``picked`` of a side
-    (``_joint_envelope``), a batch of at most a chunk of entries at a time
-    (``core._batches``). Each line's spread must lie within ``slack`` of its
-    bound, or CertificateError is raised (code, not an ``assert``)."""
+    (``_joint_envelope``), a batch of at most a chunk of entries at a time:
+    read in ``table``, or built with no table (``_GridLines.batches``). Each
+    line's spread must lie within ``slack`` of its bound, or
+    CertificateError is raised (code, not an ``assert``)."""
     lines, first, bounds = side
-    spreads = np.concatenate([_flip_spreads(block, first + digit)
-                              for _, block in _batches(lines, picked)])
+    if lines is None:
+        spreads = np.concatenate([_flip_spreads(block, first + digit)
+                                  for _, block in _batches(table.reshape(1, -1), picked)])
+    else:
+        spreads = lines.spreads(digit, picked, table)
     if not np.all(np.abs(spreads - bounds[digit, picked]) <= slack):
         raise CertificateError("a one-flip spread lies outside its certified envelope")
     return float(spreads.max())
@@ -665,8 +770,11 @@ def _read_flips(side: tuple, digit: int, picked: np.ndarray, slack: float) -> fl
 class _JointRbm(_VisibleRuns):
     """``make_rbm_joint``'s model: its table is ``rbm_joint_score``'s grid
     of all hiddens against one visible run at a time, and its extremes and
-    delta_N are read only where the grid's envelope (``_joint_envelope``),
-    found with the extremes, says they can lie."""
+    delta_N are read only where the grid's envelope (``_joint_envelope``,
+    found once from the parameters) says they can lie. Where both sides'
+    lines hold at least 2^``_LINE_BOUND_DIGITS`` entries and no table is
+    built yet, ``lrep`` and ``delta_n`` build only the lines they read
+    (``_GridLines``), never the table; otherwise they read the table."""
 
     def __init__(self, params: RbmParams, budget: int):
         nv, nh = params.n_visible, params.n_hidden
@@ -679,12 +787,35 @@ class _JointRbm(_VisibleRuns):
             block[...] = rbm_joint_score(params, x, slice(0, 2**nh), out=block)
 
         super().__init__(nv + nh, nv, score_fn, fill, "rbm_joint", budget)
-        self._params, self._envelope = params, None
+        self._params = params
+
+    @functools.cached_property
+    def _envelope(self) -> tuple | None:
+        self.space.check_budget(self.budget)  # lines are read within the budget, as a table is
+        return _joint_envelope(self._params)
+
+    def _tableless(self) -> bool:
+        """Whether lines are built alone: no table is built yet, and both
+        sides of the envelope have long lines."""
+        return self._scores is None and self._envelope is not None and all(
+            lines is not None for lines, _, _ in self._envelope[3])
+
+    def _extreme_scores(self) -> tuple[int, int, float, float]:
+        if self._extremes is None and self._tableless():
+            self._extremes = self._read_extremes(None)
+        return super()._extreme_scores()
 
     def _find_extremes(self, table: np.ndarray) -> tuple[int, int]:
-        """(argmax, argmin) of ``table``, lowest index on ties, read only in
-        rows whose envelope can hold them; the full pass where rows have no
-        bounds, or the table no envelope.
+        """(argmax, argmin) of ``table``, read in the rows the envelope
+        picks (``_read_extremes``); the full pass where rows have no
+        bounds, or the table no envelope."""
+        if self._envelope is None or self._envelope[1] is None:
+            return super()._find_extremes(table)
+        return self._read_extremes(table)[:2]
+
+    def _read_extremes(self, table: np.ndarray | None) -> tuple[int, int, float, float]:
+        """(argmax, argmin, max, min) of the grid, lowest index on ties, read
+        only in rows whose envelope can hold them: in ``table``, or built.
 
         Row r's max is within slack s of its bound u_r, so the table's max M
         is at least u_r - s for every r, and a row that holds M has
@@ -692,30 +823,44 @@ class _JointRbm(_VisibleRuns):
         hold it, and likewise only rows with l_r <= min(l) + 2s the min.
         Those thresholds are rounded outward from exact rationals, so no such
         row is left out. The rows that pass are read in index order, in
-        batches of at most a chunk (``_batches``), and a later batch wins
-        only by a larger value, so a tie keeps the lowest index, as a full
-        argmax does. Each row read must lie within its envelope, or
-        CertificateError is raised; the check is code, not an ``assert``.
+        batches of at most a chunk (``_GridLines.batches``), and a later
+        batch wins only by a larger value, so a tie keeps the lowest index,
+        as a full argmax does. Where half the rows or more pass in a grid not
+        built (every row ties where theta_h = 0 and W = 0), each row's max
+        and min come from blocks of columns (``_GridLines.ranges``), and only
+        the first rows holding the max and the min are then built whole.
+        Each row read must lie within its envelope, or CertificateError is
+        raised; the check is code, not an ``assert``.
         """
-        self._envelope = _joint_envelope(self._params, table)
-        slack, upper, lower, _ = self._envelope or (None,) * 4
-        if upper is None:
-            return super()._find_extremes(table)
-        grid = table.reshape(len(upper), -1)
+        slack, upper, lower, ((rows, _, _), _) = self._envelope
+        width = 2**self._params.n_visible
         top = _float_above(Fraction(float(upper.max())) - 2 * Fraction(slack))
         bottom = -_float_above(-Fraction(float(lower.min())) - 2 * Fraction(slack))
-        best, worst = (-math.inf, -1), (math.inf, -1)
-        for batch, block in _batches(grid, np.flatnonzero((upper >= top) | (lower <= bottom))):
-            peaks, floors = block.max(axis=1), block.min(axis=1)
+
+        def checked(batch: np.ndarray, peaks: np.ndarray, floors: np.ndarray) -> None:
             if not (np.all(np.abs(peaks - upper[batch]) <= slack)
                     and np.all(np.abs(floors - lower[batch]) <= slack)):
                 raise CertificateError("a score-table row lies outside its certified envelope")
+
+        picked = np.flatnonzero((upper >= top) | (lower <= bottom))
+        if rows.dense(picked, table):
+            # every picked row is checked, and only the first rows holding
+            # the max and the min are built whole
+            peaks, floors = rows.ranges(picked)
+            checked(picked, peaks, floors)
+            picked = np.unique(picked[[np.argmax(peaks), np.argmin(floors)]])
+        best, worst = (-math.inf, -1), (math.inf, -1)
+        for batch, block in rows.batches(picked, table):
+            peaks, floors = block.max(axis=1), block.min(axis=1)
+            checked(batch, peaks, floors)
             r, q = int(np.argmax(peaks)), int(np.argmin(floors))
             if peaks[r] > best[0]:
-                best = (peaks[r], int(batch[r]) * grid.shape[1] + int(np.argmax(block[r])))
+                c = int(np.argmax(block[r]))
+                best = (float(block[r, c]), int(batch[r]) * width + c)
             if floors[q] < worst[0]:
-                worst = (floors[q], int(batch[q]) * grid.shape[1] + int(np.argmin(block[q])))
-        return best[1], worst[1]
+                c = int(np.argmin(block[q]))
+                worst = (float(block[q, c]), int(batch[q]) * width + c)
+        return best[1], worst[1], best[0], worst[0]
 
     def _one_flip_max(self) -> float:
         """delta_N, read by the pieces the envelope covers: one digit's flips
@@ -727,19 +872,20 @@ class _JointRbm(_VisibleRuns):
         exceed L. No piece is read twice, and a float maximum does not
         depend on the order it is taken in, so the result is the full
         scan's bit for bit. At the 14 + 10 cap it reads one digit of one
-        column (2^9 pairs) on the seeds tried, in well under a millisecond,
-        against about 0.3 s for the full scan of the 2^24 table; where every
-        row ties in a digit (W = 0) it reads that digit once over the table.
-        A table with no envelope takes the full scan.
+        column (2^9 pairs), built alone, on the seeds tried, in well under a
+        millisecond, against about 0.3 s for the full scan of the 2^24
+        table; where every row ties in a digit (W = 0) it reads that digit
+        once over the grid, built in blocks of a chunk of whole columns. A
+        table with no envelope takes the full scan.
         """
-        self.scores()  # the envelope is found with the extremes
         if self._envelope is None:
             return super()._one_flip_max()
+        table = None if self._tableless() else self.scores()
         slack, _, _, sides = self._envelope
         _, side, digit = max((bounds[d].max(), s, d) for s, (_, _, bounds) in enumerate(sides)
                              for d in range(len(bounds)))
         line = int(np.argmax(sides[side][2][digit]))
-        reached = _read_flips(sides[side], digit, np.array([line]), slack)
+        reached = _read_flips(sides[side], digit, np.array([line]), slack, table)
         for s, (_, _, bounds) in enumerate(sides):
             for d, limits in enumerate(bounds):
                 # a piece can beat L only if its bound exceeds L - slack, rounded down
@@ -747,7 +893,8 @@ class _JointRbm(_VisibleRuns):
                 if (s, d) == (side, digit):
                     picked[line] = False
                 if picked.any():
-                    reached = max(reached, _read_flips(sides[s], d, np.flatnonzero(picked), slack))
+                    reached = max(reached, _read_flips(sides[s], d, np.flatnonzero(picked),
+                                                       slack, table))
         return reached
 
 
@@ -758,9 +905,13 @@ def make_rbm_joint(params: RbmParams,
     Outcome vectors concatenate the visibles first, then the hiddens; the
     table is rbm_joint_score's grid of all hiddens against one visible run.
 
-    Its envelope (``_joint_envelope``), found with the table's extremes,
+    Its envelope (``_joint_envelope``), found once from the parameters,
     bounds that grid, row h against column x, in closed form; the model
     reads its extremes and delta_N only where the bounds say they can lie.
+    Where both sides' lines hold at least 2^``_LINE_BOUND_DIGITS`` entries
+    and no table is built, ``lrep`` and ``delta_n`` build just those rows
+    and pieces (``_GridLines``), with the table's bits, and never the
+    table; ``scores()`` and every reduction over it still build it.
     Row h scores s(x, h) = h.theta_h + x.phi(h), with phi_i(h) =
     theta_v_i + (W^T h)_i, so its max and min are
     h.theta_h +/- sum_i |phi_i(h)|, and flipping visible i moves it by
@@ -773,7 +924,7 @@ def make_rbm_joint(params: RbmParams,
     the side is bounded per digit over the whole grid, by the largest of
     those moves, 2 A_i with A_i = |theta_v_i| + sum_j |W_ji| (or
     |theta_h_j| + sum_i |W_ji|), which some h (or x) attains, summed by
-    ``math.fsum``. No grid call is made and ``score_fn`` is never called.
+    ``math.fsum``. The bounds make no grid call and never call ``score_fn``.
 
     Slack. Each table entry sums the terms theta_v_i x_i, theta_h_j h_j and
     W_ji x_i h_j, each product exact, through at most N = n_visible +

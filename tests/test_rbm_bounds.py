@@ -342,6 +342,19 @@ try:
     make_rbm_joint(params).scores()
 except CertificateError:
     print("extremes")
+# at 8 + 8 both sides' lines hold 2^8 entries, so lrep and delta_N build
+# their rows and pieces alone, by the scaled rbm_joint_score above: each
+# read is checked, and no table is built
+wide = RbmParams([1.0, -0.5] * 4, [0.3, -0.2] * 4, [[0.7, -1.1] * 4, [-0.4, 0.9] * 4] * 4)
+for name, read, check in (("rows", metrics.lrep, "score-table row"),
+                          ("pieces", metrics.delta_n, "one-flip spread")):
+    model = make_rbm_joint(wide)
+    model._score_table = None  # calling it would raise TypeError
+    try:
+        read(model)
+    except CertificateError as exc:
+        if check in str(exc) and model._scores is None:
+            print(name)
 """
 
 
@@ -351,7 +364,8 @@ def test_certificates_survive_python_O():
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-O", "-c", CERTIFICATES_UNDER_O],
                           capture_output=True, text=True, env=env, timeout=120)
-    assert proc.stdout.split() == ["1", "True", "rbm", "graph", "delta", "extremes"], \
+    assert proc.stdout.split() == ["1", "True", "rbm", "graph", "delta", "extremes", "rows",
+                                   "pieces"], \
         proc.stderr
 
 

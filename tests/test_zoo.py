@@ -36,7 +36,7 @@ from foeslab.core import (
     _one_flip_range,
 )
 from foeslab.cli import main
-from foeslab.metrics import delta_n, lrep
+from foeslab.metrics import delta_n, instability_report, lrep
 from foeslab.zoo import _first_layer, _log2cosh, rbm_joint_score
 from conftest import child_peak_kb, child_stdout
 
@@ -819,6 +819,14 @@ def test_first_layer_run_is_the_rows_form(data):
     rows = OutcomeSpace(nv, (-1, 1)).all_outcomes()[start:start + 2**d]
     assert got.shape == (1 + n1, 2**d, *draws)
     assert got.tobytes() == _first_layer(biases, weights, rows).tobytes()
+    # the reference: a few outcomes' rows, each summed alone unit by unit
+    for r, (b, w) in enumerate(zip(np.concatenate((np.full((1, *draws), -0.0), biases[1])),
+                                   np.concatenate((biases[0][None], weights[0])))):
+        for m, x in enumerate(rows[:4]):
+            total = b.copy()
+            for i in range(nv):
+                total = total + x[i] * w[i]
+            assert got[r, m].tobytes() == total.tobytes()
     for k in range(draws[0] if draws else 0):
         # each draw is summed as if alone
         alone = _first_layer((biases[0][:, k], biases[1][:, k]), (weights[0][..., k],),
@@ -883,20 +891,21 @@ def test_joint_table_at_the_budget_cap_is_pinned():
 def test_joint_delta_at_the_budget_cap_reads_at_most_two_pieces(monkeypatch):
     # the full scan's value, pinned before the scan was pruned; the envelope
     # leaves one or two pieces (one digit's flips in a row or a column of
-    # the grid) to read, within the allocation bound of
-    # tests/test_metrics.py::test_one_flip_range_allocates_one_and_a_half_chunks
+    # the grid) to read, built alone with no table, within the allocation
+    # bound of tests/test_metrics.py::test_one_flip_range_allocates_one_and_a_half_chunks
     params, _ = _rbm_case(14, 10, seed=1410)
     model = make_rbm_joint(params)
-    table = model.scores()
+    model._score_table = None  # calling it would raise: no table is built
+    envelope = model._envelope  # found from the parameters, before the count
     read, pieces = [], foeslab.zoo._read_flips
 
-    def counted(side, digit, picked, slack):
-        read.extend((side is model._envelope[3][0], digit, int(p)) for p in picked)
-        return pieces(side, digit, picked, slack)
+    def counted(side, digit, picked, slack, table):
+        read.extend((side is envelope[3][0], digit, int(p)) for p in picked)
+        return pieces(side, digit, picked, slack, table)
 
     monkeypatch.setattr(foeslab.zoo, "_read_flips", counted)
-    chunk_bytes = foeslab.core._CHUNK_OUTCOMES * table.itemsize
-    ufunc_bytes = 2 * np.getbufsize() * table.itemsize
+    chunk_bytes = foeslab.core._CHUNK_OUTCOMES * 8
+    ufunc_bytes = 2 * np.getbufsize() * 8
     tracemalloc.start()
     try:
         got = delta_n(model)
@@ -906,6 +915,69 @@ def test_joint_delta_at_the_budget_cap_reads_at_most_two_pieces(monkeypatch):
     assert got.hex() == "0x1.251bc825f96b7p+4"
     assert 1 <= len(read) <= 2
     assert peak <= 1.5 * chunk_bytes + ufunc_bytes + 2**14
+    assert model._scores is None
+
+
+def test_joint_lrep_and_delta_at_the_budget_cap_build_no_table(capsys):
+    # the extremes' rows and delta_N's pieces are built from the parameters:
+    # no 128 MB table, and the pins of the table route
+    params, _ = _rbm_case(14, 10, seed=1410)
+    values = lambda a: ",".join(repr(float(v)) for v in np.ravel(a))
+    argv = ["--model", "rbm_joint", "--n-visible", "14", "--n-hidden", "10",
+            "--theta-v=" + values(params.visible), "--theta-h=" + values(params.hidden),
+            "--theta-vh=" + values(params.interaction)]
+    built = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(foeslab.zoo._JointRbm, "_score_table", lambda model: built.append(model))
+        tracemalloc.start()
+        try:
+            report = instability_report(make_rbm_joint(params))
+            code, out = main(["lrep", *argv]), capsys.readouterr().out
+            code_delta, out_delta = main(["delta", *argv]), capsys.readouterr().out
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert built == [] and code == code_delta == 0
+    assert (report.argmax_index, report.argmin_index) == (15546342, 13436953)
+    assert report.delta_n.hex() == "0x1.251bc825f96b7p+4"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "75b62ab2c913251d619d6654e878fc207bdcf726233005f5ce1eade87cc00416"
+    assert out_delta.splitlines()[1] == f"rbm_joint,24,{float.fromhex('0x1.251bc825f96b7p+4')!r}"
+    assert peak <= 16 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("hidden, passes", [(0.5, 1), (0.0, 2)])
+def test_tied_joint_grid_is_read_in_chunk_batches(hidden, passes, monkeypatch):
+    # W = 0 at 12 + 12: every row ties in each visible digit, so delta_N
+    # reads one digit of all 2^12 rows (|theta_v| > |theta_h|); with
+    # theta_h = 0 every row ties in its max and min too, so the extremes
+    # read every row as well. The grid is built a chunk at a time, never as
+    # a table or a row per call
+    rng = np.random.default_rng(12)
+    params = RbmParams(rng.uniform(-1, 1, 12), rng.uniform(-hidden, hidden, 12),
+                       np.zeros((12, 12)))
+    table = make_rbm_joint(params)._score_table()
+    want = (int(np.argmax(table)), int(np.argmin(table)),
+            float(table.max() - table.min()).hex(),
+            float(_one_flip_range(table, 24, 2)).hex())
+    del table
+    model, calls, score = make_rbm_joint(params), [], foeslab.zoo.rbm_joint_score
+    model._score_table = None  # calling it would raise: no table is built
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return score(*args, **kwargs)
+
+    monkeypatch.setattr(foeslab.zoo, "rbm_joint_score", counted)
+    report = instability_report(model)
+    assert (report.argmax_index, report.argmin_index, report.lrep.hex(),
+            report.delta_n.hex()) == want
+    # a pass of column blocks of a chunk for each read of every row, and a
+    # call each for the rows holding the max and the min and for the first
+    # piece delta_N reads
+    assert len(calls) <= passes * 2**24 // foeslab.core._CHUNK_OUTCOMES + 3
+    # every row was read: every column built, each in one call, once a pass
+    assert sum(x.stop - x.start for x, h in calls if h == slice(0, 2**12)) == passes * 2**12
 
 
 @pytest.mark.parametrize("nv, nh, coupled", [(1, 23, False), (1, 23, True), (23, 1, True)])
@@ -1001,51 +1073,103 @@ def digit_spreads(lines: np.ndarray, digit: int) -> np.ndarray:
 # both rows peak at 1.807 in exact arithmetic and in the table, but their
 # bounds round an ulp apart, the higher in row 1: row 0 must still be read
 @example(case=(RbmParams([0.903, 0.904], [0.0], [[-0.206, 0.206]]), None, 1))
+# W = 0: every row ties in each visible digit, and every column in each
+# hidden digit; the larger |theta_v| has delta_N read from every row
+@example(case=(RbmParams([0.5, -0.75, 0.25, 1.0], [0.3, -0.3, 0.3], np.zeros((3, 4))), 4, 1))
+@example(case=(RbmParams([0.5, -0.75, 0.25, 1.0], [0.3, -1.5, 0.3], np.zeros((3, 4))), 4, 1))
+# near overflow: the scores are finite, but 2(1 + gamma) T passes the
+# largest float, so there is no envelope and the full pass is taken
+@example(case=(RbmParams([4e307, 4e307], [4e307], [[1e300, 1e300]]), None, 1))
 def test_enveloped_reads_are_the_full_pass_and_each_bound_holds(case):
     # the envelope route reads only the rows, and the pieces (one digit's
     # flips in a row, a column or the whole grid), whose bound can reach the
     # answer, so it returns the full pass's extremes and delta_N bit for
     # bit; its first read is a piece of largest bound, no row or piece is
     # read twice, and every row or piece it leaves out is certified not to
-    # hold the answer
+    # hold the answer. Where both sides' lines are long, those lines are
+    # built from the parameters and no table is (half the rows or more from
+    # blocks of columns); a model whose table is built first reads them in
+    # the table, with the same result
     params, chunk, line_digits = case
     nv, nh = params.n_visible, params.n_hidden
-    rows_read, pieces, cut = [], [], foeslab.zoo._batches
+    rows_read, ranged, pieces, tables = [], [], [], []
+    batches, ranges = foeslab.zoo._GridLines.batches, foeslab.zoo._GridLines.ranges
+    read = foeslab.zoo._read_flips
 
-    def batches(lines, picked):
-        rows_read.extend(picked.tolist())
-        return cut(lines, picked)
+    def lines_read(lines, picked, table):
+        if not lines._axis:
+            rows_read.extend(picked.tolist())
+        return batches(lines, picked, table)
 
-    def counted(side, digit, picked, slack):
-        s = int(side is not envelope[3][0])
-        pieces.extend((s, digit, int(p)) for p in picked)
-        return read(side, digit, picked, slack)
+    def rows_ranged(lines, picked):
+        ranged.extend(picked.tolist())
+        return ranges(lines, picked)
+
+    def counted(side, digit, picked, slack, table):
+        pieces.extend((int(side is not envelope[3][0]), digit, int(p)) for p in picked)
+        return read(side, digit, picked, slack, table)
 
     with pytest.MonkeyPatch.context() as patch:
         if chunk is not None:
             patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
         if line_digits is not None:
             patch.setattr(foeslab.zoo, "_LINE_BOUND_DIGITS", line_digits)
+        tabled = make_rbm_joint(params)
+        table, n = tabled.scores(), tabled.n_variables
+        on_table = (*tabled.extreme_indices(), delta_n(tabled).hex())
         model = make_rbm_joint(params)
-        patch.setattr(foeslab.zoo, "_batches", batches)
-        table, n = model.scores(), model.n_variables
-        patch.setattr(foeslab.zoo, "_batches", cut)
-        assert model.extreme_indices() == (int(np.argmax(table)), int(np.argmin(table)))
-        envelope, read = model._envelope, foeslab.zoo._read_flips
+        envelope = model._envelope
+        model._score_table = lambda: tables.append(table) or table
+        patch.setattr(foeslab.zoo._GridLines, "batches", lines_read)
+        patch.setattr(foeslab.zoo._GridLines, "ranges", rows_ranged)
+        report = lrep(model)
+        extremes_read = list(rows_read)
         patch.setattr(foeslab.zoo, "_read_flips", counted)
         got = delta_n(model)
-        assert got.hex() == float(_one_flip_range(table, n, 2)).hex()
+        if envelope is not None:
+            # a built line, a row's max and min and its spreads from blocks of
+            # columns have the bits of the table's
+            patch.setattr(foeslab.zoo._GridLines, "batches", batches)
+            patch.setattr(foeslab.zoo._GridLines, "ranges", ranges)
+            grid = table.reshape(2**nh, -1)
+            for (lines, _, _), view in zip(envelope[3], (grid, grid.T)):
+                if lines is not None:
+                    for picked in (np.arange(len(view)), np.arange(0, len(view), 3)):
+                        built = np.concatenate([b for _, b in lines.batches(picked, None)])
+                        assert built.tobytes() == np.ascontiguousarray(view[picked]).tobytes()
+                    every = np.arange(len(view))
+                    if lines.dense(every, None):
+                        assert all(np.array_equal(a, b) for a, b in zip(
+                            lines.ranges(every), (view.max(axis=1), view.min(axis=1))))
+                        for d in range(nv):
+                            assert lines.spreads(d, every, None).tobytes() == \
+                                digit_spreads(view, d).tobytes()
+    # the full pass over the built table
+    imax, imin = int(np.argmax(table)), int(np.argmin(table))
+    full = (imax, imin, (float(table[imax]) - float(table[imin])).hex(),
+            float(_one_flip_range(table, n, 2)).hex())
+    assert (report.argmax_index, report.argmin_index, report.lrep.hex(), got.hex()) == full
+    assert on_table == (imax, imin, full[3])
     # a side is bounded line by line where its lines hold 2^line_digits
     # entries or more, else per digit over the whole grid
     threshold = foeslab.zoo._LINE_BOUND_DIGITS if line_digits is None else line_digits
+    tableless = envelope is not None and min(nv, nh) >= threshold
+    assert (tables == []) == tableless
+    if envelope is None:
+        assert not extremes_read and not pieces
+        return
     (slack, upper, lower, (row_side, column_side)), grid = envelope, table.reshape(2**nh, -1)
     rows = (grid, 0) if nv >= threshold else (table.reshape(1, -1), 0)
     columns = (grid.T, 0) if nh >= threshold else (table.reshape(1, -1), nv)
     sides = [(*rows, row_side[2]), (*columns, column_side[2])]
-    # the envelope's sides are those lines of the table, from those digits
-    for (lines, first, _), (want, want_first, _) in zip(envelope[3], sides):
-        assert (lines.shape, lines.strides, first) == (want.shape, want.strides, want_first)
-        assert np.shares_memory(lines, table)
+    # the envelope's sides are the grid's rows and columns from digit 0, or
+    # the whole table from the side's first digit
+    for axis, ((lines, first, _), long) in enumerate(zip(envelope[3], (nv, nh))):
+        if long >= threshold:
+            assert isinstance(lines, foeslab.zoo._GridLines) and lines._axis == axis
+            assert first == 0
+        else:
+            assert lines is None and first == (0, nv)[axis]
     # every row's max and min and every piece's spread lies within its envelope
     assert row_side[2].shape == (nv, len(rows[0]))
     assert column_side[2].shape == (nh, len(columns[0]))
@@ -1053,15 +1177,21 @@ def test_enveloped_reads_are_the_full_pass_and_each_bound_holds(case):
         for d, bound in enumerate(bounds):
             assert np.all(np.abs(digit_spreads(lines, first + d) - bound) <= slack)
     if nv < threshold:
-        assert upper is None and lower is None and not rows_read
+        assert upper is None and lower is None and not extremes_read and not ranged
     else:
         assert np.all(np.abs(grid.max(axis=1) - upper) <= slack)
         assert np.all(np.abs(grid.min(axis=1) - lower) <= slack)
+        if ranged:
+            # every picked row's max and min came from blocks of columns, and
+            # only the first rows holding the max and the min were built
+            assert tableless and 2 * len(ranged) >= len(grid)
+            assert extremes_read == sorted({imax >> nv, imin >> nv})
+            extremes_read = ranged
         # a row left out has max + slack below max(upper) - slack, and min -
         # slack above min(lower) + slack, in exact rationals
         skipped = np.ones(len(grid), dtype=bool)
-        skipped[rows_read] = False
-        assert len(rows_read) == len(set(rows_read))
+        skipped[extremes_read] = False
+        assert len(extremes_read) == len(set(extremes_read))
         top = _float_above(Fraction(float(upper.max())) - 2 * Fraction(slack))
         bottom = -_float_above(2 * Fraction(slack) - Fraction(float(lower.min())))
         assert np.all((upper[skipped] < top) & (lower[skipped] > bottom))
@@ -1083,14 +1213,14 @@ def test_enveloped_reads_are_the_full_pass_and_each_bound_holds(case):
     RbmParams([1e308, 1e308], [0.5], [[0.25, -0.5]]),
     RbmParams([1e308], [-1e308], [[1e308]]),
 ])
-def test_overflowing_joint_rbm_takes_the_full_pass(params):
+@pytest.mark.parametrize("read", [lrep, delta_n])
+def test_overflowing_joint_rbm_takes_the_full_pass(params, read):
     # 2(1 + gamma) T passes the largest float, so there is no envelope, and
     # the full argmax/argmin rejects the infinite scores as every model does
     model = make_rbm_joint(params)
-    with np.errstate(all="ignore"):
-        assert foeslab.zoo._joint_envelope(params, model._score_table()) is None
-        with pytest.raises(ValueError, match="non-finite"):
-            model.scores()
+    assert foeslab.zoo._joint_envelope(params) is None
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
+        read(model)
     assert model._envelope is None
 
 
@@ -1112,8 +1242,9 @@ def test_flip_spreads_are_the_max_over_each_line_and_digit(pieces, chunk):
         columns = [read(grid.T, d) for d in range(4)]
         whole = [foeslab.core._flip_spreads(grid.reshape(1, -1), d) for d in range(9)]
         with pytest.raises(ValueError):
-            # a piece past the grid is no piece: read in place it is an empty slice
-            foeslab.zoo._read_flips((grid, 0, np.zeros((5, 16))), 0, np.array([16]), 0.0)
+            # a piece past the table is no piece: read in place it is an empty slice
+            foeslab.zoo._read_flips((None, 0, np.zeros((9, 1))), 0, np.array([1]), 0.0,
+                                    grid.ravel())
     for d in range(5):
         assert rows[d].tobytes() == digit_spreads(grid, d)[pieces].tobytes()
     for d in range(4):
