@@ -616,22 +616,18 @@ class _GridLines:
 
     def __init__(self, params: RbmParams, axis: int):
         self._params, self._axis = params, axis
-        rows, columns = 2**params.n_hidden, 2**params.n_visible
-        self._count, self._width = (columns, rows) if axis else (rows, columns)
-
-    def _block(self, x: slice) -> np.ndarray:
-        # the (2^nh, columns) grid of the visible run x, by one grid call,
-        # which doubles every hidden digit as the table does
-        grid = np.empty((2**self._params.n_hidden, x.stop - x.start))
-        grid[...] = rbm_joint_score(self._params, x, slice(0, len(grid)), out=grid)
-        return grid
+        self._width = 2**(params.n_visible, params.n_hidden)[axis]
 
     def _built(self, first: int, count: int) -> np.ndarray:
-        # the aligned run of ``count`` lines from ``first``, (count, width);
-        # a row's entries one visible run of a chunk at a time
+        # the aligned run of ``count`` lines from ``first``, (count, width):
+        # columns by one grid call over every hidden, which doubles every
+        # hidden digit as the table does; a row's entries one visible run of
+        # a chunk at a time
         run = slice(first, first + count)
         if self._axis:
-            return self._block(run).T
+            grid = np.empty((self._width, count))
+            grid[...] = rbm_joint_score(self._params, run, slice(0, self._width), out=grid)
+            return grid.T
         lines = np.empty((count, self._width))
         for x in _chunks(self._width):
             lines[:, x] = rbm_joint_score(self._params, x, run, out=lines[:, x])
@@ -653,55 +649,6 @@ class _GridLines:
             first = int(batch[0]) >> d << d
             lines = self._built(first, 2**d)
             yield batch, lines if len(batch) == 2**d else lines[batch - first]
-
-    # A built row adds its hidden terms one by one past its batch's few
-    # doubled hidden digits, where a block of whole columns doubles them all,
-    # as the table does. So half the rows or more of a grid not built are
-    # read from blocks of columns, every row at once: one digit of all 2^12
-    # rows of 12 + 12 took 157-167 ms by rows and 64-94 ms by columns, and
-    # their max and min 168 and 69 ms (best of 3, 2-vCPU host). Each block
-    # is reduced elementwise into a (rows, columns of a block) array, and
-    # that over its columns at the end: numpy reduces many short rows slowly.
-    def dense(self, picked: np.ndarray, table: np.ndarray | None) -> bool:
-        """Whether the rows ``picked`` are read from blocks of columns."""
-        return table is None and not self._axis and 2 * len(picked) >= self._count
-
-    def _per_block(self) -> int:
-        # columns in a block of whole columns
-        return min(_lines_per_batch(self._count), self._width)
-
-    def ranges(self, picked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(max, min) of each row ``picked``, of a grid not built, from
-        blocks of columns."""
-        per = self._per_block()
-        peaks, floors = np.full((self._count, per), -np.inf), np.full((self._count, per), np.inf)
-        for first in range(0, self._width, per):
-            grid = self._block(slice(first, first + per))
-            np.maximum(peaks, grid, out=peaks)
-            np.minimum(floors, grid, out=floors)
-        return peaks.max(axis=1)[picked], floors.min(axis=1)[picked]
-
-    def spreads(self, digit: int, picked: np.ndarray, table: np.ndarray | None) -> np.ndarray:
-        """Each picked line's largest |difference| of two entries whose
-        positions differ only in binary digit ``digit``."""
-        if not self.dense(picked, table):
-            return np.concatenate([_flip_spreads(block, digit)
-                                   for _, block in self.batches(picked, table)])
-        step, per = 2**digit, self._per_block()
-        if step < per:  # each block of columns holds its pairs
-            pairs = (self._block(slice(first, first + per))
-                     .reshape(self._count, -1, 2, step).transpose(2, 0, 1, 3)
-                     for first in range(0, self._width, per))
-        else:  # each block with digit ``digit`` 0, and the block step columns above
-            pairs = ((self._block(slice(first, first + per)),
-                      self._block(slice(first + step, first + step + per)))
-                     for first in range(0, self._width, per) if not first & step)
-        most = np.zeros((self._count, per // 2 if step < per else per))
-        diff = np.empty_like(most)
-        for low, high in pairs:
-            np.subtract(high, low, out=diff.reshape(low.shape))
-            np.maximum(most, np.abs(diff, out=diff), out=most)
-        return most.max(axis=1)[picked]
 
 
 def _joint_envelope(params: RbmParams) -> tuple | None:
@@ -757,11 +704,8 @@ def _read_flips(side: tuple, digit: int, picked: np.ndarray, slack: float,
     line's spread must lie within ``slack`` of its bound, or
     CertificateError is raised (code, not an ``assert``)."""
     lines, first, bounds = side
-    if lines is None:
-        spreads = np.concatenate([_flip_spreads(block, first + digit)
-                                  for _, block in _batches(table.reshape(1, -1), picked)])
-    else:
-        spreads = lines.spreads(digit, picked, table)
+    blocks = _batches(table.reshape(1, -1), picked) if lines is None else lines.batches(picked, table)
+    spreads = np.concatenate([_flip_spreads(block, first + digit) for _, block in blocks])
     if not np.all(np.abs(spreads - bounds[digit, picked]) <= slack):
         raise CertificateError("a one-flip spread lies outside its certified envelope")
     return float(spreads.max())
@@ -774,7 +718,8 @@ class _JointRbm(_VisibleRuns):
     found once from the parameters) says they can lie. Where both sides'
     lines hold at least 2^``_LINE_BOUND_DIGITS`` entries and no table is
     built yet, ``lrep`` and ``delta_n`` build only the lines they read
-    (``_GridLines``), never the table; otherwise they read the table."""
+    (``_GridLines``), unless they read half the rows or more (``_alone``);
+    otherwise they read the table."""
 
     def __init__(self, params: RbmParams, budget: int):
         nv, nh = params.n_visible, params.n_hidden
@@ -795,14 +740,27 @@ class _JointRbm(_VisibleRuns):
         return _joint_envelope(self._params)
 
     def _tableless(self) -> bool:
-        """Whether lines are built alone: no table is built yet, and both
+        """Whether lines may be built alone: no table is built yet, and both
         sides of the envelope have long lines."""
         return self._scores is None and self._envelope is not None and all(
             lines is not None for lines, _, _ in self._envelope[3])
 
+    def _alone(self, side: int, picked: np.ndarray) -> bool:
+        """Whether the lines ``picked`` of ``side`` (0 rows, 1 columns) are
+        built alone (``_tableless``), or read in the table, built if need
+        be: they are built alone unless they are half the rows or more. A
+        column is one grid call over every hidden, as in the table, but a
+        built row adds its hidden terms one by one past its batch's few
+        doubled hidden digits, where the table doubles them all: at 12 + 12
+        with W = 0, one digit of all 2^12 rows took 257 ms built alone and
+        86 ms to build the table and read it there (best of 5, 2 vCPUs)."""
+        return self._tableless() and (side == 1 or 2 * len(picked) < 2**self._params.n_hidden)
+
     def _extreme_scores(self) -> tuple[int, int, float, float]:
         if self._extremes is None and self._tableless():
-            self._extremes = self._read_extremes(None)
+            picked = self._extreme_rows()
+            if self._alone(0, picked):
+                self._extremes = self._read_extremes(picked, None)
         return super()._extreme_scores()
 
     def _find_extremes(self, table: np.ndarray) -> tuple[int, int]:
@@ -811,48 +769,42 @@ class _JointRbm(_VisibleRuns):
         bounds, or the table no envelope."""
         if self._envelope is None or self._envelope[1] is None:
             return super()._find_extremes(table)
-        return self._read_extremes(table)[:2]
+        return self._read_extremes(self._extreme_rows(), table)[:2]
 
-    def _read_extremes(self, table: np.ndarray | None) -> tuple[int, int, float, float]:
-        """(argmax, argmin, max, min) of the grid, lowest index on ties, read
-        only in rows whose envelope can hold them: in ``table``, or built.
+    def _extreme_rows(self) -> np.ndarray:
+        """The rows whose envelope can hold the grid's max or min, in index
+        order.
 
         Row r's max is within slack s of its bound u_r, so the table's max M
         is at least u_r - s for every r, and a row that holds M has
         u_r + s >= M >= max(u) - s. So only rows with u_r >= max(u) - 2s can
         hold it, and likewise only rows with l_r <= min(l) + 2s the min.
         Those thresholds are rounded outward from exact rationals, so no such
-        row is left out. The rows that pass are read in index order, in
-        batches of at most a chunk (``_GridLines.batches``), and a later
-        batch wins only by a larger value, so a tie keeps the lowest index,
-        as a full argmax does. Where half the rows or more pass in a grid not
-        built (every row ties where theta_h = 0 and W = 0), each row's max
-        and min come from blocks of columns (``_GridLines.ranges``), and only
-        the first rows holding the max and the min are then built whole.
-        Each row read must lie within its envelope, or CertificateError is
+        row is left out.
+        """
+        slack, upper, lower, _ = self._envelope
+        top = _float_above(Fraction(float(upper.max())) - 2 * Fraction(slack))
+        bottom = -_float_above(-Fraction(float(lower.min())) - 2 * Fraction(slack))
+        return np.flatnonzero((upper >= top) | (lower <= bottom))
+
+    def _read_extremes(self, picked: np.ndarray,
+                       table: np.ndarray | None) -> tuple[int, int, float, float]:
+        """(argmax, argmin, max, min) of the grid, lowest index on ties, read
+        only in the rows ``picked`` (``_extreme_rows``): in ``table``, or
+        built. They are read in index order, in batches of at most a chunk
+        (``_GridLines.batches``), and a later batch wins only by a larger
+        value, so a tie keeps the lowest index, as a full argmax does. Each
+        row read must lie within its envelope, or CertificateError is
         raised; the check is code, not an ``assert``.
         """
         slack, upper, lower, ((rows, _, _), _) = self._envelope
         width = 2**self._params.n_visible
-        top = _float_above(Fraction(float(upper.max())) - 2 * Fraction(slack))
-        bottom = -_float_above(-Fraction(float(lower.min())) - 2 * Fraction(slack))
-
-        def checked(batch: np.ndarray, peaks: np.ndarray, floors: np.ndarray) -> None:
-            if not (np.all(np.abs(peaks - upper[batch]) <= slack)
-                    and np.all(np.abs(floors - lower[batch]) <= slack)):
-                raise CertificateError("a score-table row lies outside its certified envelope")
-
-        picked = np.flatnonzero((upper >= top) | (lower <= bottom))
-        if rows.dense(picked, table):
-            # every picked row is checked, and only the first rows holding
-            # the max and the min are built whole
-            peaks, floors = rows.ranges(picked)
-            checked(picked, peaks, floors)
-            picked = np.unique(picked[[np.argmax(peaks), np.argmin(floors)]])
         best, worst = (-math.inf, -1), (math.inf, -1)
         for batch, block in rows.batches(picked, table):
             peaks, floors = block.max(axis=1), block.min(axis=1)
-            checked(batch, peaks, floors)
+            if not (np.all(np.abs(peaks - upper[batch]) <= slack)
+                    and np.all(np.abs(floors - lower[batch]) <= slack)):
+                raise CertificateError("a score-table row lies outside its certified envelope")
             r, q = int(np.argmax(peaks)), int(np.argmin(floors))
             if peaks[r] > best[0]:
                 c = int(np.argmax(block[r]))
@@ -875,17 +827,21 @@ class _JointRbm(_VisibleRuns):
         column (2^9 pairs), built alone, on the seeds tried, in well under a
         millisecond, against about 0.3 s for the full scan of the 2^24
         table; where every row ties in a digit (W = 0) it reads that digit
-        once over the grid, built in blocks of a chunk of whole columns. A
-        table with no envelope takes the full scan.
+        once over the table, which it builds (``_alone``). A table with no
+        envelope takes the full scan.
         """
         if self._envelope is None:
             return super()._one_flip_max()
-        table = None if self._tableless() else self.scores()
         slack, _, _, sides = self._envelope
+
+        def read(s: int, d: int, picked: np.ndarray) -> float:
+            table = None if self._alone(s, picked) else self.scores()
+            return _read_flips(sides[s], d, picked, slack, table)
+
         _, side, digit = max((bounds[d].max(), s, d) for s, (_, _, bounds) in enumerate(sides)
                              for d in range(len(bounds)))
         line = int(np.argmax(sides[side][2][digit]))
-        reached = _read_flips(sides[side], digit, np.array([line]), slack, table)
+        reached = read(side, digit, np.array([line]))
         for s, (_, _, bounds) in enumerate(sides):
             for d, limits in enumerate(bounds):
                 # a piece can beat L only if its bound exceeds L - slack, rounded down
@@ -893,8 +849,7 @@ class _JointRbm(_VisibleRuns):
                 if (s, d) == (side, digit):
                     picked[line] = False
                 if picked.any():
-                    reached = max(reached, _read_flips(sides[s], d, np.flatnonzero(picked),
-                                                       slack, table))
+                    reached = max(reached, read(s, d, np.flatnonzero(picked)))
         return reached
 
 
@@ -910,8 +865,9 @@ def make_rbm_joint(params: RbmParams,
     reads its extremes and delta_N only where the bounds say they can lie.
     Where both sides' lines hold at least 2^``_LINE_BOUND_DIGITS`` entries
     and no table is built, ``lrep`` and ``delta_n`` build just those rows
-    and pieces (``_GridLines``), with the table's bits, and never the
-    table; ``scores()`` and every reduction over it still build it.
+    and pieces (``_GridLines``), with the table's bits, and no table
+    unless a read takes half the rows or more; ``scores()`` and every
+    reduction over it still build it.
     Row h scores s(x, h) = h.theta_h + x.phi(h), with phi_i(h) =
     theta_v_i + (W^T h)_i, so its max and min are
     h.theta_h +/- sum_i |phi_i(h)|, and flipping visible i moves it by

@@ -946,13 +946,13 @@ def test_joint_lrep_and_delta_at_the_budget_cap_build_no_table(capsys):
     assert peak <= 16 * 2**20, peak / 2**20
 
 
-@pytest.mark.parametrize("hidden, passes", [(0.5, 1), (0.0, 2)])
-def test_tied_joint_grid_is_read_in_chunk_batches(hidden, passes, monkeypatch):
+@pytest.mark.parametrize("hidden", [0.5, 0.0])
+def test_tied_joint_grid_is_read_in_chunk_batches(hidden, monkeypatch):
     # W = 0 at 12 + 12: every row ties in each visible digit, so delta_N
     # reads one digit of all 2^12 rows (|theta_v| > |theta_h|); with
     # theta_h = 0 every row ties in its max and min too, so the extremes
-    # read every row as well. The grid is built a chunk at a time, never as
-    # a table or a row per call
+    # read every row as well. Half the rows or more are read in the table,
+    # built once, a chunk at a time, never a row per call
     rng = np.random.default_rng(12)
     params = RbmParams(rng.uniform(-1, 1, 12), rng.uniform(-hidden, hidden, 12),
                        np.zeros((12, 12)))
@@ -962,7 +962,6 @@ def test_tied_joint_grid_is_read_in_chunk_batches(hidden, passes, monkeypatch):
             float(_one_flip_range(table, 24, 2)).hex())
     del table
     model, calls, score = make_rbm_joint(params), [], foeslab.zoo.rbm_joint_score
-    model._score_table = None  # calling it would raise: no table is built
 
     def counted(*args, **kwargs):
         calls.append(args[1:3])
@@ -972,12 +971,11 @@ def test_tied_joint_grid_is_read_in_chunk_batches(hidden, passes, monkeypatch):
     report = instability_report(model)
     assert (report.argmax_index, report.argmin_index, report.lrep.hex(),
             report.delta_n.hex()) == want
-    # a pass of column blocks of a chunk for each read of every row, and a
-    # call each for the rows holding the max and the min and for the first
-    # piece delta_N reads
-    assert len(calls) <= passes * 2**24 // foeslab.core._CHUNK_OUTCOMES + 3
-    # every row was read: every column built, each in one call, once a pass
-    assert sum(x.stop - x.start for x, h in calls if h == slice(0, 2**12)) == passes * 2**12
+    assert model._scores is not None
+    # at most two passes of 2^24 / chunk batches, plus one
+    assert len(calls) <= 2 * 2**24 // foeslab.core._CHUNK_OUTCOMES + 1
+    # the grid was built once: every column in one call over every hidden
+    assert sum(x.stop - x.start for x, h in calls if h == slice(0, 2**12)) == 2**12
 
 
 @pytest.mark.parametrize("nv, nh, coupled", [(1, 23, False), (1, 23, True), (23, 1, True)])
@@ -1087,23 +1085,19 @@ def test_enveloped_reads_are_the_full_pass_and_each_bound_holds(case):
     # bit; its first read is a piece of largest bound, no row or piece is
     # read twice, and every row or piece it leaves out is certified not to
     # hold the answer. Where both sides' lines are long, those lines are
-    # built from the parameters and no table is (half the rows or more from
-    # blocks of columns); a model whose table is built first reads them in
+    # built from the parameters and no table is, unless a read takes half
+    # the rows or more; a model whose table is built first reads them in
     # the table, with the same result
     params, chunk, line_digits = case
     nv, nh = params.n_visible, params.n_hidden
-    rows_read, ranged, pieces, tables = [], [], [], []
-    batches, ranges = foeslab.zoo._GridLines.batches, foeslab.zoo._GridLines.ranges
-    read = foeslab.zoo._read_flips
+    rows_read, row_reads, pieces, tables = [], [], [], []
+    batches, read = foeslab.zoo._GridLines.batches, foeslab.zoo._read_flips
 
     def lines_read(lines, picked, table):
         if not lines._axis:
             rows_read.extend(picked.tolist())
+            row_reads.append((len(picked), table is None))
         return batches(lines, picked, table)
-
-    def rows_ranged(lines, picked):
-        ranged.extend(picked.tolist())
-        return ranges(lines, picked)
 
     def counted(side, digit, picked, slack, table):
         pieces.extend((int(side is not envelope[3][0]), digit, int(p)) for p in picked)
@@ -1121,29 +1115,19 @@ def test_enveloped_reads_are_the_full_pass_and_each_bound_holds(case):
         envelope = model._envelope
         model._score_table = lambda: tables.append(table) or table
         patch.setattr(foeslab.zoo._GridLines, "batches", lines_read)
-        patch.setattr(foeslab.zoo._GridLines, "ranges", rows_ranged)
         report = lrep(model)
         extremes_read = list(rows_read)
         patch.setattr(foeslab.zoo, "_read_flips", counted)
         got = delta_n(model)
         if envelope is not None:
-            # a built line, a row's max and min and its spreads from blocks of
-            # columns have the bits of the table's
+            # a built line has the bits of the table's
             patch.setattr(foeslab.zoo._GridLines, "batches", batches)
-            patch.setattr(foeslab.zoo._GridLines, "ranges", ranges)
             grid = table.reshape(2**nh, -1)
             for (lines, _, _), view in zip(envelope[3], (grid, grid.T)):
                 if lines is not None:
                     for picked in (np.arange(len(view)), np.arange(0, len(view), 3)):
                         built = np.concatenate([b for _, b in lines.batches(picked, None)])
                         assert built.tobytes() == np.ascontiguousarray(view[picked]).tobytes()
-                    every = np.arange(len(view))
-                    if lines.dense(every, None):
-                        assert all(np.array_equal(a, b) for a, b in zip(
-                            lines.ranges(every), (view.max(axis=1), view.min(axis=1))))
-                        for d in range(nv):
-                            assert lines.spreads(d, every, None).tobytes() == \
-                                digit_spreads(view, d).tobytes()
     # the full pass over the built table
     imax, imin = int(np.argmax(table)), int(np.argmin(table))
     full = (imax, imin, (float(table[imax]) - float(table[imin])).hex(),
@@ -1153,8 +1137,11 @@ def test_enveloped_reads_are_the_full_pass_and_each_bound_holds(case):
     # a side is bounded line by line where its lines hold 2^line_digits
     # entries or more, else per digit over the whole grid
     threshold = foeslab.zoo._LINE_BOUND_DIGITS if line_digits is None else line_digits
+    # rows are built alone only fewer than half at a time; a read of half
+    # the rows or more builds the table, and every read after it reads there
     tableless = envelope is not None and min(nv, nh) >= threshold
-    assert (tables == []) == tableless
+    assert all(2 * k < 2**nh for k, alone in row_reads if alone)
+    assert (tables == []) == (tableless and all(2 * k < 2**nh for k, _ in row_reads))
     if envelope is None:
         assert not extremes_read and not pieces
         return
@@ -1177,16 +1164,10 @@ def test_enveloped_reads_are_the_full_pass_and_each_bound_holds(case):
         for d, bound in enumerate(bounds):
             assert np.all(np.abs(digit_spreads(lines, first + d) - bound) <= slack)
     if nv < threshold:
-        assert upper is None and lower is None and not extremes_read and not ranged
+        assert upper is None and lower is None and not extremes_read
     else:
         assert np.all(np.abs(grid.max(axis=1) - upper) <= slack)
         assert np.all(np.abs(grid.min(axis=1) - lower) <= slack)
-        if ranged:
-            # every picked row's max and min came from blocks of columns, and
-            # only the first rows holding the max and the min were built
-            assert tableless and 2 * len(ranged) >= len(grid)
-            assert extremes_read == sorted({imax >> nv, imin >> nv})
-            extremes_read = ranged
         # a row left out has max + slack below max(upper) - slack, and min -
         # slack above min(lower) + slack, in exact rationals
         skipped = np.ones(len(grid), dtype=bool)
