@@ -15,23 +15,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import foeslab.core
 from foeslab import (
     ChainConfig,
-    DbmParams,
     GraphModelSpec,
     RbmParams,
     expected_standardized_log_prob,
     expected_statistic,
     make_bernoulli,
-    make_dbm_marginal,
     make_graph_model,
     make_multinomial,
     make_rbm_joint,
-    make_rbm_marginal,
-    make_uniform,
     modal_set,
     run_gibbs,
     sign_reversal_masses,
@@ -39,6 +35,7 @@ from foeslab import (
 from foeslab.core import UniformModelError
 from foeslab.metrics import ModalSet, _score_range, lrep, modal_tie_tol
 from foeslab.psr import PSR_TOL, PsrReport, _psr_report
+from conftest import DBM_NINE_VISIBLE, ZOO
 
 
 def oracle_modal_set(model, epsilon: float) -> ModalSet:
@@ -104,46 +101,18 @@ def oracle_complement_mass(model_pos, model_neg, epsilon: float) -> float:
     return float(p_neg[~mask].sum())
 
 
-@st.composite
-def zoo_families(draw):
-    """(family, theta) of one zoo family on 2^8 to 2^11 outcomes; integer
-    parameters tie many scores."""
-    kind = draw(st.sampled_from(["uniform", "bernoulli", "multinomial", "graph",
-                                 "rbm_marginal", "rbm_joint", "dbm_marginal"]))
-    integer = draw(st.booleans())
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    def coef(*shape):
-        return (rng.integers(-2, 3, shape).astype(np.float64) if integer
-                else rng.standard_normal(shape))
-
-    nv, nh = int(rng.integers(5, 9)), int(rng.integers(1, 4))
-    return {
-        "uniform": lambda: (lambda theta: make_uniform(9), 0.0),
-        "bernoulli": lambda: (lambda theta: make_bernoulli(10, theta), float(coef())),
-        "multinomial": lambda: (lambda theta: make_multinomial(6, theta), coef(3)),
-        "graph": lambda: (lambda theta: make_graph_model(
-            GraphModelSpec(5, tuple(map(float, theta)))), coef(3)),
-        "rbm_marginal": lambda: (make_rbm_marginal,
-                                 RbmParams(coef(nv + 3), coef(nh), coef(nh, nv + 3))),
-        "rbm_joint": lambda: (make_rbm_joint,
-                              RbmParams(coef(nv), coef(nh), coef(nh, nv))),
-        "dbm_marginal": lambda: (make_dbm_marginal, DbmParams(
-            coef(9), (coef(2), coef(2)), (coef(2, 9), coef(2, 2)))),
-    }[kind]()
-
-
 def same_bytes(got, want) -> bool:
     return np.array(got, dtype=np.float64).tobytes() == np.array(want, dtype=np.float64).tobytes()
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(case=zoo_families(), chunk=st.sampled_from([8, 16, 100, 2**16]),
+@settings(max_examples=80)
+@given(case=ZOO, chunk=st.sampled_from([8, 16, 100, 2**16]),
        epsilon=st.sampled_from([0.05, 0.3, 0.5, 0.9]), seed=st.integers(0, 2**32 - 1),
        start=st.integers(0, 2**32 - 1), burn_frac=st.floats(0.0, 0.9))
+@example(case=DBM_NINE_VISIBLE, chunk=8, epsilon=0.3, seed=9, start=100, burn_frac=0.5)
 def test_chunked_reductions_match_the_full_table_oracles(case, chunk, epsilon, seed,
                                                          start, burn_frac):
-    family, theta = case
+    family, theta = case.family, case.theta
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
         model, model_neg = family(theta), family(-theta)
@@ -203,13 +172,13 @@ def test_psr_verdict_matches_the_oracle_at_large_theta(kind, scale, chunk):
         assert any(r.holds and r.max_violation > PSR_TOL for r in reports)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(case=zoo_families(), chunk=st.sampled_from([8, 16, 100, 2**16]))
+@settings(max_examples=40)
+@given(case=ZOO, chunk=st.sampled_from([8, 16, 100, 2**16]))
+@example(case=DBM_NINE_VISIBLE, chunk=8)
 def test_chunked_expectations_match_the_full_table_oracles(case, chunk):
-    family, theta = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
-        model = family(theta)
+        model = case.model()
         try:
             want = oracle_expected_standardized_log_prob(model)
         except UniformModelError:

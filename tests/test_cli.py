@@ -19,7 +19,7 @@ import foeslab.rbm_bounds
 from foeslab.cli import build_parser, main, merge_config, read_config_file
 from foeslab.core import OutcomeSpace
 from foeslab.rbm_bounds import RbmBoundsReport
-from conftest import CLI_CHILD, child_peak_kb, child_stdout
+from conftest import CLI_CHILD, child_peak_kb, child_stdout, kernel_calls
 from test_rbm_bounds import blas_bounds_report, readme_draws
 
 
@@ -707,15 +707,12 @@ def test_mh_rejects_bad_data_before_enumerating(capsys, monkeypatch, data,
     assert err.count("\n") == 1 and message in err
 
 
-def test_readme_bounds_evaluates_hidden_absum_twice_per_draw(capsys, monkeypatch):
+def test_readme_bounds_evaluates_hidden_absum_twice_per_draw(capsys):
     # once for b(x) and once for a(h), which is b of the transposed RBM:
     # each side of a 4+2 draw is one run
-    calls = []
-    original = foeslab.rbm_bounds.hidden_absum
-    monkeypatch.setattr(foeslab.rbm_bounds, "hidden_absum",
-                        lambda *args: calls.append(1) or original(*args))
     command = next(c for c in README_EXAMPLES if c.startswith("bounds"))
-    code, out, _ = run_cli(capsys, *shlex.split(command))
+    with kernel_calls((foeslab.rbm_bounds, "hidden_absum")) as calls:
+        code, out, _ = run_cli(capsys, *shlex.split(command))
     assert code == 0 and len(calls) == 20
     assert hashlib.sha256(out.encode()).hexdigest() == README_EXAMPLES[command]
 

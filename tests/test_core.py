@@ -476,7 +476,7 @@ def signed_weights(draw):
 
 
 class TestSignedSums:
-    @settings(max_examples=120, deadline=None, derandomize=True)
+    @settings(max_examples=120)
     @given(case=signed_weights())
     def test_each_row_is_summed_in_variable_order(self, case):
         n, base, weights = case

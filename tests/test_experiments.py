@@ -267,7 +267,7 @@ class TestAgainstParentRoute:
     order, so cells move by ulps. Unrequested metrics stay NaN.
     """
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(n_visible=st.integers(1, 9), n_hidden=st.integers(1, 9),
            n_breaks=st.integers(2, 3), samples=st.integers(1, 5),
            seed=st.one_of(st.integers(-2**70, -1), st.integers(2**64, 2**70),
@@ -423,7 +423,7 @@ class TestOneNormalCallPerDraw:
     """A draw takes one standard_normal call for both parts, and equals the
     two sample_on_sphere calls per draw bit for bit."""
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80)
     @given(n_visible=st.integers(1, 9), n_hidden=st.integers(1, 9),
            n_breaks=st.integers(2, 3), samples=st.integers(1, 5),
            seed=st.one_of(st.integers(-2**70, -1), st.integers(2**64, 2**70),

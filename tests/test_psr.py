@@ -19,7 +19,6 @@ from foeslab import (
     make_multinomial,
     make_rbm_joint,
     make_rbm_marginal,
-    make_uniform,
     modal_set,
     sign_reversal_masses,
 )
@@ -27,6 +26,7 @@ from foeslab.cli import main
 from foeslab.core import FoesModel
 from foeslab.metrics import ParameterPath, modal_tie_tol
 from foeslab.psr import PSR_TOL
+from conftest import ZOO_KINDS, models
 
 
 def logistic(z):
@@ -263,41 +263,13 @@ class TestDegeneracyTrend:
         assert masses[-1] > 0.99
 
 
-@st.composite
-def zoo_families(draw):
-    """(family, theta) of one zoo family; integer parameters tie many scores."""
-    kind = draw(st.sampled_from(["uniform", "bernoulli", "multinomial", "graph",
-                                 "rbm_marginal", "rbm_joint", "dbm_marginal"]))
-    integer = draw(st.booleans())
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    def coef(*shape):
-        return (rng.integers(-2, 3, shape).astype(np.float64) if integer
-                else rng.standard_normal(shape))
-
-    nodes, nv, nh = (int(rng.integers(3, 6)), int(rng.integers(1, 6)),
-                     int(rng.integers(0, 4)))
-    return {
-        "uniform": lambda: (lambda theta: make_uniform(4), 0.0),
-        "bernoulli": lambda: (lambda theta: make_bernoulli(6, theta), float(coef())),
-        "multinomial": lambda: (lambda theta: make_multinomial(4, theta), coef(3)),
-        "graph": lambda: (lambda theta: make_graph_model(
-            GraphModelSpec(nodes, tuple(map(float, theta)))), coef(3)),
-        "rbm_marginal": lambda: (make_rbm_marginal,
-                                 RbmParams(coef(nv), coef(nh), coef(nh, nv))),
-        "rbm_joint": lambda: (make_rbm_joint,
-                              RbmParams(coef(nv), coef(nh), coef(nh, nv))),
-        "dbm_marginal": lambda: (make_dbm_marginal, DbmParams(
-            coef(3), (coef(2), coef(2)), (coef(2, 3), coef(2, 2)))),
-    }[kind]()
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(case=zoo_families(), epsilon=st.sampled_from([0.05, 0.3, 0.5, 0.9]))
+@settings(max_examples=100)
+@given(case=models(*ZOO_KINDS, scales=(1.0,), digits=11),
+       epsilon=st.sampled_from([0.05, 0.3, 0.5, 0.9]))
 def test_extremes_at_the_extreme_indices_are_the_scans(case, epsilon):
     # modal_set and check_psr read log_probs() at the model's extreme indices;
     # fl(s - log Z) is monotone in s, so the bits are those of the scans
-    family, theta = case
+    family, theta = case.family, case.theta
     logp, logn = family(theta).log_probs(), family(-theta).log_probs()
     threshold = (1.0 - epsilon) * logp.max() + epsilon * logp.min()
     mass = float(np.exp(logp[logp > threshold - modal_tie_tol(logp.max(), logp.min())]).sum())

@@ -29,6 +29,7 @@ from foeslab import (
     run_gibbs,
     run_param_mh,
 )
+from conftest import models
 
 
 def logistic(z):
@@ -239,7 +240,7 @@ MH_FAMILIES = {
 @pytest.mark.parametrize("prior", [None, lambda th: float(-0.5 * np.sum(th**2) / 4.0)],
                          ids=["flat", "normal"])
 @pytest.mark.parametrize("name", MH_FAMILIES)
-@settings(max_examples=15, deadline=None, derandomize=True)
+@settings(max_examples=15)
 @given(data=st.data(), seed=st.integers(0, 2**64 - 1),
        step_size=st.floats(0.05, 3.0))
 def test_param_mh_through_at_matches_fresh_models(name, prior, data, seed, step_size):
@@ -470,28 +471,14 @@ class TestMemoisedKernelMatchesReference:
                                       reference_full_conditional(model, x, i))
 
 
-@st.composite
-def small_models(draw):
-    kind = draw(st.sampled_from(["bernoulli", "multinomial", "graph"]))
-    param = st.floats(-4.0, 4.0, allow_nan=False)
-    if kind == "bernoulli":
-        return make_bernoulli(draw(st.integers(1, 6)), draw(param))
-    if kind == "multinomial":
-        k = draw(st.sampled_from([2, 3]))
-        return make_multinomial(draw(st.integers(1, 4)),
-                                draw(st.lists(param, min_size=k, max_size=k)))
-    return make_graph_model(GraphModelSpec(
-        draw(st.sampled_from([3, 4])),
-        params=tuple(draw(st.lists(param, min_size=3, max_size=3)))))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(model=small_models(), seed=st.integers(0, 2**64 - 1),
-       n_sweeps=st.integers(1, 60), burn_frac=st.floats(0.0, 0.9),
-       random_scan=st.booleans(), start=st.none() | st.integers(0, 2**63),
-       epsilon=st.sampled_from([0.05, 0.1, 0.5]))
-def test_memoised_kernel_matches_reference(model, seed, n_sweeps, burn_frac,
+@settings(max_examples=60)
+@given(case=models("bernoulli", "multinomial", "graph", scales=(1.0, 3.7), digits=6),
+       seed=st.integers(0, 2**64 - 1), n_sweeps=st.integers(1, 60),
+       burn_frac=st.floats(0.0, 0.9), random_scan=st.booleans(),
+       start=st.none() | st.integers(0, 2**63), epsilon=st.sampled_from([0.05, 0.1, 0.5]))
+def test_memoised_kernel_matches_reference(case, seed, n_sweeps, burn_frac,
                                            random_scan, start, epsilon):
+    model = case.model()
     space = model.space
     init = None if start is None else \
         tuple(int(v) for v in space.decode(start % space.n_outcomes))

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import foeslab.core
 import foeslab.zoo
@@ -38,7 +38,8 @@ from foeslab.core import (
 from foeslab.cli import main
 from foeslab.metrics import delta_n, instability_report, lrep
 from foeslab.zoo import _first_layer, _log2cosh, rbm_joint_score
-from conftest import child_peak_kb, child_stdout
+from conftest import (GRAPH_TERM_SUBSETS, JOINT_EXAMPLES, SEVEN_NODE_GRAPHS, Case, child_peak_kb,
+                      child_stdout, examples, graph_family, graph_spec, kernel_calls, models)
 
 
 def logistic(z):
@@ -282,43 +283,22 @@ def test_score_table_from_statistics_is_bitwise_equal(build):
     assert stats_first.scores().tobytes() == fresh.scores().tobytes()
 
 
-def _graph(nodes):
-    return lambda th: make_graph_model(GraphModelSpec(nodes, params=tuple(th)))
-
-
-# name: (family over a parameter vector, vector length, hypothesis examples);
-# the last three spaces take several chunks, and a fresh 7-node graph takes
-# about 2 s to score, so it gets the fewest examples
-LINEAR_FAMILIES = {
-    "bernoulli-7": (lambda th: make_bernoulli(7, th[0]), 1, 25),
-    "multinomial-4x3": (lambda th: make_multinomial(4, th), 3, 25),
-    "graph-5": (_graph(5), 3, 25),
-    "bernoulli-18": (lambda th: make_bernoulli(18, th[0]), 1, 10),
-    "multinomial-11x3": (lambda th: make_multinomial(11, th), 3, 10),
-    "graph-7": (_graph(7), 3, 3),
-}
-
-
-@pytest.mark.parametrize("name", LINEAR_FAMILIES)
-def test_at_matches_a_fresh_model_bitwise(name):
-    build, k, examples = LINEAR_FAMILIES[name]
-    base = build(np.full(k, 0.25))
-
-    @settings(max_examples=examples, deadline=None, derandomize=True)
-    @given(theta=st.lists(st.floats(-4, 4), min_size=k, max_size=k))
-    def check(theta):
-        shared, fresh = base.at(theta), build(np.asarray(theta))
+@settings(max_examples=60)
+@given(case=models("bernoulli", "multinomial", "graph"))
+@examples([Case("bernoulli", lambda t: make_bernoulli(18, t), 1.3),
+           Case("multinomial", lambda t: make_multinomial(11, t), np.array([0.7, -1.1, 0.25])),
+           Case("graph", graph_family(7), np.array([-0.4, 0.3, 0.9]))])
+def test_at_matches_a_fresh_model_bitwise(case):
+    # spaces of one chunk and of several, in chunks of a few outcomes or of
+    # the default size: 2^18 Bernoulli, 3^11 multinomial and 7-node graphs
+    with case.patched():
+        base = case.family(np.full(np.shape(case.theta), 0.25))
+        shared, fresh = base.at(np.atleast_1d(case.theta)), case.model()
         assert shared.statistic_values() is base.statistic_values()
         assert shared.scores().tobytes() == fresh.scores().tobytes()
         assert shared.log_probs().tobytes() == fresh.log_probs().tobytes()
         assert (np.float64(shared.log_normalizer).tobytes()
                 == np.float64(fresh.log_normalizer).tobytes())
-
-    check()
-
-
-GRAPH_TERM_SUBSETS = [terms for r in (1, 2, 3)
-                      for terms in itertools.combinations(foeslab.zoo.GRAPH_TERMS, r)]
 
 
 @pytest.fixture(scope="module")
@@ -347,21 +327,14 @@ def test_graph_tables_are_graph_statistics_of_every_row(graph_row_statistics, no
     chunk, full = graph_row_statistics(nodes)
     cols = [foeslab.zoo.GRAPH_TERMS.index(t) for t in terms]
     want = full[:, cols]
-
-    def spec(theta):
-        params = dict(zip(terms, theta))
-        return GraphModelSpec(nodes, params=tuple(params.get(t, 0.0) for t in
-                                                  foeslab.zoo.GRAPH_TERMS),
-                              active_terms=terms)
-
-    base = make_graph_model(spec([1.0] * len(terms)))
+    base = make_graph_model(graph_spec(nodes, terms, [1.0] * len(terms)))
     stats = base.statistic_values()
     assert stats.flags.f_contiguous and stats.tobytes() == want.tobytes()
 
-    @settings(max_examples=3, deadline=None, derandomize=True)
+    @settings(max_examples=3)
     @given(theta=st.lists(st.floats(-4, 4), min_size=len(terms), max_size=len(terms)))
     def check(theta):
-        lone = make_graph_model(spec(theta)).scores()
+        lone = make_graph_model(graph_spec(nodes, terms, theta)).scores()
         chunkwise = [full[s:s + chunk][:, cols] @ theta for s in range(0, len(full), chunk)]
         assert lone.tobytes() == np.concatenate(chunkwise).tobytes()
         assert base.at(theta).scores().tobytes() == (want @ theta).tobytes()
@@ -382,87 +355,46 @@ def test_graph_tables_from_smaller_low_blocks(monkeypatch, nodes, chunk):
     assert make_graph_model(spec).statistic_values().tobytes() == full.tobytes()
 
 
-def test_seven_node_tables_count_one_low_block_by_graph_statistics(monkeypatch):
+def test_seven_node_tables_count_one_low_block_by_graph_statistics():
     # the module attribute is looked up at call time, once per table
-    calls = []
-    original = foeslab.zoo.graph_statistics
-    monkeypatch.setattr(foeslab.zoo, "graph_statistics",
-                        lambda spec, rows: calls.append(len(rows)) or original(spec, rows))
-    model = make_graph_model(GraphModelSpec(7, params=(0.2, -0.1, 0.3)))
-    model.scores()
-    model.at([0.1, 0.2, 0.3]).scores()
-    model.score(np.ones(21))
-    assert calls == [2**16, 2**16, 1]
+    with kernel_calls((foeslab.zoo, "graph_statistics")) as calls:
+        model = make_graph_model(GraphModelSpec(7, params=(0.2, -0.1, 0.3)))
+        model.scores()
+        model.at([0.1, 0.2, 0.3]).scores()
+        model.score(np.ones(21))
+    assert [len(rows) for _, (_, rows) in calls] == [2**16, 2**16, 1]
 
 
-def assert_keyed_table(model, full: np.ndarray, cols: list, theta) -> None:
+def assert_keyed_table(model, full: np.ndarray, theta) -> None:
     """A lone graph model's table against the chunk products of the graphs'
-    statistic rows ``full[:, cols]``, each F-ordered, as they were scored
-    before the keys; its delta_N, read in the top digit alone, against the
-    full scan; and every digit's one-flip spread against the others, all
-    bit for bit."""
+    statistic rows ``full``, each F-ordered, as they were scored before the
+    keys, and every digit's one-flip spread against the others, on which
+    delta_N's read of the top digit alone rests, all bit for bit."""
     n = model.n_variables
     rows = 2 ** foeslab.core._chunk_digits(n, 2)
-    chunkwise = [np.asfortranarray(full[s:s + rows][:, cols]) @ np.asarray(theta)
+    chunkwise = [np.asfortranarray(full[s:s + rows]) @ np.asarray(theta)
                  for s in range(0, len(full), rows)]
     table = model.scores()
     assert table.tobytes() == np.concatenate(chunkwise).tobytes()
-    kernels = []
-    with pytest.MonkeyPatch.context() as patch:
-        for module, name in ((foeslab.core, "_one_flip_range"), (foeslab.zoo, "_flip_spreads")):
-            kernel = getattr(module, name)
-            patch.setattr(module, name, lambda *args, kernel=kernel, name=name:
-                          kernels.append((name, args[1:])) or kernel(*args))
-        got = delta_n(model)
-    assert kernels == [("_flip_spreads", (n - 1,))]
-    assert got.hex() == float(foeslab.core._one_flip_range(table, n, 2)).hex()
     spreads = [foeslab.core._flip_spreads(table.reshape(1, -1), d) for d in range(n)]
     assert len({s.tobytes() for s in spreads}) == 1
 
 
-def graph_spec(nodes: int, terms: tuple, theta) -> GraphModelSpec:
-    """The graph model on ``terms`` with their parameters ``theta``."""
-    params = dict(zip(terms, theta))
-    return GraphModelSpec(nodes, params=tuple(params.get(t, 0.0) for t in foeslab.zoo.GRAPH_TERMS),
-                          active_terms=terms)
+@settings(max_examples=60)
+@given(case=models("graph"))
+def test_keyed_graph_tables_are_the_chunk_products(case):
+    # every graph of 3 to 6 nodes on any terms, in chunks of the default size
+    # or of a few graphs, so up to 2^8 chunks and boxes of several blocks
+    with case.patched():
+        model = case.model()
+        assert_keyed_table(model, model.stat_fn(model.space.all_outcomes()), case.theta)
 
 
-# exact ties at round values and signed zeros, or any value, at scales from
-# 1e-3 to 1e12
-GRAPH_THETAS = st.tuples(
-    st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0]) | st.floats(-4, 4),
-             min_size=3, max_size=3),
-    st.sampled_from([1e-3, 1.0, 3.7, 1e3, 1e8, 1e12]))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(nodes=st.integers(3, 6), terms=st.sampled_from(GRAPH_TERM_SUBSETS),
-       chunk=st.sampled_from([None, 2**3, 2**6, 2**9]), theta=GRAPH_THETAS)
-def test_keyed_graph_tables_are_the_chunk_products(nodes, terms, chunk, theta):
-    # every graph of 3 to 6 nodes, in chunks of the default size or of 2^3
-    # to 2^9 graphs, so one to 2^12 chunks and boxes of several blocks
-    direction, scale = theta
-    theta = [scale * d for d in direction[:len(terms)]]
-    spec = graph_spec(nodes, terms, theta)
-    cols = [foeslab.zoo.GRAPH_TERMS.index(t) for t in terms]
-    with pytest.MonkeyPatch.context() as patch:
-        if chunk is not None:
-            patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
-        full = graph_statistics(spec, OutcomeSpace(spec.n_edges, (0, 1)).all_outcomes())
-        assert_keyed_table(make_graph_model(spec), full, cols, theta)
-
-
-@pytest.mark.parametrize("terms, theta", [
-    (foeslab.zoo.GRAPH_TERMS, (-0.4e12, 0.3e12, -0.1e12)),
-    (foeslab.zoo.GRAPH_TERMS, (0.0, 1.0, 0.0)),
-    (foeslab.zoo.GRAPH_TERMS, (-0.0, 0.0, -0.0)),
-    (("edges", "two_stars"), (2e8, -0.5e8)),
-    (("triangles",), (-3e-3,)),
-], ids=["scale-1e12", "tie", "signed-zeros", "edges+two_stars", "triangles"])
+@pytest.mark.parametrize("terms, theta", SEVEN_NODE_GRAPHS.values(), ids=list(SEVEN_NODE_GRAPHS))
 def test_seven_node_keyed_tables_are_the_chunk_products(graph_row_statistics, terms, theta):
     _, full = graph_row_statistics(7)
     cols = [foeslab.zoo.GRAPH_TERMS.index(t) for t in terms]
-    assert_keyed_table(make_graph_model(graph_spec(7, terms, theta)), full, cols, theta)
+    assert_keyed_table(make_graph_model(graph_spec(7, terms, theta)), full[:, cols], theta)
 
 
 def test_unused_keys_overflow_without_a_warning():
@@ -734,43 +666,27 @@ _RBM_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, 0.1, 0.2, 0.
                         st.floats(-2, 2))
 
 
-@st.composite
-def joint_rbms(draw):
-    """RbmParams with nv + nh <= 13, and a table chunk size (None: the default)."""
-    nv = draw(st.integers(1, 9))
-    nh = draw(st.integers(0, 13 - nv))
-    values = st.lists(_RBM_VALUES, min_size=nv + nh + nh * nv, max_size=nv + nh + nh * nv)
-    v = np.array(draw(values))
-    params = RbmParams(v[:nv], v[nv:nv + nh], v[nv + nh:].reshape(nh, nv))
-    return params, draw(st.sampled_from([None, 4, 32]))
-
-
-def _rbm_case(nv, nh, chunk=None, seed=0):
+def _rbm_case(nv, nh, chunk=None, seed=0) -> Case:
     rng = np.random.default_rng(seed)
-    return RbmParams(rng.uniform(-1, 1, nv), rng.uniform(-1, 1, nh),
-                     rng.uniform(-1, 1, (nh, nv))), chunk
+    return Case("joint-lopsided", make_rbm_joint, RbmParams(
+        rng.uniform(-1, 1, nv), rng.uniform(-1, 1, nh), rng.uniform(-1, 1, (nh, nv))), chunk)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(case=joint_rbms())
-@example(case=_rbm_case(1, 0))
-@example(case=_rbm_case(1, 9))
-@example(case=_rbm_case(3, 8, chunk=4))
-@example(case=_rbm_case(2, 11, chunk=32))
-@example(case=_rbm_case(6, 0, chunk=4))
-@example(case=(RbmParams([0.1, 0.2, 0.3], [0.3, -0.3], [[0.1, 0.2, -0.3], [0.0, 0.5, 0.5]]),
-               None))
+@settings(max_examples=150)
+@given(case=models("joint-lopsided", "joint-tied", digits=13))
+@examples([_rbm_case(1, 0), _rbm_case(1, 9), _rbm_case(3, 8, chunk=4), _rbm_case(2, 11, chunk=32),
+           _rbm_case(6, 0, chunk=4),
+           Case("joint-lopsided", make_rbm_joint, RbmParams(
+               [0.1, 0.2, 0.3], [0.3, -0.3], [[0.1, 0.2, -0.3], [0.0, 0.5, 0.5]]))])
 def test_joint_table_is_the_chunked_paired_table(case):
     # the table is summed in the documented order, bit for bit; the parent
     # route (BLAS products, then numpy's sum over the hidden units) rounds
-    # differently, so it is followed to 1e-15 of its largest magnitude
-    params, chunk = case
+    # differently, so it is followed to 1e-15 of its largest magnitude.
+    # Small chunks split both sides into several blocks
+    params = case.theta
     want = _chunked_joint_table(params)
-    with pytest.MonkeyPatch.context() as patch:
-        if chunk is not None:
-            # small chunks split both sides into several blocks
-            patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
-        model = make_rbm_joint(params)
+    with case.patched():
+        model = case.model()
         got = model.scores()
         report = lrep(model)
     assert got.tobytes() == _joint_table_in_order(params).tobytes()
@@ -800,7 +716,7 @@ def test_grid_rows_must_be_an_aligned_run(run):
         rbm_joint_score(params, slice(0, 4), run)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150)
 @given(data=st.data())
 def test_first_layer_run_is_the_rows_form(data):
     # any aligned run, with and without a trailing axis of draws
@@ -847,27 +763,16 @@ def test_first_layer_with_no_visible_units_keeps_its_center_row(draws):
         assert got.tobytes() == expected.tobytes()
 
 
-@st.composite
-def boltzmann_models(draw):
-    """An RBM marginal, a joint RBM or a DBM marginal of at most 2^13 outcomes."""
-    kind = draw(st.sampled_from(["rbm_marginal", "rbm_joint", "dbm_marginal"]))
-    if kind == "dbm_marginal":
-        sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5).filter(
-            lambda s: sum(s) <= 13))
-        return make_dbm_marginal(dbm_params(np.random.default_rng(draw(st.integers(0, 99))),
-                                            sizes))
-    params, _ = draw(joint_rbms())
-    return {"rbm_marginal": make_rbm_marginal, "rbm_joint": make_rbm_joint}[kind](params)
-
-
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(model=boltzmann_models(), chunk=st.sampled_from([4, 32]))
-def test_rows_score_as_the_table(model, chunk):
+@settings(max_examples=120)
+@given(case=models("rbm-marginal", "joint-lopsided", "joint-tied", "dbm-marginal", digits=13),
+       chunk=st.sampled_from([4, 32]))
+def test_rows_score_as_the_table(case, chunk):
     # small chunks split the table into several aligned visible runs, and a
     # DBM's even layers into several blocks; one row takes a run's blocks
     with pytest.MonkeyPatch.context() as patch:
         for module in (foeslab.core, foeslab.zoo):
             patch.setattr(module, "_CHUNK_OUTCOMES", chunk)
+        model = case.model()
         table = model.scores()
         outcomes = model.space.all_outcomes()
         rows = model.score(outcomes)
@@ -881,39 +786,34 @@ def test_joint_table_at_the_budget_cap_is_pinned():
     # 14 + 10 units: the 2^24-outcome table of the cap benchmark, summed in
     # the documented order. Its extremes are those of the parent route,
     # which it follows to 3.8e-16 of its largest magnitude
-    params, _ = _rbm_case(14, 10, seed=1410)
+    params = _rbm_case(14, 10, seed=1410).theta
     scores = make_rbm_joint(params).scores()
     assert hashlib.sha256(scores.tobytes()).hexdigest() == \
         "c423d2211f3aa70b3db5e10d23287316e6f6e98bd92abc61f2e33535ff197064"
     assert (scores.argmax(), scores.argmin()) == (15546342, 13436953)
 
 
-def test_joint_delta_at_the_budget_cap_reads_at_most_two_pieces(monkeypatch):
+def test_joint_delta_at_the_budget_cap_reads_at_most_two_pieces():
     # the full scan's value, pinned before the scan was pruned; the envelope
     # leaves one or two pieces (one digit's flips in a row or a column of
     # the grid) to read, built alone with no table, within the allocation
     # bound of tests/test_metrics.py::test_one_flip_range_allocates_one_and_a_half_chunks
-    params, _ = _rbm_case(14, 10, seed=1410)
+    params = _rbm_case(14, 10, seed=1410).theta
     model = make_rbm_joint(params)
     model._score_table = None  # calling it would raise: no table is built
-    envelope = model._envelope  # found from the parameters, before the count
-    read, pieces = [], foeslab.zoo._read_flips
-
-    def counted(side, digit, picked, slack, table):
-        read.extend((side is envelope[3][0], digit, int(p)) for p in picked)
-        return pieces(side, digit, picked, slack, table)
-
-    monkeypatch.setattr(foeslab.zoo, "_read_flips", counted)
+    model._envelope  # found from the parameters, before the count
     chunk_bytes = foeslab.core._CHUNK_OUTCOMES * 8
     ufunc_bytes = 2 * np.getbufsize() * 8
-    tracemalloc.start()
-    try:
-        got = delta_n(model)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with kernel_calls((foeslab.zoo, "_read_flips")) as calls:
+        tracemalloc.start()
+        try:
+            got = delta_n(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert got.hex() == "0x1.251bc825f96b7p+4"
-    assert 1 <= len(read) <= 2
+    # the lines picked, args[2], of each (side, digit, lines, slack, table) read
+    assert 1 <= sum(len(args[2]) for _, args in calls) <= 2
     assert peak <= 1.5 * chunk_bytes + ufunc_bytes + 2**14
     assert model._scores is None
 
@@ -921,7 +821,7 @@ def test_joint_delta_at_the_budget_cap_reads_at_most_two_pieces(monkeypatch):
 def test_joint_lrep_and_delta_at_the_budget_cap_build_no_table(capsys):
     # the extremes' rows and delta_N's pieces are built from the parameters:
     # no 128 MB table, and the pins of the table route
-    params, _ = _rbm_case(14, 10, seed=1410)
+    params = _rbm_case(14, 10, seed=1410).theta
     values = lambda a: ",".join(repr(float(v)) for v in np.ravel(a))
     argv = ["--model", "rbm_joint", "--n-visible", "14", "--n-hidden", "10",
             "--theta-v=" + values(params.visible), "--theta-h=" + values(params.hidden),
@@ -947,7 +847,7 @@ def test_joint_lrep_and_delta_at_the_budget_cap_build_no_table(capsys):
 
 
 @pytest.mark.parametrize("hidden", [0.5, 0.0])
-def test_tied_joint_grid_is_read_in_chunk_batches(hidden, monkeypatch):
+def test_tied_joint_grid_is_read_in_chunk_batches(hidden):
     # W = 0 at 12 + 12: every row ties in each visible digit, so delta_N
     # reads one digit of all 2^12 rows (|theta_v| > |theta_h|); with
     # theta_h = 0 every row ties in its max and min too, so the extremes
@@ -961,21 +861,16 @@ def test_tied_joint_grid_is_read_in_chunk_batches(hidden, monkeypatch):
             float(table.max() - table.min()).hex(),
             float(_one_flip_range(table, 24, 2)).hex())
     del table
-    model, calls, score = make_rbm_joint(params), [], foeslab.zoo.rbm_joint_score
-
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return score(*args, **kwargs)
-
-    monkeypatch.setattr(foeslab.zoo, "rbm_joint_score", counted)
-    report = instability_report(model)
+    model = make_rbm_joint(params)
+    with kernel_calls((foeslab.zoo, "rbm_joint_score")) as calls:
+        report = instability_report(model)
     assert (report.argmax_index, report.argmin_index, report.lrep.hex(),
             report.delta_n.hex()) == want
     assert model._scores is not None
     # at most two passes of 2^24 / chunk batches, plus one
     assert len(calls) <= 2 * 2**24 // foeslab.core._CHUNK_OUTCOMES + 1
     # the grid was built once: every column in one call over every hidden
-    assert sum(x.stop - x.start for x, h in calls if h == slice(0, 2**12)) == 2**12
+    assert sum(x.stop - x.start for _, (_, x, h) in calls if h == slice(0, 2**12)) == 2**12
 
 
 @pytest.mark.parametrize("nv, nh, coupled", [(1, 23, False), (1, 23, True), (23, 1, True)])
@@ -1020,41 +915,6 @@ def test_enveloped_reads_at_the_cap_keep_the_full_pass(nv, nh, coupled, monkeypa
     assert peak <= 12 * chunk_bytes, peak / chunk_bytes
 
 
-@st.composite
-def bounded_joint_rbms(draw):
-    """(params, chunk, line_digits) of joint RBMs of 1-10 visibles and 0-8
-    hiddens, or of more hiddens than visibles (1-5 and up to 10), at scales
-    1e-3 to 1e12: normal draws, exact ties, W = 0, scattered signed zeros,
-    or every parameter a signed zero. Patched chunks of 4 and 16 run on at
-    most 2^12 outcomes, where a scan's pieces stay few. ``line_digits`` None
-    keeps the envelope's own threshold for bounding a side line by line; 1
-    bounds every side so, 4 only sides of lines of 2^4 entries or more."""
-    chunk = draw(st.sampled_from([None, 4, 16]))
-    if draw(st.booleans()):
-        nv = draw(st.integers(1, 5))
-        nh = draw(st.integers(nv + 1, 10 if chunk is None else 12 - nv))
-    else:
-        nv = draw(st.integers(1, 10))
-        nh = draw(st.integers(0, 8 if chunk is None else min(8, 12 - nv)))
-    scale = draw(st.sampled_from([1e-3, 1.0, 1e3, 1e6, 1e12]))
-    kind = draw(st.sampled_from(["normal", "ties", "uncoupled", "signed_zeros", "zero"]))
-    line_digits = draw(st.sampled_from([None, 1, 4]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    v, h, w = (rng.normal(size=size) * scale for size in (nv, nh, (nh, nv)))
-    signs = lambda size: rng.choice([-1.0, 1.0], size=size)
-    if kind == "ties":
-        # equal |biases| and equal coupling columns: rows and columns tie in
-        # pairs and runs
-        v, h, w = v[0] * signs(nv), h[:1] * signs(nh), np.repeat(w[:, :1], nv, axis=1)
-    elif kind == "uncoupled":
-        w = 0.0 * signs((nh, nv))
-    elif kind in ("signed_zeros", "zero"):
-        p = 0.5 if kind == "signed_zeros" else 1.0
-        v, h, w = (np.where(rng.random(np.shape(a)) < p, 0.0 * signs(np.shape(a)), a)
-                   for a in (v, h, w))
-    return RbmParams(v, h, w), chunk, line_digits
-
-
 def digit_spreads(lines: np.ndarray, digit: int) -> np.ndarray:
     """Oracle: each line's largest max - min over pairs one flip of
     ``digit`` apart."""
@@ -1062,86 +922,55 @@ def digit_spreads(lines: np.ndarray, digit: int) -> np.ndarray:
     return (pair.max(axis=2) - pair.min(axis=2)).max(axis=(1, 2))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(case=bounded_joint_rbms())
-@example(case=(RbmParams(-0.0 * np.ones(10), np.zeros(8), np.zeros((8, 10))), None, None))
-@example(case=(RbmParams(np.full(10, 1e12), np.full(8, -1e12), np.full((8, 10), 3e11)),
-               None, None))
-@example(case=(RbmParams(np.full(2, 0.5), np.zeros(10), np.full((10, 2), 0.25)), None, None))
-# both rows peak at 1.807 in exact arithmetic and in the table, but their
-# bounds round an ulp apart, the higher in row 1: row 0 must still be read
-@example(case=(RbmParams([0.903, 0.904], [0.0], [[-0.206, 0.206]]), None, 1))
-# W = 0: every row ties in each visible digit, and every column in each
-# hidden digit; the larger |theta_v| has delta_N read from every row
-@example(case=(RbmParams([0.5, -0.75, 0.25, 1.0], [0.3, -0.3, 0.3], np.zeros((3, 4))), 4, 1))
-@example(case=(RbmParams([0.5, -0.75, 0.25, 1.0], [0.3, -1.5, 0.3], np.zeros((3, 4))), 4, 1))
-# near overflow: the scores are finite, but 2(1 + gamma) T passes the
-# largest float, so there is no envelope and the full pass is taken
-@example(case=(RbmParams([4e307, 4e307], [4e307], [[1e300, 1e300]]), None, 1))
-def test_enveloped_reads_are_the_full_pass_and_each_bound_holds(case):
+@settings(max_examples=200)
+@given(case=models("joint-lopsided", "joint-tied"))
+@examples(JOINT_EXAMPLES)
+def test_enveloped_reads_hold_every_bound(case):
     # the envelope route reads only the rows, and the pieces (one digit's
     # flips in a row, a column or the whole grid), whose bound can reach the
-    # answer, so it returns the full pass's extremes and delta_N bit for
-    # bit; its first read is a piece of largest bound, no row or piece is
+    # answer (tests/test_shortcuts.py checks the answer against the full
+    # pass): its first read is a piece of largest bound, no row or piece is
     # read twice, and every row or piece it leaves out is certified not to
     # hold the answer. Where both sides' lines are long, those lines are
-    # built from the parameters and no table is, unless a read takes half
-    # the rows or more; a model whose table is built first reads them in
-    # the table, with the same result
-    params, chunk, line_digits = case
+    # built from the parameters with the table's bits, and no table is,
+    # unless a read takes half the rows or more
+    params = case.theta
     nv, nh = params.n_visible, params.n_hidden
-    rows_read, row_reads, pieces, tables = [], [], [], []
-    batches, read = foeslab.zoo._GridLines.batches, foeslab.zoo._read_flips
-
-    def lines_read(lines, picked, table):
-        if not lines._axis:
-            rows_read.extend(picked.tolist())
-            row_reads.append((len(picked), table is None))
-        return batches(lines, picked, table)
-
-    def counted(side, digit, picked, slack, table):
-        pieces.extend((int(side is not envelope[3][0]), digit, int(p)) for p in picked)
-        return read(side, digit, picked, slack, table)
-
-    with pytest.MonkeyPatch.context() as patch:
-        if chunk is not None:
-            patch.setattr(foeslab.core, "_CHUNK_OUTCOMES", chunk)
-        if line_digits is not None:
-            patch.setattr(foeslab.zoo, "_LINE_BOUND_DIGITS", line_digits)
-        tabled = make_rbm_joint(params)
-        table, n = tabled.scores(), tabled.n_variables
-        on_table = (*tabled.extreme_indices(), delta_n(tabled).hex())
-        model = make_rbm_joint(params)
+    tables, lines_read = [], (foeslab.zoo._GridLines, "batches")
+    with case.patched():
+        table = case.model().scores()
+        model = case.model()
         envelope = model._envelope
         model._score_table = lambda: tables.append(table) or table
-        patch.setattr(foeslab.zoo._GridLines, "batches", lines_read)
-        report = lrep(model)
-        extremes_read = list(rows_read)
-        patch.setattr(foeslab.zoo, "_read_flips", counted)
-        got = delta_n(model)
+        with kernel_calls(lines_read) as extremes_calls:
+            lrep(model)
+        with kernel_calls(lines_read, (foeslab.zoo, "_read_flips")) as delta_calls:
+            got = delta_n(model)
         if envelope is not None:
-            # a built line has the bits of the table's
-            patch.setattr(foeslab.zoo._GridLines, "batches", batches)
             grid = table.reshape(2**nh, -1)
             for (lines, _, _), view in zip(envelope[3], (grid, grid.T)):
                 if lines is not None:
                     for picked in (np.arange(len(view)), np.arange(0, len(view), 3)):
                         built = np.concatenate([b for _, b in lines.batches(picked, None)])
                         assert built.tobytes() == np.ascontiguousarray(view[picked]).tobytes()
-    # the full pass over the built table
-    imax, imin = int(np.argmax(table)), int(np.argmin(table))
-    full = (imax, imin, (float(table[imax]) - float(table[imin])).hex(),
-            float(_one_flip_range(table, n, 2)).hex())
-    assert (report.argmax_index, report.argmin_index, report.lrep.hex(), got.hex()) == full
-    assert on_table == (imax, imin, full[3])
+    # (lines, picked, table) of each batch read in the rows of the grid
+    row_reads = [args for name, args in extremes_calls + delta_calls
+                 if name == "batches" and not args[0]._axis]
+    extremes_read = [int(r) for name, (lines, picked, _) in extremes_calls
+                     if not lines._axis for r in picked]
+    # (side, digit, line) of each piece read; args are (side, digit, lines,
+    # slack, table)
+    pieces = [(int(args[0] is not envelope[3][0]), args[1], int(p))
+              for name, args in delta_calls if name == "_read_flips" for p in args[2]]
     # a side is bounded line by line where its lines hold 2^line_digits
     # entries or more, else per digit over the whole grid
-    threshold = foeslab.zoo._LINE_BOUND_DIGITS if line_digits is None else line_digits
+    threshold = foeslab.zoo._LINE_BOUND_DIGITS if case.line_digits is None else case.line_digits
     # rows are built alone only fewer than half at a time; a read of half
     # the rows or more builds the table, and every read after it reads there
     tableless = envelope is not None and min(nv, nh) >= threshold
-    assert all(2 * k < 2**nh for k, alone in row_reads if alone)
-    assert (tables == []) == (tableless and all(2 * k < 2**nh for k, _ in row_reads))
+    assert all(2 * len(picked) < 2**nh for _, picked, read_in in row_reads if read_in is None)
+    assert (tables == []) == (tableless and all(2 * len(picked) < 2**nh
+                                                for _, picked, _ in row_reads))
     if envelope is None:
         assert not extremes_read and not pieces
         return
@@ -1190,21 +1019,6 @@ def test_enveloped_reads_are_the_full_pass_and_each_bound_holds(case):
         assert np.all(bounds[left] <= cap)
 
 
-@pytest.mark.parametrize("params", [
-    RbmParams([1e308, 1e308], [0.5], [[0.25, -0.5]]),
-    RbmParams([1e308], [-1e308], [[1e308]]),
-])
-@pytest.mark.parametrize("read", [lrep, delta_n])
-def test_overflowing_joint_rbm_takes_the_full_pass(params, read):
-    # 2(1 + gamma) T passes the largest float, so there is no envelope, and
-    # the full argmax/argmin rejects the infinite scores as every model does
-    model = make_rbm_joint(params)
-    assert foeslab.zoo._joint_envelope(params) is None
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="non-finite"):
-        read(model)
-    assert model._envelope is None
-
-
 @pytest.mark.parametrize("pieces", [[0], [3], [5, 1], [6, 7], [0, 4, 8, 15], range(16)])
 @pytest.mark.parametrize("chunk", [2**4, 2**8])
 def test_flip_spreads_are_the_max_over_each_line_and_digit(pieces, chunk):
@@ -1240,7 +1054,7 @@ def test_flip_spreads_are_the_max_over_each_line_and_digit(pieces, chunk):
 
 def test_joint_lrep_csv_at_the_budget_cap_is_pinned(capsys):
     # the CLI row of the pinned 14 + 10 table, as before the scan was pruned
-    params, _ = _rbm_case(14, 10, seed=1410)
+    params = _rbm_case(14, 10, seed=1410).theta
     values = lambda a: ",".join(repr(float(v)) for v in np.ravel(a))
     assert main(["lrep", "--model", "rbm_joint", "--n-visible", "14", "--n-hidden", "10",
                  "--theta-v=" + values(params.visible), "--theta-h=" + values(params.hidden),
@@ -1376,7 +1190,7 @@ class TestDbm:
             scores = make_dbm_marginal(params).scores()
         assert hashlib.sha256(scores.tobytes()).hexdigest() == digest
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(sizes=st.lists(st.integers(1, 4), min_size=2, max_size=6).filter(
                lambda s: sum(s) <= 13),
            seed=st.integers(0, 2**32 - 1), chunk=st.sampled_from([None, 1, 16]))
@@ -1432,7 +1246,7 @@ class TestDbm:
             "assert np.isfinite(replicate(make_dbm_marginal(p), 2).score(x)).all()\n"
         ) < 256 * 1024
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(sizes=st.lists(st.integers(1, 3), min_size=3, max_size=6).filter(
                lambda s: sum(s) <= 14),
            seed=st.integers(0, 2**32 - 1), chunk=st.sampled_from([None, 4]))
